@@ -6,17 +6,20 @@ the INPUT layout (hive ``partition_id=...`` directories written by synth),
 never from runtime block order. Each unit writes its outputs under a
 partition-keyed directory with ``mode="overwrite"`` (idempotent on retry) and
 finishes by writing a ``_manifest/<pid>.json`` lineage record — the manifest
-write is the commit point, so a kill between outputs and manifest just re-runs
-that partition. Global (cross-partition) checks — uniqueness, referential,
+write is the commit point (atomic: temp file + fsync + rename), so a kill
+between outputs and manifest, or during the manifest write, just re-runs that
+partition. Global (cross-partition) checks — uniqueness, referential,
 drift — run as separately-manifested steps after the per-partition pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import json
 import os
+import tempfile
 import time
 from typing import Optional, Sequence
 
@@ -36,6 +39,29 @@ def _manifest_dir(out_dir: str) -> str:
     d = os.path.join(out_dir, "_manifest")
     os.makedirs(d, exist_ok=True)
     return d
+
+
+def _commit_manifest(out_dir: str, name: str, record: dict) -> None:
+    """Atomically write ``_manifest/<name>.json``, a commit point.
+
+    The record goes to a temp file in the same directory, is flushed and
+    fsynced, then ``os.replace``d into place: a kill mid-write leaves no
+    manifest (the unit re-runs), never truncated JSON that would crash
+    :func:`completed_partitions` on resume. Temp names do not match
+    ``*.json``, so a leftover one is never read as a record.
+    """
+    d = _manifest_dir(out_dir)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(record, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, os.path.join(d, f"{name}.json"))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def list_partitions(corpus_dir: str) -> dict[str, list[str]]:
@@ -192,9 +218,7 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
                             "violations": row["violations"]},
             }
             # manifest write is the commit point for this partition
-            with open(os.path.join(_manifest_dir(out_dir), f"{pid}.json"),
-                      "w") as f:
-                json.dump(record, f)
+            _commit_manifest(out_dir, pid, record)
 
     if max_units is None:
         _run_global_checks(corpus_dir, out_dir, catalog_path,
@@ -224,10 +248,9 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
         result_ds = fn()
         out = os.path.join(checks_dir, name)
         result_ds.write_parquet(out, mode="overwrite")
-        with open(os.path.join(_manifest_dir(out_dir), f"{marker}.json"),
-                  "w") as f:
-            json.dump({"partition_id": marker, "outputs": [out],
-                       "started_at": started, "finished_at": time.time()}, f)
+        _commit_manifest(out_dir, marker, {
+            "partition_id": marker, "outputs": [out],
+            "started_at": started, "finished_at": time.time()})
         summary[name] = "done"
 
     from engine.stats import column_stats

@@ -33,8 +33,6 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from engine.sketches import hash64
-
 logger = logging.getLogger(__name__)
 
 _KIND_EDGE, _KIND_LABEL = 0, 1
@@ -91,8 +89,7 @@ def connected_components(pairs, *, key_a: str = "key_a",
     """
     import pandas as pd
     import ray.data
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _sym(df):
         if key_a not in df.columns or not len(df):
@@ -127,15 +124,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
         return edges.repartition(1).map_batches(
             _local, batch_format="pandas", batch_size=None)
 
-    def _part(df):
-        if "node" not in df.columns or not len(df):
-            return pd.DataFrame({"node": [], "val": [], "kind": [],
-                                 "part": []})
-        out = df.copy()
-        out["part"] = (hash64(df["node"].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _propagate(df):
         """One partition: candidate labels scattered along edge rows.
 
@@ -144,8 +132,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
         emits (nbr, label[node]); every node also re-emits its own label so
         the follow-up min never loses coverage.
         """
-        if "node" not in df.columns or not len(df):
-            return pd.DataFrame({"node": [], "cand": []})
         lab = df[df["kind"] == _KIND_LABEL]
         src = df[df["kind"] == _KIND_EDGE]
         lk, lv = lab["node"].to_numpy(), lab["val"].to_numpy()
@@ -157,9 +143,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
 
     def _minimize(df):
         """One partition: new label = min candidate; changed vs previous."""
-        if "node" not in df.columns or not len(df):
-            return pd.DataFrame({"node": [], "label": [],
-                                 "changed": pd.array([], dtype="int64")})
         cand = df[df["kind"] == _KIND_EDGE]
         prev = df[df["kind"] == _KIND_LABEL]
         newlab = cand.groupby("node", as_index=False)["val"].min()
@@ -196,8 +179,8 @@ def connected_components(pairs, *, key_a: str = "key_a",
             u = edges.union(labels.map_batches(_lab_rows,
                                                batch_format="pandas"))
 
-        cands = u.map_batches(_part, batch_format="pandas") \
-            .groupby("part").map_groups(_propagate, batch_format="pandas")
+        cands = by_key(u, "node", _propagate,
+                       empty=pd.DataFrame({"node": [], "cand": []}))
 
         def _cand_rows(df):
             if "node" not in df.columns or not len(df):
@@ -221,9 +204,9 @@ def connected_components(pairs, *, key_a: str = "key_a",
             u2 = u2.union(labels.map_batches(_prev_rows,
                                              batch_format="pandas"))
 
-        labels = u2.map_batches(_part, batch_format="pandas") \
-            .groupby("part").map_groups(_minimize, batch_format="pandas") \
-            .materialize()
+        labels = by_key(u2, "node", _minimize, empty=pd.DataFrame({
+            "node": [], "label": [],
+            "changed": pd.array([], dtype="int64")})).materialize()
         changed = labels.sum("changed") or 0
         if changed == 0:
             break

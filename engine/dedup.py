@@ -221,7 +221,7 @@ def _triu_idx(s: int):
 def _emit_partition_pairs(df, max_bucket_size: int = 64, value_col=None):
     """All within-bucket (key_a < key_b) pairs of ONE coarse hash partition.
 
-    The partition holds complete buckets (part = bkey % P), so pair
+    The partition holds complete buckets (``by_key`` on bkey), so pair
     emission is exact, and the work is vectorized over the whole partition
     instead of one pandas UDF call per bucket: sort by (bkey, key), find
     bucket boundaries, emit cached-triu index pairs per qualifying bucket.
@@ -267,58 +267,40 @@ def _pairs_via_partitions(cand, *, max_bucket_size: int = 64,
                           value_col=None, post=None):
     """bkey-co-located candidate rows -> within-bucket candidate pairs.
 
-    Two-level grouping: buckets hash to P coarse partitions (P tracks
-    cluster CPUs, engine/shuffle.py) and ONE vectorized UDF runs per
-    partition — per-group pandas overhead is O(P), not O(#buckets)
-    (measured 5x on the bench corpus: 3.7s -> 0.7s across 3.3k buckets).
-    ``post`` optionally transforms each partition's pair frame in place
-    (e.g. simhash hamming filter) before it is shipped anywhere.
+    Whole buckets co-locate (:func:`engine.shuffle.by_key` on ``bkey``)
+    and ONE vectorized UDF runs per partition — per-group pandas overhead
+    is O(P), not O(#buckets). ``post`` optionally transforms each
+    partition's pair frame in place (e.g. simhash hamming filter) before
+    it is shipped anywhere.
     """
-    from engine.shuffle import reduce_blocks
-    P = np.int64(reduce_blocks())
-
-    def _part(b: pa.Table) -> pa.Table:
-        bk = b.column("bkey").to_numpy(zero_copy_only=False)
-        return b.append_column("part", pa.array(bk % P, pa.int64()))
+    import pandas as pd
+    from engine.shuffle import by_key
 
     def _udf(df):
         out = _emit_partition_pairs(df, max_bucket_size, value_col)
         return post(out) if post is not None else out
 
-    return cand.map_batches(_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(_udf, batch_format="pandas")
+    return by_key(cand, "bkey", _udf, empty=_udf(pd.DataFrame()))
 
 
 def _unique_pairs(pairs, *, min_col=None):
-    """Distinct (key_a, key_b) rows (same coarse-partition trick): every
-    copy of a pair lands in one partition (ppart = mixed pair hash % P) and
-    one vectorized drop_duplicates — or a min-aggregate over ``min_col`` —
-    runs per partition, replacing a full groupby over the pair columns."""
+    """Distinct (key_a, key_b) rows: every copy of a pair shares its
+    ``key_a``, so :func:`engine.shuffle.by_key` on ``key_a`` lands all
+    copies in one partition and one vectorized drop_duplicates — or a
+    min-aggregate over ``min_col`` — runs per partition, replacing a full
+    groupby over the pair columns."""
     import pandas as pd
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = ["key_a", "key_b"] + ([min_col] if min_col else [])
 
-    def _ppart(df):
-        if "key_a" not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in cols + ["ppart"]})
-        with np.errstate(over="ignore"):
-            h = _splitmix(hash64(df["key_a"].to_numpy())
-                          ^ hash64(df["key_b"].to_numpy(), 7), 11)
-        out = df[cols].copy()
-        out["ppart"] = (h % np.uint64(P)).astype(np.int64)
-        return out
-
     def _dedup(df):
-        if "key_a" not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in cols})
         if min_col:
             return df.groupby(["key_a", "key_b"],
                               as_index=False)[min_col].min()[cols]
         return df.drop_duplicates(["key_a", "key_b"])[cols]
 
-    return pairs.map_batches(_ppart, batch_format="pandas") \
-        .groupby("ppart").map_groups(_dedup, batch_format="pandas")
+    return by_key(pairs, "key_a", _dedup, prep=lambda df: df[cols],
+                  empty=pd.DataFrame({c: [] for c in cols}))
 
 
 def _key_type(ds, key_col: str) -> pa.DataType:

@@ -178,14 +178,15 @@ def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
 def events_per_user_hour(events_ds, *, batch_size: int = 65536,
                          concurrency=None):
     """Windowed aggregate: events bucketed to (user, hour) with count +
-    value sum (streaming-friendly: buckets partial-aggregated per batch)."""
+    value sum (streaming-friendly: buckets partial-aggregated per batch).
+    The (user, hour) partials then co-locate by user
+    (:func:`engine.shuffle.by_key`) and ONE vectorized pandas aggregation
+    finishes each partition — Ray's per-group reduce over ~10^5 groups
+    was the dominant cost of this window at sf0.1."""
 
     import pandas as pd
 
-    from engine.shuffle import reduce_blocks
-    from engine.sketches import _splitmix, hash64
-
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts")
@@ -199,21 +200,9 @@ def events_per_user_hour(events_ds, *, batch_size: int = 65536,
         g = df.groupby(["user_id", "hour"], sort=False).agg(
             n_events=("value", "size"),
             value_sum=("value", "sum")).reset_index()
-        # two-level grouping (engine/dedup.py pattern): (user, hour) rows
-        # hash to P coarse partitions and ONE vectorized pandas aggregation
-        # finishes each partition — Ray's per-group reduce over ~10^5
-        # groups was the dominant cost of this window at sf0.1
-        with np.errstate(over="ignore"):
-            h = _splitmix(hash64(g["user_id"].to_numpy(), 3)
-                          ^ g["hour"].to_numpy().astype("int64")
-                          .astype(np.uint64), 5)
-        g["part"] = (h % np.uint64(P)).astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def _sum_part(df):
-        if "user_id" not in df.columns or not len(df):
-            return pd.DataFrame({"user_id": [], "hour": [], "n_events": [],
-                                 "value_sum": []})
         g = df.groupby(["user_id", "hour"], as_index=False).agg(
             n_events=("n_events", "sum"), value_sum=("value_sum", "sum"))
         g["n_events"] = g["n_events"].astype("int64")
@@ -224,8 +213,8 @@ def events_per_user_hour(events_ds, *, batch_size: int = 65536,
     partials = events_ds.map_batches(
         _partial, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=batch_size, concurrency=concurrency)
-    return partials.groupby("part").map_groups(
-        _sum_part, batch_format="pandas")
+    return by_key(partials, "user_id", _sum_part, empty=pd.DataFrame(
+        {"user_id": [], "hour": [], "n_events": [], "value_sum": []}))
 
 
 def sessionize(events_ds, *, gap_minutes: int = 30, batch_size: int = 65536):
@@ -234,33 +223,22 @@ def sessionize(events_ds, *, gap_minutes: int = 30, batch_size: int = 65536):
     user's events must be co-located and ordered — the documented
     partitioning assumption).
 
-    Users hash to P coarse partitions (P tracks cluster CPUs) and ONE
+    Whole users co-locate (:func:`engine.shuffle.by_key`) and ONE
     vectorized UDF sessionizes a whole partition — sort by (user, ts),
     break sessions where the user changes or the gap exceeds the
-    threshold, aggregate with boundary arithmetic. Per-group pandas
-    overhead is O(P), not O(#users) (the same two-level grouping as the
-    LSH pair stages, engine/dedup.py).
+    threshold, aggregate with boundary arithmetic.
 
     Output: (user_id, session_id, n_events, session_start, session_end).
     """
     import pandas as pd
 
-    from engine.shuffle import reduce_blocks
-    from engine.sketches import hash64
+    from engine.shuffle import by_key
 
     gap = np.timedelta64(gap_minutes * 60, "s")
-    P = reduce_blocks()
     out_cols = ["user_id", "session_id", "n_events", "session_start",
                 "session_end"]
 
-    def _part(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").to_numpy(zero_copy_only=False)
-        part = (hash64(uid) % np.uint64(P)).astype(np.int64)
-        return b.append_column("part", pa.array(part))
-
     def _sessions_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        if "user_id" not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in out_cols})
         df = df.sort_values(["user_id", "ts"], kind="mergesort")
         ts = df["ts"].to_numpy()
         uid = df["user_id"].to_numpy()
@@ -282,10 +260,9 @@ def sessionize(events_ds, *, gap_minutes: int = 30, batch_size: int = 65536):
             "session_end": ts[s_end - 1].astype("datetime64[us]"),
         })
 
-    return events_ds.select_columns(["user_id", "ts"]).map_batches(
-        _part, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size).groupby("part").map_groups(
-        _sessions_part, batch_format="pandas")
+    return by_key(events_ds.select_columns(["user_id", "ts"]), "user_id",
+                  _sessions_part, batch_size=batch_size,
+                  empty=pd.DataFrame({c: [] for c in out_cols}))
 
 
 def session_aggregate(events_ds, *, gap_minutes: int = 30,
@@ -304,22 +281,13 @@ def session_aggregate(events_ds, *, gap_minutes: int = 30,
     """
     import pandas as pd
 
-    from engine.shuffle import reduce_blocks
-    from engine.sketches import hash64
+    from engine.shuffle import by_key
 
     gap = np.timedelta64(gap_minutes * 60, "s")
-    P = reduce_blocks()
     out_cols = ["user_id", "session_id", "n_events", "session_start",
                 "session_end", "value_sum", "n_values"]
 
-    def _part(b: pa.Table) -> pa.Table:
-        uid = b.column("user_id").to_numpy(zero_copy_only=False)
-        part = (hash64(uid) % np.uint64(P)).astype(np.int64)
-        return b.append_column("part", pa.array(part))
-
     def _sessions_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        if "user_id" not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in out_cols})
         df = df.sort_values(["user_id", "ts"], kind="mergesort")
         ts = df["ts"].to_numpy()
         uid = df["user_id"].to_numpy()
@@ -349,10 +317,9 @@ def session_aggregate(events_ds, *, gap_minutes: int = 30,
             "n_values": cnts,
         })
 
-    return events_ds.select_columns(["user_id", "ts", val_col]) \
-        .map_batches(_part, batch_format="pyarrow", zero_copy_batch=True,
-                     batch_size=batch_size).groupby("part").map_groups(
-        _sessions_part, batch_format="pandas")
+    return by_key(events_ds.select_columns(["user_id", "ts", val_col]),
+                  "user_id", _sessions_part, batch_size=batch_size,
+                  empty=pd.DataFrame({c: [] for c in out_cols}))
 
 
 def top_event_types(events_ds, *, k: int = 5, batch_size: int = 65536):
@@ -388,42 +355,22 @@ def grouped_topk(ds, *, group_col: str, score_col: str, id_col: str,
 
     Scale shape: an in-batch per-group top-k combiner bounds the shuffle at
     (groups x k) rows per block — the corpus itself never shuffles; the
-    final pass co-locates whole groups on P coarse hash partitions (P
-    tracks cluster CPUs) and runs ONE vectorized sort-and-head per
-    partition, not one pandas call per group. A single hot group costs
-    O(blocks x k) final rows, so skew is bounded by design.
+    final pass co-locates whole groups (:func:`engine.shuffle.by_key`)
+    and runs ONE vectorized sort-and-head per partition, not one pandas
+    call per group. A single hot group costs O(blocks x k) final rows, so
+    skew is bounded by design.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     by = [group_col, score_col, id_col]
     order = [True, ascending, True]
 
     def _topk(df):
-        return df.sort_values(by, ascending=order, kind="mergesort") \
+        return df[by].sort_values(by, ascending=order, kind="mergesort") \
             .groupby(group_col, sort=False).head(k)
 
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in by})
-        return _topk(df[by])
-
-    def _part(df):
-        out = df.copy()
-        out["part"] = (hash64(df[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
-    def _final(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({c: [] for c in by})
-        return _topk(df[by])
-
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .map_batches(_part, batch_format="pandas") \
-        .groupby("part").map_groups(_final, batch_format="pandas")
+    return by_key(ds, group_col, _topk, prep=_topk, batch_size=batch_size,
+                  empty=pd.DataFrame({c: [] for c in by}))
 
 
 def _rolling_frames(df, *, key_col, ts_col, val_col, id_col,
@@ -503,26 +450,14 @@ def rolling_window_mean(ds, *, key_col: str = "user_id",
     timestamp and NULL-skipping averages. NULL-ts rows are dropped (see
     :func:`_rolling_frames`).
 
-    Scale shape: whole keys co-locate on P coarse hash partitions
-    (P tracks cluster CPUs) and ONE vectorized pass runs per partition
-    (:func:`_rolling_frames`). Only the events table shuffles, once, by
-    key hash.
+    Scale shape: :func:`engine.shuffle.by_key` on the key, then ONE
+    vectorized pass per partition (:func:`_rolling_frames`).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(df[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _roll(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "rolling_mean": []})
         sub, sums, cnts = _rolling_frames(
             df, key_col=key_col, ts_col=ts_col, val_col=val_col,
             id_col=id_col, window_seconds=window_seconds)
@@ -531,9 +466,9 @@ def rolling_window_mean(ds, *, key_col: str = "user_id",
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "rolling_mean": mean})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_roll, batch_format="pandas")
+    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "rolling_mean": []}))
 
 
 def asof_join(left, right, *, key_col: str = "user_id",
@@ -546,46 +481,38 @@ def asof_join(left, right, *, key_col: str = "user_id",
     with the greatest ``right_id_col`` so the match is deterministic.
 
     Ray Data has no asof join; this composes one from the primitives the
-    repo already relies on: both sides co-partition ONCE by key hash
-    (whole keys per partition), and one vectorized pass per partition
-    matches every left row via a single ``searchsorted`` over the right
-    side's monotone composite timestamp (each key's times shifted into
-    disjoint ranges) — no per-key Python loop, no driver state. Returns
-    (left_id, key, value) for matched rows.
+    repo already relies on: both sides co-partition ONCE by key
+    (:func:`engine.shuffle.by_key` over their union), and one vectorized
+    pass per partition matches every left row via a single
+    ``searchsorted`` over the right side's monotone composite timestamp
+    (each key's times shifted into disjoint ranges) — no per-key Python
+    loop, no driver state. Returns (left_id, key, value) for matched
+    rows.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-    cols = ["id", "key", "t", "val", "side"]
+    from engine.shuffle import by_key
+    empty = pd.DataFrame({left_id_col: [], key_col: [], value_col: []})
 
     def _tag(side: int, id_col: str, with_val: bool):
         def _fn(df):
-            if key_col not in df.columns or not len(df):
-                return pd.DataFrame({c: [] for c in cols + ["part"]})
             ts = df[ts_col].to_numpy()
             if np.issubdtype(ts.dtype, np.datetime64):
                 t = ts.astype("datetime64[ns]").astype(np.int64) / 1e9
             else:
                 t = ts.astype(np.float64)
-            keys = df[key_col].to_numpy()
             return pd.DataFrame({
                 "id": df[id_col].to_numpy(),
-                "key": keys, "t": t,
+                "key": df[key_col].to_numpy(), "t": t,
                 "val": df[value_col].to_numpy().astype(np.float64)
                 if with_val else np.full(len(df), np.nan),
-                "side": np.full(len(df), side, dtype=np.int8),
-                "part": (hash64(keys) % np.uint64(P)).astype(np.int64)})
+                "side": np.full(len(df), side, dtype=np.int8)})
         return _fn
 
     def _match(df):
-        out_cols = {left_id_col: [], key_col: [], value_col: []}
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame(out_cols)
         l = df[df["side"] == 0]
         r = df[df["side"] == 1]
         if not len(l) or not len(r):
-            return pd.DataFrame(out_cols)
+            return empty.copy()
         # dedup right (key, t) ties to the greatest right id, then sort
         r = r.sort_values(["key", "t", "id"], kind="mergesort") \
             .drop_duplicates(["key", "t"], keep="last")
@@ -615,7 +542,7 @@ def asof_join(left, right, *, key_col: str = "user_id",
         .union(right.map_batches(_tag(1, right_id_col, True),
                                  batch_format="pandas",
                                  batch_size=batch_size))
-    return u.groupby("part").map_groups(_match, batch_format="pandas")
+    return by_key(u, "key", _match, empty=empty)
 
 
 def interval_join(points, intervals, *, key_col: str = "user_id",
@@ -635,12 +562,13 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
     searchsorted window over the start-sorted intervals per coarse key
     partition, expanded with repeat/cumsum arithmetic (no per-point
     Python loop), then filtered by ``end > ts``. Both sides shuffle once,
-    by key hash. Returns (point_id, interval_id, key).
+    by key (:func:`engine.shuffle.by_key` over their union). Returns
+    (point_id, interval_id, key).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
+    empty = pd.DataFrame({point_id_col: [], interval_id_col: [],
+                          key_col: []})
 
     def _to_sec(arr):
         if np.issubdtype(arr.dtype, np.datetime64):
@@ -648,43 +576,28 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
         return arr.astype(np.float64)
 
     def _tag_points(df):
-        cols = {"id": [], "key": [], "t0": [], "t1": [], "side": [],
-                "part": []}
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame(cols)
-        keys = df[key_col].to_numpy()
         t = _to_sec(df[ts_col].to_numpy())
         return pd.DataFrame({
-            "id": df[point_id_col].to_numpy(), "key": keys,
-            "t0": t, "t1": t,
-            "side": np.zeros(len(df), dtype=np.int8),
-            "part": (hash64(keys) % np.uint64(P)).astype(np.int64)})
+            "id": df[point_id_col].to_numpy(),
+            "key": df[key_col].to_numpy(), "t0": t, "t1": t,
+            "side": np.zeros(len(df), dtype=np.int8)})
 
     def _tag_intervals(df):
-        cols = {"id": [], "key": [], "t0": [], "t1": [], "side": [],
-                "part": []}
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame(cols)
-        keys = df[key_col].to_numpy()
         s = _to_sec(df[start_col].to_numpy())
         e = _to_sec(df[end_col].to_numpy())
         if len(s) and float(np.max(e - s)) > max_duration_s:
             raise ValueError("interval longer than max_duration_s; "
                              "split long intervals upstream")
         return pd.DataFrame({
-            "id": df[interval_id_col].to_numpy(), "key": keys,
-            "t0": s, "t1": e,
-            "side": np.ones(len(df), dtype=np.int8),
-            "part": (hash64(keys) % np.uint64(P)).astype(np.int64)})
+            "id": df[interval_id_col].to_numpy(),
+            "key": df[key_col].to_numpy(), "t0": s, "t1": e,
+            "side": np.ones(len(df), dtype=np.int8)})
 
     def _match(df):
-        out_cols = {point_id_col: [], interval_id_col: [], key_col: []}
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame(out_cols)
         p = df[df["side"] == 0]
         iv = df[df["side"] == 1]
         if not len(p) or not len(iv):
-            return pd.DataFrame(out_cols)
+            return empty.copy()
         uk = pd.Index(pd.unique(np.concatenate(
             [iv["key"].to_numpy(), p["key"].to_numpy()])))
         t_all = np.concatenate([iv["t0"].to_numpy(), p["t0"].to_numpy()])
@@ -704,7 +617,7 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
-            return pd.DataFrame(out_cols)
+            return empty.copy()
         rep = np.repeat(np.arange(len(p)), counts)
         offs = np.concatenate([[0], np.cumsum(counts)[:-1]])
         cand = np.arange(total) - offs[rep] + lo[rep]
@@ -719,7 +632,7 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
                            batch_size=batch_size) \
         .union(intervals.map_batches(_tag_intervals, batch_format="pandas",
                                      batch_size=batch_size))
-    return u.groupby("part").map_groups(_match, batch_format="pandas")
+    return by_key(u, "key", _match, empty=empty)
 
 
 def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
@@ -854,39 +767,32 @@ def count_distinct(ds, *, group_col: str, value_col: str,
     """Exact distinct ``value_col`` count per ``group_col`` — the two-level
     shape that survives 10^12 rows: an in-batch (group, value) dedup
     combiner, a distinct pass over (group, value) pairs co-located by pair
-    hash, then a bins-bounded per-group sum. The raw corpus collapses to
-    distinct pairs before anything shuffles, and no stage ever holds a
-    per-group value set in one task.
+    hash (:func:`engine.shuffle.by_key` on the ``_pair`` column), then a
+    bins-bounded per-group sum. The raw corpus collapses to distinct
+    pairs before anything shuffles, and no stage ever holds a per-group
+    value set in one task.
     """
     import pandas as pd
     from ray.data.aggregate import Sum
     from engine.sketches import hash64
-    from engine.shuffle import balance, reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import balance, by_key
 
     def _pairs(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], value_col: [], "part": []})
         sub = df[[group_col, value_col]].dropna().drop_duplicates()
         with np.errstate(over="ignore"):
             h = hash64(sub[group_col].to_numpy()) \
                 ^ hash64(sub[value_col].to_numpy(), 13)
-        out = sub.copy()
-        out["part"] = (h % np.uint64(P)).astype(np.int64)
-        return out
+        return sub.assign(_pair=h.view(np.int64))
 
     def _dedup_count(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [],
-                                 "n": pd.array([], dtype="int64")})
         d = df.drop_duplicates([group_col, value_col])
         g = d.groupby(group_col, as_index=False).size()
         return pd.DataFrame({group_col: g[group_col].to_numpy(),
                              "n": g["size"].to_numpy().astype(np.int64)})
 
-    partials = ds.map_batches(_pairs, batch_format="pandas",
-                              batch_size=batch_size) \
-        .groupby("part").map_groups(_dedup_count, batch_format="pandas")
+    partials = by_key(ds, "_pair", _dedup_count, prep=_pairs,
+                      batch_size=batch_size, empty=pd.DataFrame(
+                          {group_col: [], "n": pd.array([], dtype="int64")}))
     agg = balance(partials).groupby(group_col).aggregate(Sum("n"))
 
     def _final(b: pa.Table) -> pa.Table:
@@ -915,10 +821,9 @@ def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     (``y_1 = v_1``, ``y_n = alpha*v_n + (1-alpha)*y_{n-1}``; order =
     (ts, id) within key) — the online feature a streaming scorer keeps.
 
-    Whole keys co-locate on P coarse hash partitions and pandas' grouped
-    EWM Cython kernel runs ONCE per partition across all its keys (a
-    single C pass, not one Python call per key). Only (key, ts, id, val)
-    rows shuffle, once. Returns (id, ewma).
+    Whole keys co-locate (:func:`engine.shuffle.by_key`) and pandas'
+    grouped EWM Cython kernel runs ONCE per partition across all its keys
+    (a single C pass, not one Python call per key). Returns (id, ewma).
 
     NULL contract: rows with a NULL value are DROPPED before the
     recurrence (they emit no output row and do not advance the state) —
@@ -932,20 +837,10 @@ def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     output constructor in the worker.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].dropna(subset=[val_col, key_col]).copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _ewm(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "ewma": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         y = sub.groupby(key_col, sort=False)[val_col] \
@@ -954,9 +849,10 @@ def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "ewma": y.to_numpy()})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_ewm, batch_format="pandas")
+    return by_key(ds, key_col, _ewm, null_keys="drop",
+                  prep=lambda df: df[cols].dropna(subset=[val_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "ewma": []}))
 
 
 def ewma_halflife(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -974,30 +870,18 @@ def ewma_halflife(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     v_n)/(w'+1); w = w'+1`` — the same op order a recursive-CTE oracle can
     replay, so parity holds to float ulps.
 
-    Distribution shape matches :func:`ewma`: whole keys co-locate on P
-    coarse hash partitions (only (id, key, ts, val) rows shuffle, once)
-    and pandas' grouped time-EWM Cython kernel runs once per partition.
-    NULL contract: rows with NULL value, NULL timestamp OR NULL key are
-    dropped before the recurrence (``WHERE val IS NOT NULL AND ts IS NOT
-    NULL AND key IS NOT NULL`` — see :func:`ewma` for the NULL-key
-    rationale). Returns (id, ewma_hl).
+    Shape: :func:`engine.shuffle.by_key`, then pandas' grouped time-EWM
+    Cython kernel once per partition. NULL contract: rows with NULL
+    value, NULL timestamp OR NULL key are dropped before the recurrence
+    (``WHERE val IS NOT NULL AND ts IS NOT NULL AND key IS NOT NULL`` —
+    see :func:`ewma` for the NULL-key rationale). Returns (id, ewma_hl).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
     hl = pd.Timedelta(seconds=halflife_seconds)
 
-    def _part(df):
-        out = df[cols].dropna(subset=[val_col, ts_col, key_col]).copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _ewm(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "ewma_hl": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         y = sub.groupby(key_col, sort=False)[val_col] \
@@ -1006,9 +890,10 @@ def ewma_halflife(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "ewma_hl": y.to_numpy()})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_ewm, batch_format="pandas")
+    return by_key(ds, key_col, _ewm, null_keys="drop",
+                  prep=lambda df: df[cols].dropna(subset=[val_col, ts_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "ewma_hl": []}))
 
 
 def lag_diff(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -1024,36 +909,24 @@ def lag_diff(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     NaN-key rows and every NULL-key row would report NULL instead of its
     in-partition diff.
 
-    Same distribution shape as :func:`ewma`: whole keys co-locate on P
-    coarse hash partitions (only (id, key, ts, val) rows shuffle, once;
-    NULL keys hash to one value, so the NULL partition stays whole) and
-    one vectorized ``groupby(...).diff()`` Cython pass runs per
-    partition. Returns (id, lag_diff).
+    Shape: :func:`engine.shuffle.by_key`, then one vectorized
+    ``groupby(...).diff()`` Cython pass per partition. Returns
+    (id, lag_diff).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _diff(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "lag_diff": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         d = sub.groupby(key_col, sort=False, dropna=False)[val_col].diff()
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "lag_diff": d.to_numpy()})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_diff, batch_format="pandas")
+    return by_key(ds, key_col, _diff, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "lag_diff": []}))
 
 
 def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
@@ -1275,9 +1148,9 @@ def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     Two-level shape: an in-batch keep-latest combiner first shrinks every
     batch to at most its distinct-key count BEFORE anything shuffles (on
     an append-heavy log that is the bulk of the reduction), then whole
-    keys co-locate on P coarse hash partitions and the same vectorized
-    sort+drop_duplicates pass picks each key's winner. No per-key Python
-    loop, no full-table sort.
+    keys co-locate (:func:`engine.shuffle.by_key`) and the same
+    vectorized sort+drop_duplicates pass picks each key's winner. No
+    per-key Python loop, no full-table sort.
 
     NULL contract: a NULL ``ts`` sorts as the LEAST recent (SQL ``ORDER
     BY ts DESC`` with DuckDB's default NULLS-LAST), so a NULL-ts row wins
@@ -1291,9 +1164,7 @@ def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     the cast, same as before.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     try:
         _s = ds.schema(fetch_if_missing=False)
         in_schema = _s.base_schema if _s is not None else None
@@ -1301,27 +1172,12 @@ def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         in_schema = None
 
     def _latest(df):
-        if key_col not in df.columns or not len(df):
-            return df
         sub = df.sort_values([key_col, ts_col, id_col], kind="mergesort",
                              na_position="first")
         return sub.drop_duplicates(subset=[key_col], keep="last")
 
-    def _part(df):
-        out = _latest(df).copy()
-        if key_col not in out.columns or not len(out):
-            out["part"] = pd.array([], dtype="int64")
-            return out
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
-    def _final(df):
-        return _latest(df).drop(columns=["part"], errors="ignore")
-
-    res = ds.map_batches(_part, batch_format="pandas",
-                         batch_size=batch_size) \
-        .groupby("part").map_groups(_final, batch_format="pandas")
+    res = by_key(ds, key_col, _latest, prep=_latest, batch_size=batch_size,
+                 empty=pd.DataFrame())
     if in_schema is None:
         return res
 
@@ -1363,46 +1219,31 @@ def pivot_agg(ds, *, group_col: str, pivot_col: str, value_col: str,
 
     Shape: the in-batch combiner collapses each batch to one partial row
     per group (wide but bounded: len(values) float64 cells), so only
-    group-cardinality rows carry a coarse hash-partition tag into the
-    single co-locating shuffle; the per-partition final is one vectorized
-    multi-column groupby-sum. No stage holds more than groups x values
-    cells.
+    group-cardinality rows enter :func:`engine.shuffle.by_key`; the
+    per-partition final is one vectorized multi-column groupby-sum. No
+    stage holds more than groups x values cells.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     names = [f"sum_{v}" for v in values]
 
-    def _empty():
-        return pd.DataFrame({group_col: [],
-                             **{n: pd.array([], dtype="float64")
-                                for n in names},
-                             "part": pd.array([], dtype="int64")})
-
     def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return _empty()
         pv = df[pivot_col].to_numpy()
         val = np.nan_to_num(
             df[value_col].to_numpy(dtype=np.float64, na_value=np.nan))
         tmp = pd.DataFrame({group_col: df[group_col].to_numpy(),
                             **{n: np.where(pv == v, val, 0.0)
                                for n, v in zip(names, values)}})
-        g = tmp.groupby(group_col, as_index=False).sum()
-        g["part"] = (hash64(g[group_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
-        return g
+        return tmp.groupby(group_col, as_index=False).sum()
 
     def _final(df):
-        if group_col not in df.columns or not len(df):
-            return _empty().drop(columns=["part"])
-        return df.drop(columns=["part"]) \
-            .groupby(group_col, as_index=False).sum()
+        return df.groupby(group_col, as_index=False).sum()
 
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_final, batch_format="pandas")
+    return by_key(ds, group_col, _final, prep=_partial,
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({group_col: [],
+                                      **{n: pd.array([], dtype="float64")
+                                         for n in names}}))
 
 
 def _distinct_set_op(left, right, op: str, *, key_col: str,
@@ -1413,44 +1254,38 @@ def _distinct_set_op(left, right, op: str, *, key_col: str,
     DISTINCT by definition) over one key column.
 
     Shape: each side deduplicates IN-BATCH first (the combiner), so only
-    per-batch-distinct (key, side) rows carry a coarse hash-partition tag
-    into the single co-locating shuffle; the per-partition final is one
+    per-batch-distinct (key, side) rows enter
+    :func:`engine.shuffle.by_key`; the per-partition final is one
     vectorized groupby computing each key's side span. Nothing holds a
     global set; NULL keys are dropped (the SQL mirror filters ``key IS
     NOT NULL`` — SQL set ops would otherwise treat NULL as a value).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     rkey = right_key_col or key_col
 
-    def _prep(col, side):
+    def _distinct(col, side):
         # pure Arrow: Arrow->pandas would degrade an int64-with-NULL key
         # column to float64, flipping the OUTPUT key dtype between
         # blocks (schema-unification drift) — same rationale as
-        # _distinct_keys.
+        # _distinct_keys. The NULL-free distinct keys convert losslessly.
         def _fn(b: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
             k = pc.unique(b.column(col).combine_chunks().drop_null())
-            h = (hash64(k.to_numpy(zero_copy_only=False))
-                 % np.uint64(P)).astype(np.int64)
             return pa.table({
                 key_col: k,
-                "side": pa.array(np.full(len(k), side, dtype=np.int64)),
-                "part": pa.array(h, pa.int64())})
+                "side": pa.array(np.full(len(k), side, dtype=np.int64))})
         return _fn
 
-    both = left.map_batches(_prep(key_col, 0), batch_format="pyarrow",
+    both = left.map_batches(_distinct(key_col, 0), batch_format="pyarrow",
                             zero_copy_batch=True,
                             batch_size=batch_size) \
-        .union(right.map_batches(_prep(rkey, 1), batch_format="pyarrow",
+        .union(right.map_batches(_distinct(rkey, 1),
+                                 batch_format="pyarrow",
                                  zero_copy_batch=True,
                                  batch_size=batch_size))
 
     def _resolve(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: []})
         if op == "union":  # every key — no side-span aggregation needed
             return pd.DataFrame(
                 {key_col: df[key_col].drop_duplicates().to_numpy()})
@@ -1464,8 +1299,8 @@ def _distinct_set_op(left, right, op: str, *, key_col: str,
             keep = g.index[(g["min"] == 0) & (g["max"] == 1)]
         return pd.DataFrame({key_col: keep.to_numpy()})
 
-    return both.groupby("part").map_groups(_resolve,
-                                           batch_format="pandas")
+    return by_key(both, key_col, _resolve,
+                  empty=pd.DataFrame({key_col: []}))
 
 
 def except_distinct(left, right, *, key_col: str,
@@ -1521,34 +1356,23 @@ def grouped_mode(ds, *, group_col: str, value_col: str,
 
     Two-level shape: the in-batch combiner collapses each batch to
     (group, value, count) partial rows — distinct-pair-bounded, never raw
-    rows — then whole groups co-locate on P coarse hash partitions where
-    one vectorized sum + sort + drop_duplicates picks each group's
+    rows — then whole groups co-locate (:func:`engine.shuffle.by_key`)
+    where one vectorized sum + sort + drop_duplicates picks each group's
     winner. NULL values AND NULL group keys are dropped (SQL mirror:
     ``WHERE value IS NOT NULL AND group IS NOT NULL`` — pandas grouping
     would otherwise silently omit the NULL group the SQL keeps).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], value_col: [],
-                                 "c": pd.array([], dtype="int64"),
-                                 "part": pd.array([], dtype="int64")})
-        sub = df[[group_col, value_col]].dropna()
+        sub = df[[group_col, value_col]].dropna(subset=[value_col])
         g = sub.groupby([group_col, value_col], as_index=False).size() \
             .rename(columns={"size": "c"})
         g["c"] = g["c"].astype(np.int64)
-        g["part"] = (hash64(g[group_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
         return g
 
     def _winner(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "mode_value": [],
-                                 "n": pd.array([], dtype="int64")})
         tot = df.groupby([group_col, value_col], as_index=False)["c"].sum()
         w = tot.sort_values([group_col, "c", value_col],
                             ascending=[True, False, True],
@@ -1558,9 +1382,10 @@ def grouped_mode(ds, *, group_col: str, value_col: str,
                              "mode_value": w[value_col].to_numpy(),
                              "n": w["c"].to_numpy().astype(np.int64)})
 
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_winner, batch_format="pandas")
+    return by_key(ds, group_col, _winner, prep=_partial, null_keys="drop",
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({group_col: [], "mode_value": [],
+                                      "n": pd.array([], dtype="int64")}))
 
 
 def running_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -1572,26 +1397,14 @@ def running_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     reports the running sum of the non-NULL values seen so far (0.0
     before any — the SQL mirror's ``coalesce(.., 0)``).
 
-    Same coarse-partition shape as :func:`ewma`: whole keys co-locate on
-    P hash partitions (only (id, key, ts, val) rows shuffle, once) and
-    pandas' grouped cumsum Cython kernel runs once per partition. Returns
-    (id, running_sum).
+    Shape: :func:`engine.shuffle.by_key`, then pandas' grouped cumsum
+    Cython kernel once per partition. Returns (id, running_sum).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _cum(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "running_sum": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         filled = sub[val_col].fillna(0.0)
@@ -1603,9 +1416,9 @@ def running_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "running_sum": y.to_numpy(dtype=np.float64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_cum, batch_format="pandas")
+    return by_key(ds, key_col, _cum, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "running_sum": []}))
 
 
 def _distinct_keys(ds, col: str, out_col: str, batch_size: int):
@@ -1762,29 +1575,17 @@ def collect_sequence(ds, *, key_col: str = "user_id",
     a key with only NULLs emits no row; NULL group keys are dropped (SQL
     mirror: ``WHERE key IS NOT NULL``). Returns (key, seq, n_items).
 
-    Shape: whole keys co-locate on P coarse hash partitions (only (key,
-    ts, id, val) rows shuffle, once); the per-partition final is one
-    stable sort + grouped join. Contract: one KEY's sequence must fit a
-    worker (same per-group bound as grouped_quantiles — at 100 TB cap
-    histories upstream, e.g. keep_latest-style truncation or a time
-    filter, before collecting).
+    Shape: :func:`engine.shuffle.by_key`, then one stable sort + grouped
+    join per partition. Contract: one KEY's sequence must fit a worker
+    (same per-group bound as grouped_quantiles — at 100 TB cap histories
+    upstream, e.g. keep_latest-style truncation or a time filter, before
+    collecting).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [key_col, ts_col, id_col, val_col]
 
-    def _part(df):
-        out = df[cols].dropna(subset=[val_col]).copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _collect(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "seq": [],
-                                 "n_items": pd.array([], dtype="int64")})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort")
         g = sub.groupby(key_col, sort=False)[val_col]
@@ -1793,9 +1594,12 @@ def collect_sequence(ds, *, key_col: str = "user_id",
             "seq": g.agg(sep.join).to_numpy(),
             "n_items": g.size().to_numpy().astype(np.int64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_collect, batch_format="pandas")
+    return by_key(ds, key_col, _collect,
+                  prep=lambda df: df[cols].dropna(subset=[val_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({key_col: [], "seq": [],
+                                      "n_items": pd.array([],
+                                                          dtype="int64")}))
 
 
 def rolling_window_sum_count(ds, *, key_col: str = "user_id",
@@ -1810,26 +1614,14 @@ def rolling_window_sum_count(ds, *, key_col: str = "user_id",
     are dropped (see :func:`_rolling_frames`).
 
     Shares :func:`_rolling_frames` with :func:`rolling_window_mean`
-    (whole keys per coarse partition, one searchsorted pair + prefix
-    sums, no per-key loop). Returns (id, rolling_sum, rolling_n).
+    (:func:`engine.shuffle.by_key`, one searchsorted pair + prefix sums
+    per partition, no per-key loop). Returns (id, rolling_sum, rolling_n).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(df[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _roll(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "rolling_sum": [],
-                                 "rolling_n": pd.array([],
-                                                       dtype="int64")})
         sub, sums, cnts = _rolling_frames(
             df, key_col=key_col, ts_col=ts_col, val_col=val_col,
             id_col=id_col, window_seconds=window_seconds)
@@ -1839,9 +1631,11 @@ def rolling_window_sum_count(ds, *, key_col: str = "user_id",
                              "rolling_n": np.asarray(cnts,
                                                      dtype=np.int64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_roll, batch_format="pandas")
+    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "rolling_sum": [],
+                                      "rolling_n": pd.array(
+                                          [], dtype="int64")}))
 
 
 def _range_reduce(v, j, e, op, fill):
@@ -1892,31 +1686,21 @@ def rolling_window_min_max(ds, *, key_col: str = "user_id",
     (:func:`_rolling_bounds`); the reduction itself is a sparse-table
     range min/max (:func:`_range_reduce`) because prefix sums cannot
     express min over overlapping frames — still one vectorized pass per
-    coarse key partition, O(n log n) in the partition size. Returns
-    (id, rolling_min, rolling_max).
+    :func:`engine.shuffle.by_key` partition, O(n log n) in the partition
+    size. Returns (id, rolling_min, rolling_max).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
-
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(df[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
+    empty = pd.DataFrame({id_col: [], "rolling_min": [],
+                          "rolling_max": []})
 
     def _roll(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "rolling_min": [],
-                                 "rolling_max": []})
         sub, v, j, e = _rolling_bounds(
             df, key_col=key_col, ts_col=ts_col, val_col=val_col,
             id_col=id_col, window_seconds=window_seconds)
         if not len(sub):
-            return pd.DataFrame({id_col: [], "rolling_min": [],
-                                 "rolling_max": []})
+            return empty.copy()
         lo = _range_reduce(np.where(np.isnan(v), np.inf, v), j, e,
                            np.minimum, np.inf)
         hi = _range_reduce(np.where(np.isnan(v), -np.inf, v), j, e,
@@ -1926,9 +1710,8 @@ def rolling_window_min_max(ds, *, key_col: str = "user_id",
             "rolling_min": np.where(np.isfinite(lo), lo, np.nan),
             "rolling_max": np.where(np.isfinite(hi), hi, np.nan)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_roll, batch_format="pandas")
+    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
+                  batch_size=batch_size, empty=empty)
 
 
 def window_ranks(ds, *, key_col: str = "user_id",
@@ -1942,31 +1725,16 @@ def window_ranks(ds, *, key_col: str = "user_id",
     PARTITION BY. ``id_col`` makes row_number deterministic under value
     ties.
 
-    Scale shape: whole keys co-locate on P coarse hash partitions and
-    one vectorized pass ranks each partition — key breaks, value-run
-    breaks and the three ranks all come from cumsum/maximum.accumulate
-    over break flags; no per-key loop, and only (id, key, val) rows
-    shuffle, once. Returns (id, row_number, rank, dense_rank).
+    Scale shape: :func:`engine.shuffle.by_key`, then one vectorized pass
+    ranks each partition — key breaks, value-run breaks and the three
+    ranks all come from cumsum/maximum.accumulate over break flags; no
+    per-key loop. Returns (id, row_number, rank, dense_rank).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(df[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _rank(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                id_col: [],
-                "row_number": pd.array([], dtype="int64"),
-                "rank": pd.array([], dtype="int64"),
-                "dense_rank": pd.array([], dtype="int64")})
         sub, idx, new_key, chg, key_start, run_start = _order_breaks(
             df, key_col=key_col, val_col=val_col, id_col=id_col)
         d = np.cumsum(chg)
@@ -1976,9 +1744,12 @@ def window_ranks(ds, *, key_col: str = "user_id",
             "rank": run_start - key_start + 1,
             "dense_rank": d - d[key_start] + 1})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_rank, batch_format="pandas")
+    return by_key(ds, key_col, _rank, prep=lambda df: df[cols],
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      id_col: [],
+                      "row_number": pd.array([], dtype="int64"),
+                      "rank": pd.array([], dtype="int64"),
+                      "dense_rank": pd.array([], dtype="int64")}))
 
 
 def _order_breaks(df, *, key_col, val_col, id_col):
@@ -2024,26 +1795,14 @@ def window_rank_fractions(ds, *, key_col: str = "user_id",
     peers; NULL keys group as ONE partition.
 
     Same scale shape as :func:`window_ranks` (shared
-    :func:`_order_breaks` pass per coarse key partition). Returns
-    (id, pct_rank, cume_dist, bucket).
+    :func:`_order_breaks` pass per :func:`engine.shuffle.by_key`
+    partition). Returns (id, pct_rank, cume_dist, bucket).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(df[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _fracs(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                id_col: [], "pct_rank": [], "cume_dist": [],
-                "bucket": pd.array([], dtype="int64")})
         sub, idx, new_key, chg, key_start, run_start = _order_breaks(
             df, key_col=key_col, val_col=val_col, id_col=id_col)
         n = len(sub)
@@ -2071,9 +1830,10 @@ def window_rank_fractions(ds, *, key_col: str = "user_id",
             "cume_dist": cume,
             "bucket": bucket.astype(np.int64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_fracs, batch_format="pandas")
+    return by_key(ds, key_col, _fracs, prep=lambda df: df[cols],
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      id_col: [], "pct_rank": [], "cume_dist": [],
+                      "bucket": pd.array([], dtype="int64")}))
 
 
 def running_min_max(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2087,29 +1847,17 @@ def running_min_max(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     value). NULL keys group as ONE partition (``dropna=False``), the
     PARTITION BY family contract.
 
-    Same coarse-partition shape as :func:`running_sum` (only
-    (id, key, ts, val) rows shuffle, once). pandas' grouped
+    Shape: :func:`engine.shuffle.by_key`. pandas' grouped
     cummin/cummax leave NaN at NULL input positions instead of carrying
     the running extreme, so a grouped forward-fill restores the SQL
     carry semantics — rows before the first non-NULL stay NaN, which is
     exactly SQL's NULL there. Returns (id, running_min, running_max).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _cum(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "running_min": [],
-                                 "running_max": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         keys = sub[key_col]
@@ -2121,9 +1869,10 @@ def running_min_max(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             "running_min": lo.to_numpy(dtype=np.float64),
             "running_max": hi.to_numpy(dtype=np.float64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_cum, batch_format="pandas")
+    return by_key(ds, key_col, _cum, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "running_min": [],
+                                      "running_max": []}))
 
 
 def interevent_gap_stats(ds, *, key_col: str = "user_id",
@@ -2136,29 +1885,16 @@ def interevent_gap_stats(ds, *, key_col: str = "user_id",
     NULL-ts rows are dropped before the lag (oracle mirrors
     ``ts IS NOT NULL``); NULL keys group as ONE partition.
 
-    Same coarse-partition shape as :func:`running_sum`: only
-    (id, key, ts) rows shuffle once, and both the grouped lag (shift)
+    Shape: :func:`engine.shuffle.by_key`; both the grouped lag (shift)
     and the gap aggregate run as pandas Cython kernels per partition —
     the output is one row per key. Returns
     (key, n_gaps, avg_gap_s, max_gap_s).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col]
 
-    def _part(df):
-        out = df.loc[df[ts_col].notna(), cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _gaps(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                key_col: [], "n_gaps": pd.array([], dtype="int64"),
-                "avg_gap_s": [], "max_gap_s": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         keys = sub[key_col]
@@ -2172,9 +1908,11 @@ def interevent_gap_stats(ds, *, key_col: str = "user_id",
         out.insert(0, key_col, g.count().index.to_numpy())
         return out
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_gaps, batch_format="pandas")
+    return by_key(ds, key_col, _gaps,
+                  prep=lambda df: df.loc[df[ts_col].notna(), cols],
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      key_col: [], "n_gaps": pd.array([], dtype="int64"),
+                      "avg_gap_s": [], "max_gap_s": []}))
 
 
 def delta_from_first(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2188,24 +1926,15 @@ def delta_from_first(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     fall out of NaN arithmetic. NULL keys group as ONE partition; NULL
     timestamps sort last (both engines' NULLS LAST default).
 
-    One sort + one ``maximum.accumulate`` start-index gather per coarse
-    key partition — no per-key loop. Returns (id, delta_from_first).
+    One sort + one ``maximum.accumulate`` start-index gather per
+    :func:`engine.shuffle.by_key` partition — no per-key loop. Returns
+    (id, delta_from_first).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _delta(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "delta_from_first": []})
         sub = df.sort_values([key_col, ts_col, id_col], kind="mergesort",
                              na_position="last").reset_index(drop=True)
         n = len(sub)
@@ -2220,9 +1949,9 @@ def delta_from_first(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "delta_from_first": v - v[start]})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_delta, batch_format="pandas")
+    return by_key(ds, key_col, _delta, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "delta_from_first": []}))
 
 
 def grouped_zscore(ds, *, key_col: str = "user_id",
@@ -2235,26 +1964,15 @@ def grouped_zscore(ds, *, key_col: str = "user_id",
     WHEN std > 0``). NULL-value rows are dropped (oracle mirrors
     ``value IS NOT NULL``); NULL keys group as ONE partition.
 
-    Same coarse-partition shape as :func:`running_sum`: (id, key, val)
-    rows shuffle once and the per-key mean/std come from pandas grouped
-    ``transform`` Cython kernels — one pass per partition, no per-key
-    loop. Returns (id, z).
+    Shape: :func:`engine.shuffle.by_key`; the per-key mean/std come from
+    pandas grouped ``transform`` Cython kernels — one pass per
+    partition, no per-key loop. Returns (id, z).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _part(df):
-        out = df.loc[df[val_col].notna(), cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _z(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "z": []})
         g = df.groupby(key_col, sort=False, dropna=False)[val_col]
         mu = g.transform("mean").to_numpy(np.float64)
         sd = g.transform("std").to_numpy(np.float64)  # ddof=1, n=1 -> NaN
@@ -2263,9 +1981,10 @@ def grouped_zscore(ds, *, key_col: str = "user_id",
             z = np.where(sd > 0, (v - mu) / sd, np.nan)
         return pd.DataFrame({id_col: df[id_col].to_numpy(), "z": z})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_z, batch_format="pandas")
+    return by_key(ds, key_col, _z,
+                  prep=lambda df: df.loc[df[val_col].notna(), cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "z": []}))
 
 
 def grouped_minmax_scale(ds, *, key_col: str = "user_id",
@@ -2279,25 +1998,15 @@ def grouped_minmax_scale(ds, *, key_col: str = "user_id",
     are dropped (oracle mirrors ``value IS NOT NULL``); NULL keys group
     as ONE partition.
 
-    Same coarse-partition shape as :func:`grouped_zscore` — pandas
-    grouped ``transform('min'/'max')`` Cython kernels, one pass per
-    partition. Returns (id, scaled).
+    Same shape as :func:`grouped_zscore` — pandas grouped
+    ``transform('min'/'max')`` Cython kernels, one pass per partition.
+    Returns (id, scaled).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _part(df):
-        out = df.loc[df[val_col].notna(), cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _scale(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "scaled": []})
         g = df.groupby(key_col, sort=False, dropna=False)[val_col]
         lo = g.transform("min").to_numpy(np.float64)
         hi = g.transform("max").to_numpy(np.float64)
@@ -2306,9 +2015,10 @@ def grouped_minmax_scale(ds, *, key_col: str = "user_id",
             s = np.where(hi > lo, (v - lo) / (hi - lo), np.nan)
         return pd.DataFrame({id_col: df[id_col].to_numpy(), "scaled": s})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_scale, batch_format="pandas")
+    return by_key(ds, key_col, _scale,
+                  prep=lambda df: df.loc[df[val_col].notna(), cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "scaled": []}))
 
 
 def user_activity_span(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2322,20 +2032,13 @@ def user_activity_span(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     per (key, day) — count + min/max ride those rows, so the shuffle is
     (keys x active-days)-bounded and the DISTINCT needs no second pass:
     after the (key, day) groupby-aggregate, each key's day count is just
-    its row count in the final coarse-partition pass. Returns
-    (key, n_events, n_active_days, first_ts, last_ts).
+    its row count in the final :func:`engine.shuffle.by_key` pass.
+    Returns (key, n_events, n_active_days, first_ts, last_ts).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "day": [],
-                                 "n": pd.array([], dtype="int64"),
-                                 "first_ts": pd.array([], "datetime64[us]"),
-                                 "last_ts": pd.array([], "datetime64[us]")})
         sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
         g = pd.DataFrame({key_col: sub[key_col],
                           "day": sub[ts_col].dt.floor("D"),
@@ -2344,22 +2047,11 @@ def user_activity_span(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                 n=("ts", "size"), first_ts=("ts", "min"),
                 last_ts=("ts", "max")).reset_index()
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (hash64(g[key_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
         return g
 
     # second-level combine of (key, day) partials BEFORE the per-key
     # reduce keeps hot keys bounded: blocks x days -> days rows per key
     def _merge(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "n_events": pd.array([], dtype="int64"),
-                                 "n_active_days":
-                                     pd.array([], dtype="int64"),
-                                 "first_ts":
-                                     pd.array([], "datetime64[us]"),
-                                 "last_ts":
-                                     pd.array([], "datetime64[us]")})
         byday = df.groupby([key_col, "day"], sort=False, dropna=False).agg(
             n=("n", "sum"), first_ts=("first_ts", "min"),
             last_ts=("last_ts", "max")).reset_index()
@@ -2371,9 +2063,13 @@ def user_activity_span(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         out["n_active_days"] = out["n_active_days"].astype(np.int64)
         return out
 
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_merge, batch_format="pandas")
+    return by_key(ds, key_col, _merge, prep=_partial,
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      key_col: [],
+                      "n_events": pd.array([], dtype="int64"),
+                      "n_active_days": pd.array([], dtype="int64"),
+                      "first_ts": pd.array([], "datetime64[us]"),
+                      "last_ts": pd.array([], "datetime64[us]")}))
 
 
 def q6_forecast_revenue(lineitem_ds, *, date_lo: str = "1996-01-01",
@@ -2429,47 +2125,35 @@ def event_type_cooccurrence(ds, *, key_col: str = "user_id",
     and a.t < b.t group by 1, 2`` parity. NULL keys / types drop.
 
     Scale shape: per-batch distinct (key, type) pairs (the dictionary-
-    code combiner) shuffle ONCE on key hash; within each coarse
-    partition a cross-batch dedup + one vectorized self-merge expands
-    pairs (bounded: a key with t distinct types yields t(t-1)/2 rows,
-    and t is capped by the type vocabulary, not the corpus); the final
-    (type_a, type_b) groupby is vocabulary²-bounded. Returns
+    code combiner) shuffle ONCE (:func:`engine.shuffle.by_key`); within
+    each partition a cross-batch dedup + one vectorized self-merge
+    expands pairs (bounded: a key with t distinct types yields t(t-1)/2
+    rows, and t is capped by the type vocabulary, not the corpus); the
+    final (type_a, type_b) groupby is vocabulary²-bounded. Returns
     (type_a, type_b, n_keys).
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks, balance
+    from engine.shuffle import balance, by_key
     from ray.data.aggregate import Sum
-    P = reduce_blocks()
-
-    def _distinct(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], type_col: [], "part": []})
-        sub = df[[key_col, type_col]].dropna().drop_duplicates()
-        sub = sub.copy()
-        sub["part"] = (hash64(sub[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return sub
+    out_empty = pd.DataFrame({"type_a": [], "type_b": [],
+                              "n": pd.array([], dtype="int64")})
 
     def _pairs(df):
-        out_empty = pd.DataFrame({"type_a": [], "type_b": [],
-                                  "n": pd.array([], dtype="int64")})
-        if key_col not in df.columns or not len(df):
-            return out_empty
         sub = df[[key_col, type_col]].drop_duplicates()
         m = sub.merge(sub, on=key_col, suffixes=("_a", "_b"))
         m = m[m[type_col + "_a"] < m[type_col + "_b"]]
         if not len(m):
-            return out_empty
+            return out_empty.copy()
         g = m.groupby([type_col + "_a", type_col + "_b"], sort=False) \
             .size().rename("n").reset_index()
         g.columns = ["type_a", "type_b", "n"]
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    parts = ds.map_batches(_distinct, batch_format="pandas",
-                           batch_size=batch_size) \
-        .groupby("part").map_groups(_pairs, batch_format="pandas")
+    parts = by_key(ds, key_col, _pairs, null_keys="drop",
+                   prep=lambda df: df[[key_col, type_col]]
+                   .dropna(subset=[type_col]).drop_duplicates(),
+                   batch_size=batch_size, empty=out_empty)
     agg = balance(parts).groupby(["type_a", "type_b"]).aggregate(Sum("n"))
 
     def _final(b: pa.Table) -> pa.Table:
@@ -2499,28 +2183,14 @@ def collect_distinct_sorted(ds, *, key_col: str = "user_id",
 
     Scale shape: per-batch distinct (key, val) pairs are the combiner
     (duplicates die in the batch, so the shuffle is set-bounded, not
-    corpus-bounded); whole keys co-locate on P coarse hash partitions
+    corpus-bounded); :func:`engine.shuffle.by_key` co-locates whole keys
     where a cross-batch dedup + ONE sort + grouped join finishes — the
     per-key bound is the value vocabulary, far smaller than a history.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-
-    def _distinct(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], val_col: [], "part": []})
-        sub = df[[key_col, val_col]].dropna().drop_duplicates().copy()
-        sub["part"] = (hash64(sub[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return sub
+    from engine.shuffle import by_key
 
     def _collect(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "vals": [],
-                                 "n_distinct": pd.array([],
-                                                        dtype="int64")})
         sub = df[[key_col, val_col]].drop_duplicates() \
             .sort_values([key_col, val_col], kind="mergesort")
         g = sub.groupby(key_col, sort=False)[val_col]
@@ -2529,9 +2199,13 @@ def collect_distinct_sorted(ds, *, key_col: str = "user_id",
             "vals": g.agg(sep.join).to_numpy(),
             "n_distinct": g.size().to_numpy().astype(np.int64)})
 
-    return ds.map_batches(_distinct, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_collect, batch_format="pandas")
+    return by_key(ds, key_col, _collect, null_keys="drop",
+                  prep=lambda df: df[[key_col, val_col]]
+                  .dropna(subset=[val_col]).drop_duplicates(),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({key_col: [], "vals": [],
+                                      "n_distinct": pd.array(
+                                          [], dtype="int64")}))
 
 
 def dense_daily_counts(ds, *, ts_col: str = "ts",
@@ -2598,29 +2272,14 @@ def session_duration_stats(ds, *, key_col: str = "user_id",
     NULL timestamps drop (oracle mirrors IS NOT NULL). Returns
     (key, n_sessions, avg_session_s, max_session_s).
 
-    Scale shape: whole keys co-locate on P coarse hash partitions (only
-    (key, ts) rows shuffle once); session ids come from one sort +
-    boundary cumsum, durations from a grouped min/max — no per-key
-    loop.
+    Scale shape: :func:`engine.shuffle.by_key` (only (key, ts) rows
+    shuffle once); session ids come from one sort + boundary cumsum,
+    durations from a grouped min/max — no per-key loop.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-
-    def _part(df):
-        out = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col]].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
+    from engine.shuffle import by_key
 
     def _stats(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                key_col: [],
-                "n_sessions": pd.array([], dtype="int64"),
-                "avg_session_s": [], "max_session_s": []})
         sub = df.sort_values([key_col, ts_col],
                              kind="mergesort").reset_index(drop=True)
         keys = sub[key_col].to_numpy()
@@ -2641,9 +2300,13 @@ def session_duration_stats(ds, *, key_col: str = "user_id",
         out.insert(0, key_col, g.size().index.to_numpy())
         return out
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_stats, batch_format="pandas")
+    return by_key(ds, key_col, _stats, null_keys="drop",
+                  prep=lambda df: df.loc[df[ts_col].notna(),
+                                         [key_col, ts_col]],
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      key_col: [],
+                      "n_sessions": pd.array([], dtype="int64"),
+                      "avg_session_s": [], "max_session_s": []}))
 
 
 def rollup_counts(ds, *, group_col: str = "event_type",
@@ -2779,36 +2442,22 @@ def user_hour_entropy(ds, *, key_col: str = "user_id",
 
     Scale shape: the per-batch (key, hour) count combiner bounds the
     shuffle at 24 rows per key per block; the per-key entropy reduce
-    (cross-batch cell merge + p·ln p bincount) runs once per coarse
-    hash partition.
+    (cross-batch cell merge + p·ln p bincount) runs once per
+    :func:`engine.shuffle.by_key` partition.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "hod": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64"),
-                                 "part": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col]]
+        sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
         g = pd.DataFrame({key_col: sub[key_col],
                           "hod": sub[ts_col].dt.hour.astype(np.int64)}) \
             .groupby([key_col, "hod"], sort=False) \
             .size().rename("n").reset_index()
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (hash64(g[key_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
         return g
 
     def _entropy(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "hour_entropy": [],
-                                 "n_events": pd.array([],
-                                                      dtype="int64")})
         cells = df.groupby([key_col, "hod"], sort=False)["n"].sum() \
             .reset_index()
         tot = cells.groupby(key_col, sort=False)["n"].transform("sum") \
@@ -2823,9 +2472,11 @@ def user_hour_entropy(ds, *, key_col: str = "user_id",
         out.insert(0, key_col, ent.sum().index.to_numpy())
         return out
 
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_entropy, batch_format="pandas")
+    return by_key(ds, key_col, _entropy, prep=_partial, null_keys="drop",
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({key_col: [], "hour_entropy": [],
+                                      "n_events": pd.array(
+                                          [], dtype="int64")}))
 
 
 def cohort_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2835,39 +2486,24 @@ def cohort_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     classic retention triangle. NULL keys / ts drop. Returns
     (cohort 'YYYY-MM-DD', day_offset, n_users).
 
-    Scale shape: per-batch distinct (key, day) pairs shuffle ONCE on key
-    hash; inside each coarse partition the cohort (min day) and the
-    per-(cohort, offset) counts resolve vectorized — a user's rows all
-    co-locate, so "distinct users" is exact without a second distinct
-    pass; only (cohort, offset, n) partials feed the final bounded
-    groupby.
+    Scale shape: per-batch distinct (key, day) pairs shuffle ONCE
+    (:func:`engine.shuffle.by_key`); inside each partition the cohort
+    (min day) and the per-(cohort, offset) counts resolve vectorized — a
+    user's rows all co-locate, so "distinct users" is exact without a
+    second distinct pass; only (cohort, offset, n) partials feed the
+    final bounded groupby.
     """
     import pandas as pd
     from ray.data.aggregate import Sum
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks, balance
-    P = reduce_blocks()
+    from engine.shuffle import balance, by_key
 
     def _days(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "day": pd.array([], "datetime64[us]"),
-                                 "part": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col]]
-        g = pd.DataFrame({key_col: sub[key_col],
-                          "day": sub[ts_col].dt.floor("D")}) \
+        sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
+        return pd.DataFrame({key_col: sub[key_col],
+                             "day": sub[ts_col].dt.floor("D")}) \
             .drop_duplicates()
-        g["part"] = (hash64(g[key_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
-        return g
 
     def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({"cohort": [],
-                                 "day_offset": pd.array([],
-                                                        dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
         sub = df[[key_col, "day"]].drop_duplicates()
         cohort = sub.groupby(key_col, sort=False)["day"] \
             .transform("min")
@@ -2880,9 +2516,11 @@ def cohort_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    parts = ds.map_batches(_days, batch_format="pandas",
-                           batch_size=batch_size) \
-        .groupby("part").map_groups(_partial, batch_format="pandas")
+    parts = by_key(ds, key_col, _partial, prep=_days, null_keys="drop",
+                   batch_size=batch_size, empty=pd.DataFrame({
+                       "cohort": [],
+                       "day_offset": pd.array([], dtype="int64"),
+                       "n": pd.array([], dtype="int64")}))
     agg = balance(parts).groupby(["cohort", "day_offset"]) \
         .aggregate(Sum("n"))
 
@@ -2913,24 +2551,14 @@ def rolling_rows_mean(ds, *, key_col: str = "user_id",
     window) sibling is :func:`rolling_window_mean`. Returns
     (id, rolling_mean).
 
-    Same coarse-partition shape as :func:`running_sum`; the kernel is
-    pandas' grouped ``rolling(w, min_periods=1).mean()`` Cython path.
+    Shape: :func:`engine.shuffle.by_key`; the kernel is pandas' grouped
+    ``rolling(w, min_periods=1).mean()`` Cython path.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _part(df):
-        out = df[cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _roll(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], "rolling_mean": []})
         sub = df.sort_values([key_col, ts_col, id_col], kind="mergesort",
                              na_position="last").reset_index(drop=True)
         y = sub.groupby(key_col, sort=False, dropna=False)[val_col] \
@@ -2943,9 +2571,9 @@ def rolling_rows_mean(ds, *, key_col: str = "user_id",
                              "rolling_mean":
                                  y.to_numpy(dtype=np.float64)})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_roll, batch_format="pandas")
+    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], "rolling_mean": []}))
 
 
 def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
@@ -3107,28 +2735,17 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
     pair counts. NULL keys / ts / types drop. Returns
     (from_type, to_type, n), vocabulary²-bounded.
 
-    Scale shape: (id, key, ts, type) rows shuffle once onto P coarse
-    hash partitions; adjacency is a grouped ``shift(-1)`` and the pair
-    counts collapse per partition before the tiny final groupby.
+    Scale shape: (id, key, ts, type) rows shuffle once
+    (:func:`engine.shuffle.by_key`); adjacency is a grouped
+    ``shift(-1)`` and the pair counts collapse per partition before the
+    tiny final groupby.
     """
     import pandas as pd
     from ray.data.aggregate import Sum
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks, balance
-    P = reduce_blocks()
+    from engine.shuffle import balance, by_key
     cols = [id_col, key_col, ts_col, type_col]
 
-    def _part(df):
-        out = df.loc[df[ts_col].notna() & df[key_col].notna()
-                     & df[type_col].notna(), cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _pairs(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({"from_type": [], "to_type": [],
-                                 "n": pd.array([], dtype="int64")})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         nxt = sub.groupby(key_col, sort=False)[type_col].shift(-1)
@@ -3140,9 +2757,12 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    parts = ds.map_batches(_part, batch_format="pandas",
-                           batch_size=batch_size) \
-        .groupby("part").map_groups(_pairs, batch_format="pandas")
+    parts = by_key(ds, key_col, _pairs, null_keys="drop",
+                   prep=lambda df: df.loc[df[ts_col].notna()
+                                          & df[type_col].notna(), cols],
+                   batch_size=batch_size, empty=pd.DataFrame({
+                       "from_type": [], "to_type": [],
+                       "n": pd.array([], dtype="int64")}))
     agg = balance(parts).groupby(["from_type", "to_type"]) \
         .aggregate(Sum("n"))
 
@@ -3238,42 +2858,31 @@ def daily_active_users(ds, *, key_col: str = "user_id",
     time series). NULL keys / ts drop. Returns (day 'YYYY-MM-DD', dau).
 
     Scale shape: per-batch DISTINCT (day, key) pairs are the combiner;
-    pairs shuffle ONCE on day hash and each day's cross-batch dedup +
-    count happens in its partition — the distinct-set itself never
-    re-shuffles.
+    pairs shuffle ONCE on the day (:func:`engine.shuffle.by_key`) and
+    each day's cross-batch dedup + count happens in its partition — the
+    distinct-set itself never re-shuffles.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _pairs(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({"day": [], key_col: [],
-                                 "part": pd.array([], dtype="int64")})
         sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
                      [key_col, ts_col]]
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "day": np.datetime_as_string(
                 sub[ts_col].to_numpy().astype("datetime64[D]")),
             key_col: sub[key_col]}).drop_duplicates()
-        g["part"] = (hash64(g["day"].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
-        return g
 
     def _count(df):
-        if "day" not in df.columns or not len(df):
-            return pd.DataFrame({"day": [],
-                                 "dau": pd.array([], dtype="int64")})
         g = df[["day", key_col]].drop_duplicates() \
             .groupby("day", sort=False).size().rename("dau") \
             .reset_index()
         g["dau"] = g["dau"].astype(np.int64)
         return g
 
-    return ds.map_batches(_pairs, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_count, batch_format="pandas")
+    return by_key(ds, "day", _count, prep=_pairs, batch_size=batch_size,
+                  empty=pd.DataFrame({"day": [],
+                                      "dau": pd.array([], dtype="int64")}))
 
 
 def peak_hourly_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -3283,36 +2892,22 @@ def peak_hourly_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     drop. Returns (key, peak_events_per_hour).
 
     Scale shape: the (key, hour) count combiner bounds the shuffle; the
-    cross-batch cell merge + per-key max run once per coarse key
-    partition.
+    cross-batch cell merge + per-key max run once per
+    :func:`engine.shuffle.by_key` partition.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _cells(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "hour": pd.array([], "datetime64[us]"),
-                                 "n": pd.array([], dtype="int64"),
-                                 "part": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col]]
+        sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
         g = pd.DataFrame({key_col: sub[key_col],
                           "hour": sub[ts_col].dt.floor("h")}) \
             .groupby([key_col, "hour"], sort=False) \
             .size().rename("n").reset_index()
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (hash64(g[key_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
         return g
 
     def _peak(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "peak_events_per_hour":
-                                     pd.array([], dtype="int64")})
         cells = df.groupby([key_col, "hour"], sort=False)["n"].sum() \
             .reset_index()
         g = cells.groupby(key_col, sort=False)["n"].max()
@@ -3320,9 +2915,11 @@ def peak_hourly_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             key_col: g.index.to_numpy(),
             "peak_events_per_hour": g.to_numpy(np.int64)})
 
-    return ds.map_batches(_cells, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_peak, batch_format="pandas")
+    return by_key(ds, key_col, _peak, prep=_cells, null_keys="drop",
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({key_col: [],
+                                      "peak_events_per_hour":
+                                          pd.array([], dtype="int64")}))
 
 
 def orders_per_customer_histogram(orders_ds, customer_ds, *,
@@ -3404,14 +3001,13 @@ def share_within_group(ds, *, outer_col: str, inner_col: str,
     (outer, inner, n, share).
 
     Scale shape: the two-key count combiner bounds the shuffle; the
-    share transform runs per coarse OUTER-hash partition over the
-    (outer x inner)-bounded aggregate — cheap by construction.
+    share transform runs per OUTER partition
+    (:func:`engine.shuffle.by_key`) over the (outer x inner)-bounded
+    aggregate — cheap by construction.
     """
     import pandas as pd
     from ray.data.aggregate import Sum
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks, balance
-    P = reduce_blocks()
+    from engine.shuffle import balance, by_key
 
     def _partial(df):
         if outer_col not in df.columns or not len(df):
@@ -3427,21 +3023,7 @@ def share_within_group(ds, *, outer_col: str, inner_col: str,
                                  batch_size=batch_size)) \
         .groupby([outer_col, inner_col]).aggregate(Sum("n"))
 
-    def _part(df):
-        if outer_col not in df.columns or not len(df):
-            return pd.DataFrame({outer_col: [], inner_col: [],
-                                 "sum(n)": pd.array([], dtype="int64"),
-                                 "part": pd.array([], dtype="int64")})
-        out = df.copy()
-        out["part"] = (hash64(out[outer_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _share(df):
-        if outer_col not in df.columns or not len(df):
-            return pd.DataFrame({outer_col: [], inner_col: [],
-                                 "n": pd.array([], dtype="int64"),
-                                 "share": []})
         n = df["sum(n)"].to_numpy(np.float64)
         tot = df.groupby(outer_col, sort=False)["sum(n)"] \
             .transform("sum").to_numpy(np.float64)
@@ -3450,8 +3032,9 @@ def share_within_group(ds, *, outer_col: str, inner_col: str,
                              "n": n.astype(np.int64),
                              "share": n / tot})
 
-    return agg.map_batches(_part, batch_format="pandas") \
-        .groupby("part").map_groups(_share, batch_format="pandas")
+    return by_key(agg, outer_col, _share, empty=pd.DataFrame({
+        outer_col: [], inner_col: [], "n": pd.array([], dtype="int64"),
+        "share": []}))
 
 
 def user_repeat_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -3468,24 +3051,10 @@ def user_repeat_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     reduced per key instead of per pair.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, type_col]
 
-    def _part(df):
-        out = df.loc[df[ts_col].notna() & df[key_col].notna()
-                     & df[type_col].notna(), cols].copy()
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _rate(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                key_col: [],
-                "n_transitions": pd.array([], dtype="int64"),
-                "repeat_rate": []})
         sub = df.sort_values([key_col, ts_col, id_col],
                              kind="mergesort").reset_index(drop=True)
         nxt = sub.groupby(key_col, sort=False)[type_col].shift(-1)
@@ -3504,9 +3073,13 @@ def user_repeat_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         out.insert(0, key_col, g.index.to_numpy())
         return out
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_rate, batch_format="pandas")
+    return by_key(ds, key_col, _rate, null_keys="drop",
+                  prep=lambda df: df.loc[df[ts_col].notna()
+                                         & df[type_col].notna(), cols],
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      key_col: [],
+                      "n_transitions": pd.array([], dtype="int64"),
+                      "repeat_rate": []}))
 
 
 def user_value_concentration(ds, *, key_col: str = "user_id",
@@ -3567,18 +3140,13 @@ def daily_ratio(ds, *, ts_col: str = "ts", type_col: str = "event_type",
     Returns (day 'YYYY-MM-DD', n_num, n_den, ratio).
 
     Scale shape: one (day, type) count combiner; the two series align
-    inside the day's coarse partition — no join, no pivot shuffle.
+    inside the day's :func:`engine.shuffle.by_key` partition — no join,
+    no pivot shuffle.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _partial(df):
-        if type_col not in df.columns or not len(df):
-            return pd.DataFrame({"day": [], "tag": [],
-                                 "n": pd.array([], dtype="int64"),
-                                 "part": pd.array([], dtype="int64")})
         sub = df.loc[df[ts_col].notna()
                      & df[type_col].isin([num_type, den_type]),
                      [ts_col, type_col]]
@@ -3590,16 +3158,9 @@ def daily_ratio(ds, *, ts_col: str = "ts", type_col: str = "event_type",
             .groupby(["day", "tag"], sort=False) \
             .size().rename("n").reset_index()
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (hash64(g["day"].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
         return g
 
     def _ratio(df):
-        if "day" not in df.columns or not len(df):
-            return pd.DataFrame({"day": [],
-                                 "n_num": pd.array([], dtype="int64"),
-                                 "n_den": pd.array([], dtype="int64"),
-                                 "ratio": []})
         cells = df.groupby(["day", "tag"], sort=False)["n"].sum() \
             .reset_index()
         piv = cells.pivot_table(index="day", columns="tag", values="n",
@@ -3615,9 +3176,11 @@ def daily_ratio(ds, *, ts_col: str = "ts", type_col: str = "event_type",
                              "n_den": den.astype(np.int64),
                              "ratio": ratio})
 
-    return ds.map_batches(_partial, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_ratio, batch_format="pandas")
+    return by_key(ds, "day", _ratio, prep=_partial, batch_size=batch_size,
+                  empty=pd.DataFrame({"day": [],
+                                      "n_num": pd.array([], dtype="int64"),
+                                      "n_den": pd.array([], dtype="int64"),
+                                      "ratio": []}))
 
 
 def longest_daily_streak(ds, *, key_col: str = "user_id",
@@ -3627,36 +3190,22 @@ def longest_daily_streak(ds, *, key_col: str = "user_id",
     ``day - row_number() * interval`` grouping trick. NULL keys / ts
     drop. Returns (key, longest_streak, n_streaks).
 
-    Scale shape: per-batch DISTINCT (key, day) pairs shuffle once on
-    key hash; inside each coarse partition one sort + two cumsum
-    passes resolve the islands (break = new key OR day gap != 1), with
-    no per-key loop — run lengths come from break-index differences.
+    Scale shape: per-batch DISTINCT (key, day) pairs shuffle once
+    (:func:`engine.shuffle.by_key`); inside each partition one sort +
+    two cumsum passes resolve the islands (break = new key OR day gap
+    != 1), with no per-key loop — run lengths come from break-index
+    differences.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
 
     def _days(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [],
-                                 "day": pd.array([], "datetime64[us]"),
-                                 "part": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col]]
-        g = pd.DataFrame({key_col: sub[key_col],
-                          "day": sub[ts_col].dt.floor("D")}) \
+        sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
+        return pd.DataFrame({key_col: sub[key_col],
+                             "day": sub[ts_col].dt.floor("D")}) \
             .drop_duplicates()
-        g["part"] = (hash64(g[key_col].to_numpy())
-                     % np.uint64(P)).astype(np.int64)
-        return g
 
     def _streaks(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                key_col: [],
-                "longest_streak": pd.array([], dtype="int64"),
-                "n_streaks": pd.array([], dtype="int64")})
         sub = df[[key_col, "day"]].drop_duplicates() \
             .sort_values([key_col, "day"],
                          kind="mergesort").reset_index(drop=True)
@@ -3679,6 +3228,8 @@ def longest_daily_streak(ds, *, key_col: str = "user_id",
         out.insert(0, key_col, g.max().index.to_numpy())
         return out
 
-    return ds.map_batches(_days, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_streaks, batch_format="pandas")
+    return by_key(ds, key_col, _streaks, prep=_days, null_keys="drop",
+                  batch_size=batch_size, empty=pd.DataFrame({
+                      key_col: [],
+                      "longest_streak": pd.array([], dtype="int64"),
+                      "n_streaks": pd.array([], dtype="int64")}))

@@ -11,19 +11,90 @@ Partial datasets are combiner outputs — orders of magnitude smaller than the
 corpus — so the extra balancing pass is cheap relative to the corpus scan at
 any scale, and it is what sets the reduce width explicitly (the knob a
 multi-node deployment would tune to nodes x cores).
+
+``by_key`` is the engine's one key co-partition shape: every keyed
+operator that needs whole keys together (windows, sessions, per-group
+quantiles, pair dedup) runs through it, so the NULL-key and typed-empty
+contracts live in one place.
 """
 
 from __future__ import annotations
 
 
-def reduce_blocks(multiplier: int = 2, default_cpus: int = 8) -> int:
+#: CPU count assumed outside a Ray session
+_DEFAULT_CPUS = 8
+
+
+def _cluster_cpus(default: int) -> int:
+    """CPUs of the running Ray cluster, ``default`` outside a session."""
     try:
         import ray
-        cpus = int(ray.cluster_resources().get("CPU", default_cpus)) \
-            if ray.is_initialized() else default_cpus
+        return int(ray.cluster_resources().get("CPU", default)) \
+            if ray.is_initialized() else default
     except Exception:  # pragma: no cover
-        cpus = default_cpus
-    return max(8, multiplier * cpus)
+        return default
+
+
+def reduce_blocks() -> int:
+    """Coarse partition count P for key shuffles: two per CPU, >= 8."""
+    return max(8, 2 * _cluster_cpus(_DEFAULT_CPUS))
+
+
+def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
+           empty, batch_size=None):
+    """Co-locate whole keys and run ``fn`` once per coarse partition.
+
+    Rows hash on ``key`` to P = :func:`reduce_blocks` partitions (P
+    tracks cluster CPUs) and ONE vectorized pandas UDF runs per partition,
+    so per-group overhead is O(P), not O(#keys). Steps:
+
+    1. per batch (pandas): ``prep(df)`` — the caller's projection, filter
+       or in-batch combiner — then the NULL-key policy, then the
+       partition column ``part = hash64(key) % P``;
+    2. one ``groupby("part").map_groups(..., batch_format="pandas")``;
+    3. ``fn(frame)`` on each partition frame, ``part`` removed.
+
+    NULL-key contract, one of two families:
+
+    * ``"one"``: NULL keys stay and form ONE partition — hash64 maps every
+      NULL spelling to one value. SQL ``PARTITION BY`` / ``GROUP BY``
+      semantics; ``fn`` must group them as one key too (``dropna=False``
+      or a both-NULL mask, since ``NaN != NaN``).
+    * ``"drop"``: rows with a NULL key are dropped before the shuffle —
+      the ewma family (its recursive-CTE oracle can never extend a
+      NULL-key chain) and every ``WHERE key IS NOT NULL`` mirror.
+
+    Typed-empty contract: Ray never calls ``prep`` on an empty block, but
+    ``map_groups`` over an EMPTY dataset hands the UDF a ZERO-COLUMN
+    frame. ``fn`` therefore runs only on a non-empty frame that has
+    ``key``; otherwise the partition returns a copy of ``empty``, the
+    caller's typed empty output frame.
+    """
+    import numpy as np
+
+    from engine.sketches import hash64
+
+    if null_keys not in ("one", "drop"):
+        raise ValueError(f"null_keys must be 'one' or 'drop', "
+                         f"not {null_keys!r}")
+    P = np.uint64(reduce_blocks())
+
+    def _part(df):
+        if prep is not None:
+            df = prep(df)
+        if null_keys == "drop":
+            df = df[df[key].notna()]
+        return df.assign(part=(hash64(df[key].to_numpy()) % P)
+                         .astype(np.int64))
+
+    def _group(df):
+        if key not in df.columns or not len(df):
+            return empty.copy()
+        return fn(df.drop(columns="part"))
+
+    return ds.map_batches(_part, batch_format="pandas",
+                          batch_size=batch_size) \
+        .groupby("part").map_groups(_group, batch_format="pandas")
 
 
 def balance(ds, blocks: int | None = None):
@@ -91,7 +162,7 @@ def column_dtype(ds, col: str, default=None):
     return default if default is not None else pa.string()
 
 
-def join_partitions(divisor: int = 2, default_cpus: int = 8) -> int:
+def join_partitions(divisor: int = 2) -> int:
     """Partition count for hash joins (``Dataset.join``).
 
     Each join partition is backed by a HashShuffleAggregator actor that
@@ -101,10 +172,4 @@ def join_partitions(divisor: int = 2, default_cpus: int = 8) -> int:
     (observed: two chained 64-partition joins hang on a 32-CPU box, the
     same joins at 8-16 partitions finish in seconds).
     """
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", default_cpus)) \
-            if ray.is_initialized() else default_cpus
-    except Exception:  # pragma: no cover
-        cpus = default_cpus
-    return max(4, cpus // divisor)
+    return max(4, _cluster_cpus(_DEFAULT_CPUS) // divisor)

@@ -366,7 +366,7 @@ def grouped_centroids(ds, *, group_col: str = "label",
     count)`` combiner rows via one ``np.add.at`` scatter over the
     (n, dim) batch matrix, emitted LONG as (group, dim, s, cnt) rows —
     bounded by groups x dim per batch, never the corpus — then whole
-    groups co-locate on P coarse hash partitions for one vectorized
+    groups co-locate (:func:`engine.shuffle.by_key`) for one vectorized
     pandas sum + divide. NULL / wrong-length vectors and NULL groups are
     dropped (the SQL mirror filters ``len(vec) = dim AND group IS NOT
     NULL``); ``dim`` is explicit so the output schema is static at scale.
@@ -375,10 +375,7 @@ def grouped_centroids(ds, *, group_col: str = "label",
     """
     import pandas as pd
 
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-    out_cols = [group_col, "dim", "s", "cnt", "part"]
+    from engine.shuffle import by_key
 
     def _partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -390,8 +387,7 @@ def grouped_centroids(ds, *, group_col: str = "label",
             return pa.table({group_col: pa.array([], pa.int64()),
                              "dim": pa.array([], pa.int64()),
                              "s": pa.array([], pa.float64()),
-                             "cnt": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
+                             "cnt": pa.array([], pa.int64())})
         mat = _batch_matrix(b, vec_col)
         lab = b.column(group_col).to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(lab, return_inverse=True)
@@ -400,18 +396,12 @@ def grouped_centroids(ds, *, group_col: str = "label",
         cnt = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
         g = np.repeat(uniq.astype(np.int64), dim)
         d = np.tile(np.arange(dim, dtype=np.int64), len(uniq))
-        part = (hash64(g) % np.uint64(P)).astype(np.int64)
         return pa.table({group_col: pa.array(g, pa.int64()),
                          "dim": pa.array(d, pa.int64()),
                          "s": pa.array(acc.ravel(), pa.float64()),
-                         "cnt": pa.array(np.repeat(cnt, dim), pa.int64()),
-                         "part": pa.array(part, pa.int64())})
+                         "cnt": pa.array(np.repeat(cnt, dim), pa.int64())})
 
     def _final(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: pd.array([], dtype="int64"),
-                                 "dim": pd.array([], dtype="int64"),
-                                 "value": []})
         g = df.groupby([group_col, "dim"], as_index=False) \
             .agg(s=("s", "sum"), cnt=("cnt", "sum"))
         return pd.DataFrame({group_col: g[group_col].to_numpy(),
@@ -419,9 +409,11 @@ def grouped_centroids(ds, *, group_col: str = "label",
                              "value": g["s"].to_numpy()
                              / g["cnt"].to_numpy()})
 
-    return ds.map_batches(_partial, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=batch_size) \
-        .groupby("part").map_groups(_final, batch_format="pandas")
+    partials = ds.map_batches(_partial, batch_format="pyarrow",
+                              zero_copy_batch=True, batch_size=batch_size)
+    return by_key(partials, group_col, _final, empty=pd.DataFrame(
+        {group_col: pd.array([], dtype="int64"),
+         "dim": pd.array([], dtype="int64"), "value": []}))
 
 
 def embedding_covariance(ds, *, vec_col: str = "embedding", dim: int,

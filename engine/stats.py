@@ -619,29 +619,18 @@ def grouped_quantiles(ds, *, group_col: str, value_col: str,
     """Per-group exact ``quantile_cont`` quantiles: one output row per
     (group, q).
 
-    Whole groups co-locate on P coarse hash partitions (the standard
-    two-level shape, engine/shuffle.py) and one vectorized pandas
-    group-quantile call runs per partition — linear interpolation matches
-    DuckDB ``quantile_cont`` bit-for-bit. Assumes each group's values fit
-    a worker (the same contract as every map_groups stage here); for a
-    single group at corpus scale use ``exact_quantiles``, which never
-    co-locates the data.
+    Whole groups co-locate (:func:`engine.shuffle.by_key`) and one
+    vectorized pandas group-quantile call runs per partition — linear
+    interpolation matches DuckDB ``quantile_cont`` bit-for-bit. Assumes
+    each group's values fit a worker (the same contract as every
+    map_groups stage here); for a single group at corpus scale use
+    ``exact_quantiles``, which never co-locates the data.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     qlist = [float(q) for q in qs]
 
-    def _part(df):
-        out = df[[group_col, value_col]].copy()
-        out["part"] = (hash64(df[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _quant(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "q": [], "value": []})
         g = df.dropna(subset=[value_col]).groupby(group_col)[value_col]
         frames = []
         for q in qlist:
@@ -652,9 +641,10 @@ def grouped_quantiles(ds, *, group_col: str, value_col: str,
                 "value": s.to_numpy()}))
         return pd.concat(frames, ignore_index=True)
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_quant, batch_format="pandas")
+    return by_key(ds, group_col, _quant,
+                  prep=lambda df: df[[group_col, value_col]],
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({group_col: [], "q": [], "value": []}))
 
 
 def value_histogram(ds, col: str, *, lo: float, hi: float, bins: int,
@@ -971,26 +961,15 @@ def grouped_gini(ds, *, group_col: str, value_col: str,
     group whose values sum to zero reports NULL (the SQL mirror's ``CASE
     WHEN s != 0``). Returns (group, gini, n).
 
-    Scale shape: whole groups co-locate on P coarse hash partitions
-    (only (group, value) rows shuffle, once); per partition ONE sort +
-    grouped cumcount/transform Cython kernels — no per-group loop. The
-    per-group-fits-worker contract matches grouped_quantiles.
+    Scale shape: :func:`engine.shuffle.by_key` (only (group, value) rows
+    shuffle, once); per partition ONE sort + grouped cumcount/transform
+    Cython kernels — no per-group loop. The per-group-fits-worker
+    contract matches grouped_quantiles.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-
-    def _part(df):
-        out = df[[group_col, value_col]].dropna().copy()
-        out["part"] = (hash64(out[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
+    from engine.shuffle import by_key
 
     def _gini(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "gini": [],
-                                 "n": pd.array([], dtype="int64")})
         sub = df.sort_values([group_col, value_col],
                              kind="mergesort").reset_index(drop=True)
         g = sub.groupby(group_col, sort=False)
@@ -1009,9 +988,12 @@ def grouped_gini(ds, *, group_col: str, value_col: str,
         out.insert(0, group_col, agg.index.to_numpy())
         return out
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_gini, batch_format="pandas")
+    return by_key(ds, group_col, _gini, null_keys="drop",
+                  prep=lambda df: df[[group_col, value_col]]
+                  .dropna(subset=[value_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({group_col: [], "gini": [],
+                                      "n": pd.array([], dtype="int64")}))
 
 
 def grouped_iqr_outliers(ds, *, group_col: str, value_col: str,
@@ -1022,28 +1004,17 @@ def grouped_iqr_outliers(ds, *, group_col: str, value_col: str,
     quartiles (``quantile_cont`` parity). NULL values / NULL groups
     drop. Returns the outlier rows (id, group, value).
 
-    Scale shape: one shuffle co-locates whole groups on P coarse hash
-    partitions; the fences are computed IN the partition (grouped
+    Scale shape: one :func:`engine.shuffle.by_key` shuffle co-locates
+    whole groups; the fences are computed IN the partition (grouped
     ``transform('quantile')`` — one call per group, not per row) and the
     filter happens in the same pass — no fence join, no broadcast, no
     second corpus pass. The global sibling is :func:`iqr_outliers`.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, group_col, value_col]
 
-    def _part(df):
-        out = df[cols].dropna(subset=[group_col, value_col]).copy()
-        out["part"] = (hash64(out[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _flag(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], group_col: [],
-                                 value_col: []})
         g = df.groupby(group_col, sort=False)[value_col]
         q1 = g.transform("quantile", 0.25).to_numpy(np.float64)
         q3 = g.transform("quantile", 0.75).to_numpy(np.float64)
@@ -1052,9 +1023,10 @@ def grouped_iqr_outliers(ds, *, group_col: str, value_col: str,
         m = (v < q1 - k * iqr) | (v > q3 + k * iqr)
         return df.loc[m, cols].reset_index(drop=True)
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_flag, batch_format="pandas")
+    return by_key(ds, group_col, _flag, null_keys="drop",
+                  prep=lambda df: df[cols].dropna(subset=[value_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({c: [] for c in cols}))
 
 
 def spearman_corr(ds, *, x_col: str, y_col: str,
@@ -1240,27 +1212,16 @@ def grouped_quantile_buckets(ds, *, group_col: str, value_col: str,
     (v > q3). NULL values / NULL groups drop. Returns
     (id, group, bucket). The global sibling is :func:`quantile_buckets`.
 
-    Scale shape: one shuffle co-locates whole groups on P coarse hash
-    partitions; fences are computed IN the partition (grouped
+    Scale shape: one :func:`engine.shuffle.by_key` shuffle co-locates
+    whole groups; fences are computed IN the partition (grouped
     ``transform('quantile')``, one call per group) and the bucket assign
     happens in the same vectorized pass — no fence join or broadcast.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     cols = [id_col, group_col, value_col]
 
-    def _part(df):
-        out = df[cols].dropna(subset=[group_col, value_col]).copy()
-        out["part"] = (hash64(out[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
-
     def _assign(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({id_col: [], group_col: [],
-                                 "bucket": pd.array([], dtype="int64")})
         g = df.groupby(group_col, sort=False)[value_col]
         v = df[value_col].to_numpy(np.float64)
         bucket = np.ones(len(df), dtype=np.int64)
@@ -1271,9 +1232,12 @@ def grouped_quantile_buckets(ds, *, group_col: str, value_col: str,
                              group_col: df[group_col].to_numpy(),
                              "bucket": bucket})
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_assign, batch_format="pandas")
+    return by_key(ds, group_col, _assign, null_keys="drop",
+                  prep=lambda df: df[cols].dropna(subset=[value_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({id_col: [], group_col: [],
+                                      "bucket": pd.array([],
+                                                         dtype="int64")}))
 
 
 def grouped_mad(ds, *, group_col: str, value_col: str,
@@ -1284,26 +1248,14 @@ def grouped_mad(ds, *, group_col: str, value_col: str,
     drop. Returns (group, mad, n). The global robust-z sibling is
     :func:`robust_zscore`.
 
-    Scale shape: whole groups co-locate on P coarse hash partitions
-    (only (group, value) rows shuffle once); both selection passes are
-    grouped pandas kernels inside the partition — no second corpus
-    pass, no fence join.
+    Scale shape: :func:`engine.shuffle.by_key` (only (group, value) rows
+    shuffle once); both selection passes are grouped pandas kernels
+    inside the partition — no second corpus pass, no fence join.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
-
-    def _part(df):
-        out = df[[group_col, value_col]].dropna().copy()
-        out["part"] = (hash64(out[group_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
+    from engine.shuffle import by_key
 
     def _mad(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "mad": [],
-                                 "n": pd.array([], dtype="int64")})
         g = df.groupby(group_col, sort=False)[value_col]
         med = g.transform("median").to_numpy(np.float64)
         dev = pd.Series(np.abs(df[value_col].to_numpy(np.float64)
@@ -1314,9 +1266,12 @@ def grouped_mad(ds, *, group_col: str, value_col: str,
         out.insert(0, group_col, gg.median().index.to_numpy())
         return out
 
-    return ds.map_batches(_part, batch_format="pandas",
-                          batch_size=batch_size) \
-        .groupby("part").map_groups(_mad, batch_format="pandas")
+    return by_key(ds, group_col, _mad, null_keys="drop",
+                  prep=lambda df: df[[group_col, value_col]]
+                  .dropna(subset=[value_col]),
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({group_col: [], "mad": [],
+                                      "n": pd.array([], dtype="int64")}))
 
 
 def pareto_share(ds, *, key_col: str, value_col: str,

@@ -462,8 +462,8 @@ def stream_dedup_micro_batch(docs_ds, state_dir: str, *,
     import ray
     import ray.data
     from engine.dedup import _md5_hex
-    from engine.sketches import Bloom, hash64
-    from engine.shuffle import reduce_blocks, tree_reduce
+    from engine.sketches import Bloom
+    from engine.shuffle import by_key, tree_reduce
 
     state = DedupState(state_dir)
     meta = state.load_meta()
@@ -495,38 +495,26 @@ def stream_dedup_micro_batch(docs_ds, state_dir: str, *,
                      "version": meta["version"], "replayed": True}
 
     bloom = state.load_bloom(meta)
-    P = reduce_blocks()
     key_np = np.dtype(object) if pa.types.is_string(key_type) \
         else key_type.to_pandas_dtype()
 
-    def _empty_cand():
-        return pd.DataFrame({"h": pd.Series([], dtype=object),
-                             "key": pd.Series([], dtype=key_np),
-                             "part": pd.Series([], dtype="int64")})
+    def _min_per_hash(df):
+        return df.groupby("h", as_index=False)["key"].min()
 
     def _partial(df):
-        if text_col not in df.columns or not len(df):
-            return _empty_cand()
         h = np.array(_md5_hex(df[text_col].fillna("").tolist()),
                      dtype=object)
-        sub = pd.DataFrame({"h": h, "key": df[key_col].to_numpy()})
-        sub = sub.groupby("h", as_index=False)["key"].min()
-        sub["part"] = (hash64(sub["h"].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return sub
-
-    def _min_per_hash(df):
-        if "h" not in df.columns or not len(df):
-            return _empty_cand()[["h", "key"]]
-        return df.groupby("h", as_index=False)["key"].min()
+        return _min_per_hash(
+            pd.DataFrame({"h": h, "key": df[key_col].to_numpy()}))
 
     # distinct (hash, key) candidates: a DATASET (consumed twice below,
     # so materialize into the object store — bounded by the micro-batch's
     # distinct content, distributed and spillable, never driver pandas)
-    cand = docs_ds.map_batches(_partial, batch_format="pandas",
-                               batch_size=batch_size) \
-        .groupby("part").map_groups(_min_per_hash, batch_format="pandas") \
-        .materialize()
+    cand = by_key(docs_ds, "h", _min_per_hash, prep=_partial,
+                  batch_size=batch_size,
+                  empty=pd.DataFrame({"h": pd.Series([], dtype=object),
+                                      "key": pd.Series([], dtype=key_np)})
+                  ).materialize()
     n_cand = cand.count()
 
     suspect = pd.DataFrame({"h": pd.Series([], dtype=object),

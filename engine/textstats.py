@@ -512,15 +512,13 @@ def pack_sequences(ds, *, text_col: str = "text", key_col: str = "doc_id",
     docs count much longer than their whitespace length).
 
     Returns (key, shard, bin, n_tokens); ``bin`` numbers restart per
-    shard. Shards co-locate on coarse hash partitions; within a shard the
-    bin boundaries are found by iterating ``searchsorted`` over the
-    token-count cumsum — the loop is per BIN (corpus tokens / budget per
-    shard), not per document.
+    shard. Shards co-locate (:func:`engine.shuffle.by_key`); within a
+    shard the bin boundaries are found by iterating ``searchsorted`` over
+    the token-count cumsum — the loop is per BIN (corpus tokens / budget
+    per shard), not per document.
     """
     import pandas as pd
-    from engine.sketches import hash64
-    from engine.shuffle import reduce_blocks
-    P = reduce_blocks()
+    from engine.shuffle import by_key
     if counter == "whitespace":
         _count = token_count_batch
     elif counter == "bpe":
@@ -534,17 +532,11 @@ def pack_sequences(ds, *, text_col: str = "text", key_col: str = "doc_id",
         keys = b.column(key_col).to_numpy(zero_copy_only=False)
         n = pc.cast(pc.fill_null(_count(t), 0),
                     pa.int64()).to_numpy(zero_copy_only=False)
-        shard = keys // shard_size
         return pa.table({
-            "key": pa.array(keys), "shard": pa.array(shard),
-            "n_tokens": pa.array(n, pa.int64()),
-            "part": pa.array(
-                (hash64(shard) % np.uint64(P)).astype(np.int64))})
+            "key": pa.array(keys), "shard": pa.array(keys // shard_size),
+            "n_tokens": pa.array(n, pa.int64())})
 
     def _pack(df):
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "shard": [], "bin": [],
-                                 "n_tokens": []})
         sub = df.sort_values(["shard", "key"],
                              kind="mergesort").reset_index(drop=True)
         out_bins = np.empty(len(sub), dtype=np.int64)
@@ -570,9 +562,10 @@ def pack_sequences(ds, *, text_col: str = "text", key_col: str = "doc_id",
             "bin": out_bins,
             "n_tokens": sub["n_tokens"].to_numpy()})
 
-    return ds.map_batches(_counts, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=batch_size) \
-        .groupby("part").map_groups(_pack, batch_format="pandas")
+    counts = ds.map_batches(_counts, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=batch_size)
+    return by_key(counts, "shard", _pack, empty=pd.DataFrame(
+        {key_col: [], "shard": [], "bin": [], "n_tokens": []}))
 
 
 def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
@@ -592,8 +585,8 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
     ``ray.put`` (sorted token array + counts, one searchsorted per batch
     dictionary); above the gate the (doc, token, tf) combiner rows — NOT
     the raw token stream — flow through a distributed hash join on token
-    and a coarse-partition per-doc top-k, the same fall-through shape as
-    the semi-join family.
+    and a per-doc top-k (:func:`engine.shuffle.by_key`), the same
+    fall-through shape as the semi-join family.
     """
     import math
 
@@ -601,8 +594,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
     import ray
 
     from engine.kernels import _flatten, _valid_mask
-    from engine.shuffle import join_partitions, reduce_blocks
-    from engine.sketches import hash64
+    from engine.shuffle import by_key, join_partitions
 
     n_docs = float(ds.count())
     df_tab = token_doc_frequency(ds, text_col=text_col,
@@ -671,38 +663,24 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
                               concurrency=concurrency or (1, 4))
 
     # distributed fall-through: combiner rows join df on token, then a
-    # coarse-partition per-doc top-k (in-batch partial first)
+    # per-doc top-k by key (in-batch partial first)
     tf_rows = ds.map_batches(
         lambda b: _doc_tf(b), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=batch_size,
         concurrency=concurrency)
     joined = tf_rows.join(df_tab, join_type="inner",
                           num_partitions=join_partitions(), on=("token",))
-    P = reduce_blocks()
 
-    def _score_part(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "token": [],
-                                 "tf": pd.array([], dtype="int64"),
-                                 "score": [], "part": pd.array(
-                                     [], dtype="int64")})
+    def _score(df):
         out = df[[key_col, "token", "tf"]].copy()
         out["score"] = df["tf"].to_numpy() \
             * np.log(n_docs / df["df"].to_numpy().astype(np.float64))
-        out = _topk_frame(out)  # in-batch partial top-k bounds the rows
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
+        return _topk_frame(out)  # in-batch partial top-k bounds the rows
 
-    def _final(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "token": [],
-                                 "tf": pd.array([], dtype="int64"),
-                                 "score": []})
-        return _topk_frame(df[[key_col, "token", "tf", "score"]])
-
-    return joined.map_batches(_score_part, batch_format="pandas") \
-        .groupby("part").map_groups(_final, batch_format="pandas")
+    return by_key(joined, key_col, _topk_frame, prep=_score,
+                  empty=pd.DataFrame({key_col: [], "token": [],
+                                      "tf": pd.array([], dtype="int64"),
+                                      "score": []}))
 
 
 def token_type_ratio(ds, *, text_col: str = "text",
@@ -1126,7 +1104,8 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
     ``vocab_broadcast_limit`` distinct tokens it broadcasts once
     (sorted-array searchsorted, per-doc half map-only), above it the
     per-batch distinct (doc, token) pairs hash-join df on token and a
-    coarse key-partition groupby averages — both routes exact.
+    per-key groupby averages (:func:`engine.shuffle.by_key`) — both
+    routes exact.
     """
     import ray
     import pandas as pd
@@ -1186,9 +1165,8 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
                               concurrency=concurrency)
 
     # distributed fall-through: distinct pairs join df on token, then a
-    # coarse key-partition mean (per-doc rows co-locate)
-    from engine.sketches import hash64
-    from engine.shuffle import join_partitions, reduce_blocks
+    # per-key mean (per-doc rows co-locate)
+    from engine.shuffle import by_key, join_partitions
     pairs_ds = ds.map_batches(
         lambda b: _pairs(b), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=batch_size,
@@ -1196,24 +1174,13 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
     joined = pairs_ds.join(df_tab, join_type="inner",
                            num_partitions=join_partitions(),
                            on=("token",))
-    P = reduce_blocks()
 
-    def _part(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "idf": [],
-                                 "part": pd.array([], dtype="int64")})
-        out = pd.DataFrame({
+    def _idf(df):
+        return pd.DataFrame({
             key_col: df[key_col],
             "idf": np.log(n_docs / df["df"].to_numpy(np.float64))})
-        out["part"] = (hash64(out[key_col].to_numpy())
-                       % np.uint64(P)).astype(np.int64)
-        return out
 
     def _mean(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "mean_idf": [],
-                                 "n_distinct":
-                                     pd.array([], dtype="int64")})
         g = df.groupby(key_col, sort=False)["idf"]
         out = pd.DataFrame({
             "mean_idf": g.mean().to_numpy(np.float64),
@@ -1221,5 +1188,7 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
         out.insert(0, key_col, g.mean().index.to_numpy())
         return out
 
-    return joined.map_batches(_part, batch_format="pandas") \
-        .groupby("part").map_groups(_mean, batch_format="pandas")
+    return by_key(joined, key_col, _mean, prep=_idf,
+                  empty=pd.DataFrame({key_col: [], "mean_idf": [],
+                                      "n_distinct": pd.array(
+                                          [], dtype="int64")}))

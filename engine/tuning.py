@@ -54,12 +54,8 @@ def autotune_batch_size(ds, *, target_bytes: int = 32 << 20,
     # 32 CPUs for a 200k-doc corpus at the 32 MB target). Shrink toward
     # n/(2*cpus), never below ``lo``; inert at scale, where n/(2*cpus)
     # dwarfs the byte-derived size.
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 0)) \
-            if ray.is_initialized() else 0
-    except Exception:  # pragma: no cover
-        cpus = 0
+    from engine.shuffle import _cluster_cpus
+    cpus = _cluster_cpus(0)
     if cpus:
         per_cpu2 = n // (2 * cpus)
         if per_cpu2 >= lo:

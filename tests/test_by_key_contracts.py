@@ -1,0 +1,361 @@
+"""Empty-input and NULL-key behaviour of every ``shuffle.by_key`` operator.
+
+Each operator runs on (a) a typed empty input and (b) a three-row input
+whose partition keys are all NULL. The expected row count and output
+schema are pinned per operator: they record the engine's documented
+per-family contracts (the ewma family drops NULL keys, the PARTITION BY
+family keeps them as one partition, NULL-group-dropping aggregates emit
+nothing) and which operators return a typed versus a schemaless empty.
+A schemaless empty is pinned as ``None``.
+"""
+
+import datetime as dt
+import functools
+import importlib
+
+import pyarrow as pa
+import pytest
+
+T0 = dt.datetime(2024, 1, 1, 9, 0, 0)
+TS = [T0, T0 + dt.timedelta(hours=1), T0 + dt.timedelta(hours=2)]
+
+
+def _table(kind, cols):
+    """``cols``: name -> (type, three all-NULL-key row values)."""
+    n = 0 if kind == "empty" else 3
+    return pa.table({name: pa.array(vals[:n], typ)
+                     for name, (typ, vals) in cols.items()})
+
+
+def _ds(kind, cols):
+    import ray.data
+    return ray.data.from_arrow(_table(kind, cols))
+
+
+def events(kind):
+    return _ds(kind, {
+        "event_id": (pa.int64(), [1, 2, 3]),
+        "user_id": (pa.int64(), [None, None, None]),
+        "ts": (pa.timestamp("us"), TS),
+        "value": (pa.float64(), [1.0, 2.0, 4.0]),
+        "event_type": (pa.string(), ["click", "purchase", "click"])})
+
+
+def intervals(kind):
+    return _ds(kind, {
+        "interval_id": (pa.int64(), [10, 11, 12]),
+        "user_id": (pa.int64(), [None, None, None]),
+        "start": (pa.timestamp("us"), TS),
+        "end": (pa.timestamp("us"),
+                [t + dt.timedelta(minutes=30) for t in TS])})
+
+
+def docs(kind):
+    return _ds(kind, {
+        "doc_id": (pa.int64(), [None, None, None]),
+        "text": (pa.string(), ["a b c d e", "a b c d e", "x y z"])})
+
+
+def labelled_vectors(kind):
+    return _ds(kind, {
+        "label": (pa.int64(), [None, None, None]),
+        "embedding": (pa.list_(pa.float64()),
+                      [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])})
+
+
+def pairs(kind):
+    return _ds(kind, {"key_a": (pa.int64(), [None, None, None]),
+                      "key_b": (pa.int64(), [None, None, None])})
+
+
+def _mod(module, name, *inputs, **kw):
+    """Runner: ``module.name`` over each input built for ``kind``."""
+    def run(kind):
+        fn = getattr(importlib.import_module(module), name)
+        return fn(*(f(kind) for f in inputs), **kw)
+    return run
+
+
+_rel = functools.partial(_mod, "engine.relational")
+
+
+def _stream_dedup(kind, tmp_path):
+    from engine.streaming import stream_dedup_micro_batch
+    out, _ = stream_dedup_micro_batch(docs(kind), str(tmp_path / "state"))
+    return out
+
+
+GROUPED = dict(group_col="user_id", value_col="value")
+
+CASES = {
+    "events_per_user_hour": _rel("events_per_user_hour", events),
+    "sessionize": _rel("sessionize", events),
+    "session_aggregate": _rel("session_aggregate", events),
+    "grouped_topk": _rel("grouped_topk", events, group_col="user_id",
+                         score_col="value", id_col="event_id"),
+    "rolling_window_mean": _rel("rolling_window_mean", events),
+    "asof_join": _rel("asof_join", events, events),
+    "interval_join": _rel("interval_join", events, intervals,
+                          max_duration_s=3600.0),
+    "count_distinct": _rel("count_distinct", events, group_col="user_id",
+                           value_col="event_type"),
+    "ewma": _rel("ewma", events),
+    "ewma_halflife": _rel("ewma_halflife", events),
+    "lag_diff": _rel("lag_diff", events),
+    "keep_latest": _rel("keep_latest", events),
+    "pivot_agg": _rel("pivot_agg", events, group_col="user_id",
+                      pivot_col="event_type", value_col="value",
+                      values=["click", "purchase"]),
+    "except_distinct": _rel("except_distinct", events, events,
+                            key_col="user_id"),
+    "union_distinct": _rel("union_distinct", events, events,
+                           key_col="user_id"),
+    "grouped_mode": _rel("grouped_mode", events, group_col="user_id",
+                         value_col="event_type"),
+    "running_sum": _rel("running_sum", events),
+    "collect_sequence": _rel("collect_sequence", events),
+    "rolling_window_sum_count": _rel("rolling_window_sum_count", events),
+    "rolling_window_min_max": _rel("rolling_window_min_max", events),
+    "window_ranks": _rel("window_ranks", events),
+    "window_rank_fractions": _rel("window_rank_fractions", events),
+    "running_min_max": _rel("running_min_max", events),
+    "interevent_gap_stats": _rel("interevent_gap_stats", events),
+    "delta_from_first": _rel("delta_from_first", events),
+    "grouped_zscore": _rel("grouped_zscore", events),
+    "grouped_minmax_scale": _rel("grouped_minmax_scale", events),
+    "user_activity_span": _rel("user_activity_span", events),
+    "event_type_cooccurrence": _rel("event_type_cooccurrence", events),
+    "collect_distinct_sorted": _rel("collect_distinct_sorted", events),
+    "session_duration_stats": _rel("session_duration_stats", events),
+    "user_hour_entropy": _rel("user_hour_entropy", events),
+    "cohort_retention": _rel("cohort_retention", events),
+    "rolling_rows_mean": _rel("rolling_rows_mean", events),
+    "event_transition_matrix": _rel("event_transition_matrix", events),
+    "daily_active_users": _rel("daily_active_users", events),
+    "peak_hourly_rate": _rel("peak_hourly_rate", events),
+    "share_within_group": _rel("share_within_group", events,
+                               outer_col="user_id",
+                               inner_col="event_type"),
+    "user_repeat_rate": _rel("user_repeat_rate", events),
+    "daily_ratio": _rel("daily_ratio", events),
+    "longest_daily_streak": _rel("longest_daily_streak", events),
+    "grouped_quantiles": _mod("engine.stats", "grouped_quantiles", events,
+                              qs=[0.5], **GROUPED),
+    "grouped_gini": _mod("engine.stats", "grouped_gini", events, **GROUPED),
+    "grouped_iqr_outliers": _mod("engine.stats", "grouped_iqr_outliers",
+                                 events, id_col="event_id", **GROUPED),
+    "grouped_quantile_buckets": _mod("engine.stats",
+                                     "grouped_quantile_buckets", events,
+                                     id_col="event_id", **GROUPED),
+    "grouped_mad": _mod("engine.stats", "grouped_mad", events, **GROUPED),
+    "pack_sequences": _mod("engine.textstats", "pack_sequences", docs),
+    "grouped_centroids": _mod("engine.similarity", "grouped_centroids",
+                              labelled_vectors, group_col="label",
+                              vec_col="embedding", dim=2),
+    "connected_components": _mod("engine.cluster", "connected_components",
+                                 pairs, single_task_limit=0),
+    "minhash_near_duplicates": _mod("engine.dedup",
+                                    "minhash_near_duplicates", docs),
+    "simhash_near_duplicates": _mod("engine.dedup",
+                                    "simhash_near_duplicates", docs),
+}
+
+# name -> {kind: (rows, "column:type ..." or None when schemaless)}.
+# Not pinned, because they fail before reaching by_key: the NULL-key
+# case of stream_dedup_micro_batch (its state write rejects NULL keys),
+# and both cases of the tfidf_topk / doc_mean_idf hash-join fall-through
+# (an empty document-frequency table is schemaless, and Arrow cannot join
+# an all-NULL doc_id column).
+EXPECTED = {
+    "asof_join": {
+        "empty": (0, None),
+        "null": (0, "event_id:int64 user_id:double value:double")},
+    "cohort_retention": {
+        "empty": (0, "cohort:string day_offset:int64 n_users:int64"),
+        "null": (0, "cohort:string day_offset:int64 n_users:int64")},
+    "collect_distinct_sorted": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "collect_sequence": {
+        "empty": (0, None),
+        "null": (0, "user_id:double seq:<class 'object'> n_items:int64")},
+    "connected_components": {
+        "empty": (0, "node:int64 cluster_id:int64"),
+        "null": (0, None)},
+    "count_distinct": {
+        "empty": (0, "user_id:int64 n_distinct:int64"),
+        "null": (0, "user_id:int64 n_distinct:int64")},
+    "daily_active_users": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "daily_ratio": {
+        "empty": (0, None),
+        "null": (1,
+                    "day:<class 'object'> n_num:int64 n_den:int64 "
+                    "ratio:double")},
+    "delta_from_first": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 delta_from_first:double")},
+    "event_transition_matrix": {
+        "empty": (0, "from_type:string to_type:string n:int64"),
+        "null": (0, "from_type:string to_type:string n:int64")},
+    "event_type_cooccurrence": {
+        "empty": (0, "type_a:string type_b:string n_keys:int64"),
+        "null": (0, "type_a:string type_b:string n_keys:int64")},
+    "events_per_user_hour": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "ewma": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "ewma_halflife": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "except_distinct": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_centroids": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_gini": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_iqr_outliers": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_mad": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_minmax_scale": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 scaled:double")},
+    "grouped_mode": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_quantile_buckets": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_quantiles": {
+        "empty": (0, None),
+        "null": (0, "user_id:double q:double value:double")},
+    "grouped_topk": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "grouped_zscore": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 z:double")},
+    "interevent_gap_stats": {
+        "empty": (0, None),
+        "null": (1,
+                    "user_id:double n_gaps:int64 avg_gap_s:double "
+                    "max_gap_s:double")},
+    "interval_join": {
+        "empty": (0, None),
+        "null": (0, "event_id:int64 interval_id:int64 user_id:double")},
+    "keep_latest": {
+        "empty": (0, None),
+        "null": (1,
+                    "event_id:int64 user_id:int64 ts:timestamp[us] "
+                    "value:double event_type:string")},
+    "lag_diff": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 lag_diff:double")},
+    "longest_daily_streak": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "minhash_near_duplicates": {
+        "empty": (0, "key_a:int64 key_b:int64 est_jaccard:double"),
+        "null": (0, "key_a:int64 key_b:int64 est_jaccard:double")},
+    "pack_sequences": {
+        "empty": (0, None),
+        "null": (3, "doc_id:double shard:double bin:int64 n_tokens:int64")},
+    "peak_hourly_rate": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "pivot_agg": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "rolling_rows_mean": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 rolling_mean:double")},
+    "rolling_window_mean": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 rolling_mean:double")},
+    "rolling_window_min_max": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 rolling_min:double rolling_max:double")},
+    "rolling_window_sum_count": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 rolling_sum:double rolling_n:int64")},
+    "running_min_max": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 running_min:double running_max:double")},
+    "running_sum": {
+        "empty": (0, None),
+        "null": (3, "event_id:int64 running_sum:double")},
+    "session_aggregate": {
+        "empty": (0, None),
+        "null": (3,
+                    "user_id:double session_id:int64 n_events:int64 "
+                    "session_start:timestamp[us] session_end:timestamp[us] "
+                    "value_sum:double n_values:int64")},
+    "session_duration_stats": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "sessionize": {
+        "empty": (0, None),
+        "null": (3,
+                    "user_id:double session_id:int64 n_events:int64 "
+                    "session_start:timestamp[us] session_end:timestamp[us]")},
+    "share_within_group": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "simhash_near_duplicates": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "stream_dedup_micro_batch": {
+        "empty": (0, "doc_id:int64 text_hash:string")},
+    "union_distinct": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "user_activity_span": {
+        "empty": (0, None),
+        "null": (1,
+                    "user_id:double n_events:int64 n_active_days:int64 "
+                    "first_ts:timestamp[us] last_ts:timestamp[us]")},
+    "user_hour_entropy": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "user_repeat_rate": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "window_rank_fractions": {
+        "empty": (0, None),
+        "null": (3,
+                    "event_id:int64 pct_rank:double cume_dist:double "
+                    "bucket:int64")},
+    "window_ranks": {
+        "empty": (0, None),
+        "null": (3,
+                    "event_id:int64 row_number:int64 rank:int64 "
+                    "dense_rank:int64")},
+}
+
+
+def _observe(ds):
+    ds = ds.materialize()
+    sch = ds.schema()
+    cols = None if sch is None else " ".join(
+        f"{n}:{t}" for n, t in zip(sch.names, sch.types))
+    return ds.count(), cols
+
+
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name in sorted(CASES) for kind in ("empty", "null")])
+def test_by_key_empty_and_null_keys(ray_session, name, kind):
+    assert _observe(CASES[name](kind)) == EXPECTED[name][kind]
+
+
+def test_stream_dedup_empty_input(ray_session, tmp_path):
+    assert _observe(_stream_dedup("empty", tmp_path)) \
+        == EXPECTED["stream_dedup_micro_batch"]["empty"]

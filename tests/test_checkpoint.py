@@ -56,6 +56,36 @@ def test_resume_skips_completed_partitions(corpus, ray_session, tmp_path):
             assert os.path.isdir(o) and glob.glob(os.path.join(o, "*.parquet"))
 
 
+def test_torn_manifest_write_reruns_partition(corpus, ray_session, tmp_path,
+                                             monkeypatch):
+    """A kill partway through a manifest write must leave no partial
+    ``<pid>.json``: the resumed run re-processes that partition instead
+    of crashing on truncated JSON."""
+    import engine.checkpoint as ck
+
+    _, corpus_dir = corpus
+    out = str(tmp_path / "torn")
+    real_dump = json.dump
+
+    def _torn_dump(obj, f, *args, **kwargs):
+        if not (isinstance(obj, dict) and "partition_id" in obj):
+            return real_dump(obj, f, *args, **kwargs)
+        text = json.dumps(obj)
+        f.write(text[:len(text) // 2])
+        raise OSError("killed mid-write")
+
+    with monkeypatch.context() as m:
+        m.setattr(ck.json, "dump", _torn_dump)
+        with pytest.raises(OSError, match="killed mid-write"):
+            ck.run_validation_job(corpus_dir, out, max_units=1)
+    assert os.listdir(os.path.join(out, "_manifest")) == []
+
+    s = ck.run_validation_job(corpus_dir, out, max_units=1)
+    assert s["processed"] == 1 and s["skipped"] == 0
+    (rec,) = ck.completed_partitions(out).values()
+    assert rec["metrics"]["docs"] > 0
+
+
 def test_changed_input_invalidates_checkpoint(corpus, ray_session, tmp_path):
     import shutil
     from engine.checkpoint import run_validation_job

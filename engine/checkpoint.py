@@ -8,8 +8,9 @@ partition-keyed directory with ``mode="overwrite"`` (idempotent on retry) and
 finishes by writing a ``_manifest/<pid>.json`` lineage record — the manifest
 write is the commit point (atomic: temp file + fsync + rename), so a kill
 between outputs and manifest, or during the manifest write, just re-runs that
-partition. Global (cross-partition) checks — uniqueness, referential,
-drift — run as separately-manifested steps after the per-partition pass.
+partition. Verdict files are replaced the same atomic way. Global
+(cross-partition) checks — uniqueness, referential, drift — run as
+separately-manifested steps after the per-partition pass.
 """
 
 from __future__ import annotations
@@ -41,27 +42,45 @@ def _manifest_dir(out_dir: str) -> str:
     return d
 
 
-def _commit_manifest(out_dir: str, name: str, record: dict) -> None:
-    """Atomically write ``_manifest/<name>.json``, a commit point.
+@contextlib.contextmanager
+def _atomic_replace(path: str, mode: str = "w"):
+    """Yield a file whose contents replace ``path`` only once complete.
 
-    The record goes to a temp file in the same directory, is flushed and
-    fsynced, then ``os.replace``d into place: a kill mid-write leaves no
-    manifest (the unit re-runs), never truncated JSON that would crash
-    :func:`completed_partitions` on resume. Temp names do not match
-    ``*.json``, so a leftover one is never read as a record.
+    Writes go to a temp file in the same directory, which is flushed,
+    fsynced, then ``os.replace``d onto ``path``: a kill mid-write leaves
+    the old file (or none), never a torn one. Temp names start with ``.``
+    and end in ``.tmp``, so neither manifest globs nor parquet dataset
+    discovery read a leftover one.
     """
-    d = _manifest_dir(out_dir)
+    d, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(record, f)
+        with os.fdopen(fd, mode) as f:
+            yield f
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, os.path.join(d, f"{name}.json"))
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _commit_manifest(out_dir: str, name: str, record: dict) -> None:
+    """Atomically write ``_manifest/<name>.json``, a commit point: a kill
+    mid-write leaves no manifest (the unit re-runs), never truncated JSON
+    that would crash :func:`completed_partitions` on resume."""
+    with _atomic_replace(os.path.join(_manifest_dir(out_dir),
+                                      f"{name}.json")) as f:
+        json.dump(record, f)
+
+
+def _write_verdict(path: str, row: dict) -> None:
+    """Atomically (re)write one partition's ``verdict.parquet``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    with _atomic_replace(path, "wb") as f:
+        pq.write_table(pa.Table.from_pylist([row]), f)
 
 
 def list_partitions(corpus_dir: str) -> dict[str, list[str]]:
@@ -196,10 +215,9 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
             verd_dir = os.path.join(out_dir, "verdicts",
                                     f"partition_id={pid}")
             os.makedirs(verd_dir, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pylist([{k: v for k, v in row.items()
-                                       if k != "partition_id"}]),
-                os.path.join(verd_dir, "verdict.parquet"))
+            _write_verdict(os.path.join(verd_dir, "verdict.parquet"),
+                           {k: v for k, v in row.items()
+                            if k != "partition_id"})
 
         for (pid, files, fp), row in zip(unit, verd_rows):
             summary["processed"] += 1
@@ -239,7 +257,10 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
     checks_dir = os.path.join(out_dir, "checks")
     ds = ray.data.read_parquet(corpus_dir)
 
-    def _step(name: str, fn) -> None:
+    def _step(name: str, fn, then=None) -> None:
+        """Run ``fn``, write its output, run ``then`` (if any) and only
+        then commit the step's marker: a kill anywhere before the commit
+        re-runs the whole step on resume."""
         marker = f"__global_{name}"
         if marker in done:
             summary[name] = "skipped"
@@ -248,6 +269,8 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
         result_ds = fn()
         out = os.path.join(checks_dir, name)
         result_ds.write_parquet(out, mode="overwrite")
+        if then is not None:
+            then()
         _commit_manifest(out_dir, marker, {
             "partition_id": marker, "outputs": [out],
             "started_at": started, "finished_at": time.time()})
@@ -270,16 +293,17 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
         baseline = build_baseline(ds, exclude_partitions=baseline_exclude)
         return drift_check(ds, baseline)
 
-    _step("drift", _drift)
-    if summary.get("drift") == "done":
-        _fold_drift_into_verdicts(out_dir)
+    # the fold rewrites committed verdicts, so it runs before the drift
+    # marker commits: a kill mid-fold leaves no marker and the resumed run
+    # redoes drift + fold (the fold is idempotent)
+    _step("drift", _drift, then=lambda: _fold_drift_into_verdicts(out_dir))
 
 
 def _fold_drift_into_verdicts(out_dir: str) -> None:
     """Per-partition drift failures join the verdict's checks_failed list
     (FIXTURES §5: verdicts carry every failed check, not just keyword
-    validation). Runs once, right after the drift step commits."""
-    import pyarrow as pa
+    validation). Runs inside the drift step, before its marker commits;
+    idempotent, so a resumed run may repeat it."""
     import pyarrow.parquet as pq
 
     drift_dir = os.path.join(out_dir, "checks", "drift")
@@ -302,4 +326,4 @@ def _fold_drift_into_verdicts(out_dir: str) -> None:
             checks.append("drift")
         row["checks_failed"] = checks
         row["pass"] = False
-        pq.write_table(pa.Table.from_pylist([row]), vpath)
+        _write_verdict(vpath, row)

@@ -17,7 +17,8 @@ import pyarrow as pa
 
 from engine import errors as E
 from engine.compile import compile_plan
-from engine.kernels import validate_batch
+from engine.kernels import (FailCounts, _root_ctx, eval_emit,
+                            validate_batch)
 from engine.pointer import encode_pointer
 from engine.schema import parse_schema
 
@@ -181,7 +182,9 @@ def validate_dataset_multi(ds, schema_jsons: dict, *,
 class _DocVerdictBatch:
     """Per-batch partial aggregate: (partition_id, docs, violation_docs,
     violations) — combine inside map_batches, tiny groupby after
-    (partial+final pattern; avoids shuffling the corpus)."""
+    (partial+final pattern; avoids shuffling the corpus). Per-row error
+    counts come from the plan walk with a ``FailCounts`` sink, so no error
+    record is built."""
 
     def __init__(self, schema_json: str = DOC_SCHEMA_JSON,
                  instance_columns: Optional[Sequence[str]] = None):
@@ -195,29 +198,25 @@ class _DocVerdictBatch:
             inst_cols = [c for c in batch.column_names
                          if c not in _META_COLUMNS]
         inst = batch.select(list(inst_cols))
-        errs = validate_batch(self.plan, inst)
-        bad_rows = np.unique(np.array([r for r, _, _ in errs],
-                                      dtype=np.int64))
+        sink = FailCounts(inst.num_rows)
+        eval_emit(self.plan, _root_ctx(inst), sink)
         if "partition_id" in batch.column_names:
             parts = batch.column("partition_id").to_numpy(
                 zero_copy_only=False)
         else:
             parts = np.full(len(batch), "all", dtype=object)
-        uniq, counts = np.unique(parts, return_counts=True)
-        bad_mask = np.zeros(len(batch), dtype=bool)
-        bad_mask[bad_rows] = True
-        err_parts = parts[[r for r, _, _ in errs]] if errs else parts[:0]
-        out = []
-        for p, total in zip(uniq.tolist(), counts.tolist()):
-            out.append({
-                "partition_id": p,
-                "docs": int(total),
-                "violation_docs": int((bad_mask & (parts == p)).sum()),
-                "violations": int((err_parts == p).sum()),
-            })
-        return pa.Table.from_pylist(out, schema=pa.schema([
-            ("partition_id", pa.string()), ("docs", pa.int64()),
-            ("violation_docs", pa.int64()), ("violations", pa.int64())]))
+        uniq, codes = np.unique(parts, return_inverse=True)
+
+        def per_part(weights=None) -> pa.Array:
+            return pa.array(np.bincount(codes, weights, len(uniq))
+                            .astype(np.int64))
+
+        return pa.Table.from_arrays(
+            [pa.array(uniq.tolist(), pa.string()), per_part(),
+             per_part(sink.counts > 0), per_part(sink.counts)],
+            schema=pa.schema([
+                ("partition_id", pa.string()), ("docs", pa.int64()),
+                ("violation_docs", pa.int64()), ("violations", pa.int64())]))
 
 
 def partition_verdicts(ds, schema_json: str = DOC_SCHEMA_JSON, *,
@@ -258,6 +257,8 @@ class JsonColumnValidator:
     typed kernels cannot express (actor pool; compiled schema held per actor).
     """
 
+    _flat: Optional["_FlatPlan"] = None  # None: every row goes to the oracle
+
     def __init__(self, schema_json: str, column: str, key_column: str):
         from engine.oracle import validate as oracle_validate
         self.schema = parse_schema(schema_json)
@@ -268,34 +269,39 @@ class JsonColumnValidator:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column(self.column).to_pylist()
         keys = batch.column(self.key_column).to_pylist()
-        out = []
+        o_key, o_seq, o_kind, o_path, o_msg = [], [], [], [], []
+        flat = self._flat if self._flat is not None and self._flat.ok \
+            else None
         for key, txt in zip(keys, texts):
             if txt is None:
                 # absent instance is at least as severe as malformed JSON —
                 # record it rather than silently passing the row
-                out.append({self.key_column: key, "error_seq": 0,
-                            "error_kind": "MissingInstance",
-                            "instance_path": "",
-                            "message": "instance column is null"})
+                o_key.append(key); o_seq.append(0)
+                o_kind.append("MissingInstance"); o_path.append("")
+                o_msg.append("instance column is null")
                 continue
             try:
                 inst = json.loads(txt)
             except json.JSONDecodeError:
-                out.append({self.key_column: key, "error_seq": 0,
-                            "error_kind": "InvalidJson", "instance_path": "",
-                            "message": "instance is not valid JSON"})
+                o_key.append(key); o_seq.append(0)
+                o_kind.append("InvalidJson"); o_path.append("")
+                o_msg.append("instance is not valid JSON")
                 continue
-            for seq, err in enumerate(self._validate(self.schema, inst)):
-                out.append({
-                    self.key_column: key, "error_seq": seq,
-                    "error_kind": err["kind"],
-                    "instance_path": encode_pointer(err["path"]),
-                    "message": E.render_message(err),
-                })
-        return pa.Table.from_pylist(out, schema=pa.schema([
-            (self.key_column, batch.schema.field(self.key_column).type),
-            ("error_seq", pa.int32()), ("error_kind", pa.string()),
-            ("instance_path", pa.string()), ("message", pa.string())]))
+            errs = flat.row_errors(inst) if flat is not None else None
+            if errs is None:  # no flat plan, or the row needs the oracle
+                errs = self._validate(self.schema, inst)
+            for seq, err in enumerate(errs):
+                o_key.append(key); o_seq.append(seq)
+                o_kind.append(err["kind"])
+                o_path.append(encode_pointer(err["path"]))
+                o_msg.append(E.render_message(err))
+        return pa.table({
+            self.key_column: pa.array(
+                o_key, batch.schema.field(self.key_column).type),
+            "error_seq": pa.array(o_seq, pa.int32()),
+            "error_kind": pa.array(o_kind, pa.string()),
+            "instance_path": pa.array(o_path, pa.string()),
+            "message": pa.array(o_msg, pa.string())})
 
 
 class _FlatPlan:
@@ -455,45 +461,6 @@ class FastJsonColumnValidator(JsonColumnValidator):
     def __init__(self, schema_json: str, column: str, key_column: str):
         super().__init__(schema_json, column, key_column)
         self._flat = _FlatPlan(self.schema)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        flat = self._flat
-        if not flat.ok:
-            return super().__call__(batch)
-        texts = batch.column(self.column).to_pylist()
-        keys = batch.column(self.key_column).to_pylist()
-        o_key, o_seq, o_kind, o_path, o_msg = [], [], [], [], []
-        oracle = self._validate
-        loads = json.loads
-        render = E.render_message
-        for key, txt in zip(keys, texts):
-            if txt is None:
-                o_key.append(key); o_seq.append(0)
-                o_kind.append("MissingInstance"); o_path.append("")
-                o_msg.append("instance column is null")
-                continue
-            try:
-                inst = loads(txt)
-            except json.JSONDecodeError:
-                o_key.append(key); o_seq.append(0)
-                o_kind.append("InvalidJson"); o_path.append("")
-                o_msg.append("instance is not valid JSON")
-                continue
-            errs = flat.row_errors(inst)
-            if errs is None:  # row touches a deep property: exact fallback
-                errs = oracle(self.schema, inst)
-            for seq, err in enumerate(errs):
-                o_key.append(key); o_seq.append(seq)
-                o_kind.append(err["kind"])
-                o_path.append(encode_pointer(err["path"]))
-                o_msg.append(render(err))
-        return pa.table({
-            self.key_column: pa.array(
-                o_key, batch.schema.field(self.key_column).type),
-            "error_seq": pa.array(o_seq, pa.int32()),
-            "error_kind": pa.array(o_kind, pa.string()),
-            "instance_path": pa.array(o_path, pa.string()),
-            "message": pa.array(o_msg, pa.string())})
 
 
 def validate_json_column(ds, schema_json: str, *, column: str = "props",

@@ -24,11 +24,14 @@ JSON <-> Arrow mapping (documented contract, used identically by
   float-kind numbers (so ``type: "integer"`` fails a float64 column — the
   reference's ``1.0`` semantics, ``validator/mod.rs:291-297``).
 
-Two evaluation modes:
+One plan walker, :func:`eval_emit`, hands every failing-slot mask to a sink:
 
-* **emit** — produce sparse error records (the violations rows);
-* **mask** — per-slot validity booleans only, used for anyOf/oneOf branches
-  whose sub-errors the reference discards (``validator/mod.rs:109-163``).
+* :class:`Emitter` builds the sparse error records (the violations rows);
+* :class:`FailCounts` only counts failures per batch row. It backs
+  :func:`eval_valid`, the anyOf/oneOf branch check whose sub-errors the
+  reference discards (``validator/mod.rs:109-163``), and per-row verdicts.
+  It never calls the per-slot context callbacks, so each keyword builds its
+  context lazily inside its callback and the count path stays vectorized.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import pyarrow.compute as pc
 
 from engine import errors as E
 from engine.compile import Plan
-from engine.pointer import encode_pointer
 from engine.schema import AP_FORBID, UNSET
 
 I64_MAX = 2**63 - 1
@@ -169,6 +171,21 @@ class Emitter:
             prev_doc = doc
             out.append((doc, seq, err))
         return out
+
+
+class FailCounts:
+    """Sink counting failures per batch row: ``counts[r]`` == the number of
+    records :class:`Emitter` would build for row ``r``. Never calls
+    ``ctx_fn``, so no error context is materialized."""
+
+    def __init__(self, n: int):
+        self.counts = np.zeros(n, dtype=np.int64)
+
+    def emit(self, ctx: Ctx, ordinal: int, fail: np.ndarray, kind: str,
+             const_ctx: Optional[dict] = None,
+             ctx_fn: Optional[Callable[[int], dict]] = None,
+             extra_seg: Optional[str] = None) -> None:
+        np.add.at(self.counts, ctx.docrow[fail], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +508,12 @@ def _pattern_match_mask(check, val: pa.Array, active: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# emit mode
+# the plan walker (one walk, two sinks)
 
 
-def eval_emit(plan: Plan, ctx: Ctx, em: Emitter) -> None:
+def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
+    """Walk ``plan`` over every present slot of ``ctx``, handing each
+    keyword's failing slots to ``em`` in reference emission order."""
     if not ctx.present.any():
         return
     val = ctx.val
@@ -629,10 +648,9 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter) -> None:
                 fail = s_ok & ~m
                 if fail.any():
                     pat = plan.pattern.pattern
-                    arr = val.to_numpy(zero_copy_only=False)
                     em.emit(ctx, k, fail, E.PATTERN_MISMATCH,
                             ctx_fn=lambda i: {"pattern": pat,
-                                              "value": arr[i]})
+                                              "value": val[i].as_py()})
             k += 1
         if plan.format_uuid:
             from engine.config import UUID_REGEX
@@ -640,9 +658,8 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter) -> None:
                 pc.match_substring_regex(val, UUID_REGEX), False))
             fail = s_ok & ~ok
             if fail.any():
-                arr2 = val.to_numpy(zero_copy_only=False)
                 em.emit(ctx, k, fail, E.INVALID_UUID_FORMAT,
-                        ctx_fn=lambda i: {"value": arr2[i]})
+                        ctx_fn=lambda i: {"value": val[i].as_py()})
         _emit_custom(plan, ctx, em, s_ok, val)
     elif ty in ("integer", "number"):
         if ty == "integer":
@@ -719,15 +736,12 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter) -> None:
         if plan.unique_items:
             dups = _first_dup_idx(val, a_ok)
             if dups:
-                fail_slots = sorted(dups.keys())
                 fail = np.zeros(n, dtype=bool)
-                fail[fail_slots] = True
-                # convert ONLY the failing rows (sparse), never the column
-                sub = val.take(pa.array(fail_slots)).to_pylist()
-                sub_by_slot = dict(zip(fail_slots, sub))
+                fail[list(dups)] = True
 
-                def dup_ctx(i, _dups=dups, _rows=sub_by_slot):
-                    el = _rows[i][_dups[i]]
+                def dup_ctx(i):
+                    # converts only this failing row, never the column
+                    el = val[i].as_py()[dups[i]]
                     el = None if el is None else _strip_absent(el)
                     return {"duplicate_value": E.canonical_json(el)}
 
@@ -762,8 +776,8 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter) -> None:
                          check_additional=False)
 
 
-def _emit_custom(plan: Plan, ctx: Ctx, em: Emitter, ok: np.ndarray,
-                 val: pa.Array) -> None:
+def _emit_custom(plan: Plan, ctx: Ctx, em: Emitter | FailCounts,
+                 ok: np.ndarray, val: pa.Array) -> None:
     """Registry checks after the built-ins of a scalar type arm
     (engine/registry.py); ordinal base 1000 keeps them after every built-in
     check in the per-row rank sort, matching the oracle's emission order."""
@@ -773,19 +787,9 @@ def _emit_custom(plan: Plan, ctx: Ctx, em: Emitter, ok: np.ndarray,
         pass_mask = np.asarray(spec.predicate(state, val, ok), dtype=bool)
         fail = ok & ~pass_mask
         if fail.any():
-            arr = val.to_pylist()
             em.emit(ctx, 1000 + idx, fail, spec.kind,
-                    ctx_fn=lambda i, s=spec, st=state, a=arr: {
-                        "custom_message": s.message(st, a[i])})
-
-
-def _valid_custom(plan: Plan, ok: np.ndarray, val: pa.Array,
-                  valid: np.ndarray) -> None:
-    if not plan.custom:
-        return
-    for spec, state in plan.custom:
-        pass_mask = np.asarray(spec.predicate(state, val, ok), dtype=bool)
-        valid &= pass_mask | ~ok
+                    ctx_fn=lambda i, s=spec, st=state: {
+                        "custom_message": s.message(st, val[i].as_py())})
 
 
 def _got_fn(t: pa.DataType, isnull: np.ndarray) -> Callable[[int], dict]:
@@ -797,8 +801,9 @@ def _got_fn(t: pa.DataType, isnull: np.ndarray) -> Callable[[int], dict]:
     return fn
 
 
-def _object_emit(plan: Plan, ctx: Ctx, obj_ok: np.ndarray, em: Emitter,
-                 k0: int, *, check_additional: bool) -> None:
+def _object_emit(plan: Plan, ctx: Ctx, obj_ok: np.ndarray,
+                 em: Emitter | FailCounts, k0: int, *,
+                 check_additional: bool) -> None:
     if not obj_ok.any():
         return
     val = ctx.val
@@ -850,181 +855,32 @@ def _object_emit(plan: Plan, ctx: Ctx, obj_ok: np.ndarray, em: Emitter,
 
 
 # ---------------------------------------------------------------------------
-# mask mode (anyOf/oneOf branches: validity only, sub-errors discarded)
+# batch entry point
 
 
 def eval_valid(plan: Plan, val: pa.Array, present: np.ndarray) -> np.ndarray:
+    """Per-slot validity of ``val`` against ``plan``, True where a present
+    slot fails no check or where the slot is absent."""
     n = len(val)
-    if not present.any():
-        return np.ones(n, dtype=bool)
-    val = _decode(val)
-    isnull = (~_valid_mask(val)) & present
-    if plan.ref_error is not None:
-        return ~present
+    sink = FailCounts(n)
+    eval_emit(plan, Ctx(_decode(val), present, np.arange(n, dtype=np.int64),
+                        (), ()), sink)
+    return sink.counts == 0
 
-    valid = np.ones(n, dtype=bool)
 
-    def apply(pass_mask: np.ndarray) -> None:
-        nonlocal valid
-        valid &= pass_mask | ~present
-
-    if plan.const is not UNSET:
-        apply(_scalar_eq_mask(plan.const, val, isnull))
-    if plan.enum:
-        apply(_enum_mask(plan.enum, val, isnull))
-    if plan.any_of is not None:
-        if not plan.any_of:
-            return ~present
-        ok = np.zeros(n, dtype=bool)
-        for branch in plan.any_of:
-            pending = present & ~ok
-            if not pending.any():
-                break
-            ok |= pending & eval_valid(branch, val, pending)
-        apply(ok)
-        return valid
-    if plan.one_of is not None:
-        if not plan.one_of:
-            return ~present
-        counts = np.zeros(n, dtype=np.int32)
-        for branch in plan.one_of:
-            counts += eval_valid(branch, val, present).astype(np.int32)
-        apply(counts == 1)
-        return valid
-    if plan.all_of:
-        for branch in plan.all_of:
-            valid &= eval_valid(branch, val, present)
-        return valid
-
-    t = val.type
-    ty = plan.type
-    if ty == "object":
-        if not pa.types.is_struct(t):
-            return valid & ~present
-        apply(~isnull)
-        valid &= _object_valid(plan, val, present & ~isnull,
-                               check_additional=True)
-    elif ty == "string":
-        if not _is_string_t(t):
-            return valid & ~present
-        apply(~isnull)
-        s_ok = present & ~isnull
-        if s_ok.any():
-            if plan.min_length is not None or plan.max_length is not None:
-                lens = pc.fill_null(pc.utf8_length(val), 0).to_numpy(
-                    zero_copy_only=False)
-                if plan.min_length is not None:
-                    valid &= (lens >= plan.min_length) | ~s_ok
-                if plan.max_length is not None:
-                    valid &= (lens <= plan.max_length) | ~s_ok
-            if plan.pattern is not None:
-                if plan.pattern.invalid:
-                    valid &= ~s_ok
-                else:
-                    valid &= _pattern_match_mask(plan.pattern, val, s_ok) | ~s_ok
-            if plan.format_uuid:
-                from engine.config import UUID_REGEX
-                ok = _np_bool(pc.fill_null(
-                    pc.match_substring_regex(val, UUID_REGEX), False))
-                valid &= ok | ~s_ok
-            _valid_custom(plan, s_ok, val, valid)
-    elif ty in ("integer", "number"):
-        if ty == "integer":
-            if not _is_int_t(t):
-                return valid & ~present
-            ok = ~isnull
-            if pa.types.is_uint64(t):
-                ok &= ~_np_bool(pc.fill_null(
-                    pc.greater(val, pa.scalar(I64_MAX, pa.uint64())), False))
-        else:
-            if not (_is_int_t(t) or _is_float_t(t)):
-                return valid & ~present
-            ok = ~isnull
-        apply(ok)
-        num_ok = present & ok
-        if num_ok.any() and (plan.minimum is not None or plan.maximum is not None):
-            # lossy cast == reference's as_f64 (big int64s round, never raise)
-            f = pc.fill_null(pc.cast(val, pa.float64(), safe=False),
-                             0.0).to_numpy(zero_copy_only=False)
-            if plan.minimum is not None:
-                valid &= (f >= plan.minimum) | ~num_ok
-            if plan.maximum is not None:
-                valid &= (f <= plan.maximum) | ~num_ok
-        _valid_custom(plan, num_ok, val, valid)
-    elif ty == "array":
-        if not _is_list_t(t):
-            return valid & ~present
-        apply(~isnull)
-        a_ok = present & ~isnull
-        if a_ok.any():
-            start, end = _list_offsets(val)
-            lens = end - start
-            if plan.min_items is not None:
-                valid &= (lens >= plan.min_items) | ~a_ok
-            if plan.max_items is not None:
-                valid &= (lens <= plan.max_items) | ~a_ok
-            if plan.unique_items:
-                dups = _first_dup_idx(val, a_ok)
-                if dups:
-                    bad = np.zeros(n, dtype=bool)
-                    bad[list(dups.keys())] = True
-                    valid &= ~bad
-            if plan.items is not None:
-                elem_val, parent, _ = _flatten(val, a_ok)
-                if len(elem_val):
-                    ev = eval_valid(plan.items, elem_val,
-                                    np.ones(len(elem_val), dtype=bool))
-                    agg = np.ones(n, dtype=bool)
-                    np.logical_and.at(agg, parent, ev)
-                    valid &= agg | ~a_ok
-    elif ty == "boolean":
-        if not pa.types.is_boolean(t):
-            return valid & ~present
-        apply(~isnull)
-        _valid_custom(plan, present & ~isnull, val, valid)
+def _root_ctx(batch: pa.Table) -> Ctx:
+    """Root context of a batch: each row is one JSON object instance."""
+    n = batch.num_rows
+    if batch.num_columns == 0:
+        # N rows of zero columns are N empty JSON objects — required-property
+        # checks must still fire for each of them
+        root = pa.array([{}] * n, type=pa.struct([]))
     else:
-        if pa.types.is_struct(t):
-            valid &= _object_valid(plan, val, present & ~isnull,
-                                   check_additional=False)
-    return valid
-
-
-def _object_valid(plan: Plan, val: pa.Array, obj_ok: np.ndarray,
-                  *, check_additional: bool) -> np.ndarray:
-    n = len(val)
-    valid = np.ones(n, dtype=bool)
-    if not obj_ok.any():
-        return valid
-    t = val.type
-    field_names = [f.name for f in t]
-    field_set = set(field_names)
-    prop_names = {name for name, _ in plan.properties}
-    if plan.required is not None:
-        for name in plan.required:
-            if name in field_set:
-                valid &= _valid_mask(val.field(name)) | ~obj_ok
-            else:
-                valid &= ~obj_ok
-    extras = [nm for nm in field_names if nm not in prop_names]
-    if check_additional and extras:
-        if plan.additional == AP_FORBID:
-            for name in extras:
-                valid &= ~_valid_mask(val.field(name)) | ~obj_ok
-        elif isinstance(plan.additional, Plan):
-            for name in extras:
-                child = _decode(val.field(name))
-                pres = obj_ok & _valid_mask(child)
-                valid &= eval_valid(plan.additional, child, pres)
-    for name, sub in plan.properties:
-        if name in field_set:
-            child = _decode(val.field(name))
-            pres = obj_ok & _valid_mask(child)
-            valid &= eval_valid(sub, child, pres)
-    return valid
-
-
-# ---------------------------------------------------------------------------
-# batch entry point
+        batch = batch.combine_chunks()
+        root = pa.StructArray.from_arrays(
+            [_decode(c) for c in batch.columns], names=batch.column_names)
+    return Ctx(root, np.ones(n, dtype=bool), np.arange(n, dtype=np.int64),
+               (), ())
 
 
 def validate_batch(plan: Plan, batch: pa.Table) -> list[tuple[int, int, dict]]:
@@ -1033,24 +889,6 @@ def validate_batch(plan: Plan, batch: pa.Table) -> list[tuple[int, int, dict]]:
     Returns sparse ``[(doc_row, error_seq, error_dict)]`` in exact reference
     emission order per document.
     """
-    if batch.num_rows == 0:
-        return []
-    if batch.num_columns == 0:
-        # N rows of zero columns are N empty JSON objects — required-property
-        # checks must still fire for each of them
-        n = batch.num_rows
-        root = pa.array([{}] * n, type=pa.struct([]))
-        ctx = Ctx(root, np.ones(n, dtype=bool),
-                  np.arange(n, dtype=np.int64), (), ())
-        em = Emitter()
-        eval_emit(plan, ctx, em)
-        return em.build()
-    batch = batch.combine_chunks()
-    arrays = [_decode(batch.column(i)) for i in range(batch.num_columns)]
-    root = pa.StructArray.from_arrays(arrays, names=batch.column_names)
-    n = len(batch)
-    ctx = Ctx(root, np.ones(n, dtype=bool), np.arange(n, dtype=np.int64),
-              (), ())
     em = Emitter()
-    eval_emit(plan, ctx, em)
+    eval_emit(plan, _root_ctx(batch), em)
     return em.build()

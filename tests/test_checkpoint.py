@@ -139,3 +139,31 @@ def test_drift_folds_into_verdicts(corpus, ray_session, tmp_path):
     drifted = v[v["checks_failed"].map(lambda c: "drift" in list(c))]
     assert "p0003" in set(drifted["partition_id"].astype(str))
     assert not drifted["pass"].any()
+
+
+def test_killed_drift_fold_redone_on_resume(corpus, ray_session, tmp_path,
+                                            monkeypatch):
+    """A kill during the drift fold must not leave a drifted partition
+    passing: the resumed run folds drift into its verdict."""
+    import pyarrow.parquet as pq
+    import engine.checkpoint as ck
+
+    _, corpus_dir = corpus
+    out = str(tmp_path / "fold")
+
+    def _killed_fold(out_dir):
+        raise OSError("killed mid-fold")
+
+    with monkeypatch.context() as m:
+        m.setattr(ck, "_fold_drift_into_verdicts", _killed_fold)
+        with pytest.raises(OSError, match="killed mid-fold"):
+            ck.run_validation_job(corpus_dir, out,
+                                  baseline_exclude=["p0003"])
+
+    s = ck.run_validation_job(corpus_dir, out, baseline_exclude=["p0003"])
+    assert s["processed"] == 0 and s["skipped"] == 4
+    (row,) = pq.read_table(os.path.join(
+        out, "verdicts", "partition_id=p0003", "verdict.parquet")).to_pylist()
+    assert "drift" in row["checks_failed"]
+    assert row["pass"] is False
+    assert not glob.glob(os.path.join(out, "verdicts", "*", ".*.tmp"))

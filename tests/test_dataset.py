@@ -111,14 +111,35 @@ class TestValidatePipeline:
         import ray.data
         from engine.dataset import partition_verdicts
 
+        from engine.dataset import validate_dataset
+
         ds = ray.data.read_parquet(corpus_dir)
-        v = partition_verdicts(ds).to_pandas().sort_values("partition_id")
+        out = pa.concat_tables(ray.get(partition_verdicts(ds).to_arrow_refs()))
+        assert out.schema == pa.schema([
+            ("partition_id", pa.string()), ("docs", pa.int64()),
+            ("violation_docs", pa.int64()), ("violations", pa.int64()),
+            ("pass", pa.bool_()), ("checks_failed", pa.list_(pa.string()))])
+        v = out.to_pandas().sort_values("partition_id")
         assert v["docs"].sum() == 1000
-        assert set(v.columns) == {"partition_id", "docs", "violation_docs",
-                                  "violations", "pass", "checks_failed"}
         # violation injection guarantees some failures
         assert (~v["pass"]).any()
         assert (v["violation_docs"] <= v["docs"]).all()
+
+        # exact per-partition counts, derived from the violations output:
+        # each violating doc row contributes exactly one error_seq == 0 row
+        viol = validate_dataset(ds).to_pandas()
+        viol["partition_id"] = viol["partition_id"].astype(str)
+        src = pq.read_table(corpus_dir, columns=["partition_id"]).to_pandas()
+        docs = src["partition_id"].astype(str).value_counts()
+        for _, r in v.iterrows():
+            pv = viol[viol["partition_id"] == r["partition_id"]]
+            assert r["docs"] == docs[r["partition_id"]]
+            assert r["violations"] == len(pv)
+            assert r["violation_docs"] == int((pv["error_seq"] == 0).sum())
+            assert r["pass"] == (len(pv) == 0)
+            assert list(r["checks_failed"]) == (
+                ["keyword_validation"] if len(pv) else [])
+        assert sorted(v["partition_id"]) == sorted(docs.index)
 
     def test_json_column_dynamic_path(self, ray_session):
         import ray.data

@@ -15,7 +15,8 @@ import pyarrow as pa
 import pytest
 
 from engine.compile import compile_plan
-from engine.kernels import validate_batch
+from engine.kernels import (FailCounts, _root_ctx, eval_emit, eval_valid,
+                            validate_batch)
 from engine.oracle import validate as oracle_validate
 from engine.rows import table_to_json_rows
 from engine.schema import parse_schema
@@ -156,10 +157,10 @@ def test_random_schema_table_parity(seed):
     schema = parse_schema(schema_json)
     plan = compile_plan(schema)
     got = validate_batch(plan, table)
-    expected = []
-    for r, inst in enumerate(table_to_json_rows(table)):
-        for s, err in enumerate(oracle_validate(schema, inst)):
-            expected.append((r, s, err))
+    oracle_errs = [oracle_validate(schema, inst)
+                   for inst in table_to_json_rows(table)]
+    expected = [(r, s, err) for r, errs in enumerate(oracle_errs)
+                for s, err in enumerate(errs)]
     assert got == expected, (
         f"seed={seed}\nschema={schema_json}\n"
         f"first diff: {next(((g, e) for g, e in zip(got, expected) if g != e), None)}\n"
@@ -168,3 +169,13 @@ def test_random_schema_table_parity(seed):
     from engine.errors import render_message
     for _, _, e in got:
         assert isinstance(render_message(e), str)
+    # the count sink at the root: eval_valid == "the oracle finds no error",
+    # and per-row FailCounts == per-row validate_batch records
+    n = table.num_rows
+    root = _root_ctx(table)
+    ok = eval_valid(plan, root.val, np.ones(n, dtype=bool))
+    assert ok.tolist() == [not errs for errs in oracle_errs], seed
+    sink = FailCounts(n)
+    eval_emit(plan, root, sink)
+    assert sink.counts.tolist() == np.bincount(
+        [r for r, _, _ in got], minlength=n).tolist(), seed

@@ -15,16 +15,15 @@ separately-manifested steps after the per-partition pass.
 
 from __future__ import annotations
 
-import contextlib
 import glob
 import hashlib
 import json
 import os
-import tempfile
 import time
 from typing import Optional, Sequence
 
 from engine.dataset import DOC_SCHEMA_JSON
+from engine.storage import atomic_replace
 
 
 def _input_fingerprint(paths: Sequence[str]) -> str:
@@ -42,36 +41,12 @@ def _manifest_dir(out_dir: str) -> str:
     return d
 
 
-@contextlib.contextmanager
-def _atomic_replace(path: str, mode: str = "w"):
-    """Yield a file whose contents replace ``path`` only once complete.
-
-    Writes go to a temp file in the same directory, which is flushed,
-    fsynced, then ``os.replace``d onto ``path``: a kill mid-write leaves
-    the old file (or none), never a torn one. Temp names start with ``.``
-    and end in ``.tmp``, so neither manifest globs nor parquet dataset
-    discovery read a leftover one.
-    """
-    d, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode) as f:
-            yield f
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
 def _commit_manifest(out_dir: str, name: str, record: dict) -> None:
     """Atomically write ``_manifest/<name>.json``, a commit point: a kill
     mid-write leaves no manifest (the unit re-runs), never truncated JSON
     that would crash :func:`completed_partitions` on resume."""
-    with _atomic_replace(os.path.join(_manifest_dir(out_dir),
-                                      f"{name}.json")) as f:
+    with atomic_replace(os.path.join(_manifest_dir(out_dir),
+                                     f"{name}.json")) as f:
         json.dump(record, f)
 
 
@@ -79,7 +54,7 @@ def _write_verdict(path: str, row: dict) -> None:
     """Atomically (re)write one partition's ``verdict.parquet``."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    with _atomic_replace(path, "wb") as f:
+    with atomic_replace(path, "wb") as f:
         pq.write_table(pa.Table.from_pylist([row]), f)
 
 
@@ -249,7 +224,7 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
                        baseline_exclude: Sequence[str],
                        summary: dict) -> None:
     import ray.data
-    from engine.drift import build_baseline, drift_check
+    from engine.drift import baseline_from, partition_sketches, score
     from engine.referential import check_references
     from engine.uniqueness import duplicate_keys
 
@@ -288,10 +263,12 @@ def _run_global_checks(corpus_dir: str, out_dir: str,
               lambda: check_references(ds, catalog, exact=True))
 
     def _drift():
-        # baseline built lazily INSIDE the step so a resumed run with the
-        # drift marker present never re-scans the corpus
-        baseline = build_baseline(ds, exclude_partitions=baseline_exclude)
-        return drift_check(ds, baseline)
+        # ONE corpus pass: the materialized partition sketches feed both
+        # the baseline (merge of the non-excluded partitions) and the
+        # per-partition scores. Built INSIDE the step, so a resumed run
+        # with the drift marker present never re-scans the corpus.
+        sketches = partition_sketches(ds).materialize()
+        return score(sketches, baseline_from(sketches, baseline_exclude))
 
     # the fold rewrites committed verdicts, so it runs before the drift
     # marker commits: a kill mid-fold leaves no marker and the resumed run

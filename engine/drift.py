@@ -1,11 +1,20 @@
 """Distribution drift: per-partition KS (numeric) / PSI (categorical) against
 a baseline sketch store.
 
-Baseline = merged t-digests (numeric) + value counts (categorical) from a
-reference corpus, built with the same partial+final pattern as stats. The
-per-partition check sketches each partition (partials inside ``map_batches``,
-merged per (partition, column) in a small groupby) and compares against the
-broadcast baseline — the corpus is never shuffled.
+The corpus is sketched ONCE. :func:`partition_sketches` runs
+``_DriftPartialBatch`` inside ``map_batches`` and merges the partials per
+(partition, column) in a small groupby — the corpus is never shuffled.
+The sketches are mergeable (t-digest / value counts), so the baseline is
+exactly the merge of the non-excluded partitions' sketches
+(:func:`baseline_from`, tree-reduced), and :func:`score` compares every
+partition sketch against that broadcast baseline. ``build_baseline`` and
+``drift_check`` compose these; the checkpoint job materializes the
+sketches once and feeds both.
+
+A sketch row is ``(partition_id, column, kind, tdigest, counts)``; its
+payload is a :class:`TDigest` (numeric) or a ``{value: count}`` dict
+(categorical). ``_decode_row`` / ``_encode_row`` are the one codec between
+the two, ``_merge_into`` the one merge and ``_verdict`` the one scorer.
 
 * KS distance: max |ECDF_part(x) - ECDF_base(x)| evaluated on the union of
   centroid locations of both digests.
@@ -15,12 +24,14 @@ broadcast baseline — the corpus is never shuffled.
 from __future__ import annotations
 
 import json
+import os
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 
 from engine.sketches import TDigest
+from engine.storage import atomic_replace
 
 NUMERIC_DEFAULT = ("spans.offset", "spans.__len")
 CATEGORICAL_DEFAULT = ("spans.kind",)
@@ -32,6 +43,66 @@ _PARTIAL_SCHEMA = pa.schema([
     ("tdigest", pa.binary()),
     ("counts", pa.string()),        # JSON {value: count}
 ])
+_VERDICT_SCHEMA = pa.schema([
+    ("partition_id", pa.string()), ("column", pa.string()),
+    ("metric", pa.string()), ("value", pa.float64()),
+    ("drifted", pa.bool_())])
+
+
+def _decode_row(row) -> TDigest | dict:
+    """Payload of a sketch row."""
+    if row["kind"] == "numeric":
+        return TDigest.from_bytes(bytes(row["tdigest"]))
+    return json.loads(row["counts"])
+
+
+def _encode_row(partition_id: str, column: str, kind: str, payload) -> dict:
+    """Sketch row of a payload (inverse of :func:`_decode_row`)."""
+    numeric = kind == "numeric"
+    return {"partition_id": partition_id, "column": column, "kind": kind,
+            "tdigest": payload.to_bytes() if numeric else b"",
+            "counts": "" if numeric else json.dumps(payload)}
+
+
+def _merge_into(store: dict, col: str, kind: str, payload) -> None:
+    """Merge one payload into a store ``{column: (kind, payload)}``."""
+    if col not in store:
+        store[col] = (kind, payload)
+    elif kind == "numeric":
+        store[col][1].merge(payload)
+    else:
+        cur = store[col][1]
+        for k, v in payload.items():
+            cur[k] = cur.get(k, 0) + v
+
+
+def _merge_rows(rows) -> dict:
+    """Store ``{column: (kind, payload)}`` merged from sketch rows."""
+    store: dict = {}
+    for r in rows:
+        _merge_into(store, r["column"], r["kind"], _decode_row(r))
+    return store
+
+
+def _sketch_table(partition_id: str, store: dict) -> pa.Table:
+    return pa.Table.from_pylist(
+        [_encode_row(partition_id, col, kind, payload)
+         for col, (kind, payload) in sorted(store.items())],
+        schema=_PARTIAL_SCHEMA)
+
+
+def _verdict(col: str, kind: str, payload, base: dict,
+             ks_threshold: float, psi_threshold: float):
+    """KS (numeric) / PSI (categorical) verdict of one sketch against the
+    baseline store; ``None`` when the baseline has no sketch of ``col``."""
+    entry = base.get(col)
+    if entry is None:
+        return None
+    if kind == "numeric":
+        metric, d, limit = "ks", ks_distance(payload, entry[1]), ks_threshold
+    else:
+        metric, d, limit = "psi", psi(payload, entry[1]), psi_threshold
+    return {"column": col, "metric": metric, "value": d, "drifted": d > limit}
 
 
 class _DriftPartialBatch:
@@ -78,120 +149,82 @@ class _DriftPartialBatch:
                 sel = vals[pvals == p]
                 if name in self.numeric:
                     sel = sel[~(sel == None)]  # noqa: E711
-                    td = TDigest().update(np.asarray(sel, dtype=np.float64))
-                    rows.append({"partition_id": str(p), "column": name,
-                                 "kind": "numeric", "tdigest": td.to_bytes(),
-                                 "counts": ""})
+                    kind, payload = "numeric", TDigest().update(
+                        np.asarray(sel, dtype=np.float64))
                 else:
                     u, c = np.unique(sel[sel != None], return_counts=True)  # noqa: E711
-                    rows.append({"partition_id": str(p), "column": name,
-                                 "kind": "categorical", "tdigest": b"",
-                                 "counts": json.dumps(
-                                     {str(k): int(v) for k, v in zip(u, c)})})
+                    kind, payload = "categorical", {
+                        str(k): int(v) for k, v in zip(u, c)}
+                rows.append(_encode_row(str(p), name, kind, payload))
         return pa.Table.from_pylist(rows, schema=_PARTIAL_SCHEMA)
 
 
-def _merge_partials(df):
-    """Merge partial rows of one (partition, column) group -> one row."""
-    import pandas as pd
+def _partials(ds, numeric, categorical, batch_size):
+    """Sketch rows of every (batch, partition, column) — the corpus pass."""
+    return ds.map_batches(
+        _DriftPartialBatch(numeric, categorical),
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
-    kind = df["kind"].iloc[0]
-    if kind == "numeric":
-        td = TDigest()
-        for b in df["tdigest"]:
-            if b:
-                td.merge(TDigest.from_bytes(bytes(b)))
-        blob, counts = td.to_bytes(), ""
-    else:
-        total: dict = {}
-        for s in df["counts"]:
-            if s:
-                for k, v in json.loads(s).items():
-                    total[k] = total.get(k, 0) + v
-        blob, counts = b"", json.dumps(total)
-    return pd.DataFrame([{
-        "partition_id": df["partition_id"].iloc[0],
-        "column": df["column"].iloc[0],
-        "kind": kind, "tdigest": blob, "counts": counts,
-    }])
+
+def partition_sketches(ds, *, numeric: Sequence[str] = NUMERIC_DEFAULT,
+                       categorical: Sequence[str] = CATEGORICAL_DEFAULT,
+                       batch_size: int = 8192):
+    """One sketch row per (partition, column), from one pass over ``ds``."""
+    def _merge_group(t: pa.Table) -> pa.Table:
+        rows = t.to_pylist()  # [] on the zero-column frame of an empty ds
+        return _sketch_table(rows[0]["partition_id"] if rows else "",
+                             _merge_rows(rows))
+
+    return _partials(ds, numeric, categorical, batch_size) \
+        .groupby(["partition_id", "column"]) \
+        .map_groups(_merge_group, batch_format="pyarrow")
+
+
+def baseline_from(sketches, exclude_partitions: Sequence[str] = ()) -> dict:
+    """Baseline store ``{column: (kind, payload)}``: the merge of the
+    partition sketches outside ``exclude_partitions``.
+
+    The rows are tree-reduced (engine/shuffle.py tree_reduce), so the
+    driver merges O(columns x cluster) rows, never one per partition;
+    merged rows carry the partition marker ''.
+    """
+    from engine.shuffle import tree_reduce
+
+    excl = set(exclude_partitions)
+
+    def _kept(rows) -> dict:
+        return _merge_rows(r for r in rows if r["partition_id"] not in excl)
+
+    final = tree_reduce(
+        sketches, lambda b: _sketch_table("", _kept(b.to_pylist())))
+    return _kept(final.iter_rows())
+
+
+def score(sketches, baseline: dict, *, ks_threshold: float = 0.15,
+          psi_threshold: float = 0.2):
+    """Per (partition, column) drift verdicts of partition sketches vs the
+    broadcast baseline."""
+    def _score(b: pa.Table) -> pa.Table:
+        out = []
+        for r in b.to_pylist():
+            v = _verdict(r["column"], r["kind"], _decode_row(r), baseline,
+                         ks_threshold, psi_threshold)
+            if v is not None:
+                out.append({"partition_id": r["partition_id"], **v})
+        return pa.Table.from_pylist(out, schema=_VERDICT_SCHEMA)
+
+    return sketches.map_batches(_score, batch_format="pyarrow")
 
 
 def build_baseline(ds, *, numeric: Sequence[str] = NUMERIC_DEFAULT,
                    categorical: Sequence[str] = CATEGORICAL_DEFAULT,
                    exclude_partitions: Sequence[str] = (),
                    batch_size: int = 8192) -> dict:
-    """Baseline sketch store {column: (kind, payload)} from a clean corpus.
-
-    Partial sketches are tree-reduced per column (engine/shuffle.py
-    tree_reduce) so the driver merges O(columns x cluster) rows, never one
-    sketch row per batch; excluded partitions are filtered before any
-    merging.
-    """
-    import pyarrow.compute as pc
-
-    from engine.shuffle import tree_reduce
-
-    partials = ds.map_batches(
-        _DriftPartialBatch(numeric, categorical),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    excl = set(exclude_partitions)
-    if excl:
-        excl_arr = pa.array(sorted(excl), pa.string())
-
-        def _drop_excluded(b: pa.Table) -> pa.Table:
-            keep = pc.invert(pc.is_in(b.column("partition_id"),
-                                      value_set=excl_arr))
-            return b.filter(keep)
-
-        partials = partials.map_batches(_drop_excluded,
-                                        batch_format="pyarrow")
-
-    def _merge_block(b: pa.Table) -> pa.Table:
-        """One merged row per (column, kind) present in the block; the
-        partition_id collapses to the merged marker '' (partition identity
-        is only meaningful pre-filter)."""
-        out = []
-        cols = b.column("column").to_pylist()
-        kinds = b.column("kind").to_pylist()
-        tds = b.column("tdigest").to_pylist()
-        cnts = b.column("counts").to_pylist()
-        acc: dict = {}
-        for col, kind, td, cn in zip(cols, kinds, tds, cnts):
-            if kind == "numeric":
-                cur = acc.setdefault((col, kind), TDigest())
-                if td:
-                    cur.merge(TDigest.from_bytes(bytes(td)))
-            else:
-                cur = acc.setdefault((col, kind), {})
-                if cn:
-                    for kk, vv in json.loads(cn).items():
-                        cur[kk] = cur.get(kk, 0) + vv
-        for (col, kind), payload in sorted(acc.items()):
-            out.append({
-                "partition_id": "", "column": col, "kind": kind,
-                "tdigest": payload.to_bytes() if kind == "numeric" else b"",
-                "counts": json.dumps(payload) if kind != "numeric" else "",
-            })
-        return pa.Table.from_pylist(out, schema=_PARTIAL_SCHEMA)
-
-    final = tree_reduce(partials, _merge_block)
-    baseline: dict = {}
-    for row in final.iter_rows():
-        col = row["column"]
-        if row["kind"] == "numeric":
-            td = TDigest.from_bytes(bytes(row["tdigest"]))
-            if col in baseline:
-                baseline[col][1].merge(td)
-            else:
-                baseline[col] = ("numeric", td)
-        else:
-            cnts = json.loads(row["counts"]) if row["counts"] else {}
-            if col in baseline:
-                for k, v in cnts.items():
-                    baseline[col][1][k] = baseline[col][1].get(k, 0) + v
-            else:
-                baseline[col] = ("categorical", dict(cnts))
-    return baseline
+    """Baseline sketch store {column: (kind, payload)} from a clean corpus
+    (excluded partitions are left out of the merge)."""
+    return baseline_from(partition_sketches(
+        ds, numeric=numeric, categorical=categorical,
+        batch_size=batch_size), exclude_partitions)
 
 
 def ks_distance(a: TDigest, b: TDigest) -> float:
@@ -218,39 +251,9 @@ def drift_check(ds, baseline: dict, *,
                 ks_threshold: float = 0.15, psi_threshold: float = 0.2,
                 batch_size: int = 8192):
     """Per (partition, column) drift verdicts vs the broadcast baseline."""
-    partials = ds.map_batches(
-        _DriftPartialBatch(numeric, categorical),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    merged = partials.groupby(["partition_id", "column"]).map_groups(
-        _merge_partials, batch_format="pandas")
-
-    base_ser = {k: (kind, td.to_bytes() if kind == "numeric" else td)
-                for k, (kind, td) in baseline.items()}
-
-    def _score(df):
-        import pandas as pd
-        out = []
-        for _, r in df.iterrows():
-            entry = base_ser.get(r["column"])
-            if entry is None:
-                continue
-            kind, payload = entry
-            if kind == "numeric":
-                d = ks_distance(TDigest.from_bytes(bytes(r["tdigest"])),
-                                TDigest.from_bytes(payload))
-                out.append({"partition_id": r["partition_id"],
-                            "column": r["column"], "metric": "ks",
-                            "value": d, "drifted": d > ks_threshold})
-            else:
-                cnts = json.loads(r["counts"]) if r["counts"] else {}
-                d = psi(cnts, payload)
-                out.append({"partition_id": r["partition_id"],
-                            "column": r["column"], "metric": "psi",
-                            "value": d, "drifted": d > psi_threshold})
-        return pd.DataFrame(out, columns=["partition_id", "column", "metric",
-                                          "value", "drifted"])
-
-    return merged.map_batches(_score, batch_format="pandas")
+    return score(partition_sketches(
+        ds, numeric=numeric, categorical=categorical, batch_size=batch_size),
+        baseline, ks_threshold=ks_threshold, psi_threshold=psi_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +262,16 @@ def drift_check(ds, baseline: dict, *,
 
 def save_baseline(baseline: dict, path: str) -> None:
     """Serialize a baseline sketch store to one parquet file (atomic
-    rename commit, same discipline as engine/streaming.py state)."""
-    import os
-
+    commit: engine/storage.py ``atomic_replace``)."""
     import pyarrow.parquet as pq
-    rows = []
-    for col, (kind, payload) in sorted(baseline.items()):
-        rows.append({
-            "column": col, "kind": kind,
-            "tdigest": payload.to_bytes() if kind == "numeric" else b"",
-            "counts": json.dumps(payload) if kind == "categorical" else "",
-        })
-    tbl = pa.Table.from_pylist(rows, schema=pa.schema([
-        ("column", pa.string()), ("kind", pa.string()),
-        ("tdigest", pa.binary()), ("counts", pa.string())]))
-    tmp = path + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    with atomic_replace(path, "wb") as f:
+        pq.write_table(
+            _sketch_table("", baseline).drop_columns(["partition_id"]), f)
 
 
 def load_baseline(path: str) -> dict:
     import pyarrow.parquet as pq
-    tbl = pq.read_table(path)
-    out: dict = {}
-    for row in tbl.to_pylist():
-        if row["kind"] == "numeric":
-            out[row["column"]] = ("numeric",
-                                  TDigest.from_bytes(bytes(row["tdigest"])))
-        else:
-            out[row["column"]] = ("categorical",
-                                  json.loads(row["counts"] or "{}"))
-    return out
+    return _merge_rows(pq.read_table(path).to_pylist())
 
 
 def drift_micro_batch(ds, state_dir: str, *,
@@ -311,87 +293,36 @@ def drift_micro_batch(ds, state_dir: str, *,
       without ever re-reading history — the streaming analog of
       ``build_baseline``. State commits are atomic renames.
     """
-    import os
-
     bpath = os.path.join(state_dir, "drift_baseline.parquet")
     mpath = os.path.join(state_dir, "drift_meta.json")
     os.makedirs(state_dir, exist_ok=True)
 
     # one-partition sketch of this micro-batch (distributed partial pass)
-    partials = ds.map_batches(
-        _DriftPartialBatch(numeric, categorical),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    batch_sketch: dict = {}
-    for row in partials.iter_rows():
-        col = row["column"]
-        if row["kind"] == "numeric":
-            td = TDigest.from_bytes(bytes(row["tdigest"]))
-            if col in batch_sketch:
-                batch_sketch[col][1].merge(td)
-            else:
-                batch_sketch[col] = ("numeric", td)
-        else:
-            cnts = json.loads(row["counts"]) if row["counts"] else {}
-            if col in batch_sketch:
-                for k, v in cnts.items():
-                    batch_sketch[col][1][k] = \
-                        batch_sketch[col][1].get(k, 0) + v
-            else:
-                batch_sketch[col] = ("categorical", dict(cnts))
+    batch_sketch = _merge_rows(
+        _partials(ds, numeric, categorical, batch_size).iter_rows())
+    meta = {"version": 0, "drifted_batches": 0}
+    if os.path.exists(mpath):
+        with open(mpath) as f:
+            meta = json.load(f)
 
-    meta = json.load(open(mpath)) if os.path.exists(mpath) else \
-        {"version": 0, "drifted_batches": 0}
+    seeded = not os.path.exists(bpath)  # an empty baseline scores nothing
+    baseline = {} if seeded else load_baseline(bpath)
+    rows = [_verdict(col, kind, payload, baseline, ks_threshold,
+                     psi_threshold)
+            for col, (kind, payload) in sorted(batch_sketch.items())]
+    rows = [r for r in rows if r is not None]
+    n_drifted = sum(r["drifted"] for r in rows)
 
-    if not os.path.exists(bpath):  # seed
-        save_baseline(batch_sketch, bpath)
-        meta["version"] += 1
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(meta, f)
-        os.replace(mpath + ".tmp", mpath)
-        empty = pa.table({
-            "column": pa.array([], pa.string()),
-            "metric": pa.array([], pa.string()),
-            "value": pa.array([], pa.float64()),
-            "drifted": pa.array([], pa.bool_())})
-        return empty, {"seeded": True, "version": meta["version"],
-                       "drifted_columns": 0}
-
-    baseline = load_baseline(bpath)
-    rows = []
-    for col, (kind, payload) in sorted(batch_sketch.items()):
-        entry = baseline.get(col)
-        if entry is None:
-            continue
-        if kind == "numeric":
-            d = ks_distance(payload, entry[1])
-            rows.append({"column": col, "metric": "ks", "value": d,
-                        "drifted": d > ks_threshold})
-        else:
-            d = psi(payload, entry[1])
-            rows.append({"column": col, "metric": "psi", "value": d,
-                        "drifted": d > psi_threshold})
-    verdicts = pa.Table.from_pylist(rows, schema=pa.schema([
-        ("column", pa.string()), ("metric", pa.string()),
-        ("value", pa.float64()), ("drifted", pa.bool_())]))
-    n_drifted = sum(1 for r in rows if r["drifted"])
-
-    if update_baseline == "always" or (
+    if seeded or update_baseline == "always" or (
             update_baseline == "if_clean" and n_drifted == 0):
         for col, (kind, payload) in batch_sketch.items():
-            entry = baseline.get(col)
-            if entry is None:
-                baseline[col] = (kind, payload)
-            elif kind == "numeric":
-                entry[1].merge(payload)
-            else:
-                for k, v in payload.items():
-                    entry[1][k] = entry[1].get(k, 0) + v
+            _merge_into(baseline, col, kind, payload)
         save_baseline(baseline, bpath)
 
     meta["version"] += 1
     meta["drifted_batches"] += int(n_drifted > 0)
-    with open(mpath + ".tmp", "w") as f:
+    with atomic_replace(mpath) as f:
         json.dump(meta, f)
-    os.replace(mpath + ".tmp", mpath)
-    return verdicts, {"seeded": False, "version": meta["version"],
+    verdicts = pa.Table.from_pylist(rows, schema=_VERDICT_SCHEMA.remove(0))
+    return verdicts, {"seeded": seeded, "version": meta["version"],
                       "drifted_columns": n_drifted}

@@ -8,12 +8,44 @@ resumability contract, so every pipeline in this repo is written against
 availability (or explicitly via ``format=``). This container has no ``lance``
 module — the Lance path is importable-optional and exercised only for its
 graceful fallback here.
+
+:func:`atomic_replace` is the one durable commit for single-file state
+(checkpoint manifests and verdicts, drift baseline and meta, streaming
+meta and Bloom); directory artifacts use ``streaming._replace_artifact``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import os
+import tempfile
 from typing import Optional
+
+
+@contextlib.contextmanager
+def atomic_replace(path: str, mode: str = "w"):
+    """Yield a file whose contents replace ``path`` only once complete.
+
+    Writes go to a temp file in the same directory, which is flushed,
+    fsynced, then ``os.replace``d onto ``path``: a kill mid-write leaves
+    the old file (or none), never a torn one, and a failed write removes
+    its temp file. Temp names start with ``.`` and end in ``.tmp``, so
+    neither manifest globs nor parquet dataset discovery read a leftover
+    one.
+    """
+    d, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def lance_available() -> bool:

@@ -46,6 +46,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from engine.storage import atomic_replace
+
 
 def _parse_duration_s(v) -> int:
     if isinstance(v, (int, float)):
@@ -83,9 +85,9 @@ class WindowState:
     The open-window artifact is a versioned parquet file or directory
     (directories are written distributedly by ``Dataset.write_parquet``);
     ``meta.json`` names the live artifact and carries watermark_us,
-    version, totals. Meta writes go to a temp file then rename — the
-    rename is the commit point (same idempotent-overwrite discipline as
-    engine/checkpoint.py)."""
+    version, totals. Meta writes commit through
+    ``engine.storage.atomic_replace`` (temp file, fsync, rename) — the
+    rename is the commit point, as for engine/checkpoint.py manifests."""
 
     def __init__(self, state_dir: str):
         self.state_dir = state_dir
@@ -96,7 +98,8 @@ class WindowState:
 
     def load_meta(self) -> dict:
         if os.path.exists(self.meta_path):
-            return json.load(open(self.meta_path))
+            with open(self.meta_path) as f:
+                return json.load(f)
         return {"watermark_us": None, "version": 0, "late_events": 0,
                 "closed_windows": 0}
 
@@ -112,10 +115,8 @@ class WindowState:
         return pq.read_table(p) if p else None
 
     def commit_meta(self, meta: dict) -> None:
-        tmp = self.meta_path + ".tmp"
-        with open(tmp, "w") as f:
+        with atomic_replace(self.meta_path) as f:
             json.dump(meta, f)
-        os.replace(tmp, self.meta_path)
 
     def commit(self, meta: dict, open_tbl: pa.Table) -> None:
         """Driver-side commit of a SMALL (or empty) open table — used by
@@ -422,17 +423,13 @@ class DedupState:
         written dir or typed-empty file)."""
         v = meta["version"] + 1
         bname = f"bloom_v{v}.npz"
-        tmpb = os.path.join(self.dir, bname + ".tmp")
-        with open(tmpb, "wb") as f:
+        with atomic_replace(os.path.join(self.dir, bname), "wb") as f:
             np.savez(f, n_bits=bloom.n_bits, k=bloom.k, words=bloom.words)
-        _replace_artifact(tmpb, os.path.join(self.dir, bname))
         meta = dict(meta, version=v, bloom=bname,
                     n_hashes=meta["n_hashes"] + n_new,
                     last_batch_id=batch_id, last_batch_kept=n_new)
-        tmp = self.meta_path + ".tmp"
-        with open(tmp, "w") as f:
+        with atomic_replace(self.meta_path) as f:
             json.dump(meta, f)
-        os.replace(tmp, self.meta_path)
 
 
 def stream_dedup_micro_batch(docs_ds, state_dir: str, *,

@@ -60,56 +60,35 @@ def duplicate_keys(ds, key: str = "doc_id", *, salt_buckets: int = 16,
                    batch_size: int = 65536, concurrency=None):
     """Keys occurring more than once: Dataset of (key, dup_count).
 
-    Both groupby phases use two-level grouping (the engine/dedup.py
-    pattern): rows hash to P coarse partitions — phase 1 by (key, salt),
-    so a hot key's salt lanes spread over DIFFERENT partitions (the
-    explicit skew split); phase 2 by key — and ONE vectorized pandas
-    aggregation runs per partition instead of Ray's per-group reduce
-    (measured 2.5x on 600k lineitem keys: 9.0s -> 3.6s end-to-end).
+    Both phases run on ``shuffle.by_key`` (rows hash to P coarse
+    partitions, ONE vectorized pandas aggregation per partition instead of
+    Ray's per-group reduce — measured 2.5x on 600k lineitem keys). Phase 1
+    partitions on the ``(key, salt)`` lane hash, so a hot key's salt lanes
+    spread over DIFFERENT partitions (the explicit skew split); phase 2
+    partitions on ``key``.
     """
     import pandas as pd
 
-    from engine.shuffle import reduce_blocks
-    from engine.sketches import _splitmix
+    from engine.shuffle import by_key
 
-    P = reduce_blocks()
     partials = ds.map_batches(
         _KeyCountBatch(key, salt_buckets, hot_threshold),
         batch_format="pyarrow",
         zero_copy_batch=True, batch_size=batch_size, concurrency=concurrency)
 
-    def _part_a(b: pa.Table) -> pa.Table:
-        keys = b.column("key").to_numpy(zero_copy_only=False)
-        salt = b.column("salt").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = _splitmix(hash64(keys, 3) ^ salt.astype(np.uint64), 5)
-        return b.append_column(
-            "part", pa.array((h % np.uint64(P)).astype(np.int64)))
+    def _lane(df):
+        return df.assign(lane=hash64(df["key"].to_numpy(), 3)
+                         ^ df["salt"].to_numpy().astype(np.uint64))
 
-    def _sum_a(df):
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame({"key": [], "salt": [], "partial": []})
-        return df.groupby(["key", "salt"],
-                          as_index=False)["partial"].sum()
+    def _sum_lanes(df):
+        return df.groupby(["key", "salt"], as_index=False)["partial"].sum()
 
-    salted = partials.map_batches(_part_a, batch_format="pyarrow") \
-        .groupby("part").map_groups(_sum_a, batch_format="pandas")
-
-    def _part_b(df):
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame({"key": [], "partial": [], "part2": []})
-        with np.errstate(over="ignore"):
-            h = hash64(df["key"].to_numpy(), 9)
-        out = df[["key", "partial"]].copy()
-        out["part2"] = (h % np.uint64(P)).astype(np.int64)
-        return out
-
-    def _sum_b(df):
-        if "key" not in df.columns or not len(df):
-            return pd.DataFrame({"key": [], "dup_count": []})
+    def _dups(df):
         g = df.groupby("key", as_index=False)["partial"].sum()
-        g = g[g["partial"] > 1]
-        return g.rename(columns={"partial": "dup_count"})
+        return g[g["partial"] > 1].rename(columns={"partial": "dup_count"})
 
-    return salted.map_batches(_part_b, batch_format="pandas") \
-        .groupby("part2").map_groups(_sum_b, batch_format="pandas")
+    salted = by_key(partials, "lane", _sum_lanes, prep=_lane,
+                    empty=pd.DataFrame({"key": [], "salt": [],
+                                        "partial": []}))
+    return by_key(salted, "key", _dups,
+                  empty=pd.DataFrame({"key": [], "dup_count": []}))

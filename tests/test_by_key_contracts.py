@@ -158,6 +158,8 @@ CASES = {
                                     "minhash_near_duplicates", docs),
     "simhash_near_duplicates": _mod("engine.dedup",
                                     "simhash_near_duplicates", docs),
+    "duplicate_keys": _mod("engine.uniqueness", "duplicate_keys", docs,
+                           key="doc_id"),
 }
 
 # name -> {kind: (rows, "column:type ..." or None when schemaless)}.
@@ -196,6 +198,9 @@ EXPECTED = {
     "delta_from_first": {
         "empty": (0, None),
         "null": (3, "event_id:int64 delta_from_first:double")},
+    "duplicate_keys": {
+        "empty": (0, None),
+        "null": (0, None)},
     "event_transition_matrix": {
         "empty": (0, "from_type:string to_type:string n:int64"),
         "null": (0, "from_type:string to_type:string n:int64")},

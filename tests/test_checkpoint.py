@@ -130,15 +130,31 @@ def test_cli_validate_doc(tmp_path):
 
 
 def test_drift_folds_into_verdicts(corpus, ray_session, tmp_path):
+    import pyarrow.parquet as pq
+    import ray.data
     from engine.checkpoint import run_validation_job
+    from engine.drift import build_baseline, drift_check
     _, corpus_dir = corpus
     out = str(tmp_path / "jobd")
     run_validation_job(corpus_dir, out, baseline_exclude=["p0003"])
-    import pyarrow.parquet as pq
     v = pq.read_table(os.path.join(out, "verdicts")).to_pandas()
     drifted = v[v["checks_failed"].map(lambda c: "drift" in list(c))]
     assert "p0003" in set(drifted["partition_id"].astype(str))
     assert not drifted["pass"].any()
+
+    # the job's one-pass drift step gives the rows of the public API
+    ds = ray.data.read_parquet(corpus_dir)
+    api = drift_check(ds, build_baseline(ds, exclude_partitions=["p0003"]))
+
+    def _flags_and_psi(df):
+        df = df.astype({"partition_id": str}).sort_values(
+            ["partition_id", "column"])
+        return (df[["partition_id", "column", "metric",
+                    "drifted"]].values.tolist(),
+                df.loc[df["metric"] == "psi", "value"].tolist())
+
+    job = pq.read_table(os.path.join(out, "checks", "drift")).to_pandas()
+    assert _flags_and_psi(job) == _flags_and_psi(api.to_pandas())
 
 
 def test_killed_drift_fold_redone_on_resume(corpus, ray_session, tmp_path,

@@ -198,7 +198,9 @@ class TestTreeReduce:
         from engine.drift import build_baseline
 
         rng = np.random.default_rng(5)
-        rows = [{"partition_id": f"p{i % 4}",
+        # 100 partitions x 2 columns = 200 partition sketch rows >
+        # driver_limit (64): at least one distributed merge round runs
+        rows = [{"partition_id": f"p{i % 100}",
                  "n_chars": float(rng.normal(100, 10)),
                  "lang": ["en", "de", "fr"][i % 3]} for i in range(2000)]
         base = build_baseline(ray.data.from_items(rows),

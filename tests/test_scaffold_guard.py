@@ -3,7 +3,7 @@
 Keyed operators call :func:`engine.shuffle.by_key`, which owns the
 ``hash64(key) % P`` partition column, the ``groupby("part")`` shuffle and
 the NULL-key / typed-empty contracts. A hand-copied scaffold anywhere
-else in ``engine/`` fails this test. Two functions are exempt, by name.
+else in ``engine/`` fails this test. One function is exempt, by name.
 """
 
 import ast
@@ -14,8 +14,6 @@ ENGINE = pathlib.Path(__file__).resolve().parents[1] / "engine"
 SCAFFOLD = re.compile(r"""groupby\(\s*["']part["']\s*\)"""
                       r"|np\.uint64\(\s*P\s*\)")
 EXEMPT = {
-    # salted two-phase hash for hot keys (phase 2 regroups by key)
-    ("uniqueness.py", "duplicate_keys"),
     # the only pyarrow-format group stage: keeps the key dtype intact
     ("relational.py", "_distinct_keys"),
 }

@@ -197,6 +197,38 @@ class TestIncrementalDrift:
         assert final["n_chars"][1].total > base_n
 
 
+    def test_failed_meta_write_keeps_old_meta(self, ray_session, tmp_path,
+                                              monkeypatch):
+        """A meta write that dies mid-``json.dump`` leaves the committed
+        ``drift_meta.json`` readable and no temp file behind."""
+        import glob
+        import json
+        import os
+        from engine.drift import drift_micro_batch
+        sd = str(tmp_path / "drift")
+        kw = dict(numeric=("n_chars",), categorical=("lang",))
+        drift_micro_batch(self._docs(seed=1), sd, **kw)
+        dump = json.dump
+
+        def _torn(obj, f, *a, **k):
+            if isinstance(obj, dict) and "drifted_batches" in obj:
+                monkeypatch.setattr(json, "dump", dump)  # raise once
+                f.write('{"version": ')
+                raise OSError("disk full")
+            return dump(obj, f, *a, **k)
+
+        monkeypatch.setattr(json, "dump", _torn)
+        with pytest.raises(OSError, match="disk full"):
+            drift_micro_batch(self._docs(seed=2), sd, **kw)
+        with open(os.path.join(sd, "drift_meta.json")) as f:
+            assert json.load(f) == {"version": 1, "drifted_batches": 0}
+        assert not glob.glob(os.path.join(sd, "*.tmp")) + \
+            glob.glob(os.path.join(sd, ".*.tmp"))
+        # the next micro-batch commits on top of the old meta
+        _, s = drift_micro_batch(self._docs(seed=3), sd, **kw)
+        assert s["version"] == 2
+
+
 def test_cli_drift_batch(tmp_path):
     import json as _json
     import subprocess

@@ -270,9 +270,9 @@ def resolve_duplicates(docs, pairs, *, key_col: str = "doc_id",
 
         return docs.map_batches(_Keep(keys_ref), batch_format="pyarrow")
 
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs
     return docs.join(losers, join_type="left_anti",
-                     num_partitions=join_partitions(),
+                     **join_kwargs(),
                      on=(key_col,), right_on=("node",))
 
 

@@ -17,8 +17,7 @@ import pyarrow as pa
 
 from engine import errors as E
 from engine.compile import compile_plan
-from engine.kernels import (FailCounts, _root_ctx, eval_emit,
-                            validate_batch)
+from engine.kernels import FailCounts, _root_ctx, batch_records, eval_emit
 from engine.pointer import encode_pointer
 from engine.schema import parse_schema
 
@@ -70,7 +69,11 @@ class ValidateBatch:
     Output: one violations row per error — ``(partition_id?, <key>, error_seq,
     error_kind, instance_path, message, context, <carry columns>)`` — where
     the carried ``spans`` column preserves the source span sequence exactly
-    (the BASELINE.json per-row invariant).
+    (the BASELINE.json per-row invariant). The error columns come straight
+    from the columnar record sink (``kernels.batch_records``): one sort per
+    batch, pointers, context JSON and (``with_message`` only) messages
+    rendered per keyword check, never one Python dict per error. The
+    ``message`` column is omitted when ``with_message`` is False.
     """
 
     def __init__(self, schema_json: str = DOC_SCHEMA_JSON, *,
@@ -90,28 +93,14 @@ class ValidateBatch:
         if inst_cols is None:
             inst_cols = [c for c in batch.column_names
                          if c not in _META_COLUMNS]
-        inst = batch.select(list(inst_cols))
-        errs = validate_batch(self.plan, inst)
-
-        rows = np.array([r for r, _, _ in errs], dtype=np.int64)
-        take = pa.array(rows)
+        out = batch_records(self.plan, batch.select(list(inst_cols)),
+                            self.with_message)
+        take = pa.array(out.pop("row"))
         cols: dict = {}
         if "partition_id" in batch.column_names:
             cols["partition_id"] = batch.column("partition_id").take(take)
         cols[self.key_column] = batch.column(self.key_column).take(take)
-        cols["error_seq"] = pa.array(
-            np.array([s for _, s, _ in errs], dtype=np.int32))
-        cols["error_kind"] = pa.array([e["kind"] for _, _, e in errs],
-                                      pa.string())
-        cols["instance_path"] = pa.array(
-            [encode_pointer(e["path"]) for _, _, e in errs], pa.string())
-        if self.with_message:
-            cols["message"] = pa.array(
-                [E.render_message(e) for _, _, e in errs], pa.string())
-        cols["context"] = pa.array(
-            [json.dumps({k: v for k, v in e.items()
-                         if k not in ("kind", "path")}, default=str)
-             for _, _, e in errs], pa.string())
+        cols.update(out)
         for c in self.carry_columns:
             if c in batch.column_names and c != self.key_column:
                 cols[c] = batch.column(c).take(take)

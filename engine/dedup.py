@@ -368,7 +368,7 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     import pyarrow.compute as pc
     import ray
 
-    from engine.shuffle import balance, join_partitions
+    from engine.shuffle import balance, join_kwargs
 
     keyed = banded.map_batches(_add_bkey(cols), batch_format="pyarrow")
     # size-gated pin (broadcast-vs-shuffle-join style selection): when the
@@ -407,7 +407,7 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     n_hot = hot.count()
     if n_hot > broadcast_limit:
         return keyed.join(hot, join_type="inner",
-                          num_partitions=join_partitions(), on=("bkey",))
+                          **join_kwargs(), on=("bkey",))
 
     ids = np.sort(hot.to_pandas()["bkey"].to_numpy()) if n_hot \
         else np.zeros(0, dtype=np.int64)
@@ -478,7 +478,7 @@ def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
     sets."""
     import ray
 
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs, join_partitions
 
     payload_schema0 = payload.schema().base_schema
     kt0 = payload_schema0.field("key").type
@@ -547,12 +547,12 @@ def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
         _norm([("key_a", kt), ("key_b", kt)]), batch_format="pyarrow")
     mid_fields = [("key_a", kt), ("key_b", kt), (f"{col}_a", vt)]
     out = pairs_norm.join(
-        pa_side, join_type="inner", num_partitions=n,
+        pa_side, join_type="inner", **join_kwargs(num_partitions=n),
         on=("key_a",)).map_batches(_norm(mid_fields),
                                    batch_format="pyarrow")
     final_fields = mid_fields + [(f"{col}_b", vt)]
     return out.join(
-        pb_side, join_type="inner", num_partitions=n,
+        pb_side, join_type="inner", **join_kwargs(num_partitions=n),
         on=("key_b",)).map_batches(_norm(final_fields),
                                    batch_format="pyarrow")
 

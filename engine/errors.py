@@ -18,7 +18,10 @@ plus helpers that reproduce the reference's display-string semantics:
 
 from __future__ import annotations
 
+import json
+import string
 from decimal import Decimal
+from functools import lru_cache
 from typing import Any
 
 from engine.pointer import display_root_or_path
@@ -103,28 +106,9 @@ def ryu_float(x: float) -> str:
     return r
 
 
-def _escape_json_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\b":
-            out.append("\\b")
-        elif ch == "\f":
-            out.append("\\f")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+#: == ``json.dumps(s, ensure_ascii=False)`` for a str, without building an
+#: encoder per call
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def canonical_json(v: Any) -> str:
@@ -139,13 +123,13 @@ def canonical_json(v: Any) -> str:
     if isinstance(v, float):
         return ryu_float(v)
     if isinstance(v, str):
-        return '"' + _escape_json_string(v) + '"'
+        return _json_str(v)
     if isinstance(v, list):
         return "[" + ",".join(canonical_json(x) for x in v) + "]"
     if isinstance(v, dict):
         items = sorted(v.items(), key=lambda kv: kv[0])
         return "{" + ",".join(
-            '"' + _escape_json_string(k) + '":' + canonical_json(val)
+            _json_str(k) + ":" + canonical_json(val)
             for k, val in items
         ) + "}"
     raise TypeError(f"not a JSON value: {type(v)!r}")
@@ -173,67 +157,68 @@ def json_equal(a: Any, b: Any) -> bool:
     return False
 
 
+#: One-line Display text per kind, after ``"<location>: "`` (``error.rs:241-398``).
+#: A ``{field}`` slot shows that context field; ``:f64`` renders it as a Rust
+#: f64 and ``:list`` joins its items with ``", "``.
+MESSAGES = {
+    INVALID_REF: 'could not resolve $ref "{ref_str}": {reason}',
+    EXPECTED_OBJECT: "expected object, got {got}",
+    EXPECTED_STRING: "expected string, got {got}",
+    EXPECTED_INTEGER: "expected integer, got {got}",
+    EXPECTED_NUMBER: "expected number, got {got}",
+    EXPECTED_ARRAY: "expected array, got {got}",
+    EXPECTED_BOOLEAN: "expected boolean, got {got}",
+    DUPLICATE_ARRAY_ITEMS: "array has duplicate items (value: {duplicate_value})",
+    TOO_FEW_ITEMS: "array has {actual_count} item(s), minimum is {min_items}",
+    TOO_MANY_ITEMS: "array has {actual_count} item(s), maximum is {max_items}",
+    MISSING_REQUIRED: 'missing required property "{property}"',
+    DISALLOWED_ADDITIONAL_PROPERTY: 'additional property "{property}" not allowed',
+    NOT_IN_ENUM: "value {invalid_value} not in enum (allowed: {allowed:list})",
+    NOT_CONST: "value {actual} does not match const (expected: {expected})",
+    BELOW_MINIMUM: "value {actual:f64} is below minimum {minimum:f64}",
+    ABOVE_MAXIMUM: "value {actual:f64} is above maximum {maximum:f64}",
+    TOO_SHORT: "string has {actual_length} code points, minLength is {min_length}",
+    TOO_LONG: "string has {actual_length} code points, maxLength is {max_length}",
+    PATTERN_MISMATCH: 'string "{value}" does not match pattern "{pattern}"',
+    INVALID_PATTERN_IN_SCHEMA: 'schema has invalid pattern "{pattern}"',
+    INVALID_UUID_FORMAT: 'string "{value}" is not a valid UUID',
+    NO_SUBSCHEMA_MATCHED:
+        "instance does not match any of the {subschema_count} subschema(s)",
+    MULTIPLE_SUBSCHEMAS_MATCHED:
+        "instance matches {match_count} of the {subschema_count} oneOf "
+        "subschema(s), exactly one required",
+}
+#: registry-registered checks (engine/registry.py) carry their own text
+CUSTOM_MESSAGE = "{custom_message}"
+
+
+@lru_cache(maxsize=None)
+def _pieces(template: str) -> tuple:
+    return tuple((lit, field, spec) for lit, field, spec, _
+                 in string.Formatter().parse(template))
+
+
+def message_template(kind: str, fields) -> tuple:
+    """``(literal, field | None, spec)`` pieces of the message of an error
+    of ``kind`` whose context has the keys ``fields``."""
+    if "custom_message" in fields:
+        return _pieces(CUSTOM_MESSAGE)
+    if kind not in MESSAGES:
+        raise ValueError(f"unknown error kind {kind!r}")
+    return _pieces(MESSAGES[kind])
+
+
+def display(v: Any, spec: str = "") -> str:
+    """Display form of one context field inside a message."""
+    if spec == "f64":
+        return rust_f64(v)
+    if spec == "list":
+        return ", ".join(v)
+    return f"{v}"
+
+
 def render_message(err: dict) -> str:
     """One-line Display string for an error dict (``error.rs:241-398``)."""
-    location = display_root_or_path(err["path"])
-    k = err["kind"]
-    if "custom_message" in err:  # registry-registered check (engine/registry.py)
-        return f"{location}: {err['custom_message']}"
-    if k == INVALID_REF:
-        return f'{location}: could not resolve $ref "{err["ref_str"]}": {err["reason"]}'
-    if k == EXPECTED_OBJECT:
-        return f"{location}: expected object, got {err['got']}"
-    if k == EXPECTED_STRING:
-        return f"{location}: expected string, got {err['got']}"
-    if k == EXPECTED_INTEGER:
-        return f"{location}: expected integer, got {err['got']}"
-    if k == EXPECTED_NUMBER:
-        return f"{location}: expected number, got {err['got']}"
-    if k == EXPECTED_ARRAY:
-        return f"{location}: expected array, got {err['got']}"
-    if k == EXPECTED_BOOLEAN:
-        return f"{location}: expected boolean, got {err['got']}"
-    if k == DUPLICATE_ARRAY_ITEMS:
-        return f"{location}: array has duplicate items (value: {err['duplicate_value']})"
-    if k == TOO_FEW_ITEMS:
-        return (f"{location}: array has {err['actual_count']} item(s), "
-                f"minimum is {err['min_items']}")
-    if k == TOO_MANY_ITEMS:
-        return (f"{location}: array has {err['actual_count']} item(s), "
-                f"maximum is {err['max_items']}")
-    if k == MISSING_REQUIRED:
-        return f'{location}: missing required property "{err["property"]}"'
-    if k == DISALLOWED_ADDITIONAL_PROPERTY:
-        return f'{location}: additional property "{err["property"]}" not allowed'
-    if k == NOT_IN_ENUM:
-        allowed = ", ".join(err["allowed"])
-        return f"{location}: value {err['invalid_value']} not in enum (allowed: {allowed})"
-    if k == NOT_CONST:
-        return (f"{location}: value {err['actual']} does not match const "
-                f"(expected: {err['expected']})")
-    if k == BELOW_MINIMUM:
-        return (f"{location}: value {rust_f64(err['actual'])} is below minimum "
-                f"{rust_f64(err['minimum'])}")
-    if k == ABOVE_MAXIMUM:
-        return (f"{location}: value {rust_f64(err['actual'])} is above maximum "
-                f"{rust_f64(err['maximum'])}")
-    if k == TOO_SHORT:
-        return (f"{location}: string has {err['actual_length']} code points, "
-                f"minLength is {err['min_length']}")
-    if k == TOO_LONG:
-        return (f"{location}: string has {err['actual_length']} code points, "
-                f"maxLength is {err['max_length']}")
-    if k == PATTERN_MISMATCH:
-        return (f'{location}: string "{err["value"]}" does not match pattern '
-                f'"{err["pattern"]}"')
-    if k == INVALID_PATTERN_IN_SCHEMA:
-        return f'{location}: schema has invalid pattern "{err["pattern"]}"'
-    if k == INVALID_UUID_FORMAT:
-        return f'{location}: string "{err["value"]}" is not a valid UUID'
-    if k == NO_SUBSCHEMA_MATCHED:
-        return (f"{location}: instance does not match any of the "
-                f"{err['subschema_count']} subschema(s)")
-    if k == MULTIPLE_SUBSCHEMAS_MATCHED:
-        return (f"{location}: instance matches {err['match_count']} of the "
-                f"{err['subschema_count']} oneOf subschema(s), exactly one required")
-    raise ValueError(f"unknown error kind {k!r}")
+    return display_root_or_path(err["path"]) + ": " + "".join(
+        lit + ("" if field is None else display(err[field], spec))
+        for lit, field, spec in message_template(err["kind"], err))

@@ -24,18 +24,27 @@ JSON <-> Arrow mapping (documented contract, used identically by
   float-kind numbers (so ``type: "integer"`` fails a float64 column — the
   reference's ``1.0`` semantics, ``validator/mod.rs:291-297``).
 
-One plan walker, :func:`eval_emit`, hands every failing-slot mask to a sink:
+One plan walker, :func:`eval_emit`, hands every keyword check's failing-slot
+mask to a sink with ``emit(ctx, ordinal, fail, kind, const_ctx, ctx_fn,
+extra_seg)``. There are two sinks:
 
-* :class:`Emitter` builds the sparse error records (the violations rows);
+* :class:`Records`, the columnar error records (the violations rows). Each
+  ``emit`` appends one group of arrays: the failing slots' batch rows, their
+  rank columns, path segments (names, index arrays) and context columns.
+  ``ctx_fn`` takes the index array of every failing slot and returns
+  ``{key: column}``. ``build`` sorts all records with one ``np.lexsort``
+  over (batch row, rank), numbers them per document, and renders pointers,
+  context JSON and (on request) messages once per group, never one Python
+  dict per error. :func:`validate_batch` is the record-dict view of it.
 * :class:`FailCounts` only counts failures per batch row. It backs
   :func:`eval_valid`, the anyOf/oneOf branch check whose sub-errors the
   reference discards (``validator/mod.rs:109-163``), and per-row verdicts.
-  It never calls the per-slot context callbacks, so each keyword builds its
-  context lazily inside its callback and the count path stays vectorized.
+  It never calls ``ctx_fn``, so no error context is materialized.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -44,6 +53,7 @@ import pyarrow.compute as pc
 
 from engine import errors as E
 from engine.compile import Plan
+from engine.pointer import encode_segment, parse_pointer
 from engine.schema import AP_FORBID, UNSET
 
 I64_MAX = 2**63 - 1
@@ -109,7 +119,7 @@ def _valid_mask(val: pa.Array) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation context + emitter
+# Evaluation context + sinks
 
 
 class Ctx:
@@ -131,51 +141,72 @@ class Ctx:
                    self.segs + (("lit", lit),), self.rank + (child_ord,))
 
 
-class Emitter:
-    """Collects sparse error records; ``build`` assembles the violations
-    columns sorted per-document by rank (== reference emission order)."""
+class Records:
+    """Columnar error-record sink. ``emit`` appends one group of arrays per
+    keyword check (failing batch rows, rank columns, path segments, context
+    columns); ``build`` sorts every record per document by rank (==
+    reference emission order) and renders the output columns per group."""
 
     def __init__(self):
-        self.rows: list[tuple[int, tuple, dict]] = []
+        self.groups: list[tuple] = []
 
     def emit(self, ctx: Ctx, ordinal: int, fail: np.ndarray, kind: str,
              const_ctx: Optional[dict] = None,
-             ctx_fn: Optional[Callable[[int], dict]] = None,
+             ctx_fn: Optional[Callable[[np.ndarray], dict]] = None,
              extra_seg: Optional[str] = None) -> None:
         idx = np.nonzero(fail)[0]
         if idx.size == 0:
             return
-        for i in idx.tolist():
-            path_parts = []
-            for seg in ctx.segs:
-                path_parts.append(seg[1] if seg[0] == "lit" else str(seg[1][i]))
-            if extra_seg is not None:
-                path_parts.append(extra_seg)
-            rank = tuple(
-                int(r[i]) if isinstance(r, np.ndarray) else r
-                for r in ctx.rank
-            ) + (0, ordinal)
-            context = dict(const_ctx) if const_ctx else {}
-            if ctx_fn is not None:
-                context.update(ctx_fn(i))
-            err = {"kind": kind, "path": tuple(path_parts), **context}
-            self.rows.append((int(ctx.docrow[i]), rank, err))
+        rank = np.column_stack([
+            r[idx] if isinstance(r, np.ndarray) else np.full(idx.size, r)
+            for r in ctx.rank + (0, ordinal)])
+        segs = tuple(s[1] if s[0] == "lit" else s[1][idx] for s in ctx.segs)
+        if extra_seg is not None:
+            segs += (extra_seg,)
+        self.groups.append((ctx.docrow[idx], rank, kind, segs,
+                            const_ctx or {}, ctx_fn(idx) if ctx_fn else {}))
 
-    def build(self) -> list[tuple[int, int, dict]]:
-        """Returns [(doc_row, error_seq, err_dict)] sorted by (doc, rank)."""
-        self.rows.sort(key=lambda r: (r[0], r[1]))
-        out = []
-        prev_doc, seq = None, 0
-        for doc, rank, err in self.rows:
-            seq = seq + 1 if doc == prev_doc else 0
-            prev_doc = doc
-            out.append((doc, seq, err))
+    def build(self, with_message: bool = False) -> dict:
+        """Output columns sorted by (batch row, rank): ``row`` (numpy),
+        ``error_seq``, ``error_kind``, ``instance_path``, ``message`` (only
+        ``with_message``) and ``context`` (JSON of the context fields)."""
+        groups = self.groups
+        doc = np.concatenate([np.zeros(0, np.int64)] + [g[0] for g in groups])
+        depth = max((g[1].shape[1] for g in groups), default=0)
+        # pad with -1 so a shorter rank sorts first, as a tuple prefix does
+        rank = np.concatenate([np.zeros((0, depth), np.int64)] + [
+            np.pad(g[1], ((0, 0), (0, depth - g[1].shape[1])),
+                   constant_values=-1) for g in groups])
+        order = np.lexsort(np.vstack([rank[:, ::-1].T, doc[None]]))
+        doc = doc[order]
+        pos = np.arange(len(doc))
+        run_start = np.where(np.diff(doc, prepend=-1) != 0, pos, 0)
+        seq = pos - np.maximum.accumulate(run_start)
+        parts: dict = {"error_kind": [], "instance_path": [], "context": []}
+        if with_message:
+            parts["message"] = []
+        for _, r, kind, segs, const, cols in groups:
+            n = len(r)
+            ptr = _join(n, *_pointer_pieces(segs))
+            fields = {**const, **cols}
+            parts["error_kind"].append(pa.repeat(pa.scalar(kind), n))
+            parts["instance_path"].append(ptr)
+            parts["context"].append(_join(n, *_context_pieces(fields, cols)))
+            if with_message:
+                parts["message"].append(_join(
+                    n, ptr if segs else "root", ": ",
+                    *_message_pieces(kind, fields, cols)))
+        out = {"row": doc, "error_seq": pa.array(seq.astype(np.int32))}
+        for name in ("error_kind", "instance_path", "message", "context"):
+            if name in parts:
+                out[name] = pa.chunked_array(parts[name], pa.string()).take(
+                    order)
         return out
 
 
 class FailCounts:
     """Sink counting failures per batch row: ``counts[r]`` == the number of
-    records :class:`Emitter` would build for row ``r``. Never calls
+    records :class:`Records` would build for row ``r``. Never calls
     ``ctx_fn``, so no error context is materialized."""
 
     def __init__(self, n: int):
@@ -186,6 +217,56 @@ class FailCounts:
              ctx_fn: Optional[Callable[[int], dict]] = None,
              extra_seg: Optional[str] = None) -> None:
         np.add.at(self.counts, ctx.docrow[fail], 1)
+
+
+_JSON = json.JSONEncoder(default=str).encode  # == json.dumps(v, default=str)
+
+
+def _values(col) -> list:
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _join(n: int, *pieces) -> pa.Array:
+    """Element-wise concatenation of string scalars and n-row string arrays."""
+    out = pc.binary_join_element_wise(*pieces, "")
+    return out if isinstance(out, pa.Array) else pa.repeat(out, n)
+
+
+def _pointer_pieces(segs: tuple) -> list:
+    """RFC 6901 pointer of one record group: ``"/<encoded name>"`` literals
+    and array-index columns."""
+    pieces = [""]
+    for s in segs:
+        if isinstance(s, str):
+            pieces.append("/" + encode_segment(s))
+        else:
+            pieces += ["/", pc.cast(pa.array(s), pa.string())]
+    return pieces
+
+
+def _context_pieces(fields: dict, cols: dict) -> list:
+    """``json.dumps(fields, default=str)`` of one record group: constants
+    render once, the ``cols`` fields per record."""
+    pieces = ["{"]
+    for j, (key, v) in enumerate(fields.items()):
+        pieces += [(", " if j else "") + _JSON(key) + ": ",
+                   pa.array(list(map(_JSON, _values(v))), pa.string())
+                   if key in cols else _JSON(v)]
+    return pieces + ["}"]
+
+
+def _message_pieces(kind: str, fields: dict, cols: dict) -> list:
+    """``E.render_message`` text after the location, for one record group."""
+    pieces = []
+    for lit, field, spec in E.message_template(kind, fields):
+        pieces.append(lit)
+        if field in cols:
+            pieces.append(pa.array([E.display(v, spec)
+                                    for v in _values(cols[field])],
+                                   pa.string()))
+        elif field is not None:
+            pieces.append(E.display(fields[field], spec))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +379,9 @@ def _enum_mask(members: list, val: pa.Array, isnull: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _canon_at(val: pa.Array, isnull: np.ndarray) -> Callable[[int], str]:
-    def fn(i: int) -> str:
-        if isnull[i]:
-            return "null"
-        return E.canonical_json(_strip_absent(val[i].as_py()))
-    return fn
+def _canon(vals: pa.Array) -> list[str]:
+    """``canonical_json`` of each value (NULL -> ``"null"``)."""
+    return list(map(E.canonical_json, map(_strip_absent, vals.to_pylist())))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +429,9 @@ def _flatten(val: pa.Array, active: np.ndarray):
 # flat, python fallback for nested element types)
 
 
-def _first_dup_idx(val: pa.Array, active: np.ndarray) -> dict[int, int]:
-    """slot -> element index of the first element equal to a later one
-    (reference scan order, ``validator/mod.rs:378-397``).
+def _first_dup_idx(val: pa.Array, active: np.ndarray) -> np.ndarray:
+    """Per slot, the element index of the first element equal to a later
+    one, -1 where none (reference scan order, ``validator/mod.rs:378-397``).
 
     Fast path: decompose elements into numeric code columns (strings via
     ``pc.dictionary_encode`` — exact equality as int codes, no Python string
@@ -365,8 +443,9 @@ def _first_dup_idx(val: pa.Array, active: np.ndarray) -> dict[int, int]:
     start, end = _list_offsets(val)
     lens = np.where(active, end - start, 0)
     cand = active & (lens >= 2)
+    out = np.full(len(val), -1, dtype=np.int64)
     if not cand.any():
-        return {}
+        return out
     # Cheap prefilter: duplicates must agree on EVERY field, so numeric
     # fields alone can rule out most lists without touching (expensive)
     # string dictionary-encoding. Only surviving lists get the full pass.
@@ -386,32 +465,18 @@ def _first_dup_idx(val: pa.Array, active: np.ndarray) -> dict[int, int]:
                         break
                     cols.extend(sub)
                 if cols is not None:
-                    maybe = _dup_parents(parent, cols, len(val))
+                    maybe = np.zeros(len(val), dtype=bool)
+                    maybe[parent[_dup_elems(parent, cols)]] = True
                     if not maybe.any():
-                        return {}
+                        return out
                     cand = cand & maybe
     elem_val, parent, within = _flatten(val, cand)
-    out: dict[int, int] = {}
     codes = _elem_code_columns(elem_val)
     if codes is not None:
-        keys = [parent] + codes
-        order = np.lexsort(tuple(reversed(keys)))
-        skeys = [k[order] for k in keys]
-        eq = np.ones(len(parent) - 1, dtype=bool) if len(parent) else \
-            np.zeros(0, dtype=bool)
-        for k in skeys:
-            eq &= k[1:] == k[:-1]
-        marked_sorted = np.zeros(len(parent), dtype=bool)
-        if len(eq):
-            marked_sorted[1:] |= eq
-            marked_sorted[:-1] |= eq
-        marked = order[marked_sorted]
-        if len(marked):
-            n = len(val)
-            first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(first, parent[marked], within[marked])
-            for p in np.unique(parent[marked]).tolist():
-                out[int(p)] = int(first[p])
+        marked = _dup_elems(parent, codes)
+        first = np.full(len(val), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(first, parent[marked], within[marked])
+        out[parent[marked]] = first[parent[marked]]
     else:
         cand_slots = np.nonzero(cand)[0]
         sub_pyl = val.take(pa.array(cand_slots)).to_pylist()
@@ -429,21 +494,18 @@ def _first_dup_idx(val: pa.Array, active: np.ndarray) -> dict[int, int]:
     return out
 
 
-def _dup_parents(parent: np.ndarray, cols: list[np.ndarray],
-                 n: int) -> np.ndarray:
-    """Bool[n]: parents having >=2 elements equal on the given key columns."""
+def _dup_elems(parent: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """Indices of the elements equal on ``cols`` to another element of the
+    same parent: one ``np.lexsort`` + adjacent-equality scan."""
+    if len(parent) < 2:
+        return parent[:0]
     keys = [parent] + cols
     order = np.lexsort(tuple(reversed(keys)))
-    if len(parent) < 2:
-        return np.zeros(n, dtype=bool)
     eq = np.ones(len(parent) - 1, dtype=bool)
     for k in keys:
         sk = k[order]
         eq &= sk[1:] == sk[:-1]
-    out = np.zeros(n, dtype=bool)
-    hit = order[:-1][eq]
-    out[parent[hit]] = True
-    return out
+    return order[np.r_[eq, False] | np.r_[False, eq]]
 
 
 def _scalar_code_cols(child: pa.Array) -> Optional[list[np.ndarray]]:
@@ -511,7 +573,7 @@ def _pattern_match_mask(check, val: pa.Array, active: np.ndarray) -> np.ndarray:
 # the plan walker (one walk, two sinks)
 
 
-def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
+def eval_emit(plan: Plan, ctx: Ctx, em: Records | FailCounts) -> None:
     """Walk ``plan`` over every present slot of ``ctx``, handing each
     keyword's failing slots to ``em`` in reference emission order."""
     if not ctx.present.any():
@@ -533,10 +595,9 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
         ok = _scalar_eq_mask(plan.const, val, isnull)
         fail = alive & ~ok
         if fail.any():
-            expected = plan.const_display
-            canon = _canon_at(val, isnull)
             em.emit(ctx, k, fail, E.NOT_CONST,
-                    ctx_fn=lambda i: {"expected": expected, "actual": canon(i)})
+                    const_ctx={"expected": plan.const_display},
+                    ctx_fn=lambda idx: {"actual": _canon(val.take(idx))})
         alive &= ok
         k += 1
         if not alive.any():
@@ -546,11 +607,12 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
         ok = _enum_mask(plan.enum, val, isnull)
         fail = alive & ~ok
         if fail.any():
-            allowed = plan.enum_allowed_display
-            canon = _canon_at(val, isnull)
+            # invalid_value keeps its key position ahead of allowed
             em.emit(ctx, k, fail, E.NOT_IN_ENUM,
-                    ctx_fn=lambda i: {"invalid_value": canon(i),
-                                      "allowed": allowed})
+                    const_ctx={"invalid_value": None,
+                               "allowed": plan.enum_allowed_display},
+                    ctx_fn=lambda idx: {
+                        "invalid_value": _canon(val.take(idx))})
         alive &= ok
         k += 1
         if not alive.any():
@@ -582,11 +644,9 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
                     const_ctx={"subschema_count": len(plan.one_of)})
             multi = alive & (counts > 1)
             if multi.any():
-                cnt = counts  # per-slot match_count
                 em.emit(ctx, k + 1, multi, E.MULTIPLE_SUBSCHEMAS_MATCHED,
-                        ctx_fn=lambda i: {
-                            "subschema_count": len(plan.one_of),
-                            "match_count": int(cnt[i])})
+                        const_ctx={"subschema_count": len(plan.one_of)},
+                        ctx_fn=lambda idx: {"match_count": counts[idx]})
         return
 
     if plan.all_of:
@@ -599,13 +659,12 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
     ty = plan.type
     if ty == "object":
         if not pa.types.is_struct(t):
-            got = _got_fn(t, isnull)
-            em.emit(ctx, k, alive, E.EXPECTED_OBJECT, ctx_fn=got)
+            em.emit(ctx, k, alive, E.EXPECTED_OBJECT, ctx_fn=_got_fn(t, isnull))
             return
         obj_ok = alive & ~isnull
         if isnull.any():
-            got = _got_fn(t, isnull)
-            em.emit(ctx, k, alive & isnull, E.EXPECTED_OBJECT, ctx_fn=got)
+            em.emit(ctx, k, alive & isnull, E.EXPECTED_OBJECT,
+                    ctx_fn=_got_fn(t, isnull))
         _object_emit(plan, ctx, obj_ok, em, k + 1, check_additional=True)
     elif ty == "string":
         if not _is_string_t(t):
@@ -621,24 +680,9 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
         if plan.min_length is not None or plan.max_length is not None:
             lens = pc.fill_null(pc.utf8_length(val), 0).to_numpy(
                 zero_copy_only=False)
-            if plan.min_length is not None:
-                fail = s_ok & (lens < plan.min_length)
-                if fail.any():
-                    ml = plan.min_length
-                    em.emit(ctx, k, fail, E.TOO_SHORT,
-                            ctx_fn=lambda i: {"min_length": ml,
-                                              "actual_length": int(lens[i])})
-                k += 1
-            if plan.max_length is not None:
-                fail = s_ok & (lens > plan.max_length)
-                if fail.any():
-                    ml = plan.max_length
-                    em.emit(ctx, k, fail, E.TOO_LONG,
-                            ctx_fn=lambda i: {"max_length": ml,
-                                              "actual_length": int(lens[i])})
-                k += 1
-        else:
-            k += 2
+            k = _emit_bounds(em, ctx, k, s_ok, lens, "actual_length", (
+                (plan.min_length, "min_length", E.TOO_SHORT),
+                (plan.max_length, "max_length", E.TOO_LONG)))
         if plan.pattern is not None:
             if plan.pattern.invalid:
                 em.emit(ctx, k, s_ok, E.INVALID_PATTERN_IN_SCHEMA,
@@ -647,10 +691,10 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
                 m = _pattern_match_mask(plan.pattern, val, s_ok)
                 fail = s_ok & ~m
                 if fail.any():
-                    pat = plan.pattern.pattern
                     em.emit(ctx, k, fail, E.PATTERN_MISMATCH,
-                            ctx_fn=lambda i: {"pattern": pat,
-                                              "value": val[i].as_py()})
+                            const_ctx={"pattern": plan.pattern.pattern},
+                            ctx_fn=lambda idx: {
+                                "value": val.take(idx).to_pylist()})
             k += 1
         if plan.format_uuid:
             from engine.config import UUID_REGEX
@@ -659,7 +703,8 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
             fail = s_ok & ~ok
             if fail.any():
                 em.emit(ctx, k, fail, E.INVALID_UUID_FORMAT,
-                        ctx_fn=lambda i: {"value": val[i].as_py()})
+                        ctx_fn=lambda idx: {
+                            "value": val.take(idx).to_pylist()})
         _emit_custom(plan, ctx, em, s_ok, val)
     elif ty in ("integer", "number"):
         if ty == "integer":
@@ -688,21 +733,9 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
             # lossy cast == reference's as_f64 (big int64s round, never raise)
             f = pc.fill_null(pc.cast(val, pa.float64(), safe=False),
                              0.0).to_numpy(zero_copy_only=False)
-            if plan.minimum is not None:
-                fail = num_ok & (f < plan.minimum)
-                if fail.any():
-                    mn = plan.minimum
-                    em.emit(ctx, k, fail, E.BELOW_MINIMUM,
-                            ctx_fn=lambda i: {"minimum": mn,
-                                              "actual": float(f[i])})
-                k += 1
-            if plan.maximum is not None:
-                fail = num_ok & (f > plan.maximum)
-                if fail.any():
-                    mx = plan.maximum
-                    em.emit(ctx, k, fail, E.ABOVE_MAXIMUM,
-                            ctx_fn=lambda i: {"maximum": mx,
-                                              "actual": float(f[i])})
+            _emit_bounds(em, ctx, k, num_ok, f, "actual", (
+                (plan.minimum, "minimum", E.BELOW_MINIMUM),
+                (plan.maximum, "maximum", E.ABOVE_MAXIMUM)))
         _emit_custom(plan, ctx, em, num_ok, val)
     elif ty == "array":
         if not _is_list_t(t):
@@ -716,36 +749,16 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
         if not a_ok.any():
             return
         start, end = _list_offsets(val)
-        lens = end - start
-        if plan.min_items is not None:
-            fail = a_ok & (lens < plan.min_items)
-            if fail.any():
-                mi = plan.min_items
-                em.emit(ctx, k, fail, E.TOO_FEW_ITEMS,
-                        ctx_fn=lambda i: {"min_items": mi,
-                                          "actual_count": int(lens[i])})
-            k += 1
-        if plan.max_items is not None:
-            fail = a_ok & (lens > plan.max_items)
-            if fail.any():
-                mx = plan.max_items
-                em.emit(ctx, k, fail, E.TOO_MANY_ITEMS,
-                        ctx_fn=lambda i: {"max_items": mx,
-                                          "actual_count": int(lens[i])})
-            k += 1
+        k = _emit_bounds(em, ctx, k, a_ok, end - start, "actual_count", (
+            (plan.min_items, "min_items", E.TOO_FEW_ITEMS),
+            (plan.max_items, "max_items", E.TOO_MANY_ITEMS)))
         if plan.unique_items:
-            dups = _first_dup_idx(val, a_ok)
-            if dups:
-                fail = np.zeros(n, dtype=bool)
-                fail[list(dups)] = True
-
-                def dup_ctx(i):
-                    # converts only this failing row, never the column
-                    el = val[i].as_py()[dups[i]]
-                    el = None if el is None else _strip_absent(el)
-                    return {"duplicate_value": E.canonical_json(el)}
-
-                em.emit(ctx, k, fail, E.DUPLICATE_ARRAY_ITEMS, ctx_fn=dup_ctx)
+            dup = _first_dup_idx(val, a_ok)
+            if (dup >= 0).any():
+                # gathers only the duplicate element of each failing row
+                em.emit(ctx, k, dup >= 0, E.DUPLICATE_ARRAY_ITEMS,
+                        ctx_fn=lambda idx: {"duplicate_value": _canon(
+                            val.values.take(start[idx] + dup[idx]))})
             k += 1
         if plan.items is not None and a_ok.any():
             elem_val, parent, within = _flatten(val, a_ok)
@@ -776,33 +789,46 @@ def eval_emit(plan: Plan, ctx: Ctx, em: Emitter | FailCounts) -> None:
                          check_additional=False)
 
 
-def _emit_custom(plan: Plan, ctx: Ctx, em: Emitter | FailCounts,
+def _emit_bounds(em: Records | FailCounts, ctx: Ctx, k: int, ok: np.ndarray,
+                 measure: np.ndarray, actual: str, checks: tuple) -> int:
+    """The ``(bound, key, kind)`` lower-then-upper bound checks of one
+    measured quantity (length, item count, value) in keyword order; an unset
+    bound takes no ordinal. Returns the next check ordinal."""
+    for j, (bound, key, kind) in enumerate(checks):
+        if bound is None:
+            continue
+        fail = ok & (measure < bound if j == 0 else measure > bound)
+        if fail.any():
+            em.emit(ctx, k, fail, kind, const_ctx={key: bound},
+                    ctx_fn=lambda idx: {actual: measure[idx]})
+        k += 1
+    return k
+
+
+def _emit_custom(plan: Plan, ctx: Ctx, em: Records | FailCounts,
                  ok: np.ndarray, val: pa.Array) -> None:
     """Registry checks after the built-ins of a scalar type arm
     (engine/registry.py); ordinal base 1000 keeps them after every built-in
     check in the per-row rank sort, matching the oracle's emission order."""
     if not plan.custom:
         return
-    for idx, (spec, state) in enumerate(plan.custom):
+    for j, (spec, state) in enumerate(plan.custom):
         pass_mask = np.asarray(spec.predicate(state, val, ok), dtype=bool)
         fail = ok & ~pass_mask
         if fail.any():
-            em.emit(ctx, 1000 + idx, fail, spec.kind,
-                    ctx_fn=lambda i, s=spec, st=state: {
-                        "custom_message": s.message(st, val[i].as_py())})
+            em.emit(ctx, 1000 + j, fail, spec.kind,
+                    ctx_fn=lambda idx, s=spec, st=state: {"custom_message": [
+                        s.message(st, v) for v in val.take(idx).to_pylist()]})
 
 
-def _got_fn(t: pa.DataType, isnull: np.ndarray) -> Callable[[int], dict]:
+def _got_fn(t: pa.DataType,
+            isnull: np.ndarray) -> Callable[[np.ndarray], dict]:
     name = arrow_json_kind(t)
-
-    def fn(i: int) -> dict:
-        return {"got": "null" if isnull[i] else name}
-
-    return fn
+    return lambda idx: {"got": np.where(isnull[idx], "null", name)}
 
 
 def _object_emit(plan: Plan, ctx: Ctx, obj_ok: np.ndarray,
-                 em: Emitter | FailCounts, k0: int, *,
+                 em: Records | FailCounts, k0: int, *,
                  check_additional: bool) -> None:
     if not obj_ok.any():
         return
@@ -883,12 +909,22 @@ def _root_ctx(batch: pa.Table) -> Ctx:
                (), ())
 
 
-def validate_batch(plan: Plan, batch: pa.Table) -> list[tuple[int, int, dict]]:
-    """Validate every row of ``batch`` (each row == one JSON object instance).
+def batch_records(plan: Plan, batch: pa.Table,
+                  with_message: bool = False) -> dict:
+    """Violations columns of ``batch`` (each row == one JSON object
+    instance), see :meth:`Records.build`."""
+    sink = Records()
+    eval_emit(plan, _root_ctx(batch), sink)
+    return sink.build(with_message)
 
-    Returns sparse ``[(doc_row, error_seq, error_dict)]`` in exact reference
-    emission order per document.
-    """
-    em = Emitter()
-    eval_emit(plan, _root_ctx(batch), em)
-    return em.build()
+
+def validate_batch(plan: Plan, batch: pa.Table) -> list[tuple[int, int, dict]]:
+    """Sparse ``[(doc_row, error_seq, error_dict)]`` of ``batch`` in exact
+    reference emission order per document: the records of
+    :func:`batch_records` as error dicts."""
+    out = batch_records(plan, batch)
+    return [(d, s, {"kind": k, "path": parse_pointer(p), **json.loads(c)})
+            for d, s, k, p, c in zip(
+                out["row"].tolist(), out["error_seq"].to_pylist(),
+                out["error_kind"].to_pylist(),
+                out["instance_path"].to_pylist(), out["context"].to_pylist())]

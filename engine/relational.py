@@ -70,7 +70,7 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
     orders pre-aggregate per custkey inside ``map_batches`` (combiner), the
     partials hash-join the dimension, and the (tiny) per-segment groupby
     finishes — the dimension never touches the driver."""
-    from engine.shuffle import balance, join_partitions
+    from engine.shuffle import balance, join_kwargs
 
     def _opartial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -90,7 +90,7 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
                                concurrency=concurrency)
     dim = customer_ds.select_columns(["c_custkey", "c_mktsegment"])
     joined = op.join(dim, join_type="inner",
-                     num_partitions=join_partitions(), on=("c_custkey",))
+                     **join_kwargs(), on=("c_custkey",))
 
     def _norm(b: pa.Table) -> pa.Table:
         # empty hash-join partitions come out schemaless (see dedup.py)
@@ -660,7 +660,7 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
     """
     import ray
 
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs
 
     cutoff64 = np.datetime64(cutoff, "us")
 
@@ -699,7 +699,7 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
 
         dim = cust.map_batches(_rename, batch_format="pyarrow")
         joined_orders = dated.join(dim, join_type="inner",
-                                   num_partitions=join_partitions(),
+                                   **join_kwargs(),
                                    on=("o_custkey",))
 
         def _norm_orders(b: pa.Table) -> pa.Table:
@@ -733,9 +733,9 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                  batch_size=batch_size,
                                  concurrency=concurrency)
 
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs
     joined = li.join(orders, join_type="inner",
-                     num_partitions=join_partitions(), on=("o_orderkey",))
+                     **join_kwargs(), on=("o_orderkey",))
 
     from ray.data.aggregate import Sum
     agg = joined.groupby(["o_orderkey", "o_orderdate"]).aggregate(Sum("rev"))
@@ -951,7 +951,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
     import pandas as pd
     import ray
     from ray.data.aggregate import Sum
-    from engine.shuffle import balance, join_partitions
+    from engine.shuffle import balance, join_kwargs
 
     nat = nation_ds.to_pandas()
     reg = region_ds.to_pandas()
@@ -991,7 +991,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                                    batch_size=batch_size)
         cust = customer_ds.select_columns(["c_custkey", "c_nationkey"])
         oc = of.join(cust, join_type="inner",
-                     num_partitions=join_partitions(),
+                     **join_kwargs(),
                      on=("o_custkey",), right_on=("c_custkey",))
 
         def _norm_oc(b: pa.Table) -> pa.Table:
@@ -1016,7 +1016,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
         lo_j = li.join(oc, join_type="inner",
-                       num_partitions=join_partitions(),
+                       **join_kwargs(),
                        on=("l_orderkey",), right_on=("o_orderkey",))
 
         def _norm_ls(b: pa.Table) -> pa.Table:
@@ -1029,7 +1029,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
         ls = lo_j.map_batches(_norm_ls, batch_format="pyarrow")
         supp = supplier_ds.select_columns(["s_suppkey", "s_nationkey"])
         fin = ls.join(supp, join_type="inner",
-                      num_partitions=join_partitions(),
+                      **join_kwargs(),
                       on=("l_suppkey",), right_on=("s_suppkey",))
 
         def _partial_nat(b: pa.Table) -> pa.Table:
@@ -1097,7 +1097,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
         joined = li.join(oc, join_type="inner",
-                         num_partitions=join_partitions(),
+                         **join_kwargs(),
                          on=("l_orderkey",), right_on=("o_orderkey",))
 
         class _SuppAndPartial:
@@ -1454,7 +1454,7 @@ def _exists_join(left, right, *, key_col: str, right_key_col: str,
                  anti: bool, batch_size: int, broadcast_limit: int):
     """Shared kernel for :func:`semi_join` / :func:`anti_join`."""
     import ray
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs
 
     rkeys = _distinct_keys(right, right_key_col, key_col,
                            batch_size).materialize()
@@ -1502,7 +1502,7 @@ def _exists_join(left, right, *, key_col: str, right_key_col: str,
 
     if not anti:
         joined = left.join(rkeys, join_type="inner",
-                           num_partitions=join_partitions(),
+                           **join_kwargs(),
                            on=(key_col,))
 
         def _norm(b: pa.Table) -> pa.Table:
@@ -1519,7 +1519,7 @@ def _exists_join(left, right, *, key_col: str, right_key_col: str,
 
     marked = rkeys.map_batches(_mark, batch_format="pandas")
     joined = left.join(marked, join_type="left_outer",
-                       num_partitions=join_partitions(),
+                       **join_kwargs(),
                        on=(key_col,))
 
     def _keep_unmatched(b: pa.Table) -> pa.Table:
@@ -2605,7 +2605,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     import pandas as pd
     import ray
     from ray.data.aggregate import Sum
-    from engine.shuffle import join_partitions
+    from engine.shuffle import join_kwargs
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
@@ -2639,7 +2639,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                                    batch_size=batch_size,
                                    concurrency=concurrency)
     joined = li.join(orders, join_type="inner",
-                     num_partitions=join_partitions(),
+                     **join_kwargs(),
                      on=("o_orderkey",))
 
     def _norm(b: pa.Table) -> pa.Table:
@@ -2699,7 +2699,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                 lambda b: b.rename_columns(
                     ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
                 batch_format="pyarrow"),
-            join_type="inner", num_partitions=join_partitions(),
+            join_type="inner", **join_kwargs(),
             on=("o_custkey",))
 
         def _attach_joined(b: pa.Table) -> pa.Table:

@@ -170,6 +170,24 @@ def join_partitions(divisor: int = 2) -> int:
     NOT the upstream block count. Over-provisioning aggregators on one node
     over-reserves object-store memory and can deadlock the pipeline
     (observed: two chained 64-partition joins hang on a 32-CPU box, the
-    same joins at 8-16 partitions finish in seconds).
+    same joins at 8-16 partitions finish in seconds). It never exceeds the
+    cluster CPUs either: below 4 CPUs the floor of 4 would start more
+    aggregators than the session has CPUs.
     """
-    return max(4, _cluster_cpus(_DEFAULT_CPUS) // divisor)
+    cpus = _cluster_cpus(_DEFAULT_CPUS)
+    return min(cpus, max(4, cpus // divisor))
+
+
+def join_kwargs(num_partitions: int | None = None) -> dict:
+    """Sizing arguments for every ``Dataset.join``: ``num_partitions``
+    (:func:`join_partitions` unless given) and the aggregators' remote args.
+
+    Ray reserves a CPU share for each aggregator for the whole join. On a
+    cluster of fewer than two CPUs the rest is less than the one CPU a map
+    task or pool actor asks for, so a join next to an actor stage never
+    schedules (TPC-H q5 hung at ``num_cpus=1``). There the aggregators
+    reserve no CPU; larger clusters keep Ray's default share.
+    """
+    return {"num_partitions": num_partitions or join_partitions(),
+            "aggregator_ray_remote_args":
+                {"num_cpus": 0} if _cluster_cpus(_DEFAULT_CPUS) < 2 else None}

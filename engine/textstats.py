@@ -594,7 +594,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
     import ray
 
     from engine.kernels import _flatten, _valid_mask
-    from engine.shuffle import by_key, join_partitions
+    from engine.shuffle import by_key, join_kwargs
 
     n_docs = float(ds.count())
     df_tab = token_doc_frequency(ds, text_col=text_col,
@@ -669,7 +669,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
         zero_copy_batch=True, batch_size=batch_size,
         concurrency=concurrency)
     joined = tf_rows.join(df_tab, join_type="inner",
-                          num_partitions=join_partitions(), on=("token",))
+                          **join_kwargs(), on=("token",))
 
     def _score(df):
         out = df[[key_col, "token", "tf"]].copy()
@@ -1166,13 +1166,13 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
 
     # distributed fall-through: distinct pairs join df on token, then a
     # per-key mean (per-doc rows co-locate)
-    from engine.shuffle import by_key, join_partitions
+    from engine.shuffle import by_key, join_kwargs
     pairs_ds = ds.map_batches(
         lambda b: _pairs(b), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=batch_size,
         concurrency=concurrency)
     joined = pairs_ds.join(df_tab, join_type="inner",
-                           num_partitions=join_partitions(),
+                           **join_kwargs(),
                            on=("token",))
 
     def _idf(df):

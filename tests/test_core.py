@@ -63,6 +63,24 @@ class TestDisplayParity:
         assert E.canonical_json("q\"\\\n") == '"q\\"\\\\\\n"'
         assert E.canonical_json("héllo") == '"héllo"'
 
+    def test_canonical_json_string_escapes(self):
+        # serde_json escapes '"', '\\', the two-letter controls and every
+        # other char below U+0020 (lowercase \u00XX); DEL, U+2028, BOM,
+        # non-ASCII and astral chars stay verbatim; keys escape the same.
+        cases = {
+            '"': r'"\""', "\\": r'"\\"', "\n": r'"\n"', "\r": r'"\r"',
+            "\t": r'"\t"', "\b": r'"\b"', "\f": r'"\f"',
+            "\x00": r'"\u0000"', "\x01": r'"\u0001"', "\x1f": r'"\u001f"',
+            "\x0b": r'"\u000b"', "\x7f": '"\x7f"', "/": '"/"',
+            "\u2028": '"\u2028"', "\u2029": '"\u2029"',
+            "\ufeff": '"\ufeff"', "\u00e9": '"\u00e9"',
+            "\U0001f600": '"\U0001f600"',
+            'a"b\\c\x02d\u2028': '"a\\"b\\\\c\\u0002d\u2028"',
+        }
+        for s, want in cases.items():
+            assert E.canonical_json(s) == want, repr(s)
+            assert E.canonical_json({s: s}) == "{" + want + ":" + want + "}"
+
     def test_json_equal_number_kinds(self):
         # serde_json Number variants: 1 (int) != 1.0 (float); bool not a number.
         assert not E.json_equal(1, 1.0)

@@ -6,6 +6,7 @@ deterministically from /root/testdata/sf0.001/documents.parquet.
 
 import json
 import os
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -86,6 +87,35 @@ class TestValidatePipeline:
         for k in expected:
             assert sorted(got[k]) == sorted(expected[k]), k
         assert len(viol) > 0
+
+        # a doc_id that occurs once names one document: its rows must be
+        # the oracle's error stream, in order, with message and context
+        once = {k for k, n in Counter(
+            table.column("doc_id").to_pylist()).items() if n == 1}
+        insts = {inst.get("doc_id", ""): inst
+                 for inst in table_to_json_rows(table)
+                 if inst.get("doc_id", "") in once}
+        for with_message in (True, False):
+            viol = validate_dataset(ds, DOC_SCHEMA_JSON,
+                                    with_message=with_message).to_pandas()
+            assert ("message" in viol.columns) == with_message
+            got = {}
+            for r in viol.sort_values("error_seq").itertuples():
+                if r.doc_id in once:
+                    got.setdefault(r.doc_id, []).append((
+                        r.error_seq, r.error_kind, r.instance_path,
+                        r.message if with_message else None,
+                        json.loads(r.context)))
+            want = {}
+            for key, inst in insts.items():
+                for seq, e in enumerate(oracle_validate(schema, inst)):
+                    want.setdefault(key, []).append((
+                        seq, e["kind"], encode_pointer(e["path"]),
+                        E.render_message(e) if with_message else None,
+                        {f: v for f, v in e.items()
+                         if f not in ("kind", "path")}))
+            assert len(want) > 100
+            assert got == want
 
     def test_span_sequence_invariant(self, corpus_dir, ray_session):
         # Every violations row carries the source doc's exact span sequence

@@ -17,7 +17,8 @@ import pyarrow as pa
 
 from engine import errors as E
 from engine.compile import compile_plan
-from engine.kernels import FailCounts, _root_ctx, batch_records, eval_emit
+from engine.kernels import (FailCounts, _root_ctx, batch_records, eval_emit,
+                            partition_codes)
 from engine.pointer import encode_pointer
 from engine.schema import parse_schema
 
@@ -189,19 +190,14 @@ class _DocVerdictBatch:
         inst = batch.select(list(inst_cols))
         sink = FailCounts(inst.num_rows)
         eval_emit(self.plan, _root_ctx(inst), sink)
-        if "partition_id" in batch.column_names:
-            parts = batch.column("partition_id").to_numpy(
-                zero_copy_only=False)
-        else:
-            parts = np.full(len(batch), "all", dtype=object)
-        uniq, codes = np.unique(parts, return_inverse=True)
+        uniq, codes = partition_codes(batch)
 
         def per_part(weights=None) -> pa.Array:
             return pa.array(np.bincount(codes, weights, len(uniq))
                             .astype(np.int64))
 
         return pa.Table.from_arrays(
-            [pa.array(uniq.tolist(), pa.string()), per_part(),
+            [pa.array(uniq, pa.string()), per_part(),
              per_part(sink.counts > 0), per_part(sink.counts)],
             schema=pa.schema([
                 ("partition_id", pa.string()), ("docs", pa.int64()),

@@ -1,20 +1,22 @@
-"""Distribution drift: per-partition KS (numeric) / PSI (categorical) against
-a baseline sketch store.
+"""Column profiles and distribution drift: per-partition KS (numeric) / PSI
+(categorical) against a baseline.
 
-The corpus is sketched ONCE. :func:`partition_sketches` runs
-``_DriftPartialBatch`` inside ``map_batches`` and merges the partials per
-(partition, column) in a small groupby — the corpus is never shuffled.
-The sketches are mergeable (t-digest / value counts), so the baseline is
-exactly the merge of the non-excluded partitions' sketches
-(:func:`baseline_from`, tree-reduced), and :func:`score` compares every
-partition sketch against that broadcast baseline. ``build_baseline`` and
-``drift_check`` compose these; the checkpoint job materializes the
-sketches once and feeds both.
+The corpus is profiled ONCE. A profile row summarizes one (partition, leaf
+column): ``count, nulls, min, max`` plus mergeable sketches — an HLL
+(distinct count), a t-digest (numeric quantiles, delta 100) and, for the
+categorical columns asked for, ``{value: count}``. :class:`ProfileBatch`
+emits one row per (batch, partition, column) and :func:`profile`
+tree-reduces them into one row per (partition, column); the corpus is never
+shuffled. ``stats.column_stats`` is the merge of a column's rows over all
+partitions; the drift baseline is the merge over the non-excluded
+partitions (:func:`baseline_from`), and :func:`score` compares every
+partition's row against it. The checkpoint job commits each partition's
+profile rows once and runs both merges over the committed rows.
 
-A sketch row is ``(partition_id, column, kind, tdigest, counts)``; its
-payload is a :class:`TDigest` (numeric) or a ``{value: count}`` dict
-(categorical). ``_decode_row`` / ``_encode_row`` are the one codec between
-the two, ``_merge_into`` the one merge and ``_verdict`` the one scorer.
+``_decode_row`` / ``_encode_row`` are the one codec between a row and a
+:class:`Profile`, ``_merge_into`` the one merge and ``_verdict`` the one
+scorer. A baseline is ``{column: (kind, payload)}``: a :class:`TDigest`
+(``"numeric"``) or a ``{value: count}`` dict (``"categorical"``).
 
 * KS distance: max |ECDF_part(x) - ECDF_base(x)| evaluated on the union of
   centroid locations of both digests.
@@ -23,25 +25,37 @@ the two, ``_merge_into`` the one merge and ``_verdict`` the one scorer.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from engine.sketches import TDigest
+from engine.kernels import (_decode, _flatten, _is_float_t, _is_int_t,
+                            _is_list_t, _is_string_t, _valid_mask,
+                            partition_codes)
+from engine.sketches import HLL, TDigest
 from engine.storage import atomic_replace
 
 NUMERIC_DEFAULT = ("spans.offset", "spans.__len")
 CATEGORICAL_DEFAULT = ("spans.kind",)
 
-_PARTIAL_SCHEMA = pa.schema([
+PROFILE_SCHEMA = pa.schema([
     ("partition_id", pa.string()),
     ("column", pa.string()),
-    ("kind", pa.string()),          # "numeric" | "categorical"
+    ("count", pa.int64()),
+    ("nulls", pa.int64()),
+    ("min_num", pa.float64()),
+    ("max_num", pa.float64()),
+    ("min_str", pa.string()),
+    ("max_str", pa.string()),
+    ("hll", pa.binary()),
     ("tdigest", pa.binary()),
-    ("counts", pa.string()),        # JSON {value: count}
+    ("counts", pa.string()),        # JSON {value: count}; "" = not counted
 ])
 _VERDICT_SCHEMA = pa.schema([
     ("partition_id", pa.string()), ("column", pa.string()),
@@ -49,171 +63,234 @@ _VERDICT_SCHEMA = pa.schema([
     ("drifted", pa.bool_())])
 
 
-def _decode_row(row) -> TDigest | dict:
-    """Payload of a sketch row."""
-    if row["kind"] == "numeric":
-        return TDigest.from_bytes(bytes(row["tdigest"]))
-    return json.loads(row["counts"])
+@dataclass
+class Profile:
+    """Mergeable summary of one column's values."""
+    count: int = 0
+    nulls: int = 0
+    lo: float | str | None = None
+    hi: float | str | None = None
+    hll: Optional[HLL] = None
+    td: Optional[TDigest] = None
+    counts: Optional[dict] = None
 
 
-def _encode_row(partition_id: str, column: str, kind: str, payload) -> dict:
-    """Sketch row of a payload (inverse of :func:`_decode_row`)."""
-    numeric = kind == "numeric"
-    return {"partition_id": partition_id, "column": column, "kind": kind,
-            "tdigest": payload.to_bytes() if numeric else b"",
-            "counts": "" if numeric else json.dumps(payload)}
+def _decode_row(row) -> Profile:
+    """Profile of a row."""
+    num = row["min_num"] is not None
+    return Profile(
+        row["count"], row["nulls"],
+        row["min_num"] if num else row["min_str"],
+        row["max_num"] if num else row["max_str"],
+        HLL.from_bytes(bytes(row["hll"])) if row["hll"] else None,
+        TDigest.from_bytes(bytes(row["tdigest"])) if row["tdigest"] else None,
+        json.loads(row["counts"]) if row["counts"] else None)
 
 
-def _merge_into(store: dict, col: str, kind: str, payload) -> None:
-    """Merge one payload into a store ``{column: (kind, payload)}``."""
-    if col not in store:
-        store[col] = (kind, payload)
-    elif kind == "numeric":
-        store[col][1].merge(payload)
-    else:
-        cur = store[col][1]
-        for k, v in payload.items():
-            cur[k] = cur.get(k, 0) + v
+def _encode_row(partition_id: str, column: str, p: Profile) -> dict:
+    """Row of a profile (inverse of :func:`_decode_row`)."""
+    num = isinstance(p.lo, float)
+    return {"partition_id": partition_id, "column": column,
+            "count": p.count, "nulls": p.nulls,
+            "min_num": p.lo if num else None,
+            "max_num": p.hi if num else None,
+            "min_str": None if num else p.lo,
+            "max_str": None if num else p.hi,
+            "hll": b"" if p.hll is None else p.hll.to_bytes(),
+            "tdigest": b"" if p.td is None else p.td.to_bytes(),
+            "counts": "" if p.counts is None else json.dumps(p.counts)}
+
+
+def _merge_into(store: dict, key, p: Profile) -> None:
+    """Merge ``p`` into ``store[key]`` (a copy of ``p`` when absent)."""
+    cur = store.get(key)
+    if cur is None:
+        store[key] = copy.deepcopy(p)
+        return
+    cur.count += p.count
+    cur.nulls += p.nulls
+    if p.lo is not None:
+        cur.lo = p.lo if cur.lo is None else min(cur.lo, p.lo)
+        cur.hi = p.hi if cur.hi is None else max(cur.hi, p.hi)
+    for f in ("hll", "td"):
+        mine, theirs = getattr(cur, f), getattr(p, f)
+        if theirs is not None:
+            setattr(cur, f, copy.deepcopy(theirs) if mine is None
+                    else mine.merge(theirs))
+    if p.counts is not None:
+        cur.counts = cur.counts or {}
+        for k, v in p.counts.items():
+            cur.counts[k] = cur.counts.get(k, 0) + v
 
 
 def _merge_rows(rows) -> dict:
-    """Store ``{column: (kind, payload)}`` merged from sketch rows."""
+    """Store ``{(partition_id, column): Profile}`` merged from rows."""
     store: dict = {}
     for r in rows:
-        _merge_into(store, r["column"], r["kind"], _decode_row(r))
+        _merge_into(store, (r["partition_id"], r["column"]), _decode_row(r))
     return store
 
 
-def _sketch_table(partition_id: str, store: dict) -> pa.Table:
+def profile_table(store: dict) -> pa.Table:
+    """Rows of a ``{(partition_id, column): Profile}`` store."""
     return pa.Table.from_pylist(
-        [_encode_row(partition_id, col, kind, payload)
-         for col, (kind, payload) in sorted(store.items())],
-        schema=_PARTIAL_SCHEMA)
+        [_encode_row(pid, col, p) for (pid, col), p in sorted(store.items())],
+        schema=PROFILE_SCHEMA)
 
 
-def _verdict(col: str, kind: str, payload, base: dict,
-             ks_threshold: float, psi_threshold: float):
-    """KS (numeric) / PSI (categorical) verdict of one sketch against the
-    baseline store; ``None`` when the baseline has no sketch of ``col``."""
+def by_column(store: dict) -> dict:
+    """``{column: Profile}``: the merge of a store's rows over partitions."""
+    out: dict = {}
+    for (_, col), p in store.items():
+        _merge_into(out, col, p)
+    return out
+
+
+def leaf_columns(batch: pa.Table):
+    """``(name, values, parent)`` of every top-level column and of one
+    flattening level of list<struct> columns (``<list>.<field>`` plus the
+    list length ``<list>.__len``); ``parent`` maps each value to its batch
+    row, ``None`` when values and rows align."""
+    for name in batch.column_names:
+        arr = _decode(batch.column(name))
+        t = arr.type
+        if not (_is_list_t(t) and pa.types.is_struct(t.value_type)):
+            yield name, arr, None
+            continue
+        elems, parent, _ = _flatten(arr, _valid_mask(arr))
+        yield name + ".__len", pc.fill_null(pc.list_value_length(arr), 0), \
+            None
+        for f in elems.type:
+            yield f"{name}.{f.name}", _decode(elems.field(f.name)), parent
+
+
+class ProfileBatch:
+    """Profile stage: batch -> one row per (partition, leaf column).
+
+    Rows group by partition through the dictionary codes of
+    ``partition_id`` (``kernels.partition_codes``; one partition, the
+    common case, takes no filter). Delta-100 t-digests serve both stats
+    and drift. ``categorical`` columns also count their values.
+    """
+
+    def __init__(self, columns: Optional[Sequence[str]] = None,
+                 categorical: Sequence[str] = ()):
+        self.columns = set(columns) if columns is not None else None
+        self.categorical = set(categorical)
+
+    @staticmethod
+    def _profile(arr: pa.Array, categorical: bool) -> Profile:
+        p = Profile(len(arr), arr.null_count)
+        t = arr.type
+        if p.count > p.nulls and (_is_int_t(t) or _is_float_t(t)
+                                  or _is_string_t(t)
+                                  or pa.types.is_boolean(t)):
+            vals = arr.drop_null()
+            mm = pc.min_max(vals)
+            p.lo, p.hi = mm["min"].as_py(), mm["max"].as_py()
+            if not _is_string_t(t):
+                p.lo, p.hi = float(p.lo), float(p.hi)
+                # HLL must hash native values (a float64 cast collapses
+                # int64 ids beyond 2^53); the t-digest alone takes the cast
+                p.td = TDigest().update(pc.cast(
+                    vals, pa.float64(), safe=False).to_numpy(
+                    zero_copy_only=False))
+            p.hll = HLL().update(vals.to_numpy(zero_copy_only=False))
+        if categorical:
+            vc = pc.value_counts(arr.drop_null())
+            p.counts = {str(v): c for v, c in zip(
+                vc.field("values").to_pylist(),
+                vc.field("counts").to_pylist())}
+        return p
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        pids, codes = partition_codes(batch)
+        rows = []
+        for name, arr, parent in leaf_columns(batch):
+            if self.columns is not None and name not in self.columns:
+                continue
+            slot = codes if parent is None else codes[parent]
+            for i, pid in enumerate(pids):
+                part = arr if len(pids) == 1 else arr.filter(
+                    pa.array(slot == i))
+                rows.append(_encode_row(pid, name, self._profile(
+                    part, name in self.categorical)))
+        return pa.Table.from_pylist(rows, schema=PROFILE_SCHEMA)
+
+
+def profile(ds, columns: Optional[Sequence[str]] = None,
+            categorical: Sequence[str] = (), *, batch_size=8192,
+            concurrency=None) -> dict:
+    """Profile store ``{(partition_id, column): Profile}`` of ``ds`` from
+    one pass. The per-batch rows are tree-reduced (engine/shuffle.py
+    tree_reduce), so the driver merges O(partitions x columns) rows, never
+    one per batch."""
+    from engine.shuffle import tree_reduce
+
+    parts = ds.map_batches(
+        ProfileBatch(columns, categorical), batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=batch_size, concurrency=concurrency)
+    final = tree_reduce(
+        parts, lambda b: profile_table(_merge_rows(b.to_pylist())))
+    return _merge_rows(final.iter_rows())
+
+
+def _payload(p: Profile, kind: str):
+    """The drift sketch of a profile: its digest or its value counts."""
+    if kind == "numeric":
+        return p.td if p.td is not None else TDigest()
+    return p.counts or {}
+
+
+def _view(store: dict, categorical) -> dict:
+    """Baseline ``{column: (kind, payload)}`` of a ``{column: Profile}``
+    store."""
+    kinds = {col: "categorical" if col in categorical else "numeric"
+             for col in store}
+    return {col: (kinds[col], _payload(p, kinds[col]))
+            for col, p in store.items()}
+
+
+def _verdict(col: str, p: Profile, base: dict, ks_threshold: float,
+             psi_threshold: float):
+    """KS (numeric) / PSI (categorical) verdict of one profile against the
+    baseline; ``None`` when the baseline has no sketch of ``col``."""
     entry = base.get(col)
     if entry is None:
         return None
-    if kind == "numeric":
-        metric, d, limit = "ks", ks_distance(payload, entry[1]), ks_threshold
-    else:
-        metric, d, limit = "psi", psi(payload, entry[1]), psi_threshold
-    return {"column": col, "metric": metric, "value": d, "drifted": d > limit}
+    kind, ref = entry
+    num = kind == "numeric"
+    d = (ks_distance if num else psi)(_payload(p, kind), ref)
+    return {"column": col, "metric": "ks" if num else "psi", "value": d,
+            "drifted": d > (ks_threshold if num else psi_threshold)}
 
 
-class _DriftPartialBatch:
-    def __init__(self, numeric: Sequence[str], categorical: Sequence[str]):
-        self.numeric = tuple(numeric)
-        self.categorical = tuple(categorical)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if "partition_id" in batch.column_names:
-            parts = batch.column("partition_id").to_numpy(
-                zero_copy_only=False)
-        else:  # unpartitioned corpus: one logical partition
-            parts = np.full(len(batch), "all", dtype=object)
-        rows = []
-        wanted = set(self.numeric) | set(self.categorical)
-        # map each leaf column's slots back to batch rows
-        from engine.kernels import _decode, _flatten, _is_list_t
-        for name in wanted:
-            if name in batch.column_names:
-                arr = _decode(batch.column(name))
-                parent = np.arange(len(batch))
-            else:
-                base, _, field = name.partition(".")
-                if base not in batch.column_names:
-                    continue
-                lst = _decode(batch.column(base))
-                if not _is_list_t(lst.type):
-                    continue
-                active = np.ones(len(lst), dtype=bool)
-                if lst.null_count:
-                    active = np.asarray(pc.is_valid(lst)).astype(bool)
-                if field == "__len":
-                    arr = pc.list_value_length(lst)
-                    arr = pc.fill_null(arr, 0)
-                    parent = np.arange(len(batch))
-                else:
-                    elems, parent, _ = _flatten(lst, active)
-                    arr = _decode(elems.field(field))
-            vals = arr.to_numpy(zero_copy_only=False)
-            pvals = parts[parent]
-            for p in np.unique(pvals):
-                sel = vals[pvals == p]
-                if name in self.numeric:
-                    sel = sel[~(sel == None)]  # noqa: E711
-                    kind, payload = "numeric", TDigest().update(
-                        np.asarray(sel, dtype=np.float64))
-                else:
-                    u, c = np.unique(sel[sel != None], return_counts=True)  # noqa: E711
-                    kind, payload = "categorical", {
-                        str(k): int(v) for k, v in zip(u, c)}
-                rows.append(_encode_row(str(p), name, kind, payload))
-        return pa.Table.from_pylist(rows, schema=_PARTIAL_SCHEMA)
+def baseline_from(store: dict, exclude_partitions: Sequence[str] = (), *,
+                  numeric: Sequence[str] = NUMERIC_DEFAULT,
+                  categorical: Sequence[str] = CATEGORICAL_DEFAULT) -> dict:
+    """Baseline ``{column: (kind, payload)}``: the merge of a profile
+    store's partitions outside ``exclude_partitions``."""
+    excl, cols = set(exclude_partitions), {*numeric, *categorical}
+    return _view(by_column({k: p for k, p in store.items()
+                            if k[0] not in excl and k[1] in cols}),
+                 set(categorical))
 
 
-def _partials(ds, numeric, categorical, batch_size):
-    """Sketch rows of every (batch, partition, column) — the corpus pass."""
-    return ds.map_batches(
-        _DriftPartialBatch(numeric, categorical),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
+def score(store: dict, baseline: dict, *, ks_threshold: float = 0.15,
+          psi_threshold: float = 0.2) -> pa.Table:
+    """Per (partition, column) drift verdicts of a profile store vs the
+    baseline."""
+    out = []
+    for (pid, col), p in sorted(store.items()):
+        v = _verdict(col, p, baseline, ks_threshold, psi_threshold)
+        if v is not None:
+            out.append({"partition_id": pid, **v})
+    return pa.Table.from_pylist(out, schema=_VERDICT_SCHEMA)
 
 
-def partition_sketches(ds, *, numeric: Sequence[str] = NUMERIC_DEFAULT,
-                       categorical: Sequence[str] = CATEGORICAL_DEFAULT,
-                       batch_size: int = 8192):
-    """One sketch row per (partition, column), from one pass over ``ds``."""
-    def _merge_group(t: pa.Table) -> pa.Table:
-        rows = t.to_pylist()  # [] on the zero-column frame of an empty ds
-        return _sketch_table(rows[0]["partition_id"] if rows else "",
-                             _merge_rows(rows))
-
-    return _partials(ds, numeric, categorical, batch_size) \
-        .groupby(["partition_id", "column"]) \
-        .map_groups(_merge_group, batch_format="pyarrow")
-
-
-def baseline_from(sketches, exclude_partitions: Sequence[str] = ()) -> dict:
-    """Baseline store ``{column: (kind, payload)}``: the merge of the
-    partition sketches outside ``exclude_partitions``.
-
-    The rows are tree-reduced (engine/shuffle.py tree_reduce), so the
-    driver merges O(columns x cluster) rows, never one per partition;
-    merged rows carry the partition marker ''.
-    """
-    from engine.shuffle import tree_reduce
-
-    excl = set(exclude_partitions)
-
-    def _kept(rows) -> dict:
-        return _merge_rows(r for r in rows if r["partition_id"] not in excl)
-
-    final = tree_reduce(
-        sketches, lambda b: _sketch_table("", _kept(b.to_pylist())))
-    return _kept(final.iter_rows())
-
-
-def score(sketches, baseline: dict, *, ks_threshold: float = 0.15,
-          psi_threshold: float = 0.2):
-    """Per (partition, column) drift verdicts of partition sketches vs the
-    broadcast baseline."""
-    def _score(b: pa.Table) -> pa.Table:
-        out = []
-        for r in b.to_pylist():
-            v = _verdict(r["column"], r["kind"], _decode_row(r), baseline,
-                         ks_threshold, psi_threshold)
-            if v is not None:
-                out.append({"partition_id": r["partition_id"], **v})
-        return pa.Table.from_pylist(out, schema=_VERDICT_SCHEMA)
-
-    return sketches.map_batches(_score, batch_format="pyarrow")
+def _drift_profile(ds, numeric, categorical, batch_size) -> dict:
+    return profile(ds, (*numeric, *categorical), categorical,
+                   batch_size=batch_size)
 
 
 def build_baseline(ds, *, numeric: Sequence[str] = NUMERIC_DEFAULT,
@@ -222,9 +299,9 @@ def build_baseline(ds, *, numeric: Sequence[str] = NUMERIC_DEFAULT,
                    batch_size: int = 8192) -> dict:
     """Baseline sketch store {column: (kind, payload)} from a clean corpus
     (excluded partitions are left out of the merge)."""
-    return baseline_from(partition_sketches(
-        ds, numeric=numeric, categorical=categorical,
-        batch_size=batch_size), exclude_partitions)
+    return baseline_from(
+        _drift_profile(ds, numeric, categorical, batch_size),
+        exclude_partitions, numeric=numeric, categorical=categorical)
 
 
 def ks_distance(a: TDigest, b: TDigest) -> float:
@@ -250,28 +327,27 @@ def drift_check(ds, baseline: dict, *,
                 categorical: Sequence[str] = CATEGORICAL_DEFAULT,
                 ks_threshold: float = 0.15, psi_threshold: float = 0.2,
                 batch_size: int = 8192):
-    """Per (partition, column) drift verdicts vs the broadcast baseline."""
-    return score(partition_sketches(
-        ds, numeric=numeric, categorical=categorical, batch_size=batch_size),
-        baseline, ks_threshold=ks_threshold, psi_threshold=psi_threshold)
+    """Per (partition, column) drift verdicts vs the baseline (Dataset)."""
+    import ray.data
+    return ray.data.from_arrow(score(
+        _drift_profile(ds, numeric, categorical, batch_size), baseline,
+        ks_threshold=ks_threshold, psi_threshold=psi_threshold))
 
 
 # ---------------------------------------------------------------------------
 # incremental drift over streaming micro-batches
 
 
-def save_baseline(baseline: dict, path: str) -> None:
-    """Serialize a baseline sketch store to one parquet file (atomic
-    commit: engine/storage.py ``atomic_replace``)."""
+def _load_store(path: str) -> dict:
     import pyarrow.parquet as pq
-    with atomic_replace(path, "wb") as f:
-        pq.write_table(
-            _sketch_table("", baseline).drop_columns(["partition_id"]), f)
+    return _merge_rows(pq.read_table(path).to_pylist())
 
 
 def load_baseline(path: str) -> dict:
-    import pyarrow.parquet as pq
-    return _merge_rows(pq.read_table(path).to_pylist())
+    """Baseline ``{column: (kind, payload)}`` of a saved store: columns
+    that count values are categorical, the rest numeric."""
+    store = by_column(_load_store(path))
+    return _view(store, {c for c, p in store.items() if p.counts is not None})
 
 
 def drift_micro_batch(ds, state_dir: str, *,
@@ -282,14 +358,14 @@ def drift_micro_batch(ds, state_dir: str, *,
                       update_baseline: str = "if_clean",
                       batch_size: int = 8192):
     """Incremental drift: check one micro-batch against the persistent
-    baseline sketch store under ``state_dir``; returns (verdicts, summary).
+    baseline store under ``state_dir``; returns (verdicts, summary).
 
     * first micro-batch seeds the baseline (no verdicts);
-    * ``update_baseline``: "if_clean" merges the batch's sketches into the
+    * ``update_baseline``: "if_clean" merges the batch's profiles into the
       baseline only when NO column drifted (a drifting batch must not
       poison the reference distribution), "always" merges regardless,
       "never" keeps the original baseline frozen;
-    * sketches are mergeable (t-digest / counts), so the baseline grows
+    * profiles are mergeable (t-digest / counts), so the baseline grows
       without ever re-reading history — the streaming analog of
       ``build_baseline``. State commits are atomic renames.
     """
@@ -297,32 +373,33 @@ def drift_micro_batch(ds, state_dir: str, *,
     mpath = os.path.join(state_dir, "drift_meta.json")
     os.makedirs(state_dir, exist_ok=True)
 
-    # one-partition sketch of this micro-batch (distributed partial pass)
-    batch_sketch = _merge_rows(
-        _partials(ds, numeric, categorical, batch_size).iter_rows())
+    # one-partition profile of this micro-batch (distributed partial pass)
+    batch = {("", col): p for col, p in by_column(
+        _drift_profile(ds, numeric, categorical, batch_size)).items()}
     meta = {"version": 0, "drifted_batches": 0}
     if os.path.exists(mpath):
         with open(mpath) as f:
             meta = json.load(f)
 
     seeded = not os.path.exists(bpath)  # an empty baseline scores nothing
-    baseline = {} if seeded else load_baseline(bpath)
-    rows = [_verdict(col, kind, payload, baseline, ks_threshold,
-                     psi_threshold)
-            for col, (kind, payload) in sorted(batch_sketch.items())]
-    rows = [r for r in rows if r is not None]
-    n_drifted = sum(r["drifted"] for r in rows)
+    store = {} if seeded else _load_store(bpath)
+    verdicts = score(batch, baseline_from(
+        store, numeric=numeric, categorical=categorical),
+        ks_threshold=ks_threshold, psi_threshold=psi_threshold) \
+        .drop_columns(["partition_id"])
+    n_drifted = sum(verdicts.column("drifted").to_pylist())
 
     if seeded or update_baseline == "always" or (
             update_baseline == "if_clean" and n_drifted == 0):
-        for col, (kind, payload) in batch_sketch.items():
-            _merge_into(baseline, col, kind, payload)
-        save_baseline(baseline, bpath)
+        import pyarrow.parquet as pq
+        for key, p in batch.items():
+            _merge_into(store, key, p)
+        with atomic_replace(bpath, "wb") as f:  # atomic state commit
+            pq.write_table(profile_table(store), f)
 
     meta["version"] += 1
     meta["drifted_batches"] += int(n_drifted > 0)
     with atomic_replace(mpath) as f:
         json.dump(meta, f)
-    verdicts = pa.Table.from_pylist(rows, schema=_VERDICT_SCHEMA.remove(0))
     return verdicts, {"seeded": seeded, "version": meta["version"],
                       "drifted_columns": n_drifted}

@@ -118,6 +118,17 @@ def _valid_mask(val: pa.Array) -> np.ndarray:
     return _np_bool(pc.is_valid(val))
 
 
+def partition_codes(batch: pa.Table) -> tuple[list, np.ndarray]:
+    """(partition ids, each row's index into them) of a batch, from the
+    dictionary codes of ``partition_id``; a batch without that column is
+    the one partition ``"all"``."""
+    if "partition_id" not in batch.column_names:
+        return ["all"], np.zeros(len(batch), dtype=np.int64)
+    enc = pc.dictionary_encode(_decode(batch.column("partition_id")))
+    return (enc.dictionary.to_pylist(),
+            enc.indices.to_numpy(zero_copy_only=False))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation context + sinks
 

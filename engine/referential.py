@@ -13,13 +13,13 @@ the (rare) hits of suspected-dangling refs is the documented pattern.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from engine.kernels import _decode, _flatten, _is_list_t
+from engine.kernels import _decode, _flatten, _is_list_t, _valid_mask
 from engine.sketches import Bloom
 
 
@@ -151,7 +151,9 @@ def dangling_fk_rows(fact_ds, dim_ds, *, fk: str, pk: str,
 
 class _RefCheckBatch:
     """Checks flattened ``<list_col>.<ref_field>`` membership against the
-    broadcast filter; emits one row per dangling ref occurrence.
+    broadcast filter; emits one row per dangling ref occurrence — or, with
+    ``present``, per occurrence of a ref IN the side set (the targeted
+    third pass that fetches the row contexts of Bloom false positives).
 
     With ``emit_hit_keys`` the batch ALSO emits its distinct Bloom-HIT keys
     as marker rows (span_index = -1, key_column = '') so a downstream exact
@@ -159,13 +161,16 @@ class _RefCheckBatch:
     distinct-per-batch, a combiner output, never one row per ref)."""
 
     def __init__(self, side_ref, list_col: str, ref_field: str,
-                 key_column: str, exact: bool, emit_hit_keys: bool = False):
+                 key_column: str, exact: bool, emit_hit_keys: bool = False,
+                 carry: Sequence[str] = (), present: bool = False):
         self.side_ref = side_ref  # ray.ObjectRef or the object itself
         self.list_col = list_col
         self.ref_field = ref_field
         self.key_column = key_column
         self.exact = exact
         self.emit_hit_keys = emit_hit_keys
+        self.carry = tuple(carry)  # row columns appended to each ref row
+        self.present = present
         self._side = None
 
     def _get_side(self):
@@ -182,12 +187,9 @@ class _RefCheckBatch:
         arr = _decode(batch.column(self.list_col))
         if not _is_list_t(arr.type):
             raise TypeError(f"{self.list_col} is not a list column")
-        active = np.ones(len(arr), dtype=bool)
-        if arr.null_count:
-            active = np.asarray(pc.is_valid(arr)).astype(bool)
-        elems, parent, within = _flatten(arr, active)
-        refs_arr = _decode(elems.field(self.ref_field))
-        refs = refs_arr.to_numpy(zero_copy_only=False)
+        elems, parent, within = _flatten(arr, _valid_mask(arr))
+        refs = _decode(elems.field(self.ref_field)).to_numpy(
+            zero_copy_only=False)
         nonempty = np.array([r is not None and r != "" for r in refs],
                             dtype=bool)
         check = refs[nonempty]
@@ -195,14 +197,14 @@ class _RefCheckBatch:
             hit = np.array([r in side for r in check], dtype=bool)
         else:
             hit = side.contains(check.astype(object))
-        dangling_local = np.nonzero(nonempty)[0][~hit]
-        keys = batch.column(self.key_column).take(
-            pa.array(parent[dangling_local]))
+        sel = np.nonzero(nonempty)[0][hit if self.present else ~hit]
+        rows = batch.select([self.key_column, *self.carry]).take(
+            pa.array(parent[sel]))
         out = pa.table({
-            self.key_column: keys,
-            "span_index": pa.array(within[dangling_local].astype(np.int32)),
-            "media_ref": pa.array([refs[i] for i in dangling_local.tolist()],
-                                  pa.string()),
+            self.key_column: rows.column(self.key_column),
+            "span_index": pa.array(within[sel].astype(np.int32)),
+            "media_ref": pa.array(refs[sel].tolist(), pa.string()),
+            **{c: rows.column(c) for c in self.carry},
         })
         if self.emit_hit_keys:
             hit_keys = np.unique(check[hit].astype(object))
@@ -253,12 +255,10 @@ def check_references(docs_ds, catalog_ds, *, list_col: str = "spans",
         batch_size=batch_size, concurrency=concurrency).materialize()
 
     def _miss_rows(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc2
-        return b.filter(pc2.greater_equal(b.column("span_index"), 0))
+        return b.filter(pc.greater_equal(b.column("span_index"), 0))
 
     def _hit_keys(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc2
-        sub = b.filter(pc2.equal(b.column("span_index"), -1))
+        sub = b.filter(pc.equal(b.column("span_index"), -1))
         return pa.table({"media_ref": sub.column("media_ref")})
 
     misses = phase1.map_batches(_miss_rows, batch_format="pyarrow")
@@ -271,45 +271,9 @@ def check_references(docs_ds, catalog_ds, *, list_col: str = "spans",
     fp_keys = set(fp.to_pandas()["key"].tolist())
     fp_ref = ray.put(fp_keys)
     fp_rows = docs_ds.map_batches(
-        _FetchRefRows(fp_ref, list_col, ref_field, key_column),
+        _RefCheckBatch(fp_ref, list_col, ref_field, key_column, True,
+                       present=True),
         batch_format="pyarrow", zero_copy_batch=True,
         batch_size=batch_size, concurrency=concurrency)
     return misses.union(fp_rows)
 
-
-class _FetchRefRows:
-    """Row contexts (key, span_index, media_ref) of refs IN the broadcast
-    key set — the targeted third pass that materializes the (rare) Bloom
-    false positives found by the exact hit audit."""
-
-    def __init__(self, keys_ref, list_col: str, ref_field: str,
-                 key_column: str):
-        self.keys_ref = keys_ref
-        self.list_col = list_col
-        self.ref_field = ref_field
-        self.key_column = key_column
-        self._keys = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-        if self._keys is None:
-            obj = self.keys_ref
-            self._keys = ray.get(obj) if isinstance(
-                obj, ray.ObjectRef) else obj
-        arr = _decode(batch.column(self.list_col))
-        active = np.ones(len(arr), dtype=bool)
-        if arr.null_count:
-            active = np.asarray(pc.is_valid(arr)).astype(bool)
-        elems, parent, within = _flatten(arr, active)
-        refs = _decode(elems.field(self.ref_field)).to_numpy(
-            zero_copy_only=False)
-        sel = np.array([r is not None and r in self._keys for r in refs],
-                       dtype=bool)
-        idx = np.nonzero(sel)[0]
-        keys = batch.column(self.key_column).take(pa.array(parent[idx]))
-        return pa.table({
-            self.key_column: keys,
-            "span_index": pa.array(within[idx].astype(np.int32)),
-            "media_ref": pa.array([refs[i] for i in idx.tolist()],
-                                  pa.string()),
-        })

@@ -1,10 +1,11 @@
 """Per-column statistics: null rate, count, min/max, HLL distinct, t-digest.
 
-Partial+final pattern (SURVEY.md §2.4): every ``map_batches`` task emits ONE
-tiny partial row per (column x batch) — counts, typed min/max, serialized
-sketches — and the final merge is a ``groupby("column").map_groups`` over
-those partials only. The corpus itself is never shuffled; at 10^12 docs the
-shuffled volume is (#batches x #columns) sketch blobs.
+Stats are a merge of column profiles (engine/drift.py): one pass emits one
+tiny profile row per (batch, partition, column) — counts, typed min/max,
+serialized sketches — tree-reduced per (partition, column); a column's stats
+row is the merge of its rows over all partitions. The corpus itself is never
+shuffled. The checkpoint job commits each partition's profile rows once, so
+its stats step merges committed rows and never reads the corpus.
 
 Nested span fields are flattened with the same list-offset machinery as the
 validator, so stats cover ``spans.kind`` etc. as first-class columns.
@@ -18,21 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from engine.kernels import (_decode, _flatten, _is_float_t, _is_int_t,
-                            _is_list_t, _is_string_t)
-from engine.sketches import HLL, TDigest
-
-PARTIAL_SCHEMA = pa.schema([
-    ("column", pa.string()),
-    ("count", pa.int64()),
-    ("nulls", pa.int64()),
-    ("min_num", pa.float64()),
-    ("max_num", pa.float64()),
-    ("min_str", pa.string()),
-    ("max_str", pa.string()),
-    ("hll", pa.binary()),
-    ("tdigest", pa.binary()),
-])
+from engine.drift import by_column, profile
 
 FINAL_SCHEMA = pa.schema([
     ("column", pa.string()),
@@ -48,118 +35,32 @@ FINAL_SCHEMA = pa.schema([
 ])
 
 
-def _leaf_columns(batch: pa.Table) -> list[tuple[str, pa.Array]]:
-    """Top-level columns plus one flattening level of list<struct> columns."""
-    out = []
-    for name in batch.column_names:
-        arr = _decode(batch.column(name))
-        t = arr.type
-        if _is_list_t(t) and pa.types.is_struct(t.value_type):
-            active = np.ones(len(arr), dtype=bool)
-            if arr.null_count:
-                active = np.asarray(pc.is_valid(arr))
-            elems, _, _ = _flatten(arr, active)
-            out.append((name + ".__len", pa.array(
-                pc.list_value_length(arr).to_numpy(zero_copy_only=False)
-                if arr.null_count == 0 else
-                pc.fill_null(pc.list_value_length(arr), 0).to_numpy(
-                    zero_copy_only=False))))
-            for f in elems.type:
-                out.append((f"{name}.{f.name}", _decode(elems.field(f.name))))
-        else:
-            out.append((name, arr))
-    return out
-
-
-class ColumnStatsBatch:
-    """Partial-aggregate stage: batch -> one row per column."""
-
-    def __init__(self, columns: Optional[Sequence[str]] = None,
-                 hll_p: int = 12, tdigest_delta: int = 100):
-        self.columns = set(columns) if columns else None
-        self.hll_p = hll_p
-        self.delta = tdigest_delta
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for name, arr in _leaf_columns(batch):
-            if self.columns is not None and name not in self.columns:
-                continue
-            n = len(arr)
-            nulls = arr.null_count
-            t = arr.type
-            row = {"column": name, "count": n, "nulls": nulls,
-                   "min_num": None, "max_num": None,
-                   "min_str": None, "max_str": None,
-                   "hll": b"", "tdigest": b""}
-            if n > nulls and (_is_int_t(t) or _is_float_t(t)
-                              or _is_string_t(t) or pa.types.is_boolean(t)):
-                mm = pc.min_max(arr)
-                if _is_string_t(t):
-                    row["min_str"] = mm["min"].as_py()
-                    row["max_str"] = mm["max"].as_py()
-                    vals = arr.drop_null().to_numpy(zero_copy_only=False)
-                else:
-                    row["min_num"] = float(mm["min"].as_py())
-                    row["max_num"] = float(mm["max"].as_py())
-                    # HLL must hash native values (a float64 cast collapses
-                    # int64 ids beyond 2^53); t-digest alone takes the cast
-                    vals = arr.drop_null().to_numpy(zero_copy_only=False)
-                    fvals = pc.cast(arr.drop_null(), pa.float64(),
-                                    safe=False).to_numpy(
-                        zero_copy_only=False)
-                    row["tdigest"] = TDigest(self.delta).update(
-                        fvals).to_bytes()
-                row["hll"] = HLL(self.hll_p).update(vals).to_bytes()
-            rows.append(row)
-        return pa.Table.from_pylist(rows, schema=PARTIAL_SCHEMA)
-
-
-def _merge_stats_group(df) -> "object":
-    import pandas as pd
-
-    col = df["column"].iloc[0]
-    count = int(df["count"].sum())
-    nulls = int(df["nulls"].sum())
-    hll = None
-    td = None
-    for b in df["hll"]:
-        if b:
-            s = HLL.from_bytes(bytes(b))
-            hll = s if hll is None else hll.merge(s)
-    for b in df["tdigest"]:
-        if b:
-            s = TDigest.from_bytes(bytes(b))
-            td = s if td is None else td.merge(s)
-    min_num = df["min_num"].dropna()
-    max_num = df["max_num"].dropna()
-    min_str = df["min_str"].dropna()
-    max_str = df["max_str"].dropna()
-    if len(min_num):
-        mn, mx = str(min_num.min()), str(max_num.max())
-    elif len(min_str):
-        mn, mx = str(min_str.min()), str(max_str.max())
-    else:
-        mn = mx = None
-    return pd.DataFrame([{
-        "column": col, "count": count, "nulls": nulls,
-        "null_rate": nulls / count if count else 0.0,
-        "distinct_est": hll.estimate() if hll else 0.0,
-        "min": mn, "max": mx,
-        "p50": td.quantile(0.5) if td else float("nan"),
-        "p95": td.quantile(0.95) if td else float("nan"),
-        "p99": td.quantile(0.99) if td else float("nan"),
-    }])
+def stats_table(store: dict) -> pa.Table:
+    """One stats row per column of a profile store
+    ``{(partition_id, column): Profile}`` (engine/drift.py): the merge of
+    the column's profiles over every partition."""
+    rows = []
+    for col, p in sorted(by_column(store).items()):
+        td = p.td
+        rows.append({
+            "column": col, "count": p.count, "nulls": p.nulls,
+            "null_rate": p.nulls / p.count if p.count else 0.0,
+            "distinct_est": 0.0 if p.hll is None else p.hll.estimate(),
+            "min": None if p.lo is None else str(p.lo),
+            "max": None if p.hi is None else str(p.hi),
+            "p50": float("nan") if td is None else td.quantile(0.5),
+            "p95": float("nan") if td is None else td.quantile(0.95),
+            "p99": float("nan") if td is None else td.quantile(0.99)})
+    return pa.Table.from_pylist(rows, schema=FINAL_SCHEMA)
 
 
 def column_stats(ds, columns: Optional[Sequence[str]] = None, *,
                  batch_size: int = 8192, concurrency=None):
     """Dataset -> small stats Dataset (one row per column)."""
-    partials = ds.map_batches(
-        ColumnStatsBatch(columns), batch_format="pyarrow",
-        zero_copy_batch=True, batch_size=batch_size, concurrency=concurrency)
-    return partials.groupby("column").map_groups(
-        _merge_stats_group, batch_format="pandas")
+    import ray.data
+    return ray.data.from_arrow(stats_table(profile(
+        ds, columns or None, batch_size=batch_size,
+        concurrency=concurrency)))
 
 
 # ---------------------------------------------------------------------------

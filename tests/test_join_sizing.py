@@ -7,9 +7,7 @@ joins beside two actor-pool stages) never finished at ``num_cpus=1``.
 """
 
 import json
-import os
 import pathlib
-import signal
 import subprocess
 import sys
 
@@ -18,6 +16,7 @@ import numpy as np
 import pytest
 
 from engine import shuffle
+from proc_group import run_group
 from test_dataset import SF_DIR
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -52,23 +51,13 @@ def test_q5_finishes_on_one_cpu():
     """q5 in its own 1-CPU Ray session, under a timeout. The child leads a
     new process group, so a hang is killed with every Ray process it
     started (GCS, raylet, workers, agents) and leaves nothing running."""
-    p = subprocess.Popen([sys.executable, "-c", Q5_SCRIPT, SF_DIR],
-                         cwd=REPO, stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True,
-                         start_new_session=True)
     try:
-        out, err = p.communicate(timeout=Q5_TIMEOUT_S)
+        r = run_group([sys.executable, "-c", Q5_SCRIPT, SF_DIR], cwd=REPO,
+                      timeout=Q5_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        os.killpg(p.pid, signal.SIGKILL)
-        p.communicate()
         pytest.fail(f"q5 did not finish in {Q5_TIMEOUT_S} s at num_cpus=1")
-    finally:
-        try:  # Ray helper processes can outlive the finished script
-            os.killpg(p.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    assert p.returncode == 0, err[-3000:]
-    got = json.loads(out.strip().splitlines()[-1])
+    assert r.returncode == 0, r.stderr[-3000:]
+    got = json.loads(r.stdout.strip().splitlines()[-1])
 
     import __ray_entry__ as entry
     con = duckdb.connect()

@@ -4,7 +4,6 @@ FIXTURES §3 schema variants over the spans corpus."""
 import glob
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -12,7 +11,10 @@ import time
 import pyarrow.parquet as pq
 import pytest
 
+from proc_group import kill_group, run_group, start_group
+
 SF_DIR = "/root/testdata/sf0.001"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +53,27 @@ class TestKillResume:
         job_out = str(tmp_path / "job")
         cmd = [sys.executable, "-m", "engine.cli", "validate",
                "--input", corpus_dir, "--out", job_out, "--num-cpus", "4"]
-        # start the job, SIGKILL it as soon as the first manifest lands
-        p = subprocess.Popen(cmd, cwd="/root/repo",
-                             stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
+        # start the job, SIGKILL it (and every Ray process it started) as
+        # soon as the first manifest lands
+        p = start_group(cmd, cwd=REPO, stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL)
         manifest_glob = os.path.join(job_out, "_manifest", "p*.json")
-        deadline = time.time() + 120
-        while time.time() < deadline:
-            if glob.glob(manifest_glob):
-                break
-            if p.poll() is not None:
-                break
-            time.sleep(0.2)
-        if p.poll() is None:
-            p.send_signal(signal.SIGKILL)
-            p.wait()
+        try:
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                if glob.glob(manifest_glob):
+                    break
+                if p.poll() is not None:
+                    break
+                time.sleep(0.2)
+        finally:
+            kill_group(p)
         done_before = sorted(glob.glob(manifest_glob))
         assert done_before, "job died before completing any partition"
         mtimes = {f: os.path.getmtime(f) for f in done_before}
 
         # resume to completion in a fresh process
-        r = subprocess.run(cmd, cwd="/root/repo", capture_output=True,
-                           text=True, timeout=300)
+        r = run_group(cmd, cwd=REPO, timeout=300)
         assert r.returncode == 0, r.stderr[-500:]
         summary = json.loads(r.stdout.strip().splitlines()[-1])
         assert summary["skipped"] >= len(done_before)

@@ -8,8 +8,13 @@ or killed by the test.
 """
 
 import os
+import pathlib
 import signal
 import subprocess
+
+#: the checkout these tests belong to: CLI children run here and the
+#: driver-contract tests load its ``__ray_entry__.py``
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def start_group(cmd, **kwargs) -> subprocess.Popen:

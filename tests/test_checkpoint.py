@@ -110,6 +110,7 @@ def test_changed_input_invalidates_checkpoint(corpus, ray_session, tmp_path):
 
 def test_cli_validate_doc(tmp_path):
     import subprocess, sys
+    from proc_group import REPO
     schema = tmp_path / "s.json"
     schema.write_text('{"type":"object","required":["a"],'
                       '"properties":{"a":{"type":"integer"}}}')
@@ -119,11 +120,11 @@ def test_cli_validate_doc(tmp_path):
     bad.write_text('{"a": "x"}')
     r = subprocess.run([sys.executable, "-m", "engine.cli", "validate-doc",
                         "-s", str(schema), "-p", str(good)],
-                       capture_output=True, text=True, cwd="/root/repo")
+                       capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 0, r.stderr
     r = subprocess.run([sys.executable, "-m", "engine.cli", "validate-doc",
                         "-s", str(schema), "-p", str(bad)],
-                       capture_output=True, text=True, cwd="/root/repo")
+                       capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 1
     assert '/a: expected integer, got string' in r.stderr
     assert 'validation failed with 1 error(s)' in r.stderr

@@ -1,13 +1,29 @@
 """Driver-contract simulation: run every queries() entry at sf0.01 and
 compare against its oracle_sql() with the driver's semantics (sorted columns,
-order-insensitive row comparison)."""
+order-insensitive row comparison).
+
+Every query's frame is also pinned in ``entry_pins.json``: column names,
+``str(dtype)`` per column and row count, and for the rows-only queries a
+sha256 of the canonical rows. The pins were recorded twice on the same
+commit; a digest is pinned only where both runs agreed."""
+
+import hashlib
+import importlib.util
+import json
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
+from proc_group import REPO
+
 SF = "/root/testdata/sf0.01"
+PINS = json.loads((REPO / "tests" / "entry_pins.json").read_text())
+#: rows-only queries pinned at columns, dtypes and row count only: their
+#: quantiles (stats p50/p95/p99, the drift KS statistic) come from t-digest
+#: merges whose order follows block completion
+ROWS_UNPINNED = {"spans_drift", "spans_stats"}
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
@@ -59,21 +75,43 @@ def test_all_queries_have_unique_names(contract):
     assert set(sql.keys()) <= set(qs.keys())
 
 
+def _rows_digest(df: pd.DataFrame) -> str:
+    return hashlib.sha256(_canon(df).to_csv(index=False).encode()).hexdigest()
+
+
+def _check_pin(name: str, df: pd.DataFrame) -> None:
+    """The frame the driver sees matches its pin: columns, dtypes, rows,
+    and the rows digest where one is pinned."""
+    pin = PINS[name]
+    assert list(df.columns) == pin["columns"], f"{name}: columns"
+    assert [str(df[c].dtype) for c in df.columns] == pin["dtypes"], (
+        f"{name}: dtypes {[str(df[c].dtype) for c in df.columns]}")
+    assert len(df) == pin["rows"], f"{name}: {len(df)} rows"
+    if "sha256" in pin:
+        assert _rows_digest(df) == pin["sha256"], f"{name}: rows digest"
+
+
+def _entry_names():
+    """This checkout's entry module, loaded for its query names only (at
+    collection time, before any Ray session exists)."""
+    spec = importlib.util.spec_from_file_location(
+        "_entry_names", REPO / "__ray_entry__.py")
+    m = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(m)
+    return m
+
+
 def _oracled_names():
     """EVERY query with an oracle is SQL-parity-checked — the list is
     derived, so a new oracled query can never silently skip this gate."""
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "_entry_names", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    return sorted(m.oracle_sql())
+    return sorted(_entry_names().oracle_sql())
 
 
 @pytest.mark.parametrize("name", _oracled_names())
 def test_sql_checked_query(contract, con, name):
     qs = contract.queries()
-    got = _canon(_to_df(qs[name](SF)))
+    df = _to_df(qs[name](SF))
+    got = _canon(df)
     exp = _canon(con.sql(contract.oracle_sql()[name]).df())
     assert list(got.columns) == list(exp.columns), (
         f"{name}: columns {list(got.columns)} != {list(exp.columns)}")
@@ -92,16 +130,13 @@ def test_sql_checked_query(contract, con, name):
             else:
                 assert (got[c].values == exp[c].values).all(), \
                     f"{name}.{c} mismatch"
+    _check_pin(name, df)
 
 
 def _rows_only_names():
     """Every queries() entry WITHOUT an oracle runs rows-only here, so the
     full driver surface executes in-suite regardless of oracle status."""
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "_entry_names2", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
+    m = _entry_names()
     return sorted(set(m.queries()) - set(m.oracle_sql()))
 
 
@@ -113,3 +148,9 @@ def test_rows_only_query_runs(contract, name):
     # produces a stable column set (ray's to_pandas drops columns for
     # all-empty datasets — an empty result is still a valid run)
     assert len(got.columns) > 0 or len(got) == 0
+    _check_pin(name, got)
+    assert ("sha256" in PINS[name]) == (name not in ROWS_UNPINNED), name
+
+
+def test_every_query_is_pinned():
+    assert sorted(PINS) == sorted(_entry_names().queries())

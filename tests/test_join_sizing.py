@@ -7,7 +7,6 @@ joins beside two actor-pool stages) never finished at ``num_cpus=1``.
 """
 
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -16,10 +15,9 @@ import numpy as np
 import pytest
 
 from engine import shuffle
-from proc_group import run_group
+from proc_group import REPO, run_group
 from test_dataset import SF_DIR
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
 Q5_TIMEOUT_S = 240
 
 

@@ -11,10 +11,9 @@ import time
 import pyarrow.parquet as pq
 import pytest
 
-from proc_group import kill_group, run_group, start_group
+from proc_group import REPO, kill_group, run_group, start_group
 
 SF_DIR = "/root/testdata/sf0.001"
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import pyarrow as pa
 import pytest
 
 from engine import sanitizers as sz
+from proc_group import REPO, run_group
 
 
 class TestSanitizers:
@@ -105,7 +106,7 @@ class TestCompileVerb:
              str(tmp_path / "schemas"),
              str(tmp_path / "schemas" / "a.json"),  # duplicate input
              "-o", str(out)],
-            capture_output=True, text=True, cwd="/root/repo")
+            capture_output=True, text=True, cwd=REPO)
         assert r.returncode == 0, r.stderr
         assert "3 schema(s), 2 distinct shape(s)" in r.stdout
         shared = json.loads((out / "shared.json").read_text())
@@ -122,7 +123,7 @@ class TestCompileVerb:
             [sys.executable, "-m", "engine.cli", "compile",
              str(tmp_path / "good.json"), str(tmp_path / "bad.json"),
              "-o", str(out)],
-            capture_output=True, text=True, cwd="/root/repo")
+            capture_output=True, text=True, cwd=REPO)
         assert r.returncode == 1
         assert "bad.json" in r.stderr
         assert not out.exists()  # nothing written on failure
@@ -130,11 +131,11 @@ class TestCompileVerb:
 
 class TestStatsVerb:
     def test_cli_stats(self, tmp_path):
-        r = subprocess.run(
+        r = run_group(
             [sys.executable, "-m", "engine.cli", "stats",
              "--input", "/root/testdata/sf0.001/documents.parquet",
              "--num-cpus", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=180)
+            cwd=REPO, timeout=180)
         assert r.returncode == 0, r.stderr[-400:]
         assert "doc_id" in r.stdout and "null_rate" in r.stdout
 
@@ -144,7 +145,7 @@ class TestCliRobustness:
         r = subprocess.run(
             [sys.executable, "-m", "engine.cli", "validate-doc",
              "-s", "/nonexistent/s.json", "-p", "/dev/null"],
-            capture_output=True, text=True, cwd="/root/repo")
+            capture_output=True, text=True, cwd=REPO)
         assert r.returncode != 0
 
     def test_stdin_schema(self, tmp_path):
@@ -154,14 +155,14 @@ class TestCliRobustness:
             [sys.executable, "-m", "engine.cli", "validate-doc",
              "-s", "-", "-p", str(payload)],
             input='{"type":"integer"}', capture_output=True, text=True,
-            cwd="/root/repo")
+            cwd=REPO)
         assert r.returncode == 0, r.stderr
         payload.write_text('"nope"')
         r = subprocess.run(
             [sys.executable, "-m", "engine.cli", "validate-doc",
              "-s", "-", "-p", str(payload)],
             input='{"type":"integer"}', capture_output=True, text=True,
-            cwd="/root/repo")
+            cwd=REPO)
         assert r.returncode == 1
         assert "expected integer, got string" in r.stderr
 
@@ -169,7 +170,7 @@ class TestCliRobustness:
         r = subprocess.run(
             [sys.executable, "-m", "engine.cli", "compile",
              "/nonexistent/dir", "-o", "/tmp/x"],
-            capture_output=True, text=True, cwd="/root/repo")
+            capture_output=True, text=True, cwd=REPO)
         assert r.returncode != 0
         assert "not a file or directory" in (r.stderr + r.stdout)
 
@@ -179,11 +180,11 @@ class TestNearDupVerb:
         import json as _json
         import pyarrow.parquet as pq
         out = tmp_path / "nd"
-        r = subprocess.run(
+        r = run_group(
             [sys.executable, "-m", "engine.cli", "near-dup",
              "--input", "/root/testdata/sf0.001/documents.parquet",
              "--output", str(out), "--survivors", "--num-cpus", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=300)
+            cwd=REPO, timeout=300)
         assert r.returncode == 0, r.stderr[-400:]
         info = _json.loads(r.stdout.strip().splitlines()[-1])
         assert info["clustered_docs"] > 0
@@ -201,15 +202,11 @@ class TestStreamDedupVerb:
                 "--input", "/root/testdata/sf0.001/documents.parquet",
                 "--state", str(tmp_path / "state"),
                 "--out", str(tmp_path / "kept"), "--num-cpus", "4"]
-        r1 = subprocess.run(args + ["--batch-id", "b0"],
-                            capture_output=True, text=True,
-                            cwd="/root/repo", timeout=300)
+        r1 = run_group(args + ["--batch-id", "b0"], cwd=REPO, timeout=300)
         assert r1.returncode == 0, r1.stderr[-400:]
         s1 = _json.loads(r1.stdout.strip().splitlines()[-1])
         assert s1["batch_docs_kept"] > 0
-        r2 = subprocess.run(args + ["--batch-id", "b1"],
-                            capture_output=True, text=True,
-                            cwd="/root/repo", timeout=300)
+        r2 = run_group(args + ["--batch-id", "b1"], cwd=REPO, timeout=300)
         s2 = _json.loads(r2.stdout.strip().splitlines()[-1])
         assert s2["batch_docs_kept"] == 0  # same content: all seen
         assert s2["bloom_hits"] == s1["batch_docs_kept"]

@@ -129,15 +129,15 @@ class TestWatermarkWindows:
 
 def test_cli_stream_window(tmp_path):
     import json as _json
-    import subprocess
     import sys
+
+    from proc_group import REPO, run_group
     state = str(tmp_path / "state")
     out = str(tmp_path / "closed")
     cmd = [sys.executable, "-m", "engine.cli", "stream-window",
            "--input", "/root/testdata/sf0.001/events.parquet",
            "--state", state, "--out", out, "--num-cpus", "2"]
-    r = subprocess.run(cmd, capture_output=True, text=True,
-                       cwd="/root/repo")
+    r = run_group(cmd, cwd=REPO, timeout=300)
     assert r.returncode == 0, r.stderr[-800:]
     summary = _json.loads(r.stdout.strip().splitlines()[-1])
     assert summary["late_events"] == 0
@@ -145,8 +145,7 @@ def test_cli_stream_window(tmp_path):
     import os
     assert os.path.exists(os.path.join(out, "closed_v000001.parquet"))
     # replaying the SAME slice: everything is now behind the watermark
-    r2 = subprocess.run(cmd, capture_output=True, text=True,
-                        cwd="/root/repo")
+    r2 = run_group(cmd, cwd=REPO, timeout=300)
     s2 = _json.loads(r2.stdout.strip().splitlines()[-1])
     assert s2["late_events"] > 0 and s2["closed_windows"] == 0
 
@@ -231,18 +230,17 @@ class TestIncrementalDrift:
 
 def test_cli_drift_batch(tmp_path):
     import json as _json
-    import subprocess
     import sys
+
+    from proc_group import REPO, run_group
     state = str(tmp_path / "dstate")
     cmd = [sys.executable, "-m", "engine.cli", "drift-batch",
            "--input", "/root/testdata/sf0.001/documents.parquet",
            "--state", state, "--num-cpus", "2"]
-    r = subprocess.run(cmd, capture_output=True, text=True,
-                       cwd="/root/repo")
+    r = run_group(cmd, cwd=REPO, timeout=300)
     assert r.returncode == 0, r.stderr[-800:]
     assert _json.loads(r.stdout.strip().splitlines()[-1])["seeded"]
-    r2 = subprocess.run(cmd, capture_output=True, text=True,
-                        cwd="/root/repo")
+    r2 = run_group(cmd, cwd=REPO, timeout=300)
     lines = r2.stdout.strip().splitlines()
     summary = _json.loads(lines[-1])
     assert not summary["seeded"] and summary["version"] == 2

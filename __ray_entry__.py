@@ -7,15 +7,22 @@ calls ``ray.init``/``ray.shutdown``. Each ``queries()`` entry is one operator
 views (region nation customer supplier part orders lineitem events documents
 embeddings). Column names match exactly between the Ray result and the SQL.
 
+Most queries are one row of the query table ``_QUERIES``: an engine operator,
+its sources and kwargs, and how :func:`_finish` rounds, renames, keeps and
+sorts its output. The queries that do not fit a row are functions registered
+with ``@_bespoke(name)``, and they finish through the same :func:`_finish`.
+
 Float-valued aggregates are rounded half-away-from-zero on BOTH sides (same
 decimals) so summation-order differences cannot flip the value hash.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import os
 from collections.abc import Callable
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -42,19 +49,16 @@ def _split_blocks(path: str):
     return reduce_blocks()
 
 
-def _docs(sf_dir: str, columns=None):
-    return _read(sf_dir, "documents", columns=columns)
-
-
-def _read(sf_dir: str, name: str, columns=None):
-    """Column-pruned parquet read: pass ``columns`` so only the needed
-    columns leave storage (Ray does not push projections through
-    ``map_batches``; at 100 TB an unpruned scan is the largest wasted-IO
-    multiplier)."""
+def _read(sf_dir: str, name: str, columns: str | None = None):
+    """Column-pruned parquet read: pass ``columns`` (space-separated names)
+    so only the needed columns leave storage (Ray does not push
+    projections through ``map_batches``; at 100 TB an unpruned scan is the
+    largest wasted-IO multiplier)."""
     import ray.data
     path = os.path.join(sf_dir, f"{name}.parquet")
-    return ray.data.read_parquet(path, columns=columns,
-                                 override_num_blocks=_split_blocks(path))
+    return ray.data.read_parquet(
+        path, columns=columns.split() if columns else None,
+        override_num_blocks=_split_blocks(path))
 
 
 def _round_half_away(x, decimals: int):
@@ -64,10 +68,98 @@ def _round_half_away(x, decimals: int):
                                  + 0.5) / f
 
 
-def _round_cols(df, cols: dict):
+def _round_cols(t, cols: dict):
+    """Round each ``{column: decimals}`` of an Arrow table or a pandas frame
+    half away from zero. In Arrow a NaN result is stored as NULL; the
+    driver's pandas frame reads both as NaN."""
     for c, d in cols.items():
-        df[c] = _round_half_away(df[c].to_numpy(), d)
-    return df
+        if isinstance(t, pa.Table):
+            v = _round_half_away(t.column(c).to_numpy(zero_copy_only=False),
+                                 d)
+            t = t.set_column(t.column_names.index(c), c,
+                             pa.array(v, pa.float64(), from_pandas=True))
+        else:
+            t[c] = _round_half_away(t[c].to_numpy(), d)
+    return t
+
+
+def _shape(t, round: dict, rename, keep):
+    """:func:`_round_cols`, then ``rename`` and ``keep`` (the output
+    columns, in order) on one Arrow batch or pandas frame."""
+    t = _round_cols(t, round)
+    if isinstance(t, pa.Table):
+        if rename:
+            t = t.rename_columns([rename.get(c, c) for c in t.column_names])
+        return t.select(keep) if keep else t
+    if rename:
+        t = t.rename(columns=rename)
+    return t[keep] if keep else t
+
+
+def _finish(out, round=None, keep=None, sort=None, descending=None,
+            rename=None):
+    """The one finish every query shares: round, rename and keep through
+    :func:`_shape` (one ``map_batches`` on a Dataset), then sort by the
+    key(s) ``sort`` (``descending`` as in ``Dataset.sort``)."""
+    import pandas as pd
+    if round or rename or keep:
+        shape = functools.partial(_shape, round=round or {}, rename=rename,
+                                  keep=keep)
+        out = shape(out) if isinstance(out, (pa.Table, pd.DataFrame)) \
+            else out.map_batches(shape, batch_format="pyarrow")
+    if not sort:
+        return out
+    if isinstance(out, pd.DataFrame):
+        asc = [not d for d in descending] if descending else True
+        return out.sort_values(sort, ascending=asc).reset_index(drop=True)
+    return out.sort(sort, descending=descending or False)
+
+
+class _Query(NamedTuple):
+    """One row of the query table: the engine operator ``op``
+    (``"module.function"`` under ``engine``) applied to ``sources`` and
+    ``kwargs``, collected to pandas when ``pandas``, then :func:`_finish`
+    with ``finish``. The operator is imported when the query runs, so one
+    broken engine import fails only its own queries."""
+    op: str
+    sources: tuple
+    kwargs: dict
+    finish: dict
+    pandas: bool
+
+    def __call__(self, sf_dir: str):
+        module, name = self.op.rsplit(".", 1)
+        op = getattr(importlib.import_module(f"engine.{module}"), name)
+        out = op(*(_source(sf_dir, s) for s in self.sources), **self.kwargs)
+        return _finish(out.to_pandas() if self.pandas else out,
+                       **self.finish)
+
+
+def _row(op: str, *sources, round=None, keep=None, sort=None,
+         descending=None, rename=None, pandas=False, **kwargs) -> _Query:
+    return _Query(op, sources, kwargs,
+                  dict(round=round, keep=keep, sort=sort,
+                       descending=descending, rename=rename), pandas)
+
+
+def _source(sf_dir: str, src: tuple):
+    """A row source: ``(table, columns)`` is a :func:`_read` (all columns
+    when ``columns`` is left out); ``(helper, *args)`` calls a named source
+    helper or a nested row."""
+    if callable(src[0]):
+        return src[0](sf_dir, *src[1:])
+    return _read(sf_dir, *src)
+
+
+_BESPOKE: dict[str, Callable[[str], Any]] = {}
+
+
+def _bespoke(name: str):
+    """Register a query that does not fit one table row under ``name``."""
+    def _register(fn):
+        _BESPOKE[name] = fn
+        return fn
+    return _register
 
 
 #: Typed-validation schema applied to the ``documents`` table — exercises
@@ -81,6 +173,16 @@ DOCS_SCHEMA_JSON = """
    "lang":   {"enum": ["en", "de", "fr", "es"]},
    "source": {"type": "string", "pattern": "^src[0-9]$"},
    "n_chars": {"type": "integer", "minimum": 0, "maximum": 500}}}
+"""
+
+#: Second documents schema for the one-pass multi-schema query: stricter
+#: bounds so its violation set differs from DOCS_SCHEMA_JSON.
+DOCS_SCHEMA_STRICT_JSON = """
+{"type": "object",
+ "required": ["doc_id", "text"],
+ "properties": {
+   "text":   {"type": "string", "minLength": 20},
+   "n_chars": {"type": "integer", "maximum": 200}}}
 """
 
 #: List-keyword schema applied to ``embeddings`` — array length, per-element
@@ -97,200 +199,241 @@ EMB_SCHEMA_JSON = """
    "label": {"type": "integer", "minimum": 0, "maximum": 8}}}
 """
 
+#: Schema for the JSON strings in ``events.props``.
+PROPS_SCHEMA_JSON = ('{"type":"object","required":["k"],'
+                     '"properties":{"k":{"type":"integer","minimum":0,'
+                     '"maximum":50}}}')
+
+_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
+
 
 # ---------------------------------------------------------------------------
-# queries
+# source helpers: derived inputs that table rows name as (helper, *args)
 
-def _q_validate_documents(sf_dir: str):
-    from engine.dataset import validate_dataset
-    v = validate_dataset(_docs(sf_dir), DOCS_SCHEMA_JSON,
-                         key_column="doc_id", carry_columns=(),
-                         with_message=False)
-    return v.select_columns(["doc_id", "error_kind", "instance_path"])
+_DOC_TEXT = ("documents", "doc_id text")
+_EVENTS = ("events", "event_id ts user_id value")
 
 
-def _q_validate_embeddings(sf_dir: str):
-    from engine.dataset import validate_dataset
-    v = validate_dataset(_read(sf_dir, "embeddings"), EMB_SCHEMA_JSON,
-                         key_column="vec_id", carry_columns=(),
-                         with_message=False)
-    return v.select_columns(["vec_id", "error_kind", "instance_path"])
+def _spans_corpus(sf_dir: str, partitions: int = 4):
+    from engine.synth import SynthSpans
+    return _read(sf_dir, *_DOC_TEXT).map_batches(
+        SynthSpans(replicate=1, partitions=partitions, seed=42),
+        batch_format="pyarrow", batch_size=4096)
 
 
-def _q_stats_documents(sf_dir: str):
-    from engine.stats import column_stats
-    st = column_stats(_docs(sf_dir)).to_pandas()
-    st = st[["column", "count", "nulls", "null_rate"]].rename(
-        columns={"count": "cnt", "nulls": "n_nulls"})
-    return st.sort_values("column").reset_index(drop=True)
+def _media_catalog(sf_dir: str):
+    """Every media_ref the spans corpus may point at."""
+    import ray.data
+    from engine.synth import CATALOG_SIZE, media_ref_for
+    return ray.data.from_arrow(pa.table({
+        "media_ref": [media_ref_for(i) for i in range(CATALOG_SIZE)]}))
 
 
-def _q_duplicate_keys_lineitem(sf_dir: str):
-    from engine.uniqueness import duplicate_keys
-    d = duplicate_keys(_read(sf_dir, "lineitem", columns=["l_orderkey"]),
-                       key="l_orderkey")
-
-    def _rename(b: pa.Table) -> pa.Table:
-        return pa.table({"l_orderkey": b.column("key"),
-                         "dup_count": b.column("dup_count")})
-    return d.map_batches(_rename, batch_format="pyarrow")
-
-
-def _q_referential_orders(sf_dir: str):
-    from engine.referential import count_dangling_fk
-    return count_dangling_fk(
-        _read(sf_dir, "orders", columns=["o_custkey"]),
-        _read(sf_dir, "customer", columns=["c_custkey"]),
-        fk="o_custkey", pk="c_custkey")
-
-
-def _q_referential_lineitem_part(sf_dir: str):
-    from engine.referential import count_dangling_fk
-    return count_dangling_fk(
-        _read(sf_dir, "lineitem", columns=["l_partkey"]),
-        _read(sf_dir, "part", columns=["p_partkey"]),
-        fk="l_partkey", pk="p_partkey")
-
-
-def _q_token_doc_frequency(sf_dir: str):
-    from engine.textstats import token_doc_frequency
-    return token_doc_frequency(_docs(sf_dir, columns=["doc_id", "text"]))
-
-
-def _q_anti_join_orders(sf_dir: str):
-    # exact distributed anti-join against a restricted customer dimension
-    # (c_custkey % 7 != 0) so the dangling set is non-empty and checkable
-    from engine.referential import dangling_fk_rows
-
+def _restricted_customers(sf_dir: str):
+    """Customer keys with c_custkey % 7 != 0, so an anti-join against them
+    leaves a non-empty, checkable dangling set."""
     def _restrict(b: pa.Table) -> pa.Table:
         keys = b.column("c_custkey").to_numpy(zero_copy_only=False)
         return b.filter(pa.array((keys % 7) != 0))
-
-    dim = _read(sf_dir, "customer", columns=["c_custkey"]).map_batches(
+    return _read(sf_dir, "customer", "c_custkey").map_batches(
         _restrict, batch_format="pyarrow")
-    d = dangling_fk_rows(_read(sf_dir, "orders", columns=["o_custkey"]), dim,
-                         fk="o_custkey", pk="c_custkey")
-
-    def _rename(b: pa.Table) -> pa.Table:
-        return pa.table({"o_custkey": b.column("key"),
-                         "n_occurrences": b.column("n_occurrences")})
-    return d.map_batches(_rename, batch_format="pyarrow")
 
 
-def _q_dedup_exact(sf_dir: str):
-    from engine.dedup import exact_duplicates
-    return exact_duplicates(_docs(sf_dir, columns=["doc_id", "text"]))
+def _hi_value_users(sf_dir: str, kind: str):
+    """Events of one type with value > 95, projected to user_id — the
+    filtered side of the set-op queries (vectorized Arrow filter)."""
+    import pyarrow.compute as pc
+
+    def _keep(b: pa.Table) -> pa.Table:
+        m = pc.and_(pc.equal(b.column("event_type"), kind),
+                    pc.greater(b.column("value"), 95.0))
+        return b.filter(m).select(["user_id"])
+
+    return _read(sf_dir, "events", "user_id event_type value") \
+        .map_batches(_keep, batch_format="pyarrow")
 
 
-def _q_token_counts(sf_dir: str):
-    from engine.textstats import token_counts
-    return token_counts(_docs(sf_dir, columns=["doc_id", "text"]))
+def _planted_embeddings(sf_dir: str, *plants):
+    """The embeddings table plus an exact copy of every vec_id < limit at
+    vec_id + offset, for each ``(limit, offset)``. Identical vectors land in
+    the same LSH bucket in every table (guaranteed recall) at cosine 1.0;
+    the max organic pairwise cosine in the corpus is ~0.51, so the SQL
+    brute-force pair set matches the LSH candidate set at 0.99."""
+    import pyarrow.compute as pc
+    base = _read(sf_dir, "embeddings", "vec_id embedding")
+
+    def _copies(limit: int, offset: int):
+        def _fn(b: pa.Table) -> pa.Table:
+            sub = b.filter(pc.less(b.column("vec_id"), limit))
+            return pa.table({
+                "vec_id": pc.add(sub.column("vec_id"), offset),
+                "embedding": sub.column("embedding")})
+        return _fn
+
+    return base.union(*[base.map_batches(_copies(*p), batch_format="pyarrow")
+                        for p in plants])
 
 
-def _q_bpe_token_counts(sf_dir: str):
-    from engine.textstats import bpe_ish_token_counts
-    return bpe_ish_token_counts(_docs(sf_dir, columns=["doc_id", "text"]))
+def _planted_docs(sf_dir: str):
+    """Documents with deterministically planted PII markers (the synthetic
+    corpus has none): doc_id % 7 == 0 gains an email, % 11 == 0 an IPv4.
+    The oracles reproduce the augmentation, and pyarrow and DuckDB share
+    RE2 semantics."""
+    import pyarrow.compute as pc
+
+    def _mark(b: pa.Table) -> pa.Table:
+        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
+        base = pc.fill_null(pc.cast(b.column("text"), pa.string()), "")
+        out = [t + (f" contact_{i}@example.com" if i % 7 == 0 else "")
+               + (f" ip 10.0.0.{i % 256}" if i % 11 == 0 else "")
+               for i, t in zip(ids, base.to_pylist())]
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "text": pa.array(out, pa.string())})
+
+    return _read(sf_dir, *_DOC_TEXT).map_batches(_mark,
+                                                 batch_format="pyarrow")
 
 
+def _contamination_side(sf_dir: str, test: bool):
+    """One side of a deterministic train/test split of the documents:
+    doc_id % 5 == 0 is the test side."""
+    def _fn(b: pa.Table) -> pa.Table:
+        m = (b.column("doc_id").to_numpy(zero_copy_only=False) % 5) == 0
+        return b.filter(pa.array(m if test else ~m))
+    return _read(sf_dir, *_DOC_TEXT).map_batches(_fn, batch_format="pyarrow")
+
+
+def _novelty_side(sf_dir: str, ref: bool):
+    """doc_id < 100 is the reference corpus; the rest are scored."""
+    import pyarrow.compute as pc
+
+    def _fn(b: pa.Table) -> pa.Table:
+        m = pc.less(b.column("doc_id"), 100)
+        return b.filter(m if ref else pc.invert(m))
+    return _read(sf_dir, *_DOC_TEXT).map_batches(_fn, batch_format="pyarrow")
+
+
+def _day_values(sf_dir: str):
+    """(day, value) per event with a timestamp; day is 'YYYY-MM-DD'."""
+    def _day(b: pa.Table) -> pa.Table:
+        import pandas as pd
+        ts = b.column("ts").to_numpy(zero_copy_only=False)
+        sub = b.filter(pa.array(~pd.isna(ts)))
+        day = np.datetime_as_string(
+            sub.column("ts").to_numpy(zero_copy_only=False)
+            .astype("datetime64[D]"))
+        return pa.table({"day": pa.array(day, pa.string()),
+                         "value": sub.column("value")})
+    return _read(sf_dir, "events", "ts value").map_batches(
+        _day, batch_format="pyarrow")
+
+
+def _month_priorities(sf_dir: str):
+    """(month, pri) per order with a date; month is 'YYYY-MM'."""
+    def _month(b: pa.Table) -> pa.Table:
+        import pandas as pd
+        od = b.column("o_orderdate").to_numpy(zero_copy_only=False)
+        sub = b.filter(pa.array(~pd.isna(od)))
+        month = np.datetime_as_string(
+            sub.column("o_orderdate").to_numpy(zero_copy_only=False)
+            .astype("datetime64[M]"))
+        return pa.table({"month": pa.array(month, pa.string()),
+                         "pri": sub.column("o_orderpriority")})
+    return _read(sf_dir, "orders", "o_orderdate o_orderpriority") \
+        .map_batches(_month, batch_format="pyarrow")
+
+
+def _custkey_day_keys(sf_dir: str):
+    """One composite 'custkey|YYYY-MM-DD' key (``ckey``) per order."""
+    def _key(b: pa.Table) -> pa.Table:
+        import pandas as pd
+        day = pd.Series(b.column("o_orderdate")
+                        .to_numpy(zero_copy_only=False)) \
+            .dt.strftime("%Y-%m-%d")
+        ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
+        return pa.table({"ckey": pa.array(
+            [f"{c}|{d}" for c, d in zip(ck.tolist(), day.tolist())],
+            pa.string())})
+    return _read(sf_dir, "orders", "o_custkey o_orderdate") \
+        .map_batches(_key, batch_format="pyarrow")
+
+
+def _qty_buckets(sf_dir: str):
+    """(qty_bucket, l_discount) per line item with a quantity;
+    qty_bucket = floor(l_quantity / 10)."""
+    def _bucket(b: pa.Table) -> pa.Table:
+        q = b.column("l_quantity").to_numpy(zero_copy_only=False)
+        with np.errstate(invalid="ignore"):
+            keep = ~np.isnan(q)
+        sub = b.filter(pa.array(keep))
+        bucket = np.floor(q[keep] / 10.0).astype(np.int64)
+        return pa.table({"qty_bucket": pa.array(bucket, pa.int64()),
+                         "l_discount": sub.column("l_discount")})
+    return _read(sf_dir, "lineitem", "l_quantity l_discount") \
+        .map_batches(_bucket, batch_format="pyarrow")
+
+
+# ---------------------------------------------------------------------------
+# bespoke queries: pipelines that do not fit one table row
+
+@_bespoke("quality_scores")
 def _q_quality(sf_dir: str):
     import pyarrow.compute as pc
     from engine.textstats import token_count_batch
+
+    def _count(x):
+        return pc.cast(pc.fill_null(x, 0), pa.int64())
 
     def _fn(batch: pa.Table) -> pa.Table:
         t = batch.column("text")
         return pa.table({
             "doc_id": batch.column("doc_id"),
-            "n_chars": pc.cast(pc.fill_null(pc.utf8_length(t), 0), pa.int64()),
-            "n_tokens": pc.cast(pc.fill_null(token_count_batch(t), 0),
-                                pa.int64()),
-            "n_punct": pc.cast(pc.fill_null(
-                pc.count_substring_regex(t, r"[.,!?;:]"), 0), pa.int64()),
-            "n_digits": pc.cast(pc.fill_null(
-                pc.count_substring_regex(t, r"[0-9]"), 0), pa.int64()),
-        })
+            "n_chars": _count(pc.utf8_length(t)),
+            "n_tokens": _count(token_count_batch(t)),
+            "n_punct": _count(pc.count_substring_regex(t, r"[.,!?;:]")),
+            "n_digits": _count(pc.count_substring_regex(t, r"[0-9]"))})
 
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
+    return _read(sf_dir, *_DOC_TEXT).map_batches(
         _fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
+@_bespoke("lang_distribution")
 def _q_lang_distribution(sf_dir: str):
-    ds = _docs(sf_dir, columns=["lang"]).groupby("lang").count()
-
-    def _rename(b: pa.Table) -> pa.Table:
-        return pa.table({"lang": b.column("lang"),
-                         "n_docs": b.column("count()")})
-    return ds.map_batches(_rename, batch_format="pyarrow")
+    return _finish(_read(sf_dir, "documents", "lang").groupby("lang").count(),
+                   rename={"count()": "n_docs"})
 
 
-def _q_q1(sf_dir: str):
-    from engine.relational import q1_pricing_summary
-    df = q1_pricing_summary(_read(sf_dir, "lineitem", columns=[
-        "l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-        "l_discount"])).to_pandas()
-    return _round_cols(df, {"sum_qty": 4, "sum_base_price": 4,
-                            "sum_disc_price": 4, "avg_qty": 4})
+@_bespoke("simhash_fingerprints")
+def _q_simhash(sf_dir: str):
+    from engine.dedup import simhash_fingerprints
+
+    def _hex(b: pa.Table) -> pa.Table:
+        # uint64 -> hex string for portable hashing by the driver
+        # (np.char.mod formats the whole column in one call)
+        v = b.column("simhash").to_numpy(zero_copy_only=False)
+        hx = np.char.mod("%016x", v.astype(np.uint64))
+        return pa.table({
+            "doc_id": b.column("doc_id"),
+            "simhash": pa.array(hx.tolist(), pa.string())})
+    return simhash_fingerprints(_read(sf_dir, *_DOC_TEXT)).map_batches(
+        _hex, batch_format="pyarrow")
 
 
-def _q_q5(sf_dir: str):
-    """TPC-H Q5: revenue per nation where customer and supplier share an
-    ASIA nation, orders in 1996 — six-table join with size-gated
-    dimension routing."""
-    from engine.relational import q5_local_supplier_volume
-    df = q5_local_supplier_volume(
-        _read(sf_dir, "lineitem", columns=[
-            "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]),
-        _read(sf_dir, "orders", columns=[
-            "o_orderkey", "o_custkey", "o_orderdate"]),
-        _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]),
-        _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]),
-        _read(sf_dir, "nation"),
-        _read(sf_dir, "region")).to_pandas()
-    df = _round_cols(df, {"revenue": 4})
-    return df.sort_values("n_name").reset_index(drop=True)
+@_bespoke("jaccard_verify")
+def _q_jaccard_verify(sf_dir: str):
+    """Exact n-gram Jaccard of a deterministic candidate-pair set
+    (consecutive doc_ids among the first 200 docs)."""
+    import ray.data
+    from engine.dedup import verify_pairs_jaccard
+    pairs = ray.data.from_arrow(pa.table({
+        "key_a": pa.array(range(0, 199), pa.int64()),
+        "key_b": pa.array(range(1, 200), pa.int64())}))
+    out = verify_pairs_jaccard(pairs, _read(sf_dir, *_DOC_TEXT), n=3,
+                               threshold=0.0)
+    return _finish(out, round={"jaccard": 4})
 
 
-def _q_revenue_by_segment(sf_dir: str):
-    from engine.relational import revenue_by_segment
-    df = revenue_by_segment(
-        _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]),
-        _read(sf_dir, "customer",
-              columns=["c_custkey", "c_mktsegment"])).to_pandas()
-    return _round_cols(df, {"revenue": 4})
-
-
-def _q_events_window(sf_dir: str):
-    from engine.relational import events_per_user_hour
-    df = events_per_user_hour(_read(sf_dir, "events", columns=[
-        "user_id", "ts", "value"])).to_pandas()
-    return _round_cols(df, {"value_sum": 4})
-
-
-def _q_sessionize(sf_dir: str):
-    from engine.relational import sessionize
-    return sessionize(_read(sf_dir, "events", columns=["user_id", "ts"]),
-                       gap_minutes=30)
-
-
-def _q_top_event_types(sf_dir: str):
-    from engine.relational import top_event_types
-    out = top_event_types(_read(sf_dir, "events", columns=["event_type"]),
-                          k=5).to_pandas()
-    return out.sort_values(["n_events", "event_type"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-def _q_top_orders_per_priority(sf_dir: str):
-    """Grouped top-k: the 5 highest-value orders per order priority,
-    ties broken by o_orderkey — ``row_number()`` window parity."""
-    from engine.relational import grouped_topk
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-    out = grouped_topk(orders, group_col="o_orderpriority",
-                       score_col="o_totalprice", id_col="o_orderkey", k=5)
-    return out.sort(["o_orderpriority", "o_totalprice", "o_orderkey"],
-                    descending=[False, True, False])
-
-
+@_bespoke("ann_cosine_topk")
 def _q_ann_topk(sf_dir: str):
     import pyarrow.parquet as pq
     from engine.similarity import cosine_topk
@@ -299,385 +442,118 @@ def _q_ann_topk(sf_dir: str):
     df = emb.to_pandas().set_index("vec_id")
     qids = [0, 7]
     queries = np.stack([np.asarray(df.loc[q, "embedding"]) for q in qids])
-    out = cosine_topk(_read(sf_dir, "embeddings",
-                            columns=["vec_id", "embedding"]),
+    out = cosine_topk(_read(sf_dir, "embeddings", "vec_id embedding"),
                       queries, k=5).to_pandas()
     out["query_id"] = out["query_id"].map(
         {i: q for i, q in enumerate(qids)}).astype("int32")
-    out = _round_cols(out, {"cosine": 4})
-    out = out.rename(columns={"key": "vec_id"})
-    return out[["query_id", "vec_id", "cosine", "rank"]]
+    return _finish(out, round={"cosine": 4}, rename={"key": "vec_id"},
+                   keep=["query_id", "vec_id", "cosine", "rank"])
 
 
-# --- rows-only queries (non-SQL-expressible; weaker driver check) ----------
-
-def _spans_corpus(sf_dir: str, partitions: int = 4):
-    from engine.synth import SynthSpans
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        SynthSpans(replicate=1, partitions=partitions, seed=42),
-        batch_format="pyarrow", batch_size=4096)
-
-
-def _q_validate_spans(sf_dir: str):
-    from engine.dataset import validate_dataset
-    v = validate_dataset(_spans_corpus(sf_dir))
-    return v.select_columns(["doc_id", "error_seq", "error_kind",
-                             "instance_path", "message"])
-
-
-def _q_spans_verdicts(sf_dir: str):
-    from engine.dataset import partition_verdicts
-    return partition_verdicts(_spans_corpus(sf_dir))
-
-
-def _q_spans_drift(sf_dir: str):
-    from engine.drift import build_baseline, drift_check
-    ds = _spans_corpus(sf_dir)
-    baseline = build_baseline(ds, exclude_partitions=["p0003"])
-    return drift_check(_spans_corpus(sf_dir), baseline)
-
-
-def _q_spans_dangling_refs(sf_dir: str):
-    import ray.data
-    from engine.referential import check_references
-    from engine.synth import CATALOG_SIZE, media_ref_for
-    catalog = ray.data.from_arrow(pa.table({
-        "media_ref": [media_ref_for(i) for i in range(CATALOG_SIZE)]}))
-    return check_references(_spans_corpus(sf_dir), catalog, exact=True)
-
-
-def _q_spans_stats(sf_dir: str):
-    from engine.stats import column_stats
-    return column_stats(_spans_corpus(sf_dir))
-
-
-def _q_minhash_near_dup(sf_dir: str):
-    from engine.dedup import minhash_near_duplicates
-    return minhash_near_duplicates(_docs(sf_dir, columns=["doc_id", "text"]),
-                                   threshold=0.5)
-
-
-def _q_simhash(sf_dir: str):
-    from engine.dedup import simhash_fingerprints
-
-    def _cast(b: pa.Table) -> pa.Table:
-        # uint64 -> hex string for portable hashing by the driver
-        # (np.char.mod formats the whole column in one call — no per-row
-        # Python loop)
-        v = b.column("simhash").to_numpy(zero_copy_only=False)
-        hx = np.char.mod("%016x", v.astype(np.uint64))
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "simhash": pa.array(hx.tolist(), pa.string())})
-    return simhash_fingerprints(
-        _docs(sf_dir, columns=["doc_id", "text"])).map_batches(
-        _cast, batch_format="pyarrow")
-
-
-def _q_embedding_near_dup(sf_dir: str):
-    """Embedding near-dup over the embeddings table augmented with planted
-    exact copies (vec_id + 1_000_000 for vec_id < 20) so the answer is
-    non-empty and SQL-checkable: identical vectors land in the same LSH
-    bucket in every table (guaranteed recall), cosine = 1.0 >= 0.99; the max
-    organic pairwise cosine in the synthetic corpus is ~0.51."""
-    import pyarrow.compute as pc
-    from engine.dedup import embedding_near_duplicates
-    base = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def _planted(b: pa.Table) -> pa.Table:
-        sub = b.filter(pc.less(b.column("vec_id"), 20))
-        return pa.table({
-            "vec_id": pc.add(sub.column("vec_id"), 1_000_000),
-            "embedding": sub.column("embedding")})
-
-    aug = base.union(base.map_batches(_planted, batch_format="pyarrow"))
-    out = embedding_near_duplicates(aug, threshold=0.99)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "key_a": b.column("key_a"), "key_b": b.column("key_b"),
-            "cosine": pa.array(_round_half_away(
-                b.column("cosine").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow")
-
-
-def _q_jaccard_verify(sf_dir: str):
-    """Exact n-gram Jaccard verification of a deterministic candidate-pair
-    set (consecutive doc_ids among the first 200 docs), SQL-checkable via
-    DuckDB list_intersect over split word-3-gram shingles."""
-    import ray.data
-    from engine.dedup import verify_pairs_jaccard
-    n_pairs = 199
-    pairs = ray.data.from_arrow(pa.table({
-        "key_a": pa.array(list(range(0, n_pairs)), pa.int64()),
-        "key_b": pa.array(list(range(1, n_pairs + 1)), pa.int64())}))
-    out = verify_pairs_jaccard(
-        pairs, _docs(sf_dir, columns=["doc_id", "text"]),
-        n=3, threshold=0.0)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "key_a": b.column("key_a"), "key_b": b.column("key_b"),
-            "jaccard": pa.array(_round_half_away(
-                b.column("jaccard").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow")
-
-
-def _q_embedding_dup_clusters(sf_dir: str):
-    """Connected components over embedding near-dup pairs: plant one extra
-    copy of vec_id < 20 and a second copy of vec_id < 10, so components of
-    size 3 (transitive closure across two planted pairs) and 2 both occur.
-    Identical vectors co-bucket in every LSH table (guaranteed recall) and
-    the max organic cosine in the corpus is ~0.51, so the SQL brute-force
-    pair set matches the LSH candidate set exactly at threshold 0.99."""
-    import pyarrow.compute as pc
-    from engine.dedup import embedding_near_duplicates
-    from engine.cluster import connected_components
-    base = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def _planted(limit: int, offset: int):
-        def _fn(b: pa.Table) -> pa.Table:
-            sub = b.filter(pc.less(b.column("vec_id"), limit))
-            return pa.table({
-                "vec_id": pc.add(sub.column("vec_id"), offset),
-                "embedding": sub.column("embedding")})
-        return _fn
-
-    aug = base.union(
-        base.map_batches(_planted(20, 1_000_000), batch_format="pyarrow"),
-        base.map_batches(_planted(10, 2_000_000), batch_format="pyarrow"))
-    pairs = embedding_near_duplicates(aug, threshold=0.99)
-    comps = connected_components(pairs)
-
-    def _name(b: pa.Table) -> pa.Table:
-        return pa.table({"vec_id": b.column("node"),
-                         "cluster_id": b.column("cluster_id")})
-    return comps.map_batches(_name, batch_format="pyarrow").sort("vec_id")
-
-
-def _q_near_dup_survivors(sf_dir: str):
-    """Deduplicated corpus view: every near-dup cluster keeps only its
-    minimum doc_id (resolve_duplicates over the oracled cluster edges);
-    singletons pass through. Output = surviving doc_ids."""
-    from engine.cluster import resolve_near_duplicates
-    # max_bucket_size=None UNCAPS the shingle blocking — required for
-    # oracle parity (the SQL self-join is flood-blind); scale runs keep
-    # the safe capped default
-    out = resolve_near_duplicates(_docs(sf_dir, columns=["doc_id", "text"]),
-                                  threshold=0.6, max_bucket_size=None)
-
-    def _ids(b: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": b.column("doc_id")})
-    return out.map_batches(_ids, batch_format="pyarrow").sort("doc_id")
-
-
-def _q_train_test_contamination(sf_dir: str):
-    """Benchmark decontamination: near-dup pairs ACROSS a deterministic
-    train/test split of the documents table (doc_id % 5 == 0 is the test
-    side). The shingle-blocked generator is exact, so DuckDB reproduces
-    the pair set and jaccard values bit-for-bit."""
-    import pyarrow.compute as pc
-    from engine.contamination import cross_corpus_near_duplicates
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def _side(keep_test: bool):
-        def _fn(b: pa.Table) -> pa.Table:
-            ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-            m = (ids % 5) == 0
-            return b.filter(pa.array(m if keep_test else ~m))
-        return _fn
-
-    train = docs.map_batches(_side(False), batch_format="pyarrow")
-    test = docs.map_batches(_side(True), batch_format="pyarrow")
-    out = cross_corpus_near_duplicates(train, test, threshold=0.6,
-                                       method="shingle",
-                                       max_bucket_size=None)
-
-    def _name(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "train_id": b.column("key_a"), "test_id": b.column("key_b"),
-            "jaccard": pa.array(_round_half_away(
-                b.column("jaccard").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_name, batch_format="pyarrow") \
-        .sort(["train_id", "test_id"])
-
-
-def _q_near_dup_clusters(sf_dir: str):
-    """Near-dup cluster resolution: shingle-blocked candidates -> exact
-    word-3-gram jaccard >= 0.6 edges -> connected components (one row per
-    clustered doc, cluster_id = min member). The candidate blocking is
-    exact (docs sharing any shingle), so the whole pipeline is
-    SQL-expressible: DuckDB reproduces the edges via a distinct-gram
-    self-join and the components via a recursive-CTE reachability closure.
-    Hash-collision extra candidates cannot change the edge set — a pair
-    passing jaccard >= 0.6 > 0 must share a real gram (engine/cluster.py).
-    """
-    from engine.cluster import near_dup_clusters
-    out = near_dup_clusters(_docs(sf_dir, columns=["doc_id", "text"]),
-                            threshold=0.6, max_bucket_size=None)
-
-    def _name(b: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": b.column("node"),
-                         "cluster_id": b.column("cluster_id")})
-    return out.map_batches(_name, batch_format="pyarrow") \
-        .sort("doc_id")
-
-
+@_bespoke("ivf_topk")
 def _q_ivf_topk(sf_dir: str):
     import pyarrow.parquet as pq
     from engine.similarity import ivf_topk, train_codebook
     emb = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
                         columns=["vec_id", "embedding"]).to_pandas()
-    queries = np.stack([np.asarray(v)
-                        for v in emb["embedding"].head(3)])
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    queries = np.stack([np.asarray(v) for v in emb["embedding"].head(3)])
+    ds = _read(sf_dir, "embeddings", "vec_id embedding")
     cb = train_codebook(ds, n_cells=8)
     return ivf_topk(ds, queries, cb, k=5, nprobe=4)
 
 
-def _q_heavy_hitters(sf_dir: str):
-    """SpaceSaving heavy-hitter tokens, shuffle-free. The documents
-    vocabulary is far below the sketch capacity, so no counter is ever
-    evicted and the sketch is EXACT — making the exhaustive SQL top-k a
-    valid hash oracle (max_error provably 0)."""
-    from engine.textstats import heavy_hitter_tokens
-    return heavy_hitter_tokens(_docs(sf_dir, columns=["doc_id", "text"]),
-                               k=20, capacity=4096)
-
-
-def _q_langid(sf_dir: str):
-    """Marker-word language id; both sides count matches with RE2 (pyarrow
-    count_substring_regex here, DuckDB regexp_extract_all in the oracle), so
-    scores are bit-identical IEEE divisions of the same integer counts."""
-    from engine.textstats import language_id
-    out = language_id(_docs(sf_dir, columns=["doc_id", "text"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "lang_pred": b.column("lang_pred"),
-            "lang_score": pa.array(_round_half_away(
-                b.column("lang_score").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow")
-
-
-def _q_fingerprints(sf_dir: str):
-    from engine.textstats import fingerprints
-    return fingerprints(_docs(sf_dir, columns=["doc_id", "text"]))
-
-
+@_bespoke("infer_schema_documents")
 def _q_infer_schema_documents(sf_dir: str):
     """Reverse codegen (C10): infer a JSON Schema from the documents table's
     Arrow schema, one row per property with its schema fragment."""
-    import json as _json
+    import json
     import pyarrow.parquet as pq
     from engine.schema_compiler import arrow_schema_to_json_schema
     sch = pq.ParquetFile(
         os.path.join(sf_dir, "documents.parquet")).schema_arrow
     inferred = arrow_schema_to_json_schema(sch)
-    rows = [{"property": k, "fragment": _json.dumps(v, sort_keys=True)}
-            for k, v in sorted(inferred["properties"].items())]
-    return pa.Table.from_pylist(rows)
+    return pa.Table.from_pylist([
+        {"property": k, "fragment": json.dumps(v, sort_keys=True)}
+        for k, v in sorted(inferred["properties"].items())])
 
 
+def _media_query(op_name: str, col: str, **kwargs):
+    """A multimodal operator over 200 synthetic media refs (stubbed decode,
+    real pipeline); the feature lists come back as float32 lists."""
+    import ray.data
+    from engine import multimodal
+    from engine.synth import media_ref_for
+    refs = [media_ref_for(i) for i in range(200)]
+    ds = ray.data.from_arrow(multimodal.synth_media_table(refs))
+    out = getattr(multimodal, op_name)(ds, batch_size=32, **kwargs) \
+        .to_pandas()
+    out[col] = out[col].map(lambda a: np.asarray(a, np.float32).tolist())
+    return out
+
+
+@_bespoke("audio_features")
 def _q_audio_features(sf_dir: str):
-    import ray.data
-    from engine.multimodal import audio_features, synth_media_table
-    from engine.synth import media_ref_for
-    refs = [media_ref_for(i) for i in range(200)]
-    ds = ray.data.from_arrow(synth_media_table(refs))
-    out = audio_features(ds, n_samples=1024, batch_size=32).to_pandas()
-    out["audio_features"] = out["audio_features"].map(
-        lambda a: np.asarray(a, dtype=np.float32).tolist())
-    return out
+    return _media_query("audio_features", "audio_features", n_samples=1024)
 
 
+@_bespoke("multimodal_features")
 def _q_multimodal_features(sf_dir: str):
-    import ray.data
-    from engine.multimodal import decode_and_featurize, synth_media_table
-    from engine.synth import media_ref_for
-    refs = [media_ref_for(i) for i in range(200)]
-    ds = ray.data.from_arrow(synth_media_table(refs))
-    out = decode_and_featurize(ds, target=16, batch_size=32).to_pandas()
-    out["features"] = out["features"].map(
-        lambda a: np.asarray(a, dtype=np.float32).tolist())
-    return out
+    return _media_query("decode_and_featurize", "features", target=16)
 
 
-def _q_train_test_split(sf_dir: str):
-    from engine.sampling import assign_split
-    out = assign_split(_docs(sf_dir, columns=["doc_id"]), key_col="doc_id",
-                       train_frac=0.9)
-    return out.select_columns(["doc_id", "split"])
-
-
-def _q_sample_fraction(sf_dir: str):
-    from engine.sampling import sample_fraction
-    out = sample_fraction(_docs(sf_dir, columns=["doc_id"]), 0.25,
-                          key_col="doc_id")
-    return out.select_columns(["doc_id"])
-
-
+@_bespoke("exact_quantiles_lineitem")
 def _q_exact_quantiles(sf_dir: str):
     """Exact quantile_cont over l_extendedprice via the distributed
     selection operator (three map-only passes; the corpus never shuffles)
     — bit-compatible with DuckDB's interpolation."""
     from engine.stats import exact_quantiles
     qs = [0.25, 0.5, 0.75, 0.95]
-    got = exact_quantiles(
-        _read(sf_dir, "lineitem", columns=["l_extendedprice"]),
-        "l_extendedprice", qs)
-    return pa.table({
-        "q": pa.array(qs, pa.float64()),
-        "value": pa.array(_round_half_away(
-            np.array([got[q] for q in qs]), 4), pa.float64())})
+    got = exact_quantiles(_read(sf_dir, "lineitem", "l_extendedprice"),
+                          "l_extendedprice", qs)
+    return _finish(pa.table({"q": pa.array(qs, pa.float64()),
+                             "value": [got[q] for q in qs]}),
+                   round={"value": 4})
 
 
+@_bespoke("asof_last_purchase")
 def _q_asof_last_purchase(sf_dir: str):
     """Point-in-time join: for every non-purchase event, the value of the
     user's latest purchase at or before the event (DuckDB ASOF JOIN
     parity; right-side ties dedup to the greatest event_id)."""
+    import pyarrow.compute as pc
     from engine.relational import asof_join
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type", "value"])
+    ev = _read(sf_dir, "events", "event_id ts user_id event_type value")
 
     def _split(want_purchase: bool):
         def _fn(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
             m = pc.equal(b.column("event_type"), "purchase")
             return b.filter(m if want_purchase else pc.invert(m))
         return _fn
 
-    left = ev.map_batches(_split(False), batch_format="pyarrow")
-    right = ev.map_batches(_split(True), batch_format="pyarrow")
-    out = asof_join(left, right)
-
     def _name(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
+        # an empty block's value column arrives untyped
         return pa.table({
             "event_id": b.column("event_id"),
-            "last_purchase_value": _pc.cast(b.column("value"),
-                                            pa.float64())})
+            "last_purchase_value": pc.cast(b.column("value"), pa.float64())})
+
+    out = asof_join(ev.map_batches(_split(False), batch_format="pyarrow"),
+                    ev.map_batches(_split(True), batch_format="pyarrow"))
     return out.map_batches(_name, batch_format="pyarrow").sort("event_id")
 
 
+@_bespoke("events_after_purchase")
 def _q_events_after_purchase(sf_dir: str):
     """Range join: every non-purchase event inside the 2-hour window after
     a purchase by the same user (overlapping windows emit one row per
     match) — bounded-length interval-join parity with a DuckDB
     inequality join."""
+    import pyarrow.compute as pc
     from engine.relational import interval_join
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
+    ev = _read(sf_dir, "events", "event_id ts user_id event_type")
 
     def _points(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        return b.filter(_pc.invert(_pc.equal(b.column("event_type"),
-                                             "purchase")))
+        return b.filter(pc.invert(pc.equal(b.column("event_type"),
+                                           "purchase")))
 
     def _windows(df):
         import pandas as pd
@@ -692,368 +568,21 @@ def _q_events_after_purchase(sf_dir: str):
         ev.map_batches(_points, batch_format="pyarrow"),
         ev.map_batches(_windows, batch_format="pandas"),
         max_duration_s=7200.0, interval_id_col="purchase_id")
-    return out.select_columns(["event_id", "purchase_id"]) \
-        .sort(["event_id", "purchase_id"])
+    return _finish(out, keep=["event_id", "purchase_id"],
+                   sort=["event_id", "purchase_id"])
 
 
-def _q_rolling_user_mean(sf_dir: str):
-    """Per-user trailing 3-hour rolling mean of event values — RANGE-frame
-    window parity (tie peers included, composite-timestamp vectorization,
-    no per-user Python loop)."""
-    from engine.relational import rolling_window_mean
-    out = rolling_window_mean(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]),
-        window_seconds=3 * 3600)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "rolling_mean": pa.array(_round_half_away(
-                b.column("rolling_mean").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_pack_sequences(sf_dir: str):
-    """Shard-local next-fit sequence packing (token budget 512, shard =
-    doc_id // 128) — recursive-CTE recurrence parity."""
-    from engine.textstats import pack_sequences
-    out = pack_sequences(_docs(sf_dir, columns=["doc_id", "text"]),
-                         token_budget=512, shard_size=128)
-    return out.sort("doc_id")
-
-
-def _q_pack_sequences_bpe(sf_dir: str):
-    """Tokenizer-aware packing: same shard-local next-fit, but bins sized
-    by the BPE-ish proxy token count (letter runs + single digits +
-    punctuation) — punctuation-heavy docs pack into more bins than their
-    whitespace length suggests."""
-    from engine.textstats import pack_sequences
-    out = pack_sequences(_docs(sf_dir, columns=["doc_id", "text"]),
-                         token_budget=512, shard_size=128, counter="bpe")
-    return out.sort("doc_id")
-
-
-def _q_pii_flags(sf_dir: str):
-    """PII pattern counts over documents with deterministically planted
-    markers (the synthetic corpus has no organic PII): doc_id % 7 == 0
-    gains an email, % 11 == 0 an IPv4 — both sides reproduce the
-    augmentation, and pyarrow + DuckDB share RE2 semantics."""
-    from engine.textstats import pii_flags
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def _plant(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        import pyarrow.compute as _pc
-        base = _pc.fill_null(_pc.cast(b.column("text"), pa.string()), "")
-        texts = base.to_pylist()
-        out = [t + (f" contact_{i}@example.com" if i % 7 == 0 else "")
-               + (f" ip 10.0.0.{i % 256}" if i % 11 == 0 else "")
-               for i, t in zip(ids, texts)]
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "text": pa.array(out, pa.string())})
-
-    return pii_flags(docs.map_batches(_plant, batch_format="pyarrow")) \
-        .sort("doc_id")
-
-
-def _q_redact_pii(sf_dir: str):
-    """Redacted view of the planted-marker corpus (same augmentation as
-    pii_flags_docs): every PII match replaced with its typed tag, in the
-    operator's fixed pattern order — regexp_replace(…, 'g') parity."""
-    from engine.textstats import redact_pii
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def _plant(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        base = _pc.fill_null(_pc.cast(b.column("text"), pa.string()), "")
-        texts = base.to_pylist()
-        out = [t + (f" contact_{i}@example.com" if i % 7 == 0 else "")
-               + (f" ip 10.0.0.{i % 256}" if i % 11 == 0 else "")
-               for i, t in zip(ids, texts)]
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "text": pa.array(out, pa.string())})
-
-    return redact_pii(docs.map_batches(_plant, batch_format="pyarrow")) \
-        .sort("doc_id")
-
-
-def _q_compression_ratio(sf_dir: str):
-    """zlib compression-ratio quality signal per document (no SQL analog
-    — rows-only; differential-tested against zlib directly)."""
-    from engine.textstats import compression_ratio
-    out = compression_ratio(_docs(sf_dir, columns=["doc_id", "text"]))
-    return out.sort("doc_id")
-
-
-def _q_ngram_novelty(sf_dir: str):
-    """Novelty of docs doc_id >= 100 vs the doc_id < 100 reference corpus
-    (fraction of distinct word 3-grams absent from the reference) — the
-    exact broadcast mode, SQL-reproducible via a left join on unnested
-    distinct grams."""
-    import pyarrow.compute as _pc
-    from engine.textstats import ngram_novelty
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
-
-    def _side(ref: bool):
-        def _fn(b: pa.Table) -> pa.Table:
-            m = _pc.less(b.column("doc_id"), 100)
-            return b.filter(m if ref else _pc.invert(m))
-        return _fn
-
-    out = ngram_novelty(docs.map_batches(_side(False),
-                                         batch_format="pyarrow"),
-                        docs.map_batches(_side(True),
-                                         batch_format="pyarrow"))
-    return out.sort("doc_id")
-
-
-def _q_percentile_rank_events(sf_dir: str):
-    """Exact per-row percentile rank of events.value —
-    percent_rank() window parity."""
-    from engine.stats import percentile_rank
-    out = percentile_rank(
-        _read(sf_dir, "events", columns=["event_id", "value"]),
-        "value", id_col="event_id")
-    return out.sort("event_id")
-
-
-def _q_ewma_user_value(sf_dir: str):
-    """Per-user EWMA of event values in (ts, event_id) order — recurrence
-    parity with a DuckDB recursive CTE."""
-    from engine.relational import ewma
-    out = ewma(_read(sf_dir, "events",
-                     columns=["event_id", "ts", "user_id", "value"]),
-               alpha=0.3)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "ewma": pa.array(_round_half_away(
-                b.column("ewma").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_ewma_halflife_user_value(sf_dir: str):
-    """Per-user TIME-DECAYED EWMA of event values (halflife 1 h): weights
-    halve per hour of elapsed time, not per row — recurrence parity with
-    a DuckDB recursive CTE carrying (w, y) in pandas' exact op order."""
-    from engine.relational import ewma_halflife
-    out = ewma_halflife(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]),
-        halflife_seconds=3600.0)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "ewma_hl": pa.array(_round_half_away(
-                b.column("ewma_hl").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_lag_diff_user_value(sf_dir: str):
-    """Per-user first difference of event values in (ts, event_id) order
-    — ``value - LAG(value) OVER (PARTITION BY user_id ORDER BY ts,
-    event_id)`` parity; first row of each user is NULL."""
-    from engine.relational import lag_diff
-    out = lag_diff(_read(sf_dir, "events",
-                         columns=["event_id", "ts", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = b.column("lag_diff").to_numpy(zero_copy_only=False)
-        r = _round_half_away(v, 4)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "lag_diff": pa.array([None if np.isnan(x) else float(x)
-                                  for x in r], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_grouped_moments_lineitem(sf_dir: str):
-    """Per-returnflag count/mean/sample-stddev/min/max of
-    l_extendedprice from one-pass sufficient-statistics combiners."""
-    from engine.stats import grouped_moments
-    out = grouped_moments(
-        _read(sf_dir, "lineitem", columns=["l_returnflag",
-                                           "l_extendedprice"]),
-        group_col="l_returnflag", value_col="l_extendedprice")
-
-    def _round(b: pa.Table) -> pa.Table:
-        def r4(c):
-            return pa.array(_round_half_away(
-                b.column(c).to_numpy(zero_copy_only=False), 4),
-                pa.float64())
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "n": b.column("n"), "mean": r4("mean"),
-            "std_samp": r4("std_samp"),
-            "vmin": r4("vmin"), "vmax": r4("vmax")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("l_returnflag")
-
-
-def _q_grouped_corr_lineitem(sf_dir: str):
-    """Per-returnflag Pearson correlation of (l_quantity,
-    l_extendedprice) from one-pass sufficient statistics."""
-    from engine.stats import grouped_corr
-    out = grouped_corr(
-        _read(sf_dir, "lineitem",
-              columns=["l_returnflag", "l_quantity", "l_extendedprice"]),
-        group_col="l_returnflag", x_col="l_quantity",
-        y_col="l_extendedprice")
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "n": b.column("n"),
-            "pearson_r": pa.array(_round_half_away(
-                b.column("corr").to_numpy(zero_copy_only=False), 6),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("l_returnflag")
-
-
-def _q_winsorize_events(sf_dir: str):
-    """events.value clipped to its exact [p05, p95] quantile fences (the
-    fences from the distributed selection operator, quantile_cont-exact)."""
-    from engine.stats import winsorize
-    out = winsorize(_read(sf_dir, "events", columns=["event_id", "value"]),
-                    "value", lower_q=0.05, upper_q=0.95)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "value": pa.array(_round_half_away(
-                b.column("value").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_distinct_users(sf_dir: str):
-    """Exact distinct users per event type — the two-level count-distinct
-    shape (in-batch pair dedup, pair-hash co-location, bounded final
-    sum)."""
-    from engine.relational import count_distinct
-    out = count_distinct(
-        _read(sf_dir, "events", columns=["event_type", "user_id"]),
-        group_col="event_type", value_col="user_id")
-    return out.sort("event_type")
-
-
-def _q_histogram_orders(sf_dir: str):
-    """20-bin histogram of o_totalprice over [0, 600000] — identical
-    float64 binning expression on both engines."""
-    from engine.stats import value_histogram
-    out = value_histogram(_read(sf_dir, "orders", columns=["o_totalprice"]),
-                          "o_totalprice", lo=0.0, hi=600000.0, bins=20)
-    return out.sort("bin")
-
-
-def _q_grouped_quantiles(sf_dir: str):
-    """Per-return-flag exact quantiles of l_extendedprice —
-    group-quantile_cont parity."""
-    from engine.stats import grouped_quantiles
-    out = grouped_quantiles(
-        _read(sf_dir, "lineitem",
-              columns=["l_returnflag", "l_extendedprice"]),
-        group_col="l_returnflag", value_col="l_extendedprice",
-        qs=[0.5, 0.9])
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "q": b.column("q"),
-            "value": pa.array(_round_half_away(
-                b.column("value").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["l_returnflag", "q"])
-
-
-def _q_outlier_events(sf_dir: str):
-    """Tukey-fence outliers on events.value — fences from the exact
-    quantile operator, so the flagged row set is deterministic and
-    SQL-reproducible."""
-    from engine.stats import iqr_outliers
-    out = iqr_outliers(_read(sf_dir, "events",
-                             columns=["event_id", "value"]), "value")
-    return out.select_columns(["event_id", "value"]).sort("event_id")
-
-
-def _q_stratified_sample(sf_dir: str):
-    """Per-language stratified sample of documents: 30% of 'en', 10% of
-    'de', 5% of everything else — deterministic md5 buckets salted with
-    the stratum, SQL-reproducible."""
-    from engine.sampling import stratified_sample
-    out = stratified_sample(
-        _docs(sf_dir, columns=["doc_id", "lang"]),
-        {"en": 0.30, "de": 0.10}, strat_col="lang", key_col="doc_id",
-        default_frac=0.05)
-    return out.select_columns(["doc_id", "lang"]).sort("doc_id")
-
-
-def _q_events_props_validation(sf_dir: str):
-    from engine.dataset import validate_json_column
-    schema = ('{"type":"object","required":["k"],'
-              '"properties":{"k":{"type":"integer","minimum":0,'
-              '"maximum":50}}}')
-    out = validate_json_column(
-        _read(sf_dir, "events", columns=["event_id", "props"]), schema,
-        column="props", key_column="event_id")
-    return out.select_columns(["event_id", "error_seq", "error_kind",
-                               "instance_path"])
-
-
-def _q_q3(sf_dir: str):
-    from engine.relational import q3_shipping_priority
-    return q3_shipping_priority(
-        _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice",
-                                           "l_discount", "l_shipdate"]),
-        _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey",
-                                         "o_orderdate"]),
-        _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]))
-
-
-#: Second documents schema for the one-pass multi-schema query: stricter
-#: bounds so its violation set differs from DOCS_SCHEMA_JSON.
-DOCS_SCHEMA_STRICT_JSON = """
-{"type": "object",
- "required": ["doc_id", "text"],
- "properties": {
-   "text":   {"type": "string", "minLength": 20},
-   "n_chars": {"type": "integer", "maximum": 200}}}
-"""
-
-
-def _q_multi_validate(sf_dir: str):
-    """C1's dataset face: N schemas validated in ONE corpus pass
-    (MultiValidateBatch), violations tagged with schema_name — one scan
-    replaces N at 100 TB."""
-    from engine.dataset import validate_dataset_multi
-    v = validate_dataset_multi(
-        _docs(sf_dir),
-        {"base": DOCS_SCHEMA_JSON, "strict": DOCS_SCHEMA_STRICT_JSON},
-        key_column="doc_id")
-    return v.select_columns(["schema_name", "doc_id", "error_kind",
-                             "instance_path"])
-
-
+@_bespoke("streaming_dedup")
 def _q_streaming_dedup(sf_dir: str):
     """Streaming exact dedup: documents replayed as four doc_id-ordered
     micro-batches through the Bloom+exact seen-state operator; the union
     of emitted keeps must equal batch exact dedup (min doc_id per md5) —
     which is exactly the DuckDB oracle."""
     import tempfile
-    import pyarrow.compute as _pc
+    import pyarrow.compute as pc
     from engine.streaming import stream_dedup_micro_batch
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
-    n = docs.count()
-    size = (n + 3) // 4
+    docs = _read(sf_dir, *_DOC_TEXT)
+    size = (docs.count() + 3) // 4
     state = tempfile.mkdtemp(prefix="streamdedup_")
     kept = []
     for i in range(4):
@@ -1061,8 +590,8 @@ def _q_streaming_dedup(sf_dir: str):
 
         def _slice(b: pa.Table, lo_k=lo_k, hi_k=hi_k) -> pa.Table:
             ids = b.column("doc_id")
-            return b.filter(_pc.and_(_pc.greater_equal(ids, lo_k),
-                                     _pc.less(ids, hi_k)))
+            return b.filter(pc.and_(pc.greater_equal(ids, lo_k),
+                                    pc.less(ids, hi_k)))
         out, _ = stream_dedup_micro_batch(
             docs.map_batches(_slice, batch_format="pyarrow"), state,
             batch_id=f"b{i}")
@@ -1070,29 +599,28 @@ def _q_streaming_dedup(sf_dir: str):
         if "doc_id" in df.columns and len(df):
             kept.append(pa.table({"doc_id": pa.array(
                 df["doc_id"].to_numpy(), pa.int64())}))
-    t = pa.concat_tables(kept)
-    return pa.table({"doc_id": t.column("doc_id")}).sort_by("doc_id")
+    return pa.concat_tables(kept).sort_by("doc_id")
 
 
+@_bespoke("streaming_windows")
 def _q_streaming_windows(sf_dir: str):
     """Micro-batch streaming windows: the events table replayed as three
     time-ordered micro-batches through the watermark operator; with in-order
     arrival the union of closed + flushed windows must equal the plain
     (user, hour) groupby — which is exactly the DuckDB oracle."""
     import tempfile
-    import pyarrow.compute as pc
-    from engine.streaming import flush, process_micro_batch
-
     import pandas as pd
+    import pyarrow.compute as pc
+    import ray
     from ray.data.aggregate import Max, Min
-    ev = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
+    from engine.streaming import flush, process_micro_batch
+    ev = _read(sf_dir, "events", "user_id ts value")
     bounds = ev.aggregate(Min("ts"), Max("ts"))
     lo = pd.Timestamp(bounds["min(ts)"])
     hi = pd.Timestamp(bounds["max(ts)"])
-    cuts = [pa.scalar((lo + (hi - lo) * i / 3).to_datetime64(),
-                      pa.timestamp("us")) for i in (1, 2)]
+    cuts = [None] + [pa.scalar((lo + (hi - lo) * i / 3).to_datetime64(),
+                               pa.timestamp("us")) for i in (1, 2)] + [None]
     sd = tempfile.mkdtemp(prefix="stream_state_")
-    parts = []
 
     def _between(lo_c, hi_c):
         def _fn(b: pa.Table) -> pa.Table:
@@ -1105,1366 +633,524 @@ def _q_streaming_windows(sf_dir: str):
             return b.filter(mask)
         return _fn
 
-    slices = [
-        ev.map_batches(_between(None, cuts[0]), batch_format="pyarrow"),
-        ev.map_batches(_between(cuts[0], cuts[1]), batch_format="pyarrow"),
-        ev.map_batches(_between(cuts[1], None), batch_format="pyarrow"),
-    ]
-    for sl in slices:
+    parts = []
+    for lo_c, hi_c in zip(cuts, cuts[1:]):
         closed, _ = process_micro_batch(
-            sl, sd, key_col="user_id", ts_col="ts", value_col="value",
+            ev.map_batches(_between(lo_c, hi_c), batch_format="pyarrow"),
+            sd, key_col="user_id", ts_col="ts", value_col="value",
             window="1h", allowed_lateness="30m")
         parts.append(closed)
     parts.append(flush(sd))
-    # closed windows are Datasets now; small at test sf — collect the
-    # arrow blocks (empty ones come out schemaless, drop them)
-    import ray as _ray
-    tbls = []
-    for p in parts:
-        for r in p.to_arrow_refs():
-            t = _ray.get(r)
-            if t.num_columns and len(t):
-                tbls.append(t)
-    out = pa.concat_tables(tbls)
-    return pa.table({
-        "user_id": out.column("key"),
-        "window_start": out.column("window_start"),
-        "n_events": out.column("n_events"),
-        "value_sum": pa.array(_round_half_away(
-            out.column("value_sum").to_numpy(zero_copy_only=False), 4),
-            pa.float64())})
-
-
-def _q_latest_event_per_user(sf_dir: str):
-    """Log compaction: each user's single most recent event by
-    (ts, event_id) — ``row_number() OVER (PARTITION BY user_id ORDER BY
-    ts DESC, event_id DESC) = 1`` parity; all columns pass through."""
-    from engine.relational import keep_latest
-    out = keep_latest(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]),
-        key_col="user_id", ts_col="ts", id_col="event_id")
-    return out.select_columns(["user_id", "event_id", "ts", "value"]) \
-        .sort("user_id")
-
-
-def _q_pivot_events_value(sf_dir: str):
-    """Per-user value sums pivoted over the five declared event types —
-    ``coalesce(sum(value) FILTER (WHERE event_type = v), 0)`` per
-    column."""
-    from engine.relational import pivot_agg
-    kinds = ["click", "error", "purchase", "signup", "view"]
-    out = pivot_agg(
-        _read(sf_dir, "events",
-              columns=["user_id", "event_type", "value"]),
-        group_col="user_id", pivot_col="event_type", value_col="value",
-        values=kinds)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b.column("user_id"),
-            **{f"sum_{k}": pa.array(_round_half_away(
-                b.column(f"sum_{k}").to_numpy(zero_copy_only=False), 4),
-                pa.float64()) for k in kinds}})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _hi_value_users(sf_dir: str, kind: str):
-    """Events of one type with value > 95, projected to user_id — the
-    filtered side of the set-op queries (vectorized Arrow filter)."""
-    import pyarrow.compute as pc
-
-    def _keep(b: pa.Table) -> pa.Table:
-        m = pc.and_(pc.equal(b.column("event_type"), kind),
-                    pc.greater(b.column("value"), 95.0))
-        return b.filter(m).select(["user_id"])
-
-    return _read(sf_dir, "events",
-                 columns=["user_id", "event_type", "value"]) \
-        .map_batches(_keep, batch_format="pyarrow")
-
-
-def _q_click_not_purchase_users(sf_dir: str):
-    """Distinct users with a high-value (>95) click but NO high-value
-    purchase — SQL EXCEPT parity over two filtered event sets."""
-    from engine.relational import except_distinct
-    return except_distinct(_hi_value_users(sf_dir, "click"),
-                           _hi_value_users(sf_dir, "purchase"),
-                           key_col="user_id").sort("user_id")
-
-
-def _q_click_and_purchase_users(sf_dir: str):
-    """Distinct users with BOTH a high-value click and a high-value
-    purchase — SQL INTERSECT parity over two filtered event sets."""
-    from engine.relational import intersect_distinct
-    return intersect_distinct(_hi_value_users(sf_dir, "click"),
-                              _hi_value_users(sf_dir, "purchase"),
-                              key_col="user_id").sort("user_id")
-
-
-def _q_click_xor_purchase_users(sf_dir: str):
-    """Distinct users with a high-value click or purchase but NOT both —
-    SQL ``(a EXCEPT b) UNION (b EXCEPT a)`` parity in one pass."""
-    from engine.relational import symmetric_difference_distinct
-    return symmetric_difference_distinct(
-        _hi_value_users(sf_dir, "click"),
-        _hi_value_users(sf_dir, "purchase"),
-        key_col="user_id").sort("user_id")
-
-
-def _q_session_value_sums(sf_dir: str):
-    """Gap-based sessions with per-session value SUM and non-NULL count
-    in the same vectorized pass as sessionization."""
-    from engine.relational import session_aggregate
-    out = session_aggregate(
-        _read(sf_dir, "events", columns=["user_id", "ts", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("value_sum").to_numpy(zero_copy_only=False), 4)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "session_id": b.column("session_id"),
-            "n_events": b.column("n_events"),
-            "session_start": b.column("session_start"),
-            "session_end": b.column("session_end"),
-            "value_sum": pa.array([None if np.isnan(x) else float(x)
-                                   for x in v], pa.float64()),
-            "n_values": b.column("n_values")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["user_id", "session_id"])
-
-
-def _q_mode_event_type_per_user(sf_dir: str):
-    """Each user's most frequent event type, ties to the
-    lexicographically smallest — deterministic mode with max-count /
-    min-value join parity."""
-    from engine.relational import grouped_mode
-    return grouped_mode(
-        _read(sf_dir, "events", columns=["user_id", "event_type"]),
-        group_col="user_id", value_col="event_type") \
-        .sort("user_id")
-
-
-def _q_running_sum_user_value(sf_dir: str):
-    """Per-user cumulative event-value sum in (ts, event_id) order —
-    ``coalesce(sum(value) OVER (PARTITION BY user_id ORDER BY ts,
-    event_id ROWS UNBOUNDED PRECEDING), 0)`` parity."""
-    from engine.relational import running_sum
-    out = running_sum(_read(sf_dir, "events",
-                            columns=["event_id", "ts", "user_id",
-                                     "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "running_sum": pa.array(_round_half_away(
-                b.column("running_sum").to_numpy(zero_copy_only=False),
-                4), pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_rolling_user_sum(sf_dir: str):
-    """Per-user trailing 3-hour rolling value SUM and non-NULL COUNT —
-    RANGE-frame window parity (tie peers included, SQL NULL
-    semantics)."""
-    from engine.relational import rolling_window_sum_count
-    out = rolling_window_sum_count(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = b.column("rolling_sum").to_numpy(zero_copy_only=False)
-        r = _round_half_away(v, 4)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "rolling_sum": pa.array([None if np.isnan(x) else float(x)
-                                     for x in r], pa.float64()),
-            "rolling_n": b.column("rolling_n")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_rolling_user_min_max(sf_dir: str):
-    """Per-user trailing 3-hour rolling value MIN and MAX — RANGE-frame
-    window parity (tie peers included; NULL values ignored; an all-NULL
-    frame reports NULL), computed by a sparse-table range reduce over
-    the shared frame bounds."""
-    from engine.relational import rolling_window_min_max
-    out = rolling_window_min_max(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            v = _round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 4)
-            return pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())
-        return pa.table({"event_id": b.column("event_id"),
-                         "rolling_min": _col("rolling_min"),
-                         "rolling_max": _col("rolling_max")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_window_ranks_events(sf_dir: str):
-    """Per-user ROW_NUMBER / RANK / DENSE_RANK of event values ascending
-    (NULLS LAST; row_number tie-broken by event_id) — window-rank
-    parity."""
-    from engine.relational import window_ranks
-    return window_ranks(
-        _read(sf_dir, "events",
-              columns=["event_id", "user_id", "value"])).sort("event_id")
-
-
-def _q_tfidf_top_terms(sf_dir: str):
-    """Top-5 TF-IDF terms per document (tf * ln(N/df), whitespace
-    tokens, ties to the lexicographically smallest token)."""
-    from engine.textstats import tfidf_topk
-    out = tfidf_topk(_read(sf_dir, "documents",
-                           columns=["doc_id", "text"]), k=5)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "token": b.column("token"),
-            "tf": b.column("tf"),
-            "score": pa.array(_round_half_away(
-                b.column("score").to_numpy(zero_copy_only=False), 6),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["doc_id", "token"])
-
-
-def _q_label_centroids(sf_dir: str):
-    """Per-label mean embedding vector (long format: label, dim, value)
-    — one-pass scatter-add combiner, elementwise-avg parity."""
-    from engine.similarity import grouped_centroids
-    out = grouped_centroids(
-        _read(sf_dir, "embeddings", columns=["label", "embedding"]),
-        group_col="label", vec_col="embedding", dim=64)
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "label": b.column("label"),
-            "dim": b.column("dim"),
-            "value": pa.array(_round_half_away(
-                b.column("value").to_numpy(zero_copy_only=False), 6),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["label", "dim"])
-
-
-def _q_quantile_buckets_events(sf_dir: str):
-    """Equal-frequency quartile bucket per event value — exact
-    quantile_cont fences from the distributed selection, then a map-only
-    searchsorted assign (``1 + (v > q1) + (v > q2) + (v > q3)``
-    parity)."""
-    from engine.stats import quantile_buckets
-    out = quantile_buckets(
-        _read(sf_dir, "events", columns=["event_id", "value"]), "value")
-
-    def _proj(b: pa.Table) -> pa.Table:
-        return pa.table({"event_id": b.column("event_id"),
-                         "bucket": b.column("bucket")})
-    return out.map_batches(_proj, batch_format="pyarrow").sort("event_id")
-
-
-def _q_robust_zscore_events(sf_dir: str):
-    """Median/MAD robust z-score per event value — two exact selection
-    passes (median, then median absolute deviation) and a map-only
-    score."""
-    from engine.stats import robust_zscore
-    out = robust_zscore(
-        _read(sf_dir, "events", columns=["event_id", "value"]),
-        "value", id_col="event_id")
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("rz").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "rz": pa.array([None if np.isnan(x) else float(x)
-                            for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_window_rank_fractions_events(sf_dir: str):
-    """Per-user PERCENT_RANK / CUME_DIST / NTILE(4) of event values —
-    fraction-rank window parity (peer-based fractions; NTILE
-    deterministic via the event_id tiebreak)."""
-    from engine.relational import window_rank_fractions
-    out = window_rank_fractions(
-        _read(sf_dir, "events",
-              columns=["event_id", "user_id", "value"]), ntile_k=4)
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            return pa.array(_round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 6),
-                pa.float64())
-        return pa.table({"event_id": b.column("event_id"),
-                         "pct_rank": _col("pct_rank"),
-                         "cume_dist": _col("cume_dist"),
-                         "bucket": b.column("bucket")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_grouped_median_orders(sf_dir: str):
-    """Exact per-priority median order price — the grouped-quantile path
-    at q=0.5 (quantile_cont parity)."""
-    from engine.stats import grouped_quantiles
-    out = grouped_quantiles(
-        _read(sf_dir, "orders",
-              columns=["o_orderpriority", "o_totalprice"]),
-        group_col="o_orderpriority", value_col="o_totalprice", qs=[0.5])
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": b.column("o_orderpriority"),
-            "q": b.column("q"),
-            "value": pa.array(_round_half_away(
-                b.column("value").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["o_orderpriority", "q"])
-
-
-def _q_user_event_sequences(sf_dir: str):
-    """Each user's full ordered event-type history as one token string —
-    ``string_agg(event_type, ',' ORDER BY ts, event_id)`` parity."""
-    from engine.relational import collect_sequence
-    return collect_sequence(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "event_type"])) \
-        .sort("user_id")
-
-
-def _q_click_or_purchase_users(sf_dir: str):
-    """Distinct users with a high-value (>95) click OR purchase — SQL
-    UNION parity over two filtered event sets."""
-    from engine.relational import union_distinct
-    return union_distinct(_hi_value_users(sf_dir, "click"),
-                          _hi_value_users(sf_dir, "purchase"),
-                          key_col="user_id").sort("user_id")
-
-
-def _q_semi_join_events(sf_dir: str):
-    """Events of users who made a high-value (>95) purchase — row-
-    preserving WHERE EXISTS parity (every qualifying event passes
-    through once, all columns intact)."""
-    from engine.relational import semi_join
-    left = _read(sf_dir, "events",
-                 columns=["event_id", "ts", "user_id", "value"])
-    return semi_join(left, _hi_value_users(sf_dir, "purchase"),
-                     key_col="user_id").sort("event_id")
-
-
-def _q_anti_join_events(sf_dir: str):
-    """Events of users with NO high-value (>95) purchase — WHERE NOT
-    EXISTS parity."""
-    from engine.relational import anti_join
-    left = _read(sf_dir, "events",
-                 columns=["event_id", "ts", "user_id", "value"])
-    return anti_join(left, _hi_value_users(sf_dir, "purchase"),
-                     key_col="user_id").sort("event_id")
-
-
-def _q_running_min_max_user_value(sf_dir: str):
-    """Per-user cumulative event-value MIN and MAX in (ts, event_id)
-    order — ``min/max(value) OVER (PARTITION BY user_id ORDER BY ts,
-    event_id ROWS UNBOUNDED PRECEDING)`` parity (NULL values carry the
-    running extremes; NULL before a user's first non-NULL value)."""
-    from engine.relational import running_min_max
-    out = running_min_max(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            v = _round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 4)
-            return pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())
-        return pa.table({"event_id": b.column("event_id"),
-                         "running_min": _col("running_min"),
-                         "running_max": _col("running_max")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_user_gap_stats(sf_dir: str):
-    """Per-user inter-event gap stats (count / mean / max seconds) over
-    ``ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id)``;
-    single-event users report (0, NULL, NULL); NULL-ts rows dropped."""
-    from engine.relational import interevent_gap_stats
-    out = interevent_gap_stats(
-        _read(sf_dir, "events", columns=["event_id", "ts", "user_id"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            v = _round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 4)
-            return pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())
-        return pa.table({"user_id": b.column("user_id"),
-                         "n_gaps": b.column("n_gaps"),
-                         "avg_gap_s": _col("avg_gap_s"),
-                         "max_gap_s": _col("max_gap_s")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_delta_from_first_user_value(sf_dir: str):
-    """Per-event delta from the user's first event value — ``value -
-    FIRST_VALUE(value) OVER (PARTITION BY user_id ORDER BY ts,
-    event_id)`` parity (positional first, RESPECT NULLS)."""
-    from engine.relational import delta_from_first
-    out = delta_from_first(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("delta_from_first").to_numpy(zero_copy_only=False), 4)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "delta_from_first": pa.array(
-                [None if np.isnan(x) else float(x) for x in v],
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_weighted_avg_price_by_flag(sf_dir: str):
-    """Per-returnflag quantity-weighted mean extended price —
-    ``sum(price * qty) / sum(qty)`` from one-pass combiner rows."""
-    from engine.stats import grouped_weighted_mean
-    out = grouped_weighted_mean(
-        _read(sf_dir, "lineitem",
-              columns=["l_returnflag", "l_extendedprice", "l_quantity"]),
-        group_col="l_returnflag", value_col="l_extendedprice",
-        weight_col="l_quantity")
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "n": b.column("n"),
-            "weighted_mean": pa.array(_round_half_away(
-                b.column("weighted_mean").to_numpy(zero_copy_only=False),
-                4), pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("l_returnflag")
-
-
-def _q_token_type_ratio_docs(sf_dir: str):
-    """Per-document lexical diversity: whitespace token count, distinct
-    token count, type-token ratio (NULL for empty docs). Map-only."""
-    from engine.textstats import token_type_ratio
-    out = token_type_ratio(_docs(sf_dir, columns=["doc_id", "text"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("ttr").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "n_tokens": b.column("n_tokens"),
-            "n_distinct": b.column("n_distinct"),
-            "ttr": pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("doc_id")
-
-
-def _q_text_chunks_docs(sf_dir: str):
-    """Sliding 64-token / stride-32 chunking of every document — the
-    training-pipeline context-window splitter, map-only and vectorized
-    (repeat/cumsum chunk membership + one gather + binary_join)."""
-    from engine.textstats import text_chunks
-    return text_chunks(_docs(sf_dir, columns=["doc_id", "text"]),
-                       chunk_tokens=64, stride=32) \
-        .sort(["doc_id", "chunk_start"])
-
-
-def _q_bigram_heavy_hitters(sf_dir: str):
-    """EXACT top-20 adjacent-token bigrams corpus-wide (in-batch exact
-    counts -> light (bigram, count) shuffle -> per-block top-k)."""
-    from engine.textstats import bigram_heavy_hitters
-    return bigram_heavy_hitters(_docs(sf_dir, columns=["doc_id", "text"]),
-                                k=20)
-
-
-def _q_dedup_normalized(sf_dir: str):
-    """Duplicate groups after text canonicalization (lower, collapse
-    whitespace, strip) — md5 of the normalized text so DuckDB reproduces
-    the hash bit-for-bit."""
-    from engine.dedup import normalized_duplicates
-    return normalized_duplicates(_docs(sf_dir, columns=["doc_id", "text"]))
-
-
-def _q_token_entropy_docs(sf_dir: str):
-    """Per-document unigram Shannon entropy + top-token share (the
-    repetition/diversity quality signals). Map-only."""
-    from engine.textstats import token_entropy
-    out = token_entropy(_docs(sf_dir, columns=["doc_id", "text"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            v = _round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 6)
-            return pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "n_tokens": b.column("n_tokens"),
-                         "entropy": _col("entropy"),
-                         "top_share": _col("top_share")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("doc_id")
-
-
-def _q_grouped_zscore_events(sf_dir: str):
-    """Per-event z-score within the user's value distribution —
-    ``(value - avg) / stddev_samp`` window parity; NULL for single-row
-    or constant users."""
-    from engine.relational import grouped_zscore
-    out = grouped_zscore(
-        _read(sf_dir, "events", columns=["event_id", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(b.column("z").to_numpy(zero_copy_only=False),
-                             6)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "z": pa.array([None if np.isnan(x) else float(x) for x in v],
-                          pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_grouped_histogram_events(sf_dir: str):
-    """Per-event-type fixed-bin histogram of value over [0, 500] x 20
-    bins — (group, bin, n) combiner rows only, bit-for-bit SQL bin
-    edges."""
-    from engine.stats import grouped_histogram
-    return grouped_histogram(
-        _read(sf_dir, "events", columns=["event_type", "value"]),
-        group_col="event_type", col="value", lo=0.0, hi=500.0,
-        bins=20).sort(["event_type", "bin"])
-
-
-def _q_grouped_minmax_scale_events(sf_dir: str):
-    """Per-event min-max scaled value within the user's distribution —
-    ``(v - min) / (max - min)`` window parity; NULL for constant
-    users."""
-    from engine.relational import grouped_minmax_scale
-    out = grouped_minmax_scale(
-        _read(sf_dir, "events", columns=["event_id", "user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("scaled").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "scaled": pa.array([None if np.isnan(x) else float(x)
-                                for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_user_activity_span(sf_dir: str):
-    """Per-user activity profile: event count, distinct active days,
-    first/last event timestamp — the (key, day) combiner makes COUNT
-    DISTINCT a row count."""
-    from engine.relational import user_activity_span
-    return user_activity_span(
-        _read(sf_dir, "events", columns=["user_id", "ts"])) \
-        .sort("user_id")
-
-
-def _q_q6_forecast_revenue(sf_dir: str):
-    """TPC-H Q6-style forecast revenue: filtered
-    ``sum(l_extendedprice * l_discount)`` — one partial row per block,
-    scalar tree-fold, no shuffle."""
-    from engine.relational import q6_forecast_revenue
-    out = q6_forecast_revenue(
-        _read(sf_dir, "lineitem",
-              columns=["l_shipdate", "l_discount", "l_quantity",
-                       "l_extendedprice"]))
-    rev = out.column("revenue").to_numpy(zero_copy_only=False)
-    return pa.table({
-        "revenue": pa.array([None if np.isnan(x) else float(
-            _round_half_away(x, 4)) for x in rev], pa.float64()),
-        "n_items": out.column("n_items")})
-
-
-def _q_event_type_cooccurrence(sf_dir: str):
-    """Per-pair event-type co-occurrence over users (market-basket):
-    distinct (user, type) -> within-key self-merge -> vocabulary²
-    groupby."""
-    from engine.relational import event_type_cooccurrence
-    return event_type_cooccurrence(
-        _read(sf_dir, "events", columns=["user_id", "event_type"])) \
-        .sort(["type_a", "type_b"])
-
-
-def _q_user_event_type_set(sf_dir: str):
-    """Per-user sorted DISTINCT event-type set —
-    ``string_agg(DISTINCT event_type, ',' ORDER BY event_type)``
-    parity; the combiner dedups inside each batch."""
-    from engine.relational import collect_distinct_sorted
-    return collect_distinct_sorted(
-        _read(sf_dir, "events", columns=["user_id", "event_type"])) \
-        .sort("user_id")
-
-
-def _q_type_value_mutual_information(sf_dir: str):
-    """Mutual information (nats) between event_type and the 10-bin
-    bucketing of value over [0, 500] — vocabulary x bins contingency
-    combiner, worker-side reduce."""
-    from engine.stats import mutual_information
-    out = mutual_information(
-        _read(sf_dir, "events", columns=["event_type", "value"]),
-        a_col="event_type", b_col="value", lo=0.0, hi=500.0, bins=10)
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(b.column("mi").to_numpy(zero_copy_only=False),
-                             6)
-        return pa.table({
-            "mi": pa.array([None if np.isnan(x) else float(x) for x in v],
-                           pa.float64()),
-            "n": b.column("n")})
-    return out.map_batches(_round, batch_format="pyarrow")
-
-
-def _q_value_gini_by_type(sf_dir: str):
-    """Per-event-type Gini concentration of value — sorted-rank identity,
-    one sort per coarse partition."""
-    from engine.stats import grouped_gini
-    out = grouped_gini(
-        _read(sf_dir, "events", columns=["event_type", "value"]),
-        group_col="event_type", value_col="value")
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("gini").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "gini": pa.array([None if np.isnan(x) else float(x)
-                              for x in v], pa.float64()),
-            "n": b.column("n")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("event_type")
-
-
-def _q_grouped_iqr_outliers_events(sf_dir: str):
-    """Events outside their type's Tukey fences (per-group exact
-    quartiles computed in-partition — no fence join)."""
-    from engine.stats import grouped_iqr_outliers
-    return grouped_iqr_outliers(
-        _read(sf_dir, "events",
-              columns=["event_id", "event_type", "value"]),
-        group_col="event_type", value_col="value",
-        id_col="event_id").sort("event_id")
-
-
-def _q_spearman_qty_price(sf_dir: str):
-    """Spearman rank correlation of l_quantity vs l_extendedprice —
-    average-rank CDF broadcast + map-only sufficient statistics."""
-    from engine.stats import spearman_corr
-    out = spearman_corr(
-        _read(sf_dir, "lineitem",
-              columns=["l_quantity", "l_extendedprice"]),
-        x_col="l_quantity", y_col="l_extendedprice")
-    r = out.column("spearman_r").to_numpy(zero_copy_only=False)
-    return pa.table({
-        "spearman_r": pa.array([None if np.isnan(v) else float(
-            _round_half_away(v, 6)) for v in r], pa.float64()),
-        "n": out.column("n")})
-
-
-def _q_corr_matrix_lineitem(sf_dir: str):
-    """All pairwise Pearson correlations of the four lineitem measures
-    in ONE corpus pass (pairwise NULL exclusion)."""
-    from engine.stats import corr_matrix
-    cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    out = corr_matrix(_read(sf_dir, "lineitem", columns=cols), cols=cols)
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(b.column("r").to_numpy(zero_copy_only=False),
-                             6)
-        return pa.table({
-            "col_x": b.column("col_x"), "col_y": b.column("col_y"),
-            "r": pa.array([None if np.isnan(x) else float(x) for x in v],
-                          pa.float64()),
-            "n": b.column("n")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["col_x", "col_y"])
-
-
-def _q_daily_event_counts_dense(sf_dir: str):
-    """Gap-filled daily event counts (generate_series LEFT JOIN parity;
-    zero-days present)."""
-    from engine.relational import dense_daily_counts
-    return dense_daily_counts(
-        _read(sf_dir, "events", columns=["ts"])).sort("day")
-
-
-def _q_session_duration_stats(sf_dir: str):
-    """Per-user session count and mean/max session duration under the
-    30-minute gap sessionizer."""
-    from engine.relational import session_duration_stats
-    out = session_duration_stats(
-        _read(sf_dir, "events", columns=["user_id", "ts"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        def _col(name):
-            v = _round_half_away(
-                b.column(name).to_numpy(zero_copy_only=False), 4)
-            return pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64())
-        return pa.table({"user_id": b.column("user_id"),
-                         "n_sessions": b.column("n_sessions"),
-                         "avg_session_s": _col("avg_session_s"),
-                         "max_session_s": _col("max_session_s")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_events_rollup(sf_dir: str):
-    """GROUPING SETS rollup of event counts over (event_type, day) —
-    one corpus pass; coarser grains derive from the bounded fine
-    contingency."""
-    from engine.relational import rollup_counts
-    return rollup_counts(
-        _read(sf_dir, "events", columns=["event_type", "ts"])) \
-        .sort(["lvl", "event_type", "day"])
-
-
-def _q_activity_heatmap(sf_dir: str):
-    """Day-of-week x hour-of-day event counts (calendar heatmap,
-    DuckDB dayofweek parity)."""
-    from engine.relational import activity_heatmap
-    return activity_heatmap(_read(sf_dir, "events", columns=["ts"])) \
-        .sort(["dow", "hod"])
-
-
-def _q_doc_length_quartiles_by_lang(sf_dir: str):
-    """Per-language equal-frequency length quartile of every document
-    (in-partition exact fences)."""
-    from engine.stats import grouped_quantile_buckets
-    return grouped_quantile_buckets(
-        _docs(sf_dir, columns=["doc_id", "lang", "n_chars"]),
-        group_col="lang", value_col="n_chars",
-        id_col="doc_id").sort("doc_id")
-
-
-def _q_user_hour_entropy(sf_dir: str):
-    """Per-user hour-of-day activity entropy (behavioral regularity
-    feature)."""
-    from engine.relational import user_hour_entropy
-    out = user_hour_entropy(
-        _read(sf_dir, "events", columns=["user_id", "ts"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("hour_entropy").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "hour_entropy": pa.array(
-                [None if np.isnan(x) else float(x) for x in v],
-                pa.float64()),
-            "n_events": b.column("n_events")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_value_mad_by_type(sf_dir: str):
-    """Per-event-type median absolute deviation of value (robust spread
-    profile)."""
-    from engine.stats import grouped_mad
-    out = grouped_mad(
-        _read(sf_dir, "events", columns=["event_type", "value"]),
-        group_col="event_type", value_col="value")
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("mad").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "mad": pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64()),
-            "n": b.column("n")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("event_type")
-
-
-def _q_cohort_retention(sf_dir: str):
-    """Cohort retention triangle: distinct active users per (first-day
-    cohort, day offset)."""
-    from engine.relational import cohort_retention
-    return cohort_retention(
-        _read(sf_dir, "events", columns=["user_id", "ts"])) \
-        .sort(["cohort", "day_offset"])
-
-
-def _q_rolling_rows_mean_user(sf_dir: str):
-    """Per-user trailing 3-ROWS mean of value (ROWS-frame parity: NULL
-    rows occupy frame slots; all-NULL frame is NULL)."""
-    from engine.relational import rolling_rows_mean
-    out = rolling_rows_mean(
-        _read(sf_dir, "events",
-              columns=["event_id", "ts", "user_id", "value"]),
-        window_rows=3)
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("rolling_mean").to_numpy(zero_copy_only=False), 4)
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "rolling_mean": pa.array(
-                [None if np.isnan(x) else float(x) for x in v],
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("event_id")
-
-
-def _q_active_days_histogram(sf_dir: str):
-    """Histogram of users' distinct-active-day counts — composition of
-    user_activity_span -> value_histogram (both oracled ops)."""
-    from engine.relational import user_activity_span
-    from engine.stats import value_histogram
-    span = user_activity_span(
-        _read(sf_dir, "events", columns=["user_id", "ts"]))
-    return value_histogram(span, "n_active_days", lo=0.0, hi=100.0,
-                           bins=20).sort("bin")
-
-
-def _q_top_tokens_per_lang(sf_dir: str):
-    """Top-3 tokens by occurrence per language — (lang, token) count
-    combiner + the grouped top-k kernel."""
-    from engine.relational import grouped_topk
-    from engine.textstats import token_counts_by_group
-    counts = token_counts_by_group(
-        _docs(sf_dir, columns=["lang", "text"]), group_col="lang")
-    out = grouped_topk(counts, group_col="lang", score_col="cnt",
-                       id_col="token", k=3, ascending=False)
-
-    def _shape(b: pa.Table) -> pa.Table:
-        return pa.table({"lang": b.column("lang"),
-                         "token": b.column("token"),
-                         "cnt": b.column("cnt")})
-    return out.map_batches(_shape, batch_format="pyarrow") \
-        .sort(["lang", "token"])
-
-
-def _q_q10_returned_items(sf_dir: str):
-    """TPC-H Q10 shape: top-20 customers by returned-item revenue in one
-    quarter, enriched with acctbal and nation."""
-    from engine.relational import q10_returned_item_reporting
-    out = q10_returned_item_reporting(
-        _read(sf_dir, "lineitem",
-              columns=["l_orderkey", "l_returnflag", "l_extendedprice",
-                       "l_discount"]),
-        _read(sf_dir, "orders",
-              columns=["o_orderkey", "o_custkey", "o_orderdate"]),
-        _read(sf_dir, "customer",
-              columns=["c_custkey", "c_name", "c_acctbal",
-                       "c_nationkey"]),
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]))
-    out["revenue"] = _round_half_away(out["revenue"].to_numpy(), 4)
-    return out
-
-
-def _q_revenue_pareto_share(sf_dir: str):
-    """Share of total order revenue held by the top 20% of customers
-    (Pareto concentration)."""
-    from engine.stats import pareto_share
-    out = pareto_share(
-        _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]),
-        key_col="o_custkey", value_col="o_totalprice")
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("top_share").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "top_share": pa.array([None if np.isnan(x) else float(x)
-                                   for x in v], pa.float64()),
-            "n_keys": b.column("n_keys")})
-    return out.map_batches(_round, batch_format="pyarrow")
-
-
-def _q_daily_value_quantiles(sf_dir: str):
-    """Per-day p50/p90 of event value — grouped_quantiles keyed by the
-    calendar day (composition of two oracled ops)."""
-    from engine.stats import grouped_quantiles
-
-    def _day(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        ts = b.column("ts").to_numpy(zero_copy_only=False)
-        keep = ~pd.isna(ts)
-        sub = b.filter(pa.array(keep))
-        day = np.datetime_as_string(
-            sub.column("ts").to_numpy(zero_copy_only=False)
-            .astype("datetime64[D]"))
-        return pa.table({"day": pa.array(day, pa.string()),
-                         "value": sub.column("value")})
-
-    days = _read(sf_dir, "events", columns=["ts", "value"]) \
-        .map_batches(_day, batch_format="pyarrow")
-    out = grouped_quantiles(days, group_col="day", value_col="value",
-                            qs=[0.5, 0.9])
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": b.column("day"), "q": b.column("q"),
-            "value": pa.array(_round_half_away(
-                b.column("value").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["day", "q"])
-
-
-def _q_duplicate_custkey_orderdate(sf_dir: str):
-    """Composite-key uniqueness: (custkey, orderdate) pairs placing more
-    than one order — the single-key salted uniqueness kernel over a
-    concatenated key."""
-    from engine.uniqueness import duplicate_keys
-
-    def _key(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        day = pd.Series(b.column("o_orderdate")
-                        .to_numpy(zero_copy_only=False)) \
-            .dt.strftime("%Y-%m-%d")
-        ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-        return pa.table({"ckey": pa.array(
-            [f"{c}|{d}" for c, d in zip(ck.tolist(), day.tolist())],
-            pa.string())})
-
-    keyed = _read(sf_dir, "orders",
-                  columns=["o_custkey", "o_orderdate"]) \
-        .map_batches(_key, batch_format="pyarrow")
-    return duplicate_keys(keyed, key="ckey").sort("key")
-
-
-def _q_source_lang_profile(sf_dir: str):
-    """Per-(source, lang) document count and mean length — the generic
-    multi-key profile aggregate."""
-    from engine.stats import grouped_count_mean
-    out = grouped_count_mean(
-        _docs(sf_dir, columns=["source", "lang", "n_chars"]),
-        group_cols=["source", "lang"], value_col="n_chars")
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "source": b.column("source"), "lang": b.column("lang"),
-            "n_docs": b.column("n"),
-            "mean_chars": pa.array(_round_half_away(
-                b.column("mean").to_numpy(zero_copy_only=False), 4),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["source", "lang"])
-
-
-def _q_vocabulary_stats(sf_dir: str):
-    """Corpus vocabulary profile: distinct tokens, hapax count, total
-    occurrences (one pass)."""
-    from engine.textstats import vocabulary_stats
-    return vocabulary_stats(_docs(sf_dir, columns=["text"]))
-
-
+    # closed windows are Datasets; small at test sf — collect the arrow
+    # blocks (empty ones come out schemaless, drop them)
+    tbls = [t for p in parts for t in map(ray.get, p.to_arrow_refs())
+            if t.num_columns and len(t)]
+    return _finish(pa.concat_tables(tbls), round={"value_sum": 4},
+                   rename={"key": "user_id"},
+                   keep=["user_id", "window_start", "n_events", "value_sum"])
+
+
+@_bespoke("similar_docs_to_first")
 def _q_similar_docs_to_first(sf_dir: str):
     """Top-10 documents by token-set Jaccard to doc 0 — the
     find-similar-documents search with a broadcast query set."""
-    import ray.data
     from engine.textstats import jaccard_to_query
-    docs = _docs(sf_dir, columns=["doc_id", "text"])
+    docs = _read(sf_dir, *_DOC_TEXT)
     row = docs.filter(lambda r: r["doc_id"] == 0).take(1)
     qtoks = (row[0]["text"] or "").split() if row else []
-    out = jaccard_to_query(docs, query_tokens=qtoks, k=10)
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("jaccard").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "jaccard": pa.array([None if np.isnan(x) else float(x)
-                                 for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow")
+    return _finish(jaccard_to_query(docs, query_tokens=qtoks, k=10),
+                   round={"jaccard": 6})
 
 
-def _q_embedding_covariance(sf_dir: str):
-    """Sample covariance of the first 4 embedding dimensions (the
-    distributed Gram-matrix op, oracle-sized slice)."""
-    from engine.similarity import embedding_covariance
-    out = embedding_covariance(
-        _read(sf_dir, "embeddings", columns=["embedding"]),
-        dim=64, use_dims=4)
+# ---------------------------------------------------------------------------
+# the query table: one row per query that is one operator call
 
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("cov").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "i": b.column("i"), "j": b.column("j"),
-            "cov": pa.array([None if np.isnan(x) else float(x)
-                             for x in v], pa.float64()),
-            "n": b.column("n")})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["i", "j"])
-
-
-def _q_event_transition_matrix(sf_dir: str):
-    """First-order Markov transition counts between consecutive event
-    types per user."""
-    from engine.relational import event_transition_matrix
-    return event_transition_matrix(
-        _read(sf_dir, "events",
-              columns=["event_id", "user_id", "ts", "event_type"])) \
-        .sort(["from_type", "to_type"])
-
-
-def _q_time_to_first_purchase(sf_dir: str):
-    """Per-user seconds from first event to first purchase (NULL when
-    the user never purchases)."""
-    from engine.relational import time_to_first_target
-    out = time_to_first_target(
-        _read(sf_dir, "events",
-              columns=["user_id", "ts", "event_type"]),
-        target="purchase")
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("seconds_to_target").to_numpy(zero_copy_only=False),
-            4)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "seconds_to_purchase": pa.array(
-                [None if np.isnan(x) else float(x) for x in v],
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_daily_active_users(sf_dir: str):
-    """Daily active users (distinct users per calendar day)."""
-    from engine.relational import daily_active_users
-    return daily_active_users(
-        _read(sf_dir, "events", columns=["user_id", "ts"])).sort("day")
-
-
-def _q_peak_hourly_rate(sf_dir: str):
-    """Per-user burst detector: max events in any single clock hour."""
-    from engine.relational import peak_hourly_rate
-    return peak_hourly_rate(
-        _read(sf_dir, "events", columns=["user_id", "ts"])) \
-        .sort("user_id")
-
-
-def _q_orders_per_customer_histogram(sf_dir: str):
-    """Zero-inflated engagement histogram: customers per order count,
-    INCLUDING customers with no orders (zero bin by arithmetic — no
-    anti-join ships rows)."""
-    from engine.relational import orders_per_customer_histogram
-    return orders_per_customer_histogram(
-        _read(sf_dir, "orders", columns=["o_custkey"]),
-        _read(sf_dir, "customer", columns=["c_custkey"])) \
-        .sort("n_orders")
-
-
-def _q_doc_mean_idf(sf_dir: str):
-    """Per-document lexical rarity (mean ln(N/df) over distinct
-    tokens)."""
-    from engine.textstats import doc_mean_idf
-    out = doc_mean_idf(_docs(sf_dir, columns=["doc_id", "text"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("mean_idf").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "mean_idf": pa.array([None if np.isnan(x) else float(x)
-                                  for x in v], pa.float64()),
-            "n_distinct": b.column("n_distinct")})
-    return out.map_batches(_round, batch_format="pyarrow").sort("doc_id")
-
-
-def _q_priority_share_by_month(sf_dir: str):
-    """Order-priority mix per month — counts plus each priority's share
-    of its month."""
-    from engine.relational import share_within_group
-
-    def _month(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        od = b.column("o_orderdate").to_numpy(zero_copy_only=False)
-        keep = ~pd.isna(od)
-        sub = b.filter(pa.array(keep))
-        month = np.datetime_as_string(
-            sub.column("o_orderdate").to_numpy(zero_copy_only=False)
-            .astype("datetime64[M]"))
-        return pa.table({"month": pa.array(month, pa.string()),
-                         "pri": sub.column("o_orderpriority")})
-
-    keyed = _read(sf_dir, "orders",
-                  columns=["o_orderdate", "o_orderpriority"]) \
-        .map_batches(_month, batch_format="pyarrow")
-    out = share_within_group(keyed, outer_col="month", inner_col="pri")
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "month": b.column("month"), "pri": b.column("pri"),
-            "n": b.column("n"),
-            "share": pa.array(_round_half_away(
-                b.column("share").to_numpy(zero_copy_only=False), 6),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort(["month", "pri"])
-
-
-def _q_user_repeat_rate(sf_dir: str):
-    """Per-user fraction of consecutive same-type event pairs."""
-    from engine.relational import user_repeat_rate
-    out = user_repeat_rate(
-        _read(sf_dir, "events",
-              columns=["event_id", "user_id", "ts", "event_type"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("repeat_rate").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "n_transitions": b.column("n_transitions"),
-            "repeat_rate": pa.array(
-                [None if np.isnan(x) else float(x) for x in v],
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_user_value_concentration(sf_dir: str):
-    """Per-user share of the single largest event value in the user's
-    total (associative max/sum combiner)."""
-    from engine.relational import user_value_concentration
-    out = user_value_concentration(
-        _read(sf_dir, "events", columns=["user_id", "value"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("max_share").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "max_share": pa.array([None if np.isnan(x) else float(x)
-                                   for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("user_id")
-
-
-def _q_daily_conversion_ratio(sf_dir: str):
-    """Daily purchases-per-click conversion ratio time series."""
-    from engine.relational import daily_ratio
-    out = daily_ratio(
-        _read(sf_dir, "events", columns=["ts", "event_type"]))
-
-    def _round(b: pa.Table) -> pa.Table:
-        v = _round_half_away(
-            b.column("ratio").to_numpy(zero_copy_only=False), 6)
-        return pa.table({
-            "day": b.column("day"), "n_num": b.column("n_num"),
-            "n_den": b.column("n_den"),
-            "ratio": pa.array([None if np.isnan(x) else float(x)
-                               for x in v], pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow").sort("day")
-
-
-def _q_discount_by_qty_bucket(sf_dir: str):
-    """Mean discount per 10-unit quantity bucket — grouped_count_mean
-    over a computed bin (composition)."""
-    from engine.stats import grouped_count_mean
-
-    def _bucket(b: pa.Table) -> pa.Table:
-        q = b.column("l_quantity").to_numpy(zero_copy_only=False)
-        with np.errstate(invalid="ignore"):
-            keep = ~np.isnan(q)
-        sub = b.filter(pa.array(keep))
-        bucket = np.floor(q[keep] / 10.0).astype(np.int64)
-        return pa.table({"qty_bucket": pa.array(bucket, pa.int64()),
-                         "l_discount": sub.column("l_discount")})
-
-    keyed = _read(sf_dir, "lineitem",
-                  columns=["l_quantity", "l_discount"]) \
-        .map_batches(_bucket, batch_format="pyarrow")
-    out = grouped_count_mean(keyed, group_cols=["qty_bucket"],
-                             value_col="l_discount")
-
-    def _round(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "qty_bucket": b.column("qty_bucket"),
-            "n": b.column("n"),
-            "mean_discount": pa.array(_round_half_away(
-                b.column("mean").to_numpy(zero_copy_only=False), 6),
-                pa.float64())})
-    return out.map_batches(_round, batch_format="pyarrow") \
-        .sort("qty_bucket")
-
-
-def _q_longest_daily_streak(sf_dir: str):
-    """Per-user longest consecutive-active-day streak + island count
-    (gaps-and-islands)."""
-    from engine.relational import longest_daily_streak
-    return longest_daily_streak(
-        _read(sf_dir, "events", columns=["user_id", "ts"])) \
-        .sort("user_id")
+_QUERIES: dict[str, _Query] = {
+    # keyword validation over real typed tables
+    "validate_documents": _row(
+        "dataset.validate_dataset", ("documents",),
+        schema_json=DOCS_SCHEMA_JSON, key_column="doc_id", carry_columns=(),
+        with_message=False, keep=["doc_id", "error_kind", "instance_path"]),
+    "validate_embeddings": _row(
+        "dataset.validate_dataset", ("embeddings",),
+        schema_json=EMB_SCHEMA_JSON, key_column="vec_id", carry_columns=(),
+        with_message=False, keep=["vec_id", "error_kind", "instance_path"]),
+    # N schemas validated in ONE corpus pass, violations tagged by schema
+    "multi_validate_documents": _row(
+        "dataset.validate_dataset_multi", ("documents",),
+        schema_jsons={"base": DOCS_SCHEMA_JSON,
+                      "strict": DOCS_SCHEMA_STRICT_JSON},
+        key_column="doc_id",
+        keep=["schema_name", "doc_id", "error_kind", "instance_path"]),
+    "events_props_validation": _row(
+        "dataset.validate_json_column", ("events", "event_id props"),
+        schema_json=PROPS_SCHEMA_JSON, column="props", key_column="event_id",
+        keep=["event_id", "error_seq", "error_kind", "instance_path"]),
+    # corpus-level checks
+    "stats_documents": _row(
+        "stats.column_stats", ("documents",), pandas=True,
+        rename={"count": "cnt", "nulls": "n_nulls"},
+        keep=["column", "cnt", "n_nulls", "null_rate"], sort="column"),
+    "duplicate_keys_lineitem": _row(
+        "uniqueness.duplicate_keys", ("lineitem", "l_orderkey"),
+        key="l_orderkey", rename={"key": "l_orderkey"},
+        keep=["l_orderkey", "dup_count"]),
+    "duplicate_custkey_orderdate": _row(
+        "uniqueness.duplicate_keys", (_custkey_day_keys,), key="ckey",
+        sort="key"),
+    "referential_orders": _row(
+        "referential.count_dangling_fk", ("orders", "o_custkey"),
+        ("customer", "c_custkey"), fk="o_custkey", pk="c_custkey"),
+    "referential_lineitem_part": _row(
+        "referential.count_dangling_fk", ("lineitem", "l_partkey"),
+        ("part", "p_partkey"), fk="l_partkey", pk="p_partkey"),
+    "anti_join_orders_restricted": _row(
+        "referential.dangling_fk_rows", ("orders", "o_custkey"),
+        (_restricted_customers,), fk="o_custkey", pk="c_custkey",
+        rename={"key": "o_custkey"}, keep=["o_custkey", "n_occurrences"]),
+    "token_doc_frequency": _row("textstats.token_doc_frequency", _DOC_TEXT),
+    # capacity > vocabulary: no counter is evicted, the sketch is exact
+    "heavy_hitter_tokens": _row(
+        "textstats.heavy_hitter_tokens", _DOC_TEXT, k=20, capacity=4096),
+    # dedup family; max_bucket_size=None uncaps the shingle blocking, which
+    # oracle parity needs (the SQL self-join is flood-blind)
+    "dedup_exact": _row("dedup.exact_duplicates", _DOC_TEXT),
+    "dedup_normalized": _row("dedup.normalized_duplicates", _DOC_TEXT),
+    "minhash_near_dup": _row(
+        "dedup.minhash_near_duplicates", _DOC_TEXT, threshold=0.5),
+    "embedding_near_dup": _row(
+        "dedup.embedding_near_duplicates",
+        (_planted_embeddings, (20, 1_000_000)), threshold=0.99,
+        round={"cosine": 4}),
+    # components of size 3 (two planted copies) and 2 both occur
+    "embedding_dup_clusters": _row(
+        "cluster.connected_components",
+        (_row("dedup.embedding_near_duplicates",
+              (_planted_embeddings, (20, 1_000_000), (10, 2_000_000)),
+              threshold=0.99),),
+        rename={"node": "vec_id"}, keep=["vec_id", "cluster_id"],
+        sort="vec_id"),
+    "near_dup_clusters": _row(
+        "cluster.near_dup_clusters", _DOC_TEXT, threshold=0.6,
+        max_bucket_size=None, rename={"node": "doc_id"},
+        keep=["doc_id", "cluster_id"], sort="doc_id"),
+    # each near-dup cluster keeps only its minimum doc_id
+    "near_dup_survivors": _row(
+        "cluster.resolve_near_duplicates", _DOC_TEXT, threshold=0.6,
+        max_bucket_size=None, keep=["doc_id"], sort="doc_id"),
+    "train_test_contamination": _row(
+        "contamination.cross_corpus_near_duplicates",
+        (_contamination_side, False), (_contamination_side, True),
+        threshold=0.6, method="shingle", max_bucket_size=None,
+        round={"jaccard": 4}, rename={"key_a": "train_id", "key_b": "test_id"},
+        keep=["train_id", "test_id", "jaccard"], sort=["train_id", "test_id"]),
+    # text analysis
+    "token_counts": _row("textstats.token_counts", _DOC_TEXT),
+    "bpe_token_counts": _row("textstats.bpe_ish_token_counts", _DOC_TEXT),
+    "language_id": _row(
+        "textstats.language_id", _DOC_TEXT, round={"lang_score": 4}),
+    "fingerprints": _row("textstats.fingerprints", _DOC_TEXT),
+    "compression_ratio_docs": _row(
+        "textstats.compression_ratio", _DOC_TEXT, sort="doc_id"),
+    # novelty of doc_id >= 100 against the doc_id < 100 reference corpus
+    "ngram_novelty_docs": _row(
+        "textstats.ngram_novelty", (_novelty_side, False),
+        (_novelty_side, True), sort="doc_id"),
+    "pii_flags_docs": _row("textstats.pii_flags", (_planted_docs,),
+                           sort="doc_id"),
+    "redact_pii_docs": _row("textstats.redact_pii", (_planted_docs,),
+                            sort="doc_id"),
+    # shard-local next-fit packing, shard = doc_id // 128
+    "pack_sequences_docs": _row(
+        "textstats.pack_sequences", _DOC_TEXT, token_budget=512,
+        shard_size=128, sort="doc_id"),
+    "pack_sequences_bpe": _row(
+        "textstats.pack_sequences", _DOC_TEXT, token_budget=512,
+        shard_size=128, counter="bpe", sort="doc_id"),
+    "token_type_ratio_docs": _row(
+        "textstats.token_type_ratio", _DOC_TEXT, round={"ttr": 6},
+        sort="doc_id"),
+    "text_chunks_docs": _row(
+        "textstats.text_chunks", _DOC_TEXT, chunk_tokens=64, stride=32,
+        sort=["doc_id", "chunk_start"]),
+    "bigram_heavy_hitters": _row(
+        "textstats.bigram_heavy_hitters", _DOC_TEXT, k=20),
+    "token_entropy_docs": _row(
+        "textstats.token_entropy", _DOC_TEXT,
+        round={"entropy": 6, "top_share": 6}, sort="doc_id"),
+    "tfidf_top_terms": _row(
+        "textstats.tfidf_topk", _DOC_TEXT, k=5, round={"score": 6},
+        sort=["doc_id", "token"]),
+    "doc_mean_idf": _row(
+        "textstats.doc_mean_idf", _DOC_TEXT, round={"mean_idf": 6},
+        sort="doc_id"),
+    "vocabulary_stats": _row("textstats.vocabulary_stats",
+                             ("documents", "text")),
+    "top_tokens_per_lang": _row(
+        "relational.grouped_topk",
+        (_row("textstats.token_counts_by_group", ("documents", "lang text"),
+              group_col="lang"),),
+        group_col="lang", score_col="cnt", id_col="token", k=3,
+        ascending=False, keep=["lang", "token", "cnt"],
+        sort=["lang", "token"]),
+    # similarity
+    "label_centroids": _row(
+        "similarity.grouped_centroids", ("embeddings", "label embedding"),
+        group_col="label", vec_col="embedding", dim=64, round={"value": 6},
+        sort=["label", "dim"]),
+    "embedding_covariance": _row(
+        "similarity.embedding_covariance", ("embeddings", "embedding"),
+        dim=64, use_dims=4, round={"cov": 6}, sort=["i", "j"]),
+    # relational
+    "q1_pricing_summary": _row(
+        "relational.q1_pricing_summary", ("lineitem", "l_returnflag "
+                                          "l_linestatus l_quantity "
+                                          "l_extendedprice l_discount"),
+        pandas=True, round={"sum_qty": 4, "sum_base_price": 4,
+                            "sum_disc_price": 4, "avg_qty": 4}),
+    # ASIA customers and suppliers sharing a nation, orders in 1996
+    "q5_local_supplier_volume": _row(
+        "relational.q5_local_supplier_volume",
+        ("lineitem", "l_orderkey l_suppkey l_extendedprice l_discount"),
+        ("orders", "o_orderkey o_custkey o_orderdate"),
+        ("customer", "c_custkey c_nationkey"),
+        ("supplier", "s_suppkey s_nationkey"), ("nation",), ("region",),
+        pandas=True, round={"revenue": 4}, sort="n_name"),
+    "q3_shipping_priority": _row(
+        "relational.q3_shipping_priority",
+        ("lineitem", "l_orderkey l_extendedprice l_discount l_shipdate"),
+        ("orders", "o_orderkey o_custkey o_orderdate"),
+        ("customer", "c_custkey c_mktsegment")),
+    "q6_forecast_revenue": _row(
+        "relational.q6_forecast_revenue",
+        ("lineitem", "l_shipdate l_discount l_quantity l_extendedprice"),
+        round={"revenue": 4}),
+    "q10_returned_items": _row(
+        "relational.q10_returned_item_reporting",
+        ("lineitem", "l_orderkey l_returnflag l_extendedprice l_discount"),
+        ("orders", "o_orderkey o_custkey o_orderdate"),
+        ("customer", "c_custkey c_name c_acctbal c_nationkey"),
+        ("nation", "n_nationkey n_name"), round={"revenue": 4}),
+    "revenue_by_segment": _row(
+        "relational.revenue_by_segment", ("orders", "o_custkey o_totalprice"),
+        ("customer", "c_custkey c_mktsegment"), pandas=True,
+        round={"revenue": 4}),
+    "events_per_user_hour": _row(
+        "relational.events_per_user_hour", ("events", "user_id ts value"),
+        pandas=True, round={"value_sum": 4}),
+    "sessionize_events": _row(
+        "relational.sessionize", ("events", "user_id ts"), gap_minutes=30),
+    "top_event_types": _row(
+        "relational.top_event_types", ("events", "event_type"), k=5,
+        pandas=True, sort=["n_events", "event_type"],
+        descending=[True, False]),
+    # ties broken by o_orderkey (row_number() parity)
+    "top_orders_per_priority": _row(
+        "relational.grouped_topk",
+        ("orders", "o_orderkey o_orderpriority o_totalprice"),
+        group_col="o_orderpriority", score_col="o_totalprice",
+        id_col="o_orderkey", k=5,
+        sort=["o_orderpriority", "o_totalprice", "o_orderkey"],
+        descending=[False, True, False]),
+    # interleaved spans corpus (derived deterministically from documents)
+    "validate_spans": _row(
+        "dataset.validate_dataset", (_spans_corpus,),
+        keep=["doc_id", "error_seq", "error_kind", "instance_path",
+              "message"]),
+    "spans_verdicts": _row("dataset.partition_verdicts", (_spans_corpus,)),
+    "spans_drift": _row(
+        "drift.drift_check", (_spans_corpus,),
+        (_row("drift.build_baseline", (_spans_corpus,),
+              exclude_partitions=["p0003"]),)),
+    "spans_dangling_refs": _row(
+        "referential.check_references", (_spans_corpus,), (_media_catalog,),
+        exact=True),
+    "spans_stats": _row("stats.column_stats", (_spans_corpus,)),
+    # deterministic sampling / splits (md5 buckets)
+    "train_test_split": _row(
+        "sampling.assign_split", ("documents", "doc_id"), key_col="doc_id",
+        train_frac=0.9, keep=["doc_id", "split"]),
+    "sample_fraction": _row(
+        "sampling.sample_fraction", ("documents", "doc_id"), frac=0.25,
+        key_col="doc_id", keep=["doc_id"]),
+    # 30% of 'en', 10% of 'de', 5% of everything else
+    "stratified_sample_docs": _row(
+        "sampling.stratified_sample", ("documents", "doc_id lang"),
+        fractions={"en": 0.30, "de": 0.10}, strat_col="lang",
+        key_col="doc_id", default_frac=0.05, keep=["doc_id", "lang"],
+        sort="doc_id"),
+    # exact quantiles and their uses
+    "grouped_quantiles_lineitem": _row(
+        "stats.grouped_quantiles",
+        ("lineitem", "l_returnflag l_extendedprice"),
+        group_col="l_returnflag", value_col="l_extendedprice", qs=[0.5, 0.9],
+        round={"value": 4}, sort=["l_returnflag", "q"]),
+    "grouped_median_orders": _row(
+        "stats.grouped_quantiles", ("orders", "o_orderpriority o_totalprice"),
+        group_col="o_orderpriority", value_col="o_totalprice", qs=[0.5],
+        round={"value": 4}, sort=["o_orderpriority", "q"]),
+    "daily_value_quantiles": _row(
+        "stats.grouped_quantiles", (_day_values,), group_col="day",
+        value_col="value", qs=[0.5, 0.9], round={"value": 4},
+        sort=["day", "q"]),
+    "winsorize_events": _row(
+        "stats.winsorize", ("events", "event_id value"), col="value",
+        lower_q=0.05, upper_q=0.95, round={"value": 4}, sort="event_id"),
+    "outlier_events": _row(
+        "stats.iqr_outliers", ("events", "event_id value"), col="value",
+        keep=["event_id", "value"], sort="event_id"),
+    "grouped_iqr_outliers_events": _row(
+        "stats.grouped_iqr_outliers", ("events", "event_id event_type value"),
+        group_col="event_type", value_col="value", id_col="event_id",
+        sort="event_id"),
+    "quantile_buckets_events": _row(
+        "stats.quantile_buckets", ("events", "event_id value"), col="value",
+        keep=["event_id", "bucket"], sort="event_id"),
+    "doc_length_quartiles_by_lang": _row(
+        "stats.grouped_quantile_buckets", ("documents", "doc_id lang n_chars"),
+        group_col="lang", value_col="n_chars", id_col="doc_id",
+        sort="doc_id"),
+    "robust_zscore_events": _row(
+        "stats.robust_zscore", ("events", "event_id value"), col="value",
+        id_col="event_id", round={"rz": 6}, sort="event_id"),
+    "percentile_rank_events": _row(
+        "stats.percentile_rank", ("events", "event_id value"), col="value",
+        id_col="event_id", sort="event_id"),
+    "value_mad_by_type": _row(
+        "stats.grouped_mad", ("events", "event_type value"),
+        group_col="event_type", value_col="value", round={"mad": 6},
+        sort="event_type"),
+    # histograms and profiles
+    "histogram_orders": _row(
+        "stats.value_histogram", ("orders", "o_totalprice"),
+        col="o_totalprice", lo=0.0, hi=600000.0, bins=20, sort="bin"),
+    "active_days_histogram": _row(
+        "stats.value_histogram",
+        (_row("relational.user_activity_span", ("events", "user_id ts")),),
+        col="n_active_days", lo=0.0, hi=100.0, bins=20, sort="bin"),
+    "grouped_histogram_events": _row(
+        "stats.grouped_histogram", ("events", "event_type value"),
+        group_col="event_type", col="value", lo=0.0, hi=500.0, bins=20,
+        sort=["event_type", "bin"]),
+    "grouped_moments_lineitem": _row(
+        "stats.grouped_moments", ("lineitem", "l_returnflag l_extendedprice"),
+        group_col="l_returnflag", value_col="l_extendedprice",
+        round={"mean": 4, "std_samp": 4, "vmin": 4, "vmax": 4},
+        sort="l_returnflag"),
+    "grouped_corr_lineitem": _row(
+        "stats.grouped_corr",
+        ("lineitem", "l_returnflag l_quantity l_extendedprice"),
+        group_col="l_returnflag", x_col="l_quantity", y_col="l_extendedprice",
+        round={"corr": 6}, rename={"corr": "pearson_r"},
+        sort="l_returnflag"),
+    "weighted_avg_price_by_flag": _row(
+        "stats.grouped_weighted_mean",
+        ("lineitem", "l_returnflag l_extendedprice l_quantity"),
+        group_col="l_returnflag", value_col="l_extendedprice",
+        weight_col="l_quantity", round={"weighted_mean": 4},
+        sort="l_returnflag"),
+    "spearman_qty_price": _row(
+        "stats.spearman_corr", ("lineitem", "l_quantity l_extendedprice"),
+        x_col="l_quantity", y_col="l_extendedprice",
+        round={"spearman_r": 6}),
+    # all pairwise correlations in ONE pass (pairwise NULL exclusion)
+    "corr_matrix_lineitem": _row(
+        "stats.corr_matrix", ("lineitem", "l_quantity l_extendedprice "
+                                          "l_discount l_tax"),
+        cols=["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
+        round={"r": 6}, sort=["col_x", "col_y"]),
+    "type_value_mutual_information": _row(
+        "stats.mutual_information", ("events", "event_type value"),
+        a_col="event_type", b_col="value", lo=0.0, hi=500.0, bins=10,
+        round={"mi": 6}),
+    "value_gini_by_type": _row(
+        "stats.grouped_gini", ("events", "event_type value"),
+        group_col="event_type", value_col="value", round={"gini": 6},
+        sort="event_type"),
+    # share of total order revenue held by the top 20% of customers
+    "revenue_pareto_share": _row(
+        "stats.pareto_share", ("orders", "o_custkey o_totalprice"),
+        key_col="o_custkey", value_col="o_totalprice",
+        round={"top_share": 6}),
+    "source_lang_profile": _row(
+        "stats.grouped_count_mean", ("documents", "source lang n_chars"),
+        group_cols=["source", "lang"], value_col="n_chars",
+        round={"mean": 4}, rename={"n": "n_docs", "mean": "mean_chars"},
+        sort=["source", "lang"]),
+    "discount_by_qty_bucket": _row(
+        "stats.grouped_count_mean", (_qty_buckets,),
+        group_cols=["qty_bucket"], value_col="l_discount",
+        round={"mean": 6}, rename={"mean": "mean_discount"},
+        sort="qty_bucket"),
+    "distinct_users_per_event_type": _row(
+        "relational.count_distinct", ("events", "event_type user_id"),
+        group_col="event_type", value_col="user_id", sort="event_type"),
+    # per-user series in (ts, event_id) order
+    "ewma_user_value": _row(
+        "relational.ewma", _EVENTS, alpha=0.3, round={"ewma": 4},
+        sort="event_id"),
+    # weights halve per hour of elapsed time, not per row
+    "ewma_halflife_user_value": _row(
+        "relational.ewma_halflife", _EVENTS, halflife_seconds=3600.0,
+        round={"ewma_hl": 4}, sort="event_id"),
+    # first row of each user is NULL
+    "lag_diff_user_value": _row(
+        "relational.lag_diff", _EVENTS, round={"lag_diff": 4},
+        sort="event_id"),
+    "running_sum_user_value": _row(
+        "relational.running_sum", _EVENTS, round={"running_sum": 4},
+        sort="event_id"),
+    "running_min_max_user_value": _row(
+        "relational.running_min_max", _EVENTS,
+        round={"running_min": 4, "running_max": 4}, sort="event_id"),
+    "delta_from_first_user_value": _row(
+        "relational.delta_from_first", _EVENTS,
+        round={"delta_from_first": 4}, sort="event_id"),
+    # trailing 3-hour RANGE frames (tie peers included)
+    "rolling_user_mean": _row(
+        "relational.rolling_window_mean", _EVENTS, window_seconds=3 * 3600,
+        round={"rolling_mean": 4}, sort="event_id"),
+    "rolling_user_sum": _row(
+        "relational.rolling_window_sum_count", _EVENTS,
+        round={"rolling_sum": 4}, sort="event_id"),
+    "rolling_user_min_max": _row(
+        "relational.rolling_window_min_max", _EVENTS,
+        round={"rolling_min": 4, "rolling_max": 4}, sort="event_id"),
+    "rolling_rows_mean_user": _row(
+        "relational.rolling_rows_mean", _EVENTS, window_rows=3,
+        round={"rolling_mean": 4}, sort="event_id"),
+    "latest_event_per_user": _row(
+        "relational.keep_latest", _EVENTS, key_col="user_id", ts_col="ts",
+        id_col="event_id", keep=["user_id", "event_id", "ts", "value"],
+        sort="user_id"),
+    "pivot_events_value": _row(
+        "relational.pivot_agg", ("events", "user_id event_type value"),
+        group_col="user_id", pivot_col="event_type", value_col="value",
+        values=_EVENT_TYPES, round={f"sum_{k}": 4 for k in _EVENT_TYPES},
+        sort="user_id"),
+    "session_value_sums": _row(
+        "relational.session_aggregate", ("events", "user_id ts value"),
+        round={"value_sum": 4}, sort=["user_id", "session_id"]),
+    # ties go to the lexicographically smallest event type
+    "mode_event_type_per_user": _row(
+        "relational.grouped_mode", ("events", "user_id event_type"),
+        group_col="user_id", value_col="event_type", sort="user_id"),
+    "window_ranks_events": _row(
+        "relational.window_ranks", ("events", "event_id user_id value"),
+        sort="event_id"),
+    "window_rank_fractions_events": _row(
+        "relational.window_rank_fractions",
+        ("events", "event_id user_id value"), ntile_k=4,
+        round={"pct_rank": 6, "cume_dist": 6}, sort="event_id"),
+    "user_event_sequences": _row(
+        "relational.collect_sequence", ("events", "event_id ts user_id "
+                                                  "event_type"),
+        sort="user_id"),
+    "user_gap_stats": _row(
+        "relational.interevent_gap_stats", ("events", "event_id ts user_id"),
+        round={"avg_gap_s": 4, "max_gap_s": 4}, sort="user_id"),
+    "grouped_zscore_events": _row(
+        "relational.grouped_zscore", ("events", "event_id user_id value"),
+        round={"z": 6}, sort="event_id"),
+    "grouped_minmax_scale_events": _row(
+        "relational.grouped_minmax_scale",
+        ("events", "event_id user_id value"), round={"scaled": 6},
+        sort="event_id"),
+    # high-value (> 95) click / purchase user sets
+    "click_not_purchase_users": _row(
+        "relational.except_distinct", (_hi_value_users, "click"),
+        (_hi_value_users, "purchase"), key_col="user_id", sort="user_id"),
+    "click_and_purchase_users": _row(
+        "relational.intersect_distinct", (_hi_value_users, "click"),
+        (_hi_value_users, "purchase"), key_col="user_id", sort="user_id"),
+    "click_xor_purchase_users": _row(
+        "relational.symmetric_difference_distinct",
+        (_hi_value_users, "click"), (_hi_value_users, "purchase"),
+        key_col="user_id", sort="user_id"),
+    "click_or_purchase_users": _row(
+        "relational.union_distinct", (_hi_value_users, "click"),
+        (_hi_value_users, "purchase"), key_col="user_id", sort="user_id"),
+    "semi_join_events_purchases": _row(
+        "relational.semi_join", _EVENTS, (_hi_value_users, "purchase"),
+        key_col="user_id", sort="event_id"),
+    "anti_join_events_purchases": _row(
+        "relational.anti_join", _EVENTS, (_hi_value_users, "purchase"),
+        key_col="user_id", sort="event_id"),
+    # calendar and behaviour profiles
+    "user_activity_span": _row(
+        "relational.user_activity_span", ("events", "user_id ts"),
+        sort="user_id"),
+    "event_type_cooccurrence": _row(
+        "relational.event_type_cooccurrence", ("events", "user_id event_type"),
+        sort=["type_a", "type_b"]),
+    "user_event_type_set": _row(
+        "relational.collect_distinct_sorted", ("events", "user_id event_type"),
+        sort="user_id"),
+    "daily_event_counts_dense": _row(
+        "relational.dense_daily_counts", ("events", "ts"), sort="day"),
+    "session_duration_stats": _row(
+        "relational.session_duration_stats", ("events", "user_id ts"),
+        round={"avg_session_s": 4, "max_session_s": 4}, sort="user_id"),
+    "events_rollup": _row(
+        "relational.rollup_counts", ("events", "event_type ts"),
+        sort=["lvl", "event_type", "day"]),
+    "activity_heatmap": _row(
+        "relational.activity_heatmap", ("events", "ts"), sort=["dow", "hod"]),
+    "user_hour_entropy": _row(
+        "relational.user_hour_entropy", ("events", "user_id ts"),
+        round={"hour_entropy": 6}, sort="user_id"),
+    "cohort_retention": _row(
+        "relational.cohort_retention", ("events", "user_id ts"),
+        sort=["cohort", "day_offset"]),
+    "event_transition_matrix": _row(
+        "relational.event_transition_matrix",
+        ("events", "event_id user_id ts event_type"),
+        sort=["from_type", "to_type"]),
+    # NULL when the user never purchases
+    "time_to_first_purchase": _row(
+        "relational.time_to_first_target", ("events", "user_id ts event_type"),
+        target="purchase", round={"seconds_to_target": 4},
+        rename={"seconds_to_target": "seconds_to_purchase"}, sort="user_id"),
+    "daily_active_users": _row(
+        "relational.daily_active_users", ("events", "user_id ts"),
+        sort="day"),
+    "peak_hourly_rate": _row(
+        "relational.peak_hourly_rate", ("events", "user_id ts"),
+        sort="user_id"),
+    # includes customers with no orders
+    "orders_per_customer_histogram": _row(
+        "relational.orders_per_customer_histogram", ("orders", "o_custkey"),
+        ("customer", "c_custkey"), sort="n_orders"),
+    "priority_share_by_month": _row(
+        "relational.share_within_group", (_month_priorities,),
+        outer_col="month", inner_col="pri", round={"share": 6},
+        sort=["month", "pri"]),
+    "user_repeat_rate": _row(
+        "relational.user_repeat_rate",
+        ("events", "event_id user_id ts event_type"),
+        round={"repeat_rate": 6}, sort="user_id"),
+    "user_value_concentration": _row(
+        "relational.user_value_concentration", ("events", "user_id value"),
+        round={"max_share": 6}, sort="user_id"),
+    # purchases per click per day
+    "daily_conversion_ratio": _row(
+        "relational.daily_ratio", ("events", "ts event_type"),
+        round={"ratio": 6}, sort="day"),
+    "longest_daily_streak": _row(
+        "relational.longest_daily_streak", ("events", "user_id ts"),
+        sort="user_id"),
+}
 
 
 def entry() -> Any:
     """Flagship pipeline at sf0.001: synthesize the interleaved spans corpus
     from documents.parquet, validate it against the FIXTURES §3 schema,
     return the violations Dataset."""
-    return _q_validate_spans("/root/testdata/sf0.001")
+    return _QUERIES["validate_spans"]("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        # keyword validation over real typed tables (SQL-checked)
-        "validate_documents": _q_validate_documents,
-        "validate_embeddings": _q_validate_embeddings,
-        "multi_validate_documents": _q_multi_validate,
-        # corpus-level checks
-        "stats_documents": _q_stats_documents,
-        "duplicate_keys_lineitem": _q_duplicate_keys_lineitem,
-        "referential_orders": _q_referential_orders,
-        "referential_lineitem_part": _q_referential_lineitem_part,
-        "anti_join_orders_restricted": _q_anti_join_orders,
-        "token_doc_frequency": _q_token_doc_frequency,
-        "heavy_hitter_tokens": _q_heavy_hitters,
-        # dedup family
-        "dedup_exact": _q_dedup_exact,
-        "dedup_normalized": _q_dedup_normalized,
-        "minhash_near_dup": _q_minhash_near_dup,
-        "simhash_fingerprints": _q_simhash,
-        "embedding_near_dup": _q_embedding_near_dup,
-        "embedding_dup_clusters": _q_embedding_dup_clusters,
-        "jaccard_verify": _q_jaccard_verify,
-        "near_dup_clusters": _q_near_dup_clusters,
-        "near_dup_survivors": _q_near_dup_survivors,
-        "train_test_contamination": _q_train_test_contamination,
-        # text analysis
-        "token_counts": _q_token_counts,
-        "bpe_token_counts": _q_bpe_token_counts,
-        "quality_scores": _q_quality,
-        "lang_distribution": _q_lang_distribution,
-        "language_id": _q_langid,
-        "fingerprints": _q_fingerprints,
-        # similarity search
-        "ann_cosine_topk": _q_ann_topk,
-        "ivf_topk": _q_ivf_topk,
-        # relational
-        "q1_pricing_summary": _q_q1,
-        "q5_local_supplier_volume": _q_q5,
-        "q3_shipping_priority": _q_q3,
-        "revenue_by_segment": _q_revenue_by_segment,
-        "events_per_user_hour": _q_events_window,
-        "sessionize_events": _q_sessionize,
-        "top_event_types": _q_top_event_types,
-        "top_orders_per_priority": _q_top_orders_per_priority,
-        # interleaved spans corpus (derived deterministically from documents)
-        "validate_spans": _q_validate_spans,
-        "spans_verdicts": _q_spans_verdicts,
-        "spans_drift": _q_spans_drift,
-        "spans_dangling_refs": _q_spans_dangling_refs,
-        "spans_stats": _q_spans_stats,
-        # deterministic sampling / splits
-        "train_test_split": _q_train_test_split,
-        "sample_fraction": _q_sample_fraction,
-        "stratified_sample_docs": _q_stratified_sample,
-        "exact_quantiles_lineitem": _q_exact_quantiles,
-        "grouped_quantiles_lineitem": _q_grouped_quantiles,
-        "histogram_orders": _q_histogram_orders,
-        "distinct_users_per_event_type": _q_distinct_users,
-        "ewma_user_value": _q_ewma_user_value,
-        "ewma_halflife_user_value": _q_ewma_halflife_user_value,
-        "lag_diff_user_value": _q_lag_diff_user_value,
-        "grouped_moments_lineitem": _q_grouped_moments_lineitem,
-        "grouped_corr_lineitem": _q_grouped_corr_lineitem,
-        "winsorize_events": _q_winsorize_events,
-        "latest_event_per_user": _q_latest_event_per_user,
-        "pivot_events_value": _q_pivot_events_value,
-        "click_not_purchase_users": _q_click_not_purchase_users,
-        "click_xor_purchase_users": _q_click_xor_purchase_users,
-        "session_value_sums": _q_session_value_sums,
-        "click_and_purchase_users": _q_click_and_purchase_users,
-        "mode_event_type_per_user": _q_mode_event_type_per_user,
-        "running_sum_user_value": _q_running_sum_user_value,
-        "click_or_purchase_users": _q_click_or_purchase_users,
-        "user_event_sequences": _q_user_event_sequences,
-        "rolling_user_sum": _q_rolling_user_sum,
-        "rolling_user_min_max": _q_rolling_user_min_max,
-        "running_min_max_user_value": _q_running_min_max_user_value,
-        "user_gap_stats": _q_user_gap_stats,
-        "delta_from_first_user_value": _q_delta_from_first_user_value,
-        "window_ranks_events": _q_window_ranks_events,
-        "window_rank_fractions_events": _q_window_rank_fractions_events,
-        "quantile_buckets_events": _q_quantile_buckets_events,
-        "label_centroids": _q_label_centroids,
-        "tfidf_top_terms": _q_tfidf_top_terms,
-        "robust_zscore_events": _q_robust_zscore_events,
-        "grouped_median_orders": _q_grouped_median_orders,
-        "weighted_avg_price_by_flag": _q_weighted_avg_price_by_flag,
-        "token_type_ratio_docs": _q_token_type_ratio_docs,
-        "text_chunks_docs": _q_text_chunks_docs,
-        "bigram_heavy_hitters": _q_bigram_heavy_hitters,
-        "token_entropy_docs": _q_token_entropy_docs,
-        "grouped_zscore_events": _q_grouped_zscore_events,
-        "grouped_histogram_events": _q_grouped_histogram_events,
-        "grouped_minmax_scale_events": _q_grouped_minmax_scale_events,
-        "user_activity_span": _q_user_activity_span,
-        "q6_forecast_revenue": _q_q6_forecast_revenue,
-        "event_type_cooccurrence": _q_event_type_cooccurrence,
-        "user_event_type_set": _q_user_event_type_set,
-        "type_value_mutual_information": _q_type_value_mutual_information,
-        "value_gini_by_type": _q_value_gini_by_type,
-        "grouped_iqr_outliers_events": _q_grouped_iqr_outliers_events,
-        "spearman_qty_price": _q_spearman_qty_price,
-        "corr_matrix_lineitem": _q_corr_matrix_lineitem,
-        "daily_event_counts_dense": _q_daily_event_counts_dense,
-        "session_duration_stats": _q_session_duration_stats,
-        "events_rollup": _q_events_rollup,
-        "activity_heatmap": _q_activity_heatmap,
-        "doc_length_quartiles_by_lang": _q_doc_length_quartiles_by_lang,
-        "user_hour_entropy": _q_user_hour_entropy,
-        "value_mad_by_type": _q_value_mad_by_type,
-        "cohort_retention": _q_cohort_retention,
-        "rolling_rows_mean_user": _q_rolling_rows_mean_user,
-        "active_days_histogram": _q_active_days_histogram,
-        "top_tokens_per_lang": _q_top_tokens_per_lang,
-        "q10_returned_items": _q_q10_returned_items,
-        "revenue_pareto_share": _q_revenue_pareto_share,
-        "daily_value_quantiles": _q_daily_value_quantiles,
-        "duplicate_custkey_orderdate": _q_duplicate_custkey_orderdate,
-        "source_lang_profile": _q_source_lang_profile,
-        "vocabulary_stats": _q_vocabulary_stats,
-        "similar_docs_to_first": _q_similar_docs_to_first,
-        "embedding_covariance": _q_embedding_covariance,
-        "event_transition_matrix": _q_event_transition_matrix,
-        "time_to_first_purchase": _q_time_to_first_purchase,
-        "daily_active_users": _q_daily_active_users,
-        "peak_hourly_rate": _q_peak_hourly_rate,
-        "orders_per_customer_histogram": _q_orders_per_customer_histogram,
-        "doc_mean_idf": _q_doc_mean_idf,
-        "priority_share_by_month": _q_priority_share_by_month,
-        "user_repeat_rate": _q_user_repeat_rate,
-        "user_value_concentration": _q_user_value_concentration,
-        "daily_conversion_ratio": _q_daily_conversion_ratio,
-        "discount_by_qty_bucket": _q_discount_by_qty_bucket,
-        "longest_daily_streak": _q_longest_daily_streak,
-        "semi_join_events_purchases": _q_semi_join_events,
-        "anti_join_events_purchases": _q_anti_join_events,
-        "percentile_rank_events": _q_percentile_rank_events,
-        "ngram_novelty_docs": _q_ngram_novelty,
-        "compression_ratio_docs": _q_compression_ratio,
-        "pii_flags_docs": _q_pii_flags,
-        "redact_pii_docs": _q_redact_pii,
-        "pack_sequences_docs": _q_pack_sequences,
-        "pack_sequences_bpe": _q_pack_sequences_bpe,
-        "outlier_events": _q_outlier_events,
-        "rolling_user_mean": _q_rolling_user_mean,
-        "asof_last_purchase": _q_asof_last_purchase,
-        "events_after_purchase": _q_events_after_purchase,
-        # dynamic JSON column validation
-        "events_props_validation": _q_events_props_validation,
-        # micro-batch streaming windows with watermarks
-        "streaming_windows": _q_streaming_windows,
-        "streaming_dedup": _q_streaming_dedup,
-        # schema compiler / reverse codegen
-        "infer_schema_documents": _q_infer_schema_documents,
-        # multimodal plumbing (stubbed decode, real pipeline)
-        "multimodal_features": _q_multimodal_features,
-        "audio_features": _q_audio_features,
-    }
+    return {**_QUERIES, **_BESPOKE}
 
 
 def oracle_sql() -> dict[str, str]:

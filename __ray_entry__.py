@@ -137,6 +137,8 @@ class _Query(NamedTuple):
 
 def _row(op: str, *sources, round=None, keep=None, sort=None,
          descending=None, rename=None, pandas=False, **kwargs) -> _Query:
+    """A table row: the named keywords go to :func:`_finish` (``pandas``
+    collects the result first); every other keyword goes to ``op``."""
     return _Query(op, sources, kwargs,
                   dict(round=round, keep=keep, sort=sort,
                        descending=descending, rename=rename), pandas)
@@ -713,7 +715,8 @@ _QUERIES: dict[str, _Query] = {
     "heavy_hitter_tokens": _row(
         "textstats.heavy_hitter_tokens", _DOC_TEXT, k=20, capacity=4096),
     # dedup family; max_bucket_size=None uncaps the shingle blocking, which
-    # oracle parity needs (the SQL self-join is flood-blind)
+    # oracle parity needs (the SQL self-join is flood-blind); scale runs
+    # keep the capped default
     "dedup_exact": _row("dedup.exact_duplicates", _DOC_TEXT),
     "dedup_normalized": _row("dedup.normalized_duplicates", _DOC_TEXT),
     "minhash_near_dup": _row(
@@ -747,6 +750,7 @@ _QUERIES: dict[str, _Query] = {
     # text analysis
     "token_counts": _row("textstats.token_counts", _DOC_TEXT),
     "bpe_token_counts": _row("textstats.bpe_ish_token_counts", _DOC_TEXT),
+    # marker words counted with RE2 on both sides (pyarrow, DuckDB)
     "language_id": _row(
         "textstats.language_id", _DOC_TEXT, round={"lang_score": 4}),
     "fingerprints": _row("textstats.fingerprints", _DOC_TEXT),

@@ -4,8 +4,8 @@ order-insensitive row comparison).
 
 Every query's frame is also pinned in ``entry_pins.json``: column names,
 ``str(dtype)`` per column and row count, and for the rows-only queries a
-sha256 of the canonical rows. The pins were recorded twice on the same
-commit; a digest is pinned only where both runs agreed."""
+sha256 of the canonical rows, except where ROWS_UNPINNED says why not.
+The pins were recorded twice on the same commit and both runs agreed."""
 
 import hashlib
 import importlib.util
@@ -91,7 +91,7 @@ def _check_pin(name: str, df: pd.DataFrame) -> None:
         assert _rows_digest(df) == pin["sha256"], f"{name}: rows digest"
 
 
-def _entry_names():
+def _entry_module():
     """This checkout's entry module, loaded for its query names only (at
     collection time, before any Ray session exists)."""
     spec = importlib.util.spec_from_file_location(
@@ -104,7 +104,7 @@ def _entry_names():
 def _oracled_names():
     """EVERY query with an oracle is SQL-parity-checked — the list is
     derived, so a new oracled query can never silently skip this gate."""
-    return sorted(_entry_names().oracle_sql())
+    return sorted(_entry_module().oracle_sql())
 
 
 @pytest.mark.parametrize("name", _oracled_names())
@@ -136,7 +136,7 @@ def test_sql_checked_query(contract, con, name):
 def _rows_only_names():
     """Every queries() entry WITHOUT an oracle runs rows-only here, so the
     full driver surface executes in-suite regardless of oracle status."""
-    m = _entry_names()
+    m = _entry_module()
     return sorted(set(m.queries()) - set(m.oracle_sql()))
 
 
@@ -153,4 +153,4 @@ def test_rows_only_query_runs(contract, name):
 
 
 def test_every_query_is_pinned():
-    assert sorted(PINS) == sorted(_entry_names().queries())
+    assert sorted(PINS) == sorted(_entry_module().queries())

@@ -1150,7 +1150,8 @@ def entry() -> Any:
     """Flagship pipeline at sf0.001: synthesize the interleaved spans corpus
     from documents.parquet, validate it against the FIXTURES §3 schema,
     return the violations Dataset."""
-    return _QUERIES["validate_spans"]("/root/testdata/sf0.001")
+    _q_validate_spans = _QUERIES["validate_spans"]
+    return _q_validate_spans("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

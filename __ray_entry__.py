@@ -585,22 +585,22 @@ def _q_streaming_dedup(sf_dir: str):
     from engine.streaming import stream_dedup_micro_batch
     docs = _read(sf_dir, *_DOC_TEXT)
     size = (docs.count() + 3) // 4
-    state = tempfile.mkdtemp(prefix="streamdedup_")
     kept = []
-    for i in range(4):
-        lo_k, hi_k = i * size, (i + 1) * size
+    with tempfile.TemporaryDirectory(prefix="streamdedup_") as state:
+        for i in range(4):
+            lo_k, hi_k = i * size, (i + 1) * size
 
-        def _slice(b: pa.Table, lo_k=lo_k, hi_k=hi_k) -> pa.Table:
-            ids = b.column("doc_id")
-            return b.filter(pc.and_(pc.greater_equal(ids, lo_k),
-                                    pc.less(ids, hi_k)))
-        out, _ = stream_dedup_micro_batch(
-            docs.map_batches(_slice, batch_format="pyarrow"), state,
-            batch_id=f"b{i}")
-        df = out.to_pandas()  # keeps are a Dataset; small at test sf
-        if "doc_id" in df.columns and len(df):
-            kept.append(pa.table({"doc_id": pa.array(
-                df["doc_id"].to_numpy(), pa.int64())}))
+            def _slice(b: pa.Table, lo_k=lo_k, hi_k=hi_k) -> pa.Table:
+                ids = b.column("doc_id")
+                return b.filter(pc.and_(pc.greater_equal(ids, lo_k),
+                                        pc.less(ids, hi_k)))
+            out, _ = stream_dedup_micro_batch(
+                docs.map_batches(_slice, batch_format="pyarrow"), state,
+                batch_id=f"b{i}")
+            df = out.to_pandas()  # keeps are a Dataset; small at test sf
+            if "doc_id" in df.columns and len(df):
+                kept.append(pa.table({"doc_id": pa.array(
+                    df["doc_id"].to_numpy(), pa.int64())}))
     return pa.concat_tables(kept).sort_by("doc_id")
 
 
@@ -613,7 +613,6 @@ def _q_streaming_windows(sf_dir: str):
     import tempfile
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     from ray.data.aggregate import Max, Min
     from engine.streaming import flush, process_micro_batch
     ev = _read(sf_dir, "events", "user_id ts value")
@@ -622,7 +621,6 @@ def _q_streaming_windows(sf_dir: str):
     hi = pd.Timestamp(bounds["max(ts)"])
     cuts = [None] + [pa.scalar((lo + (hi - lo) * i / 3).to_datetime64(),
                                pa.timestamp("us")) for i in (1, 2)] + [None]
-    sd = tempfile.mkdtemp(prefix="stream_state_")
 
     def _between(lo_c, hi_c):
         def _fn(b: pa.Table) -> pa.Table:
@@ -635,17 +633,20 @@ def _q_streaming_windows(sf_dir: str):
             return b.filter(mask)
         return _fn
 
-    parts = []
-    for lo_c, hi_c in zip(cuts, cuts[1:]):
-        closed, _ = process_micro_batch(
-            ev.map_batches(_between(lo_c, hi_c), batch_format="pyarrow"),
-            sd, key_col="user_id", ts_col="ts", value_col="value",
-            window="1h", allowed_lateness="30m")
-        parts.append(closed)
-    parts.append(flush(sd))
-    # closed windows are Datasets; small at test sf — collect the arrow
-    # blocks (empty ones come out schemaless, drop them)
-    tbls = [t for p in parts for t in map(ray.get, p.to_arrow_refs())
+    with tempfile.TemporaryDirectory(prefix="stream_state_") as sd:
+        parts = []
+        for lo_c, hi_c in zip(cuts, cuts[1:]):
+            closed, _ = process_micro_batch(
+                ev.map_batches(_between(lo_c, hi_c),
+                               batch_format="pyarrow"),
+                sd, key_col="user_id", ts_col="ts", value_col="value",
+                window="1h", allowed_lateness="30m")
+            parts.append(closed)
+        parts.append(flush(sd))
+        # closed windows are Datasets; small at test sf — collect the
+        # arrow batches (empty ones come out schemaless, drop them)
+        tbls = [t for p in parts for t in p.iter_batches(
+            batch_format="pyarrow", batch_size=None)
             if t.num_columns and len(t)]
     return _finish(pa.concat_tables(tbls), round={"value_sum": 4},
                    rename={"key": "user_id"},
@@ -658,7 +659,7 @@ def _q_similar_docs_to_first(sf_dir: str):
     find-similar-documents search with a broadcast query set."""
     from engine.textstats import jaccard_to_query
     docs = _read(sf_dir, *_DOC_TEXT)
-    row = docs.filter(lambda r: r["doc_id"] == 0).take(1)
+    row = docs.filter(expr="doc_id == 0").take(1)
     qtoks = (row[0]["text"] or "").split() if row else []
     return _finish(jaccard_to_query(docs, query_tokens=qtoks, k=10),
                    round={"jaccard": 6})

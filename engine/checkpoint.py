@@ -7,33 +7,38 @@ never from runtime block order.
 
 The job reads each partition ONCE. A unit of ``unit_partitions``
 partitions runs one read and one fused ``map_batches`` stage
-(``_UnitPass``): every batch goes through three passes, each giving one
+(``_UnitPass``): every batch goes through four passes, each giving one
 partition artifact:
 
 * ``violations`` — the keyword-validation rows (``dataset.ValidateBatch``);
-* ``profile`` — profile rows per (partition, column)
-  (``drift.ProfileBatch``: counts, min/max, HLL, t-digest, value counts),
-  merged to one row per (partition, column) on the driver;
+* ``profile`` — profile rows per (batch, partition, column)
+  (``drift.ProfileBatch``: counts, min/max, HLL, t-digest, value counts);
+* ``keys`` — ``(key, count)`` of each non-NULL ``doc_id`` of the batch,
+  combined with Arrow ``group_by`` (NULL keys are never duplicates);
 * ``refs`` — the dangling ``spans.media_ref`` rows against the exact
   catalog set (``referential._RefCheckBatch``), only with a catalog; the
   set is built and ``ray.put`` once per run.
 
-The unit writes every artifact into a dot-prefixed temp dir under
-``out_dir`` (hive discovery skips it), removes the partition's old
-manifest, renames each ``<artifact>/partition_id=<pid>`` dir into place
-and then writes ``_manifest/<pid>.json`` — the commit point (atomic: temp
+The workers write the artifacts: the driver makes a dot-prefixed temp dir
+under ``out_dir`` (hive discovery skips it), each stage call writes one
+parquet file per (pass, partition) of its batch into it and returns one
+small row per file. The driver writes a typed-empty file for a partition
+and pass without one, removes the partition's old manifest, renames each
+``<artifact>/partition_id=<pid>`` dir into place with only the files the
+returned rows name (a retried task's first attempt may leave others) and
+then writes ``_manifest/<pid>.json`` — the commit point (atomic: temp
 file + fsync + rename). A kill anywhere before it just re-runs the
-partition. A partition without rows still gets a typed-empty file per
-artifact. A manifest counts only if its input fingerprint matches, it
+partition. A manifest counts only if its input fingerprint matches, it
 records the fingerprint of this run's catalog files (none without a
 catalog) and it lists every artifact this run writes; otherwise the
 partition re-runs. Verdict files are replaced the same atomic way.
 
 The global steps then merge committed rows and never read the corpus:
 stats (every partition's profile rows), drift (baseline = the
-non-excluded partitions' profile rows, per-partition KS/PSI against it)
-and referential (the union of the refs rows). Uniqueness is the one
-global scan, projected to ``doc_id``. Each step commits a
+non-excluded partitions' profile rows, per-partition KS/PSI against it),
+uniqueness (the sum of the ``keys`` counts per key: on the driver up to
+``_DRIVER_MERGE_ROWS`` key rows, above that one ``shuffle.by_key`` pass)
+and referential (the union of the refs rows). Each step commits a
 ``__global_<step>`` marker that records the job state (input and catalog
 fingerprints, baseline exclusions); a step re-runs when a partition was
 processed in this run or its marker records another state.
@@ -45,17 +50,22 @@ import glob
 import hashlib
 import json
 import os
-import pickle
 import shutil
 import tempfile
 import time
+import uuid
 from typing import Optional, Sequence
 
 from engine.dataset import DOC_SCHEMA_JSON
 from engine.storage import atomic_replace
 
 #: partition artifacts, in write order; ``refs`` only with a catalog
-ARTIFACTS = ("violations", "profile", "refs")
+ARTIFACTS = ("violations", "profile", "keys", "refs")
+
+#: committed ``keys`` rows up to which the driver merges uniqueness in
+#: process; above it one ``shuffle.by_key`` pass does (the size of the
+#: engine's other driver bounds)
+_DRIVER_MERGE_ROWS = 2_000_000
 
 
 def _input_fingerprint(paths: Sequence[str]) -> str:
@@ -128,68 +138,112 @@ def _with_partition_id(b):
         pa.scalar("all")).cast(pa.string()))
 
 
-class _UnitPass:
-    """A unit's passes fused into one ``map_batches`` stage. Each batch
-    gives one row per pass whose cell holds the pass's output table
-    (pickled), so one read and one stage yield every artifact."""
-
-    def __init__(self, passes: dict):
-        self.passes = passes
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        batch = _with_partition_id(batch)
-        return pa.table({"pass": list(self.passes), "table": pa.array(
-            [pickle.dumps(fn(batch)) for fn in self.passes.values()],
-            pa.binary())})
-
-
-def _unit_tables(ds, unit_pass: _UnitPass, batch_size: int) -> dict:
-    """``{pass: table}`` of one unit: ``unit_pass`` over ``ds``, its cells
-    gathered on the driver. Ray skips UDFs on empty blocks, so with no
-    batch at all the tables are those of an empty batch (typed-empty)."""
+def _doc_id_counts(batch):
+    """``keys`` pass: ``(partition_id, key, count)`` of each non-NULL
+    ``doc_id`` of a batch. NULL keys are never duplicates, so they are
+    dropped before the combine."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    rows = [t for t in ds.map_batches(
-        unit_pass, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size).iter_batches(
-        batch_size=None, batch_format="pyarrow") if t.num_rows]
-    if not rows:  # the reader's schema of an empty input has no path
-        empty = ds.schema().base_schema.empty_table()
-        if "path" not in empty.column_names:
-            empty = empty.append_column("path", pa.array([], pa.string()))
-        rows = [unit_pass(empty)]
-    cells = pa.concat_tables(rows)
-    out: dict = {name: [] for name in unit_pass.passes}
-    for name, blob in zip(cells.column("pass").to_pylist(),
-                          cells.column("table").to_pylist()):
-        out[name].append(pickle.loads(blob))
-    return {name: pa.concat_tables(ts) for name, ts in out.items()}
+    t = batch.select(["partition_id", "doc_id"])
+    g = t.filter(pc.is_valid(t.column("doc_id"))).group_by(
+        ["partition_id", "doc_id"]).aggregate([("doc_id", "count")])
+    return pa.table({"partition_id": g.column("partition_id"),
+                     "key": g.column("doc_id"),
+                     "count": g.column("doc_id_count")})
 
 
 def _rows_of(table, pid: str):
-    """A partition's rows of a unit artifact, without ``partition_id``."""
+    """A partition's rows of a pass output, without ``partition_id``."""
     import pyarrow.compute as pc
     return table.filter(pc.equal(table.column("partition_id"), pid)) \
         .drop_columns(["partition_id"])
 
 
-def _publish(out_dir: str, pids: Sequence[str], tables: dict) -> None:
-    """Write each partition's artifacts into a temp dir, then rename them
-    into place. The old manifest goes first: until the new one commits, a
-    kill leaves the partition to be re-run, never half-replaced outputs
-    under a manifest that still counts."""
+class _UnitPass:
+    """A unit's passes fused into one ``map_batches`` stage that writes
+    the artifact files itself, so no artifact row passes through the
+    driver. Each call runs every pass over its batch and writes one file
+    per (pass, partition of the batch) to
+    ``<tmp>/<pass>/partition_id=<pid>/<uuid>.parquet``; the dirs exist
+    already (the driver makes them), so a straggler of a failed unit whose
+    temp dir is gone fails instead of writing a new one. It returns one
+    row per file: ``(partition_id, pass, file, rows, seq0_rows)``, where
+    ``seq0_rows`` counts the violating docs of a ``violations`` file (each
+    has exactly one ``error_seq`` 0 row)."""
+
+    def __init__(self, passes: dict, tmp: str):
+        self.passes = passes
+        self.tmp = tmp
+
+    def __call__(self, batch):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        from engine.kernels import partition_codes
+
+        batch = _with_partition_id(batch)
+        pids = partition_codes(batch)[0]
+        name = f"{uuid.uuid4().hex}.parquet"
+        rows = []
+        for p, fn in self.passes.items():
+            out = fn(batch)
+            for pid in pids:
+                t = _rows_of(out, pid)
+                pq.write_table(t, os.path.join(
+                    self.tmp, p, f"partition_id={pid}", name))
+                seq0 = int(pc.sum(pc.equal(t.column("error_seq"), 0))
+                           .as_py() or 0) if p == "violations" else 0
+                rows.append({"partition_id": pid, "pass": p, "file": name,
+                             "rows": t.num_rows, "seq0_rows": seq0})
+        return pa.Table.from_pylist(rows)
+
+
+def _typed_empty(ds, passes: dict) -> dict:
+    """``{pass: typed-empty artifact}``: each pass over an empty batch of
+    the reader's schema (Ray skips UDFs on empty blocks, so a partition
+    without rows gets no file from the stage)."""
+    import pyarrow as pa
+
+    empty = ds.schema().base_schema.empty_table()
+    if "path" not in empty.column_names:  # an empty input's schema
+        empty = empty.append_column("path", pa.array([], pa.string()))
+    batch = _with_partition_id(empty)
+    return {name: fn(batch).drop_columns(["partition_id"])
+            for name, fn in passes.items()}
+
+
+def _publish(out_dir: str, pids: Sequence[str], ds, passes: dict,
+             batch_size: int) -> list[dict]:
+    """Run one unit's fused stage over ``ds`` into a temp dir, then rename
+    each partition's artifact dirs into place; returns the stage's file
+    rows. The old manifest goes first: until the new one commits, a kill
+    leaves the partition to be re-run, never half-replaced outputs under
+    a manifest that still counts."""
     import pyarrow.parquet as pq
 
     tmp = tempfile.mkdtemp(prefix=".unit-", dir=out_dir)
+
+    def _dir(name, pid):
+        return os.path.join(tmp, name, f"partition_id={pid}")
+
     try:
-        for pid in pids:
-            for name, table in tables.items():
-                d = os.path.join(tmp, name, f"partition_id={pid}")
-                os.makedirs(d)
-                pq.write_table(_rows_of(table, pid),
-                               os.path.join(d, "part-0.parquet"))
+        for name in passes:
+            for pid in pids:
+                os.makedirs(_dir(name, pid))
+        written = ds.map_batches(
+            _UnitPass(passes, tmp), batch_format="pyarrow",
+            zero_copy_batch=True, batch_size=batch_size).take_all()
+        files: dict = {(pid, name): set() for pid in pids for name in passes}
+        for r in written:
+            files[r["partition_id"], r["pass"]].add(r["file"])
+        empty = None
+        for (pid, name), named in files.items():
+            if not named:
+                empty = empty or _typed_empty(ds, passes)
+                pq.write_table(empty[name], os.path.join(
+                    _dir(name, pid), "part-0.parquet"))
+                named.add("part-0.parquet")
         for pid in pids:
             old = os.path.join(out_dir, "_manifest", f"{pid}.json")
             if os.path.exists(old):
@@ -197,12 +251,15 @@ def _publish(out_dir: str, pids: Sequence[str], tables: dict) -> None:
             for name in ARTIFACTS:
                 dest = os.path.join(out_dir, name, f"partition_id={pid}")
                 shutil.rmtree(dest, ignore_errors=True)
-                if name in tables:
+                if name in passes:
+                    for f in set(os.listdir(_dir(name, pid))) \
+                            - files[pid, name]:
+                        os.remove(os.path.join(_dir(name, pid), f))
                     os.makedirs(os.path.dirname(dest), exist_ok=True)
-                    os.rename(os.path.join(tmp, name, f"partition_id={pid}"),
-                              dest)
+                    os.rename(_dir(name, pid), dest)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    return written
 
 
 def _read_artifact(out_dir: str, name: str, pids: Sequence[str]):
@@ -234,14 +291,11 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
     parquet-footer row counts, not a second pass. Call again after a
     kill: partitions whose manifest fits this run are skipped.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc_
     import pyarrow.parquet as pq
     import ray
     import ray.data
     from engine.dataset import ValidateBatch
-    from engine.drift import (CATEGORICAL_DEFAULT, ProfileBatch,
-                              _merge_rows, profile_table)
+    from engine.drift import CATEGORICAL_DEFAULT, ProfileBatch
     from engine.referential import _RefCheckBatch
 
     os.makedirs(out_dir, exist_ok=True)
@@ -251,7 +305,7 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
     cat_fp = _input_fingerprint(glob.glob(os.path.join(
         catalog_path, "**", "*.parquet"), recursive=True) or [catalog_path]) \
         if catalog_path else None
-    artifacts = ARTIFACTS if catalog_path else ARTIFACTS[:2]
+    artifacts = ARTIFACTS if catalog_path else ARTIFACTS[:3]
     summary = {"partitions": len(parts), "skipped": 0, "processed": 0,
                "violations": 0}
 
@@ -271,7 +325,8 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
         units = units[:max_units]
 
     passes = {"violations": ValidateBatch(schema_json),
-              "profile": ProfileBatch(categorical=CATEGORICAL_DEFAULT)}
+              "profile": ProfileBatch(categorical=CATEGORICAL_DEFAULT),
+              "keys": _doc_id_counts}
     if catalog_path and units:
         catalog = set(pq.read_table(catalog_path, columns=["media_ref"])
                       .column("media_ref").to_pylist())
@@ -282,22 +337,18 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
     for unit in units:
         started = time.time()
         unit_files = [f for pid in unit for f in parts[pid]]
-        tables = _unit_tables(
+        written = _publish(
+            out_dir, unit,
             ray.data.read_parquet(unit_files, include_paths=True),
-            _UnitPass(passes), batch_size)
-        tables["profile"] = profile_table(_merge_rows(
-            tables["profile"].to_pylist()))
-        _publish(out_dir, unit, tables)
+            passes, batch_size)
         finished = time.time()
 
-        # verdicts from the unit's violations (no second validation pass)
-        viol = tables["violations"]
+        # verdicts from the stage's violations file rows (no second pass)
+        viol = [r for r in written if r["pass"] == "violations"]
         for pid in unit:
-            vt = _rows_of(viol, pid)
-            n_viol = vt.num_rows
-            # each violating doc row contributes exactly one seq-0 row
-            viol_docs = int(pc_.sum(pc_.equal(
-                vt.column("error_seq"), 0)).as_py() or 0)
+            n_viol = sum(r["rows"] for r in viol if r["partition_id"] == pid)
+            viol_docs = sum(r["seq0_rows"] for r in viol
+                            if r["partition_id"] == pid)
             # docs from parquet footers: metadata only, no data read
             docs = sum(pq.ParquetFile(f).metadata.num_rows
                        for f in parts[pid])
@@ -316,11 +367,11 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
                 "input_fragments": [os.path.basename(f) for f in parts[pid]],
                 "input_fingerprint": fps[pid],
                 "catalog_fingerprint": cat_fp,
-                "artifacts": list(tables),
+                "artifacts": list(passes),
                 "started_at": started,
                 "finished_at": finished,
                 "outputs": [os.path.join(out_dir, name, f"partition_id={pid}")
-                            for name in (*tables, "verdicts")],
+                            for name in (*passes, "verdicts")],
                 "metrics": {k: row[k] for k in
                             ("docs", "violation_docs", "violations")},
             }
@@ -331,21 +382,19 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
         state = hashlib.sha256(json.dumps(
             [sorted(fps.items()), cat_fp, sorted(baseline_exclude)])
             .encode()).hexdigest()[:16]
-        _run_global_checks(corpus_dir, out_dir, list(parts), catalog_path,
+        _run_global_checks(out_dir, list(parts), catalog_path,
                            baseline_exclude, summary, state)
     return summary
 
 
-def _run_global_checks(corpus_dir: str, out_dir: str, pids: list[str],
+def _run_global_checks(out_dir: str, pids: list[str],
                        catalog_path: Optional[str],
                        baseline_exclude: Sequence[str],
                        summary: dict, state: str) -> None:
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
     from engine.drift import _merge_rows, baseline_from, score
     from engine.stats import stats_table
-    from engine.uniqueness import duplicate_keys
 
     done = completed_partitions(out_dir)
     checks_dir = os.path.join(out_dir, "checks")
@@ -376,12 +425,14 @@ def _run_global_checks(corpus_dir: str, out_dir: str, pids: list[str],
         summary[name] = "done"
 
     def _profiles() -> dict:
-        return _merge_rows(_read_artifact(out_dir, "profile", pids)
-                           .to_pylist())
+        # a partition's profile rows are per batch, in files named at
+        # random: merge them in content order, so the t-digests repeat
+        rows = _read_artifact(out_dir, "profile", pids)
+        return _merge_rows(rows.sort_by(
+            [(c, "ascending") for c in rows.column_names]).to_pylist())
 
     _step("stats", lambda: stats_table(_profiles()))
-    _step("uniqueness", lambda: duplicate_keys(
-        ray.data.read_parquet(corpus_dir, columns=["doc_id"]), "doc_id"))
+    _step("uniqueness", lambda: _duplicate_keys(out_dir, pids))
     if catalog_path:
         _step("referential", lambda: _read_artifact(
             out_dir, "refs", pids).drop_columns(["partition_id"]))
@@ -394,6 +445,36 @@ def _run_global_checks(corpus_dir: str, out_dir: str, pids: list[str],
     # marker commits: a kill mid-fold leaves no marker and the resumed run
     # redoes drift + fold (the fold is idempotent)
     _step("drift", _drift, then=lambda: _fold_drift_into_verdicts(out_dir))
+
+
+def _duplicate_keys(out_dir: str, pids: Sequence[str]):
+    """Uniqueness from the committed ``keys`` rows: ``(key, dup_count)``
+    of each key whose counts sum to more than 1. Up to
+    ``_DRIVER_MERGE_ROWS`` rows (from the parquet footers) the driver sums
+    them with one Arrow ``group_by``; above, one ``shuffle.by_key`` pass
+    does. It needs no salt: a hot key has one row per keys file."""
+    import functools
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    files = sorted(f for pid in pids for f in glob.glob(os.path.join(
+        out_dir, "keys", f"partition_id={pid}", "*.parquet")))
+    if sum(pq.ParquetFile(f).metadata.num_rows
+           for f in files) > _DRIVER_MERGE_ROWS:
+        import pandas as pd
+        import ray.data
+        from engine.shuffle import by_key
+        from engine.uniqueness import dup_rows
+        return by_key(ray.data.read_parquet(files, columns=["key", "count"]),
+                      "key", functools.partial(dup_rows, count="count"),
+                      empty=pd.DataFrame({"key": [], "dup_count": []}))
+    keys = pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+    g = keys.group_by("key").aggregate([("count", "sum")])
+    g = g.filter(pc.greater(g.column("count_sum"), 1))
+    return pa.table({"key": g.column("key"),
+                     "dup_count": g.column("count_sum")})
 
 
 def _fold_drift_into_verdicts(out_dir: str) -> None:

@@ -195,7 +195,11 @@ class ProfileBatch:
                 p.td = TDigest().update(pc.cast(
                     vals, pa.float64(), safe=False).to_numpy(
                     zero_copy_only=False))
-            p.hll = HLL().update(vals.to_numpy(zero_copy_only=False))
+            # registers are a max over the value set, so hashing the
+            # distinct values gives the same bytes; floats stay whole, as
+            # Arrow's NaN and +-0.0 equality is not hash64's canonical form
+            p.hll = HLL().update((vals if _is_float_t(t) else pc.unique(
+                vals)).to_numpy(zero_copy_only=False))
         if categorical:
             vc = pc.value_counts(arr.drop_null())
             p.counts = {str(v): c for v, c in zip(

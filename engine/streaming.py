@@ -175,7 +175,6 @@ def process_micro_batch(events_ds, state_dir: str, *,
     (late-count / max-ts scalars, O(blocks) of them after the groupby)
     and the watermark; open state is written back by workers.
     """
-    import ray
     import ray.data
     from engine.shuffle import balance
     from ray.data.aggregate import Max, Sum
@@ -261,10 +260,9 @@ def process_micro_batch(events_ds, state_dir: str, *,
         return b.filter(pc.equal(b.column("wstart"), -1))
 
     # per-block meta rows only (O(blocks) after the groupby) on the driver
-    mparts = [t for t in (ray.get(r) for r in
-                          agg.map_batches(_meta_rows,
-                                          batch_format="pyarrow")
-                          .to_arrow_refs()) if t.num_columns and len(t)]
+    mparts = [t for t in agg.map_batches(_meta_rows, batch_format="pyarrow")
+              .iter_batches(batch_format="pyarrow", batch_size=None)
+              if t.num_columns and len(t)]
     if mparts:
         mt = pa.concat_tables(mparts)
         n_late = int(pc.sum(mt.column("sum(late)")).as_py() or 0)

@@ -12,7 +12,8 @@ scale where one hot key may hold ~0.1N duplicates. Plan (SURVEY.md §7.4):
 3. **Final groupby**: sum per ``key`` over at most S rows per key; filter
    ``count > 1``.
 
-Output schema: ``(key, dup_count)`` for keys appearing more than once.
+Output schema: ``(key, dup_count)`` for keys appearing more than once;
+NULL keys are never duplicates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ class _KeyCountBatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import os
-        keys = batch.column(self.key).to_numpy(zero_copy_only=False)
+        # NULL keys are never duplicates (np.unique cannot order them
+        # among values either)
+        keys = batch.column(self.key).drop_null().to_numpy(
+            zero_copy_only=False)
         uniq, counts = np.unique(keys, return_counts=True)
         # ADAPTIVE salting: only keys that look hot inside this batch
         # (per-batch count >= hot_threshold) scatter across salt lanes; a
@@ -53,6 +57,13 @@ class _KeyCountBatch:
             "salt": pa.array(salt),
             "partial": pa.array(counts.astype(np.int64)),
         })
+
+
+def dup_rows(df, count: str = "partial"):
+    """``(key, dup_count)`` of the keys whose ``count`` column sums to
+    more than 1 in a frame that holds whole keys."""
+    g = df.groupby("key", as_index=False)[count].sum()
+    return g[g[count] > 1].rename(columns={count: "dup_count"})
 
 
 def duplicate_keys(ds, key: str = "doc_id", *, salt_buckets: int = 16,
@@ -83,12 +94,8 @@ def duplicate_keys(ds, key: str = "doc_id", *, salt_buckets: int = 16,
     def _sum_lanes(df):
         return df.groupby(["key", "salt"], as_index=False)["partial"].sum()
 
-    def _dups(df):
-        g = df.groupby("key", as_index=False)["partial"].sum()
-        return g[g["partial"] > 1].rename(columns={"partial": "dup_count"})
-
     salted = by_key(partials, "lane", _sum_lanes, prep=_lane,
                     empty=pd.DataFrame({"key": [], "salt": [],
                                         "partial": []}))
-    return by_key(salted, "key", _dups,
+    return by_key(salted, "key", dup_rows,
                   empty=pd.DataFrame({"key": [], "dup_count": []}))

@@ -228,27 +228,41 @@ def clean_job(corpus, tmp_path_factory):
     return out, _outputs(out)
 
 
-@pytest.mark.parametrize("kill_at", ["mid_write", "before_manifest"])
+@pytest.mark.parametrize("kill_at",
+                         ["mid_write", "mid_rename", "before_manifest"])
 def test_killed_unit_publishes_nothing_half_done(corpus, clean_job, tmp_path,
                                                  monkeypatch, kill_at):
-    """A kill after some of a unit's artifact writes, or after all of them
-    but before its manifest, leaves no temp dir and no manifest; the
-    resumed run's outputs equal an uninterrupted run's."""
+    """A kill after some of a unit's artifact writes (a pass that raises
+    in the worker after the batch's violations file is written), between
+    two of the driver's renames into place, or after all of them but
+    before the manifest leaves no temp dir and no manifest; the resumed
+    run's outputs equal an uninterrupted run's."""
+    import ray.exceptions
     import engine.checkpoint as ck
+    import engine.drift
 
     out_root, corpus_dir = corpus
     catalog = os.path.join(out_root, "media_catalog.parquet")
     out = tmp_path / "killed"
+    # a worker's OSError reaches the driver wrapped in a RayTaskError
+    error = ray.exceptions.RayTaskError if kill_at == "mid_write" \
+        else OSError
     with monkeypatch.context() as m:
         if kill_at == "mid_write":
-            real_rows_of, calls = ck._rows_of, []
+            def _killed_pass(batch):  # pickled by value into the worker
+                raise OSError("killed")
+            m.setattr(engine.drift, "ProfileBatch",
+                      lambda **kw: _killed_pass)
+        elif kill_at == "mid_rename":
+            real_rename, calls = os.rename, []
 
-            def _rows_of(table, pid):
-                calls.append(pid)
-                if len(calls) == 2:  # the unit's second artifact write
-                    raise OSError("killed")
-                return real_rows_of(table, pid)
-            m.setattr(ck, "_rows_of", _rows_of)
+            def _rename(src, dst):
+                if ".unit-" in src:
+                    calls.append(src)
+                    if len(calls) == 2:  # the unit's second rename
+                        raise OSError("killed")
+                real_rename(src, dst)
+            m.setattr(os, "rename", _rename)
         else:
             real_commit = ck._commit_manifest
 
@@ -257,7 +271,7 @@ def test_killed_unit_publishes_nothing_half_done(corpus, clean_job, tmp_path,
                     raise OSError("killed")
                 real_commit(out_dir, name, record)
             m.setattr(ck, "_commit_manifest", _commit)
-        with pytest.raises(OSError, match="killed"):
+        with pytest.raises(error, match="killed"):
             _job(corpus_dir, out, catalog)
     assert not glob.glob(os.path.join(out, ".*"))
     assert ck.completed_partitions(str(out)) == {}
@@ -265,6 +279,32 @@ def test_killed_unit_publishes_nothing_half_done(corpus, clean_job, tmp_path,
     s = _job(corpus_dir, out, catalog)
     assert s["processed"] == 4 and s["skipped"] == 0
     assert not glob.glob(os.path.join(out, ".*"))
+    assert _outputs(out) == clean_job[1]
+
+
+def test_retried_task_publishes_only_its_own_files(corpus, clean_job,
+                                                   tmp_path, monkeypatch):
+    """A worker that dies after writing some of its batch's files is
+    retried by Ray; the first attempt's files stay unnamed in the stage's
+    rows, so the driver drops them and nothing is counted twice."""
+    import engine.checkpoint as ck
+
+    out_root, corpus_dir = corpus
+    marker = str(tmp_path / "crashed")
+
+    def _crash_once(batch):  # pickled by value into the worker
+        import os
+        from engine.checkpoint import _doc_id_counts
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)  # after the violations and profile writes
+        return _doc_id_counts(batch)
+
+    monkeypatch.setattr(ck, "_doc_id_counts", _crash_once)
+    out = tmp_path / "job"
+    s = _job(corpus_dir, out, os.path.join(out_root, "media_catalog.parquet"))
+    assert os.path.exists(marker)
+    assert s["processed"] == 4
     assert _outputs(out) == clean_job[1]
 
 
@@ -304,9 +344,9 @@ def test_manifest_counts_only_with_this_runs_catalog(corpus, clean_job,
 
 
 def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
-    """Every corpus file is read by exactly one unit read; the only other
-    corpus read is the uniqueness scan, projected to ``doc_id``. The
-    stats, referential and drift steps read no parquet at all."""
+    """Every corpus file is read by exactly one unit read, and after the
+    last partition commit the job reads no parquet through Ray at all:
+    stats, uniqueness, referential and drift merge committed rows."""
     import ray.data
     import engine.checkpoint as ck
 
@@ -335,10 +375,37 @@ def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
                           if e[0] == "commit" and e[1].startswith("p")) + 1:]
     assert globals_ == [
         ("commit", "__global_stats", None),
-        ("read", corpus_dir, ["doc_id"]),
         ("commit", "__global_uniqueness", None),
         ("commit", "__global_referential", None),
         ("commit", "__global_drift", None)]
+
+
+def test_resumed_job_reads_only_uncommitted_partitions(corpus, clean_job,
+                                                       tmp_path, monkeypatch):
+    """A job resumed after two of four partitions committed reads the
+    other two partitions' files and nothing else, and its outputs equal
+    an uninterrupted run's."""
+    import ray.data
+    from engine.checkpoint import list_partitions
+
+    out_root, corpus_dir = corpus
+    catalog = os.path.join(out_root, "media_catalog.parquet")
+    out = str(tmp_path / "job")
+    assert _job(corpus_dir, out, catalog, max_units=2)["processed"] == 2
+    reads = []
+    real_read = ray.data.read_parquet
+
+    def _read(paths, **kw):
+        reads.append(paths)
+        return real_read(paths, **kw)
+
+    monkeypatch.setattr(ray.data, "read_parquet", _read)
+    s = _job(corpus_dir, out, catalog)
+    assert s["processed"] == 2 and s["skipped"] == 2
+    parts = list_partitions(corpus_dir)
+    assert sorted(f for p in reads for f in p) == sorted(
+        parts["p0002"] + parts["p0003"])
+    assert _outputs(out) == clean_job[1]
 
 
 def test_job_checks_match_public_apis(corpus, clean_job, ray_session):
@@ -409,7 +476,92 @@ def test_empty_partition_gets_typed_empty_artifacts(corpus, tmp_path):
     out = tmp_path / "job"
     s = _job(str(mini), out, os.path.join(out_root, "media_catalog.parquet"))
     assert s["processed"] == 2
-    for name in ("violations", "profile", "refs"):
+    for name in ("violations", "profile", "keys", "refs"):
         full, empty = (pq.read_table(os.path.join(
             out, name, f"partition_id={pid}")) for pid in ("p0000", "p0001"))
         assert empty.num_rows == 0 and empty.schema == full.schema, name
+
+
+def test_uniqueness_merge_through_by_key(corpus, clean_job, tmp_path,
+                                        monkeypatch):
+    """Above the driver bound the uniqueness step merges the committed
+    ``keys`` files with one ``shuffle.by_key`` pass: its rows equal the
+    in-process merge's and ``duplicate_keys`` over the corpus, and it
+    reads nothing but ``keys`` files."""
+    import pyarrow.parquet as pq
+    import ray.data
+    import engine.checkpoint as ck
+    from engine.uniqueness import duplicate_keys
+
+    out_root, corpus_dir = corpus
+    out = str(tmp_path / "job")
+    reads = []
+    real_read = ray.data.read_parquet
+
+    def _read(paths, **kw):
+        reads.append(paths)
+        return real_read(paths, **kw)
+
+    monkeypatch.setattr(ck, "_DRIVER_MERGE_ROWS", 0)
+    _job(corpus_dir, out, os.path.join(out_root, "media_catalog.parquet"),
+         max_units=4)
+    monkeypatch.setattr(ray.data, "read_parquet", _read)
+    s = _job(corpus_dir, out, os.path.join(out_root, "media_catalog.parquet"))
+    assert s["processed"] == 0 and s["uniqueness"] == "done"
+
+    keys_dir = os.path.join(out, "keys") + os.sep
+    (files,) = reads
+    assert files and all(f.startswith(keys_dir) for f in files)
+    assert sorted(files) == sorted(glob.glob(
+        os.path.join(keys_dir, "*", "*.parquet")))
+
+    def _pairs(t):
+        return sorted(zip(t["key"], t["dup_count"]))
+
+    rows = _pairs(pq.read_table(os.path.join(out, "checks", "uniqueness"))
+                  .to_pydict())
+    assert rows == _pairs(pq.read_table(os.path.join(
+        clean_job[0], "checks", "uniqueness")).to_pydict())
+    assert rows == _pairs(duplicate_keys(
+        real_read(corpus_dir), "doc_id").to_pandas())
+    assert len(rows) > 1
+
+
+def test_manifest_without_keys_reruns_partition(corpus, clean_job, tmp_path):
+    """A manifest that lacks the ``keys`` artifact (written before the
+    job kept one) does not count: that partition alone re-runs, and the
+    outputs equal an uninterrupted run's."""
+    from engine.checkpoint import completed_partitions
+
+    out_root, corpus_dir = corpus
+    catalog = os.path.join(out_root, "media_catalog.parquet")
+    out = str(tmp_path / "job")
+    _job(corpus_dir, out, catalog)
+    rec = completed_partitions(out)["p0001"]
+    rec["artifacts"].remove("keys")
+    with open(os.path.join(out, "_manifest", "p0001.json"), "w") as f:
+        json.dump(rec, f)
+
+    s = _job(corpus_dir, out, catalog)
+    assert s["processed"] == 1 and s["skipped"] == 3
+    assert "keys" in completed_partitions(out)["p0001"]["artifacts"]
+    assert _outputs(out) == clean_job[1]
+
+
+def test_keys_pass_drops_null_doc_ids():
+    """The ``keys`` pass counts each non-NULL ``doc_id`` per partition as
+    Arrow ``group_by`` does; NULL keys are never duplicates."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from engine.checkpoint import _doc_id_counts
+
+    batch = pa.table({
+        "partition_id": ["p0", "p0", "p0", "p1", "p1", "p1", "p0"],
+        "doc_id": ["a", None, "a", None, "a", "b", None]})
+    got = _doc_id_counts(batch)
+    assert got.column_names == ["partition_id", "key", "count"]
+    want = batch.filter(pc.is_valid(batch["doc_id"])).group_by(
+        ["partition_id", "doc_id"]).aggregate([([], "count_all")])
+    assert sorted(zip(*got.to_pydict().values())) == sorted(zip(
+        want["partition_id"].to_pylist(), want["doc_id"].to_pylist(),
+        want["count_all"].to_pylist()))

@@ -28,6 +28,22 @@ class TestSketchUnits:
         est = a.merge(b).estimate()
         assert abs(est - 1500) / 1500 < 0.05
 
+    def test_profile_hll_hashes_distinct_values(self):
+        """The profile HLL of a non-float column hashes its distinct
+        values only; registers are a max over the value set, so they
+        equal those of hashing every value."""
+        import pyarrow as pa
+        from engine.drift import ProfileBatch
+        from engine.sketches import HLL
+        rng = np.random.default_rng(5)
+        ints = rng.integers(0, 50, 20_000)
+        for arr in (pa.array(ints), pa.array([f"v{i}" for i in ints]),
+                    pa.array([None, "x", "x", None, "y"] * 400)):
+            got = ProfileBatch._profile(arr, False).hll.registers
+            want = HLL().update(arr.drop_null().to_numpy(
+                zero_copy_only=False)).registers
+            assert got.tobytes() == want.tobytes()
+
     def test_tdigest_quantiles(self):
         from engine.sketches import TDigest
         rng = np.random.default_rng(3)
@@ -99,6 +115,23 @@ class TestUniqueness:
         # the injected hot key must be present
         from engine.synth import HOT_DOC_ID
         assert HOT_DOC_ID in set(got["key"])
+
+
+    def test_null_keys_are_never_duplicates(self, ray_session):
+        """A key column that mixes NULLs and values counts the values
+        only, as a pyarrow ``group_by`` count over the non-NULL rows."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray.data
+        from engine.uniqueness import duplicate_keys
+        t = pa.table({"doc_id": ["a", None, "a", None, "b", "c", "c", "c"]})
+        got = duplicate_keys(ray.data.from_arrow(t), "doc_id").to_pandas()
+        g = t.filter(pc.is_valid(t["doc_id"])).group_by("doc_id") \
+            .aggregate([([], "count_all")])
+        g = g.filter(pc.greater(g["count_all"], 1))
+        assert sorted(zip(got["key"], got["dup_count"])) == sorted(zip(
+            g["doc_id"].to_pylist(), g["count_all"].to_pylist()))
+        assert len(got) == 2
 
 
 class TestReferential:

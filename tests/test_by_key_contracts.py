@@ -1,7 +1,9 @@
-"""Empty-input and NULL-key behaviour of every ``shuffle.by_key`` operator.
+"""Empty-input and NULL-key behaviour of every keyed shuffle operator:
+each ``shuffle.by_key`` operator and each decomposable aggregate that
+merges per-batch partials by key.
 
 Each operator runs on (a) a typed empty input and (b) a three-row input
-whose partition keys are all NULL. The expected row count and output
+whose partition or grouping keys are all NULL. The expected row count and output
 schema are pinned per operator: they record the engine's documented
 per-family contracts (the ewma family drops NULL keys, the PARTITION BY
 family keeps them as one partition, NULL-group-dropping aggregates emit
@@ -12,6 +14,7 @@ A schemaless empty is pinned as ``None``.
 import datetime as dt
 import functools
 import importlib
+import tempfile
 
 import pyarrow as pa
 import pytest
@@ -68,6 +71,84 @@ def pairs(kind):
                       "key_b": (pa.int64(), [None, None, None])})
 
 
+def _events_with_null(*null_cols):
+    """Events whose ``null_cols`` are all NULL; ``user_id`` is set."""
+    def make(kind):
+        cols = {
+            "event_id": (pa.int64(), [1, 2, 3]),
+            "user_id": (pa.int64(), [7, 7, 8]),
+            "ts": (pa.timestamp("us"), TS),
+            "value": (pa.float64(), [1.0, 2.0, 4.0]),
+            "event_type": (pa.string(), ["click", "purchase", "click"])}
+        for c in null_cols:
+            cols[c] = (cols[c][0], [None, None, None])
+        return _ds(kind, cols)
+    return make
+
+
+untyped_events = _events_with_null("event_type")
+untimed_events = _events_with_null("ts")
+valueless_events = _events_with_null("value", "event_type")
+
+
+def lineitem(kind):
+    return _ds(kind, {
+        "l_orderkey": (pa.int64(), [None, None, None]),
+        "l_suppkey": (pa.int64(), [None, None, None]),
+        "l_quantity": (pa.float64(), [1.0, 2.0, 3.0]),
+        "l_extendedprice": (pa.float64(), [10.0, 20.0, 30.0]),
+        "l_discount": (pa.float64(), [0.06, 0.06, 0.06]),
+        "l_returnflag": (pa.string(), [None, None, None]),
+        "l_linestatus": (pa.string(), [None, None, None]),
+        "l_shipdate": (pa.timestamp("us"), [None, None, None])})
+
+
+def orders(kind):
+    return _ds(kind, {
+        "o_orderkey": (pa.int64(), [None, None, None]),
+        "o_custkey": (pa.int64(), [None, None, None]),
+        "o_totalprice": (pa.float64(), [5.0, 6.0, 7.0]),
+        "o_orderdate": (pa.timestamp("us"),
+                        [dt.datetime(1996, 2, 1)] * 3)})
+
+
+def _dimension(cols):
+    """A dimension table: the same three valid rows for every ``kind``
+    (only the fact tables are empty or NULL-keyed)."""
+    return lambda kind: _ds("null", cols)
+
+
+customer = _dimension({
+    "c_custkey": (pa.int64(), [1, 2, 3]),
+    "c_name": (pa.string(), ["a", "b", "c"]),
+    "c_nationkey": (pa.int32(), [0, 0, 1]),
+    "c_acctbal": (pa.float64(), [1.0, 2.0, 3.0]),
+    "c_mktsegment": (pa.string(), ["BUILDING", "AUTO", "BUILDING"])})
+supplier = _dimension({
+    "s_suppkey": (pa.int64(), [1, 2, 3]),
+    "s_nationkey": (pa.int32(), [0, 0, 1])})
+nation = _dimension({
+    "n_nationkey": (pa.int32(), [0, 1, 2]),
+    "n_name": (pa.string(), ["A", "B", "C"]),
+    "n_regionkey": (pa.int32(), [0, 0, 1])})
+region = _dimension({
+    "r_regionkey": (pa.int32(), [0, 1, 2]),
+    "r_name": (pa.string(), ["ASIA", "EUROPE", "AFRICA"])})
+
+
+def null_docs(kind):
+    return _ds(kind, {
+        "doc_id": (pa.int64(), [1, 2, 3]),
+        "text": (pa.string(), [None, None, None]),
+        "lang": (pa.string(), [None, None, None])})
+
+
+def null_vectors(kind):
+    return _ds(kind, {
+        "label": (pa.int64(), [1, 1, 2]),
+        "embedding": (pa.list_(pa.float64()), [None, None, None])})
+
+
 def _mod(module, name, *inputs, **kw):
     """Runner: ``module.name`` over each input built for ``kind``."""
     def run(kind):
@@ -79,6 +160,13 @@ def _mod(module, name, *inputs, **kw):
 _rel = functools.partial(_mod, "engine.relational")
 
 
+def _stream_windows(kind):
+    from engine.streaming import process_micro_batch
+    with tempfile.TemporaryDirectory() as state:
+        out, _ = process_micro_batch(events(kind), state)
+        return out.materialize()
+
+
 def _stream_dedup(kind, tmp_path):
     from engine.streaming import stream_dedup_micro_batch
     out, _ = stream_dedup_micro_batch(docs(kind), str(tmp_path / "state"))
@@ -86,6 +174,8 @@ def _stream_dedup(kind, tmp_path):
 
 
 GROUPED = dict(group_col="user_id", value_col="value")
+_stats = functools.partial(_mod, "engine.stats")
+_text = functools.partial(_mod, "engine.textstats")
 
 CASES = {
     "events_per_user_hour": _rel("events_per_user_hour", events),
@@ -160,18 +250,88 @@ CASES = {
                                     "simhash_near_duplicates", docs),
     "duplicate_keys": _mod("engine.uniqueness", "duplicate_keys", docs,
                            key="doc_id"),
+    # decomposable aggregates: per-batch partials merged by key
+    "exact_duplicates": _mod("engine.dedup", "exact_duplicates", null_docs),
+    "normalized_duplicates": _mod("engine.dedup", "normalized_duplicates",
+                                  null_docs),
+    "dangling_fk_rows": _mod("engine.referential", "dangling_fk_rows",
+                             orders, customer, fk="o_custkey",
+                             pk="c_custkey"),
+    "q1_pricing_summary": _rel("q1_pricing_summary", lineitem),
+    "revenue_by_segment": _rel("revenue_by_segment", orders, customer),
+    "revenue_by_segment_join": _rel("revenue_by_segment", orders, customer,
+                                    broadcast_limit=-1),
+    "top_event_types": _rel("top_event_types", untyped_events),
+    "q3_shipping_priority": _rel("q3_shipping_priority", lineitem, orders,
+                                 customer),
+    "q5_local_supplier_volume": _rel("q5_local_supplier_volume", lineitem,
+                                     orders, customer, supplier, nation,
+                                     region),
+    "q6_forecast_revenue": _rel("q6_forecast_revenue", lineitem),
+    "dense_daily_counts": _rel("dense_daily_counts", untimed_events),
+    "rollup_counts": _rel("rollup_counts", untimed_events),
+    "activity_heatmap": _rel("activity_heatmap", untimed_events),
+    "q10_returned_item_reporting": _rel("q10_returned_item_reporting",
+                                        lineitem, orders, customer, nation),
+    "time_to_first_target": _rel("time_to_first_target", events),
+    "orders_per_customer_histogram": _rel("orders_per_customer_histogram",
+                                          orders, customer),
+    "user_value_concentration": _rel("user_value_concentration", events),
+    "embedding_covariance": _mod("engine.similarity", "embedding_covariance",
+                                 null_vectors, dim=2),
+    "grouped_moments": _stats("grouped_moments", events, **GROUPED),
+    "grouped_corr": _stats("grouped_corr", events, group_col="user_id",
+                           x_col="value", y_col="event_id"),
+    "value_histogram": _stats("value_histogram", valueless_events, col="value",
+                              lo=0.0, hi=10.0, bins=4),
+    "percentile_rank": _stats("percentile_rank", valueless_events, col="value",
+                              id_col="event_id"),
+    "grouped_weighted_mean": _stats("grouped_weighted_mean", events,
+                                    weight_col="event_id", **GROUPED),
+    "grouped_histogram": _stats("grouped_histogram", events,
+                                group_col="user_id", col="value", lo=0.0,
+                                hi=10.0, bins=4),
+    "mutual_information": _stats("mutual_information", untyped_events,
+                                 a_col="event_type", b_col="value", lo=0.0,
+                                 hi=10.0, bins=4),
+    "spearman_corr": _stats("spearman_corr", valueless_events,
+                            x_col="value", y_col="event_id"),
+    "corr_matrix": _stats("corr_matrix", valueless_events,
+                          cols=["value", "event_id"]),
+    "pareto_share": _stats("pareto_share", events, key_col="user_id",
+                           value_col="value"),
+    "grouped_count_mean": _stats("grouped_count_mean", events,
+                                 group_cols=["user_id", "event_type"],
+                                 value_col="value"),
+    "process_micro_batch": _stream_windows,
+    "token_doc_frequency": _text("token_doc_frequency", null_docs),
+    "ngram_novelty": _text("ngram_novelty", null_docs, null_docs),
+    "bigram_heavy_hitters": _text("bigram_heavy_hitters", null_docs),
+    "token_counts_by_group": _text("token_counts_by_group", null_docs),
+    "vocabulary_stats": _text("vocabulary_stats", null_docs),
 }
 
 # name -> {kind: (rows, "column:type ..." or None when schemaless)}.
-# Not pinned, because they fail before reaching by_key: the NULL-key
+# Not pinned, because they fail before producing a result: the NULL-key
 # case of stream_dedup_micro_batch (its state write rejects NULL keys),
 # and both cases of the tfidf_topk / doc_mean_idf hash-join fall-through
 # (an empty document-frequency table is schemaless, and Arrow cannot join
-# an all-NULL doc_id column).
+# an all-NULL doc_id column). Of the decomposable aggregates: both cases
+# of q3, q5 and q10 and the empty case of the revenue_by_segment join
+# path (Ray's hash join fails on an empty or all-NULL-key side), both
+# cases of percentile_rank and ngram_novelty (an empty aggregate has no
+# value column), and the NULL case of top_event_types (``np.unique``
+# cannot sort NULL event types).
 EXPECTED = {
+    "activity_heatmap": {
+        "empty": (0, "dow:int64 hod:int64 n:int64"),
+        "null": (0, "dow:int64 hod:int64 n:int64")},
     "asof_join": {
         "empty": (0, None),
         "null": (0, "event_id:int64 user_id:double value:double")},
+    "bigram_heavy_hitters": {
+        "empty": (0, None),
+        "null": (0, None)},
     "cohort_retention": {
         "empty": (0, "cohort:string day_offset:int64 n_users:int64"),
         "null": (0, "cohort:string day_offset:int64 n_users:int64")},
@@ -184,6 +344,9 @@ EXPECTED = {
     "connected_components": {
         "empty": (0, "node:int64 cluster_id:int64"),
         "null": (0, None)},
+    "corr_matrix": {
+        "empty": (0, "col_x:string col_y:string r:double n:int64"),
+        "null": (1, "col_x:string col_y:string r:double n:int64")},
     "count_distinct": {
         "empty": (0, "user_id:int64 n_distinct:int64"),
         "null": (0, "user_id:int64 n_distinct:int64")},
@@ -195,12 +358,21 @@ EXPECTED = {
         "null": (1,
                     "day:<class 'object'> n_num:int64 n_den:int64 "
                     "ratio:double")},
+    "dangling_fk_rows": {
+        "empty": (0, "key:int64 n_occurrences:int64"),
+        "null": (0, "key:int64 n_occurrences:int64")},
     "delta_from_first": {
         "empty": (0, None),
         "null": (3, "event_id:int64 delta_from_first:double")},
+    "dense_daily_counts": {
+        "empty": (0, "day:timestamp[us] n:int64"),
+        "null": (0, "day:timestamp[us] n:int64")},
     "duplicate_keys": {
         "empty": (0, None),
         "null": (0, None)},
+    "embedding_covariance": {
+        "empty": (0, "i:int64 j:int64 cov:double n:int64"),
+        "null": (0, "i:int64 j:int64 cov:double n:int64")},
     "event_transition_matrix": {
         "empty": (0, "from_type:string to_type:string n:int64"),
         "null": (0, "from_type:string to_type:string n:int64")},
@@ -216,15 +388,29 @@ EXPECTED = {
     "ewma_halflife": {
         "empty": (0, None),
         "null": (0, None)},
+    "exact_duplicates": {
+        "empty": (0, None),
+        "null": (1, "text_hash:string keep_id:int64 dup_count:int64")},
     "except_distinct": {
         "empty": (0, None),
         "null": (0, None)},
     "grouped_centroids": {
         "empty": (0, None),
         "null": (0, None)},
+    "grouped_corr": {
+        "empty": (0, "user_id:int64 n:int64 corr:double"),
+        "null": (0, "user_id:int64 n:int64 corr:double")},
+    "grouped_count_mean": {
+        "empty": (0,
+                    "user_id:int64 event_type:string n:int64 mean:double"),
+        "null": (0,
+                    "user_id:int64 event_type:string n:int64 mean:double")},
     "grouped_gini": {
         "empty": (0, None),
         "null": (0, None)},
+    "grouped_histogram": {
+        "empty": (0, "user_id:int64 bin:int64 n:int64"),
+        "null": (0, "user_id:int64 bin:int64 n:int64")},
     "grouped_iqr_outliers": {
         "empty": (0, None),
         "null": (0, None)},
@@ -237,6 +423,13 @@ EXPECTED = {
     "grouped_mode": {
         "empty": (0, None),
         "null": (0, None)},
+    "grouped_moments": {
+        "empty": (0,
+                    "user_id:int64 n:int64 mean:double std_samp:double "
+                    "vmin:double vmax:double"),
+        "null": (0,
+                    "user_id:int64 n:int64 mean:double std_samp:double "
+                    "vmin:double vmax:double")},
     "grouped_quantile_buckets": {
         "empty": (0, None),
         "null": (0, None)},
@@ -246,6 +439,9 @@ EXPECTED = {
     "grouped_topk": {
         "empty": (0, None),
         "null": (0, None)},
+    "grouped_weighted_mean": {
+        "empty": (0, "user_id:int64 n:int64 weighted_mean:double"),
+        "null": (0, "user_id:int64 n:int64 weighted_mean:double")},
     "grouped_zscore": {
         "empty": (0, None),
         "null": (3, "event_id:int64 z:double")},
@@ -271,14 +467,44 @@ EXPECTED = {
     "minhash_near_duplicates": {
         "empty": (0, "key_a:int64 key_b:int64 est_jaccard:double"),
         "null": (0, "key_a:int64 key_b:int64 est_jaccard:double")},
+    "mutual_information": {
+        "empty": (1, "mi:double n:int64"),
+        "null": (1, "mi:double n:int64")},
+    "normalized_duplicates": {
+        "empty": (0, None),
+        "null": (1, "norm_hash:string keep_id:int64 dup_count:int64")},
+    "orders_per_customer_histogram": {
+        "empty": (1, "n_orders:int64 n_customers:int64"),
+        "null": (1, "n_orders:int64 n_customers:int64")},
     "pack_sequences": {
         "empty": (0, None),
         "null": (3, "doc_id:double shard:double bin:int64 n_tokens:int64")},
+    "pareto_share": {
+        "empty": (1, "top_share:double n_keys:int64"),
+        "null": (1, "top_share:double n_keys:int64")},
     "peak_hourly_rate": {
         "empty": (0, None),
         "null": (0, None)},
     "pivot_agg": {
         "empty": (0, None),
+        "null": (0, None)},
+    "process_micro_batch": {
+        "empty": (0,
+                    "key:int64 window_start:timestamp[us] n_events:int64 "
+                    "value_sum:double"),
+        "null": (0,
+                    "key:int64 window_start:timestamp[us] n_events:int64 "
+                    "value_sum:double")},
+    "q1_pricing_summary": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "q6_forecast_revenue": {
+        "empty": (1, "revenue:double n_items:int64"),
+        "null": (1, "revenue:double n_items:int64")},
+    "revenue_by_segment": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "revenue_by_segment_join": {
         "null": (0, None)},
     "rolling_rows_mean": {
         "empty": (0, None),
@@ -292,6 +518,9 @@ EXPECTED = {
     "rolling_window_sum_count": {
         "empty": (0, None),
         "null": (3, "event_id:int64 rolling_sum:double rolling_n:int64")},
+    "rollup_counts": {
+        "empty": (0, "lvl:int64 event_type:string day:string n:int64"),
+        "null": (0, "lvl:int64 event_type:string day:string n:int64")},
     "running_min_max": {
         "empty": (0, None),
         "null": (3, "event_id:int64 running_min:double running_max:double")},
@@ -318,8 +547,22 @@ EXPECTED = {
     "simhash_near_duplicates": {
         "empty": (0, None),
         "null": (0, None)},
+    "spearman_corr": {
+        "empty": (1, "spearman_r:double n:int64"),
+        "null": (1, "spearman_r:double n:int64")},
     "stream_dedup_micro_batch": {
         "empty": (0, "doc_id:int64 text_hash:string")},
+    "time_to_first_target": {
+        "empty": (0, "user_id:int64 seconds_to_target:double"),
+        "null": (0, "user_id:int64 seconds_to_target:double")},
+    "token_counts_by_group": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "token_doc_frequency": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "top_event_types": {
+        "empty": (0, None)},
     "union_distinct": {
         "empty": (0, None),
         "null": (0, None)},
@@ -334,6 +577,19 @@ EXPECTED = {
     "user_repeat_rate": {
         "empty": (0, None),
         "null": (0, None)},
+    "user_value_concentration": {
+        "empty": (0, "user_id:int64 max_share:double"),
+        "null": (0, "user_id:int64 max_share:double")},
+    "value_histogram": {
+        "empty": (0, "bin:int64 n:int64"),
+        "null": (0, "bin:int64 n:int64")},
+    "vocabulary_stats": {
+        "empty": (1,
+                    "vocab_size:int64 hapax_count:int64 "
+                    "total_tokens:int64"),
+        "null": (1,
+                    "vocab_size:int64 hapax_count:int64 "
+                    "total_tokens:int64")},
     "window_rank_fractions": {
         "empty": (0, None),
         "null": (3,
@@ -347,8 +603,17 @@ EXPECTED = {
 }
 
 
-def _observe(ds):
-    ds = ds.materialize()
+def _observe(out):
+    """(rows, "column:type ...") of a Dataset, an Arrow table or a pandas
+    frame (pandas dtypes are pinned as their ``str``)."""
+    if isinstance(out, pa.Table):
+        sch = out.schema
+        return out.num_rows, " ".join(
+            f"{n}:{t}" for n, t in zip(sch.names, sch.types))
+    if hasattr(out, "dtypes"):
+        return len(out), " ".join(
+            f"{n}:{t}" for n, t in out.dtypes.items())
+    ds = out.materialize()
     sch = ds.schema()
     cols = None if sch is None else " ".join(
         f"{n}:{t}" for n, t in zip(sch.names, sch.types))
@@ -356,7 +621,8 @@ def _observe(ds):
 
 
 @pytest.mark.parametrize("name,kind", [
-    (name, kind) for name in sorted(CASES) for kind in ("empty", "null")])
+    (name, kind) for name in sorted(CASES) for kind in ("empty", "null")
+    if kind in EXPECTED.get(name, {})])
 def test_by_key_empty_and_null_keys(ray_session, name, kind):
     assert _observe(CASES[name](kind)) == EXPECTED[name][kind]
 

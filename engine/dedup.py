@@ -38,48 +38,32 @@ def exact_duplicates(ds, *, text_col: str = "text", key_col: str = "doc_id",
                      batch_size: int = 8192, concurrency=None):
     """Groups of byte-identical texts: (text_hash, keep_id, dup_count).
 
-    In-batch combiner first, so the groupby shuffles one row per distinct
-    text per batch (md5 keys, 32 bytes) — never the text bytes.
+    Per-batch partials first (:func:`engine.shuffle.combine`), so the
+    merge shuffles one row per distinct text per batch (md5 keys, 32
+    bytes) — never the text bytes.
     """
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        h = np.array(_md5_hex(batch.column(text_col).to_pylist()),
-                     dtype=object)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"text_hash": h, "k": keys})
-        g = df.groupby("text_hash")["k"].agg(["min", "count"]).reset_index()
-        return pa.table({
-            "text_hash": pa.array(g["text_hash"], pa.string()),
-            "keep_id": pa.array(g["min"].tolist()),  # native key dtype
-            "cnt": pa.array(g["count"].astype(np.int64)),
-        })
+    return _hash_groups(ds, "text_hash", text_col, key_col, batch_size,
+                        concurrency)
 
-    from engine.shuffle import balance
-    partials = ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=batch_size,
-                              concurrency=concurrency)
-    # balance() sets the groupby's reduce width, which matters when the
-    # combiner collapses a big corpus into a few blocks; for a small corpus
-    # (parquet count is metadata-only) the extra pass costs more than the
-    # serialized reduce it prevents
-    try:
-        n_rows = ds.count()
-    except Exception:  # pragma: no cover - non-countable input
-        n_rows = None
-    if n_rows is None or n_rows > 100_000:
-        partials = balance(partials)
-    from ray.data.aggregate import Min, Sum
-    agg = partials.groupby("text_hash").aggregate(
-        Min("keep_id"), Sum("cnt"))
 
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "text_hash": b.column("text_hash"),
-            "keep_id": b.column("min(keep_id)"),
-            "dup_count": b.column("sum(cnt)"),
-        })
+def _hash_groups(ds, hash_col, text_col, key_col, batch_size, concurrency,
+                 normalize=None):
+    """(``hash_col``, keep_id, dup_count) per md5 of the (``normalize``-d)
+    text: the lowest key and the non-NULL key count of each group."""
+    from engine.shuffle import combine
 
-    return agg.map_batches(_final, batch_format="pyarrow")
+    def _hashed(batch: pa.Table) -> pa.Table:
+        t = batch.column(text_col)
+        if normalize is not None:
+            t = normalize(t)
+        return pa.table({hash_col: pa.array(_md5_hex(t.to_pylist()),
+                                            pa.string()),
+                         "k": batch.column(key_col)})
+
+    return combine(ds, hash_col, {"keep_id": ("k", "min"),
+                                  "dup_count": ("k", "count")},
+                   derive=_hashed, batch_size=batch_size,
+                   concurrency=concurrency)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +336,8 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     map re-executes instead):
 
     1. append ``bkey`` (63-bit bucket hash) per batch;
-    2. NATIVE groupby-count over a bkey-only projection (8-byte rows),
-       rebalanced so the reduce width tracks cluster CPUs;
+    2. per-bucket counts of a bkey-only projection (8-byte rows) in one
+       :func:`engine.shuffle.combine`;
     3. keep bucket ids with ``2 <= count <= max_bucket_size`` — singletons
        cannot form pairs, floods are pathological (see
        _emit_partition_pairs) and are counted to the worker log;
@@ -368,7 +352,7 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     import pyarrow.compute as pc
     import ray
 
-    from engine.shuffle import balance, join_kwargs
+    from engine.shuffle import combine, join_kwargs
 
     keyed = banded.map_batches(_add_bkey(cols), batch_format="pyarrow")
     # size-gated pin (broadcast-vs-shuffle-join style selection): when the
@@ -376,20 +360,13 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     # rows skips the deterministic re-banding pass; above the limit — or
     # when the count is unknown — the recompute path is the scale default
     # (a pinned banded set at 10^12 docs would hold ~16x corpus rows)
-    pinned = n_rows_hint is not None and n_rows_hint <= pin_rows_limit
-    if pinned:
+    if n_rows_hint is not None and n_rows_hint <= pin_rows_limit:
         keyed = keyed.materialize()
-    proj = keyed.select_columns(["bkey"])
-    from engine.shuffle import reduce_blocks
-    if pinned and keyed.num_blocks() >= max(8, reduce_blocks() // 2):
-        # already well-blocked: the groupby's reduce width tracks the block
-        # count, so the explicit balancing pass would be a wasted shuffle
-        counts = proj.groupby("bkey").count()
-    else:
-        counts = balance(proj).groupby("bkey").count()
+    counts = combine(keyed, "bkey", {"n": ("bkey", "count")},
+                     derive=lambda b: b.select(["bkey"]))
 
     def _hot_only(b: pa.Table) -> pa.Table:
-        n = b.column("count()")
+        n = b.column("n")
         keep = pc.and_(pc.greater_equal(n, 2),
                        pc.less_equal(n, max_bucket_size))
         n_flood = len(b) - int(pc.sum(pc.less_equal(n, max_bucket_size))
@@ -1143,47 +1120,18 @@ def normalized_duplicates(ds, *, text_col: str = "text",
     (norm_hash, keep_id, dup_count), keep = lowest key.
 
     Same scale shape as :func:`exact_duplicates` — the normalization is
-    fused into the in-batch combiner (Arrow ``utf8_lower`` +
+    fused into the per-batch partial (Arrow ``utf8_lower`` +
     ``replace_substring_regex`` kernels, no second corpus pass), the
     hash is md5 of the NORMALIZED text so a DuckDB oracle reproduces it
-    bit-for-bit, and only (32-byte hash, key) combiner rows shuffle.
+    bit-for-bit, and only (32-byte hash, key) partial rows shuffle.
     """
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        import pyarrow.compute as pc
-        t = pc.fill_null(batch.column(text_col), "")
-        t = pc.utf8_lower(t)
+    import pyarrow.compute as pc
+
+    def _normalize(t):
+        t = pc.utf8_lower(pc.fill_null(t, ""))
         t = pc.replace_substring_regex(t, pattern=r"\s+", replacement=" ")
-        t = pc.replace_substring_regex(t, pattern=r"^ | $", replacement="")
-        h = np.array(_md5_hex(t.to_pylist()), dtype=object)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"norm_hash": h, "k": keys})
-        g = df.groupby("norm_hash")["k"].agg(["min", "count"]).reset_index()
-        return pa.table({
-            "norm_hash": pa.array(g["norm_hash"], pa.string()),
-            "keep_id": pa.array(g["min"].tolist()),  # native key dtype
-            "cnt": pa.array(g["count"].astype(np.int64)),
-        })
+        return pc.replace_substring_regex(t, pattern=r"^ | $",
+                                          replacement="")
 
-    from engine.shuffle import balance
-    partials = ds.map_batches(_partial, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=batch_size,
-                              concurrency=concurrency)
-    try:
-        n_rows = ds.count()
-    except Exception:  # pragma: no cover - non-countable input
-        n_rows = None
-    if n_rows is None or n_rows > 100_000:
-        partials = balance(partials)
-    from ray.data.aggregate import Min, Sum
-    agg = partials.groupby("norm_hash").aggregate(Min("keep_id"),
-                                                  Sum("cnt"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "norm_hash": b.column("norm_hash"),
-            "keep_id": b.column("min(keep_id)"),
-            "dup_count": b.column("sum(cnt)"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return _hash_groups(ds, "norm_hash", text_col, key_col, batch_size,
+                        concurrency, normalize=_normalize)

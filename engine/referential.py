@@ -109,44 +109,41 @@ def dangling_fk_rows(fact_ds, dim_ds, *, fk: str, pk: str,
     """Exact distributed anti-join — the scale path when the dimension side
     is too large to broadcast (SURVEY §2.4 "exact verify" variant).
 
-    Both sides collapse to distinct keys per batch (combiner), union, and a
-    single groupby detects fact keys never seen on the dimension side. The
-    shuffled volume is distinct keys, not rows. Returns (key, n_occurrences).
+    Both sides tag their keys (fact: one occurrence each, dimension: one
+    ``in_dim`` mark) and ONE :func:`engine.shuffle.combine` over their
+    union detects fact keys never seen on the dimension side; the
+    per-batch partials keep the shuffled volume at distinct keys, not
+    rows. Returns (key, n_occurrences).
     """
-    import pyarrow.compute as pc
+    from engine.shuffle import combine, finish
 
-    def _fact_partial(batch: pa.Table) -> pa.Table:
-        vals = batch.column(fk).drop_null()
-        uniq, counts = np.unique(vals.to_numpy(zero_copy_only=False),
-                                 return_counts=True)
-        return pa.table({"key": pa.array(uniq.tolist()),
-                         "occ": pa.array(counts.astype(np.int64)),
-                         "in_dim": pa.array(np.zeros(len(uniq), np.int64))})
+    def _tag(col, occ, in_dim):
+        def _keys(batch: pa.Table) -> pa.Table:
+            k = batch.column(col)
+            if pa.types.is_integer(k.type):
+                k = pc.cast(k, pa.int64())
+            n = len(k)
+            return pa.table({"key": k,
+                             "occ": pa.array(np.full(n, occ, np.int64)),
+                             "in_dim": pa.array(np.full(n, in_dim,
+                                                        np.int64))})
+        return _keys
 
-    def _dim_partial(batch: pa.Table) -> pa.Table:
-        vals = batch.column(pk).drop_null()
-        uniq = np.unique(vals.to_numpy(zero_copy_only=False))
-        return pa.table({"key": pa.array(uniq.tolist()),
-                         "occ": pa.array(np.zeros(len(uniq), np.int64)),
-                         "in_dim": pa.array(np.ones(len(uniq), np.int64))})
-
-    from engine.shuffle import balance
-    f = fact_ds.map_batches(_fact_partial, batch_format="pyarrow",
+    f = fact_ds.map_batches(_tag(fk, 1, 0), batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=batch_size,
                             concurrency=concurrency)
-    d = dim_ds.map_batches(_dim_partial, batch_format="pyarrow",
+    d = dim_ds.map_batches(_tag(pk, 0, 1), batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=batch_size)
-    from ray.data.aggregate import Sum
-    agg = balance(f.union(d)).groupby("key").aggregate(
-        Sum("occ"), Sum("in_dim"))
 
-    def _final(b: pa.Table) -> pa.Table:
-        occ = b.column("sum(occ)")
-        in_dim = b.column("sum(in_dim)")
-        out = pa.table({"key": b.column("key"), "n_occurrences": occ})
-        return out.filter(pc.and_(pc.equal(in_dim, 0), pc.greater(occ, 0)))
+    def _dangling(b: pa.Table) -> pa.Table:
+        occ = b.column("n_occurrences")
+        return b.filter(pc.and_(pc.equal(b.column("in_dim"), 0),
+                                pc.greater(occ, 0))) \
+            .select(["key", "n_occurrences"])
 
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return finish(combine(f.union(d), "key", {
+        "n_occurrences": ("occ", "sum"), "in_dim": ("in_dim", "sum")}),
+        _dangling)
 
 
 class _RefCheckBatch:

@@ -17,102 +17,63 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def _us(col):
+    """``col`` as ``timestamp[us]``: pandas inputs carry ns, and an
+    all-NaT pandas column arrives in Arrow as the NULL type."""
+    return pc.cast(col, pa.timestamp("us"), safe=False)
+
+
 def q1_pricing_summary(lineitem_ds, *, batch_size: int = 65536,
                        concurrency=None):
     """TPC-H Q1-style multi-aggregate groupby over lineitem."""
+    from engine.shuffle import combine, finish
+    keys = ["l_returnflag", "l_linestatus"]
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = pd.DataFrame({
-            "l_returnflag": batch.column("l_returnflag").to_numpy(
-                zero_copy_only=False),
-            "l_linestatus": batch.column("l_linestatus").to_numpy(
-                zero_copy_only=False),
-            "qty": batch.column("l_quantity").to_numpy(zero_copy_only=False),
-            "price": batch.column("l_extendedprice").to_numpy(
-                zero_copy_only=False),
-            "disc": batch.column("l_discount").to_numpy(zero_copy_only=False),
-        })
-        df["disc_price"] = df["price"] * (1.0 - df["disc"])
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            sum_qty=("qty", "sum"), sum_base_price=("price", "sum"),
-            sum_disc_price=("disc_price", "sum"), count_order=("qty", "size"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    from engine.shuffle import balance
-    partials = balance(lineitem_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency))
-    from ray.data.aggregate import Sum
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty"), Sum("sum_base_price"), Sum("sum_disc_price"),
-        Sum("count_order"))
+    def _lines(b: pa.Table) -> pa.Table:
+        price = b.column("l_extendedprice")
+        return pa.table({
+            **{k: b.column(k) for k in keys},
+            "qty": b.column("l_quantity"), "price": price,
+            "disc_price": pc.multiply(
+                price, pc.subtract(1.0, b.column("l_discount")))})
 
     def _final(b: pa.Table) -> pa.Table:
-        cnt = pc.cast(b.column("sum(count_order)"), pa.float64())
-        return pa.table({
-            "l_returnflag": b.column("l_returnflag"),
-            "l_linestatus": b.column("l_linestatus"),
-            "sum_qty": b.column("sum(sum_qty)"),
-            "sum_base_price": b.column("sum(sum_base_price)"),
-            "sum_disc_price": b.column("sum(sum_disc_price)"),
-            "avg_qty": pc.divide(b.column("sum(sum_qty)"), cnt),
-            "count_order": b.column("sum(count_order)"),
-        })
+        cnt = pc.cast(b.column("count_order"), pa.float64())
+        return b.select(keys + ["sum_qty", "sum_base_price",
+                                "sum_disc_price"]) \
+            .append_column("avg_qty", pc.divide(b.column("sum_qty"), cnt)) \
+            .append_column("count_order", b.column("count_order"))
 
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return finish(combine(lineitem_ds, keys, {
+        "sum_qty": ("qty", "sum"), "sum_base_price": ("price", "sum"),
+        "sum_disc_price": ("disc_price", "sum"),
+        "count_order": ("l_returnflag", "count")},
+        derive=_lines, batch_size=batch_size, concurrency=concurrency),
+        _final)
 
 
 def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
                              concurrency):
     """Distributed fall-through for a dimension too large to broadcast:
-    orders pre-aggregate per custkey inside ``map_batches`` (combiner), the
-    partials hash-join the dimension, and the (tiny) per-segment groupby
-    finishes — the dimension never touches the driver."""
-    from engine.shuffle import balance, join_kwargs
+    order rows hash-join the dimension and the (tiny) per-segment
+    :func:`engine.shuffle.combine` finishes — the dimension never
+    touches the driver."""
+    from engine.shuffle import combine, join_kwargs
 
-    def _opartial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = pd.DataFrame({
-            "c_custkey": b.column("o_custkey").to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "p": b.column("o_totalprice").to_numpy(zero_copy_only=False)})
-        g = df.groupby("c_custkey", sort=False).agg(
-            revenue=("p", "sum"), n_orders=("p", "size")).reset_index()
+    def _orders(b: pa.Table) -> pa.Table:
         return pa.table({
-            "c_custkey": pa.array(g["c_custkey"], pa.int64()),
-            "revenue": pa.array(g["revenue"], pa.float64()),
-            "n_orders": pa.array(g["n_orders"].astype(np.int64))})
+            "c_custkey": pc.cast(b.column("o_custkey"), pa.int64()),
+            "p": b.column("o_totalprice")})
 
-    op = orders_ds.map_batches(_opartial, batch_format="pyarrow",
+    op = orders_ds.map_batches(_orders, batch_format="pyarrow",
                                zero_copy_batch=True, batch_size=batch_size,
                                concurrency=concurrency)
     dim = customer_ds.select_columns(["c_custkey", "c_mktsegment"])
     joined = op.join(dim, join_type="inner",
                      **join_kwargs(), on=("c_custkey",))
 
-    def _norm(b: pa.Table) -> pa.Table:
-        # empty hash-join partitions come out schemaless (see dedup.py)
-        if b.num_columns == 0:
-            return pa.table({"c_mktsegment": pa.array([], pa.string()),
-                             "revenue": pa.array([], pa.float64()),
-                             "n_orders": pa.array([], pa.int64())})
-        return b.select(["c_mktsegment", "revenue", "n_orders"])
-
-    partials = balance(joined.map_batches(_norm, batch_format="pyarrow"))
-    from ray.data.aggregate import Sum
-    agg = partials.groupby("c_mktsegment").aggregate(
-        Sum("revenue"), Sum("n_orders"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": b.column("c_mktsegment"),
-            "revenue": b.column("sum(revenue)"),
-            "n_orders": b.column("sum(n_orders)"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return combine(joined, "c_mktsegment", {
+        "revenue": ("p", "sum"), "n_orders": ("c_mktsegment", "count")})
 
 
 def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
@@ -124,7 +85,7 @@ def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
     as a key->segment lookup and the join is map-only; a larger dimension —
     it scales with the corpus (TPC-H customer = 0.15N), so at 100x it does
     not fit a driver dict — falls through to a distributed hash join of
-    per-batch revenue partials against the dimension table.
+    the order rows against the dimension table.
     """
     import ray
 
@@ -138,7 +99,7 @@ def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
                       cust["c_mktsegment"]))
     ref = ray.put(lookup)
 
-    class _JoinAgg:
+    class _Segment:
         def __init__(self, side):
             self._ref = side
             self._lut = None
@@ -148,31 +109,17 @@ def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
             if self._lut is None:
                 self._lut = ray.get(self._ref)
             keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-            price = batch.column("o_totalprice").to_numpy(
-                zero_copy_only=False)
             seg = pd.Series(keys).map(self._lut)  # vectorized hash lookup
-            df = pd.DataFrame({"c_mktsegment": seg, "p": price})
-            df = df[df["c_mktsegment"].notna()]
-            g = df.groupby("c_mktsegment", sort=False).agg(
-                revenue=("p", "sum"), n_orders=("p", "size")).reset_index()
-            return pa.Table.from_pandas(g, preserve_index=False)
+            return pa.table({
+                "c_mktsegment": pa.array(seg.to_numpy(object), pa.string(),
+                                         from_pandas=True),
+                "p": batch.column("o_totalprice")})
 
-    from engine.shuffle import balance
-    partials = balance(orders_ds.map_batches(
-        _JoinAgg(ref), batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency))
-    from ray.data.aggregate import Sum
-    agg = partials.groupby("c_mktsegment").aggregate(
-        Sum("revenue"), Sum("n_orders"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": b.column("c_mktsegment"),
-            "revenue": b.column("sum(revenue)"),
-            "n_orders": b.column("sum(n_orders)"),
-        })
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    from engine.shuffle import combine
+    return combine(orders_ds, "c_mktsegment", {
+        "revenue": ("p", "sum"), "n_orders": ("c_mktsegment", "count")},
+        derive=_Segment(ref), batch_size=batch_size,
+        concurrency=concurrency)
 
 
 def events_per_user_hour(events_ds, *, batch_size: int = 65536,
@@ -324,26 +271,13 @@ def session_aggregate(events_ds, *, gap_minutes: int = 30,
 
 def top_event_types(events_ds, *, k: int = 5, batch_size: int = 65536):
     """Global top-k event types by count (partial counts -> tiny sort)."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
-        u, c = np.unique(et, return_counts=True)
-        return pa.table({"event_type": pa.array(u.tolist(), pa.string()),
-                         "cnt": pa.array(c, pa.int64())})
-
-    from engine.shuffle import balance
-    partials = balance(events_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size))
-    agg = partials.groupby("event_type").sum("cnt")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"event_type": b.column("event_type"),
-                         "n_events": b.column("sum(cnt)")})
-
-    out = agg.map_batches(_final, batch_format="pyarrow")
-    return out.sort(["n_events", "event_type"],
-                    descending=[True, False]).limit(k)
+    from engine.shuffle import combine
+    counts = combine(events_ds, "event_type",
+                     {"n_events": ("event_type", "count")},
+                     derive=lambda b: b.select(["event_type"]),
+                     batch_size=batch_size)
+    return counts.sort(["n_events", "event_type"],
+                       descending=[True, False]).limit(k)
 
 
 def grouped_topk(ds, *, group_col: str, score_col: str, id_col: str,
@@ -635,6 +569,18 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
     return by_key(u, "key", _match, empty=empty)
 
 
+def _revenue_by_order(lines: pa.Table) -> pa.Table:
+    """One batch's lineitem revenue ``price * (1 - discount)`` summed per
+    order (one Arrow ``group_by``): the in-batch partial that keeps raw
+    lineitem rows out of the order join."""
+    rev = pc.multiply(lines.column("l_extendedprice"),
+                      pc.subtract(1.0, lines.column("l_discount")))
+    g = pa.table({"o_orderkey": lines.column("l_orderkey"), "rev": rev}) \
+        .group_by("o_orderkey", use_threads=False).aggregate([("rev", "sum")])
+    return pa.table({"o_orderkey": g.column("o_orderkey"),
+                     "rev": g.column("rev_sum")})
+
+
 def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                          segment: str = "BUILDING",
                          cutoff: str = "1998-06-01", k: int = 10,
@@ -651,10 +597,12 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
        hash join on custkey does the semi-join. Only (o_orderkey,
        o_orderdate) survive either way;
     2. lineitem is filtered + pre-aggregated per l_orderkey INSIDE
-       ``map_batches`` (combiner), so the hash join moves one partial
-       revenue row per (orderkey x batch), never raw lineitem rows;
+       ``map_batches`` (one Arrow ``group_by`` per batch), so the hash
+       join moves one partial revenue row per (orderkey x batch), never
+       raw lineitem rows;
     3. ``Dataset.join`` on orderkey (partitions track cluster CPUs);
-    4. final (orderkey, orderdate) groupby-sum is over joined partials;
+    4. :func:`engine.shuffle.combine` merges the joined partials per
+       (orderkey, orderdate);
        top-k via DISTRIBUTED sort + limit — the driver only ever sees the
        k result rows, not the full aggregate.
     """
@@ -713,40 +661,22 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                            batch_format="pyarrow")
 
     def _li_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
         sd = pc.cast(b.column("l_shipdate"), pa.timestamp("us")) \
             .to_numpy(zero_copy_only=False)
         sub = b.filter(pa.array(sd > cutoff64))
-        rev = (sub.column("l_extendedprice").to_numpy(zero_copy_only=False)
-               * (1.0 - sub.column("l_discount").to_numpy(
-                   zero_copy_only=False)))
-        df = pd.DataFrame({
-            "o_orderkey": sub.column("l_orderkey").to_numpy(
-                zero_copy_only=False),
-            "rev": rev}).groupby("o_orderkey", sort=False).sum(
-        ).reset_index()
-        return pa.table({"o_orderkey": pa.array(df["o_orderkey"]),
-                         "rev": pa.array(df["rev"], pa.float64())})
+        return _revenue_by_order(sub)
 
     li = lineitem_ds.map_batches(_li_partial, batch_format="pyarrow",
                                  zero_copy_batch=True,
                                  batch_size=batch_size,
                                  concurrency=concurrency)
 
-    from engine.shuffle import join_kwargs
+    from engine.shuffle import combine, finish
     joined = li.join(orders, join_type="inner",
                      **join_kwargs(), on=("o_orderkey",))
 
-    from ray.data.aggregate import Sum
-    agg = joined.groupby(["o_orderkey", "o_orderdate"]).aggregate(Sum("rev"))
-
     def _final(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0 or len(b) == 0:
-            return pa.table({
-                "l_orderkey": pa.array([], pa.int64()),
-                "o_orderdate": pa.array([], pa.timestamp("us")),
-                "revenue": pa.array([], pa.float64())})
-        rev = b.column("sum(rev)").to_numpy(zero_copy_only=False)
+        rev = b.column("rev").to_numpy(zero_copy_only=False)
         rev = np.sign(rev) * np.floor(np.abs(rev) * 1e4 + 0.5) / 1e4
         return pa.table({
             "l_orderkey": b.column("o_orderkey"),
@@ -754,7 +684,8 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                    pa.timestamp("us")),
             "revenue": pa.array(rev, pa.float64())})
 
-    out = agg.map_batches(_final, batch_format="pyarrow")
+    out = finish(combine(joined, ["o_orderkey", "o_orderdate"],
+                         {"rev": ("rev", "sum")}), _final)
     # distributed top-k: the qualifying (orderkey, orderdate) aggregate is
     # ~10^7-10^8 rows at 100x — sort().limit(k) keeps it off the driver
     top = out.sort(["revenue", "o_orderdate", "l_orderkey"],
@@ -768,14 +699,14 @@ def count_distinct(ds, *, group_col: str, value_col: str,
     shape that survives 10^12 rows: an in-batch (group, value) dedup
     combiner, a distinct pass over (group, value) pairs co-located by pair
     hash (:func:`engine.shuffle.by_key` on the ``_pair`` column), then a
-    bins-bounded per-group sum. The raw corpus collapses to distinct
-    pairs before anything shuffles, and no stage ever holds a per-group
-    value set in one task.
+    per-group :func:`engine.shuffle.combine` of the partition counts. The
+    raw corpus collapses to distinct pairs before anything shuffles, and
+    no stage ever holds a per-group value set in one task.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
+    import ray.data
     from engine.sketches import hash64
-    from engine.shuffle import balance, by_key
+    from engine.shuffle import by_key, column_dtype, combine
 
     def _pairs(df):
         sub = df[[group_col, value_col]].dropna().drop_duplicates()
@@ -793,25 +724,13 @@ def count_distinct(ds, *, group_col: str, value_col: str,
     partials = by_key(ds, "_pair", _dedup_count, prep=_pairs,
                       batch_size=batch_size, empty=pd.DataFrame(
                           {group_col: [], "n": pd.array([], dtype="int64")}))
-    agg = balance(partials).groupby(group_col).aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({group_col: b.column(group_col),
-                         "n_distinct": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow")
-    # Ray never invokes the UDF on empty blocks, so an all-filtered corpus
-    # yields a SCHEMALESS empty that breaks downstream sort/select. The
-    # result is group-bounded, so materializing it here is free (the
-    # groupby was a barrier anyway) and lets us substitute a typed empty.
-    res = res.materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {group_col: pa.array([], column_dtype(ds, group_col)),
-             "n_distinct": pa.array([], pa.int64())}))
-    return res
+    # an empty by_key output has no schema, or a pandas-guessed one: the
+    # typed zero-row seed, first in the union, types an empty result
+    seed = ray.data.from_arrow(pa.table(
+        {group_col: pa.array([], column_dtype(ds, group_col)),
+         "n": pa.array([], pa.int64())}))
+    return combine(seed.union(partials), group_col,
+                   {"n_distinct": ("n", "sum")})
 
 
 def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -945,13 +864,13 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
     lookups and every attach is map-only, leaving ONE unavoidable
     big-big hash join (lineitem x filtered orders, sized to cluster
     CPUs); above the limit the attaches become distributed hash joins of
-    the same shape. Revenue pre-aggregates per nation inside every
-    post-join batch, so the final groupby sees nation-count rows.
+    the same shape. Revenue merges per nation in one
+    :func:`engine.shuffle.combine` over the post-join batches, so the
+    shuffle sees nation-count rows.
     """
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance, join_kwargs
+    from engine.shuffle import combine, finish, join_kwargs
 
     nat = nation_ds.to_pandas()
     reg = region_ds.to_pandas()
@@ -1032,23 +951,16 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                       **join_kwargs(),
                       on=("l_suppkey",), right_on=("s_suppkey",))
 
-        def _partial_nat(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:
-                return pa.table({"nkey": pa.array([], pa.int64()),
-                                 "rev": pa.array([], pa.float64())})
+        def _nation_revenue(b: pa.Table) -> pa.Table:
             snat = pc.cast(b.column("s_nationkey"), pa.int64()) \
                 .to_numpy(zero_copy_only=False)
             cnat = b.column("cnat").to_numpy(zero_copy_only=False)
-            rev = b.column("rev").to_numpy(zero_copy_only=False)
             keep = (snat == cnat) & np.isin(snat, list(nation_keys))
-            u, inv = np.unique(snat[keep], return_inverse=True)
-            sums = np.bincount(inv, weights=rev[keep],
-                               minlength=len(u)) if len(u) else \
-                np.array([], dtype=np.float64)
-            return pa.table({"nkey": pa.array(u, pa.int64()),
-                             "rev": pa.array(sums, pa.float64())})
+            return pa.table({"nkey": pa.array(snat[keep], pa.int64()),
+                             "rev": b.column("rev").filter(
+                                 pa.array(keep))})
 
-        partials = fin.map_batches(_partial_nat, batch_format="pyarrow")
+        partials, derive = fin, _nation_revenue
     else:
         cust_lut = ray.put(_dim_lut(customer_ds, "c_custkey",
                                     "c_nationkey"))
@@ -1100,42 +1012,32 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                          **join_kwargs(),
                          on=("l_orderkey",), right_on=("o_orderkey",))
 
-        class _SuppAndPartial:
+        class _SuppNationRevenue:
             def __init__(self, ref):
                 self.ref = ref
                 self._lut = None
 
             def __call__(self, b: pa.Table) -> pa.Table:
-                if b.num_columns == 0:  # schemaless empty join partition
-                    return pa.table({"nkey": pa.array([], pa.int64()),
-                                     "rev": pa.array([], pa.float64())})
                 if self._lut is None:
                     self._lut = ray.get(self.ref)
                 sk = b.column("l_suppkey").to_numpy(zero_copy_only=False)
                 sn = pd.Series(sk).map(self._lut)
                 cnat = b.column("cnat").to_numpy(zero_copy_only=False)
-                rev = b.column("rev").to_numpy(zero_copy_only=False)
                 keep = sn.notna().to_numpy() & (sn.to_numpy() == cnat)
-                nk = sn[keep].astype(np.int64).to_numpy()
-                u, inv = np.unique(nk, return_inverse=True)
-                sums = np.bincount(inv, weights=rev[keep],
-                                   minlength=len(u)) if len(u) else \
-                    np.array([], dtype=np.float64)
-                return pa.table({"nkey": pa.array(u, pa.int64()),
-                                 "rev": pa.array(sums, pa.float64())})
+                return pa.table({
+                    "nkey": pa.array(sn[keep].astype(np.int64), pa.int64()),
+                    "rev": b.column("rev").filter(pa.array(keep))})
 
-        partials = joined.map_batches(_SuppAndPartial(supp_lut),
-                                      batch_format="pyarrow")
-
-    agg = balance(partials).groupby("nkey").aggregate(Sum("rev"))
+        partials, derive = joined, _SuppNationRevenue(supp_lut)
 
     def _final(b: pa.Table) -> pa.Table:
         nk = b.column("nkey").to_numpy(zero_copy_only=False)
         names = [name_of.get(int(k), "") for k in nk]
         return pa.table({"n_name": pa.array(names, pa.string()),
-                         "revenue": b.column("sum(rev)")})
+                         "revenue": b.column("rev")})
 
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return finish(combine(partials, "nkey", {"rev": ("rev", "sum")},
+                          derive=derive), _final)
 
 
 def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2083,14 +1985,15 @@ def q6_forecast_revenue(lineitem_ds, *, date_lo: str = "1996-01-01",
     (NULL, 0).
 
     Scale shape: pure map + tiny aggregate — each block collapses to one
-    (rev, n) partial row inside ``map_batches`` (Arrow compare kernels,
-    no pandas), so the only data movement is one row per block.
+    (rev, n) partial row (:func:`engine.shuffle.combine` with no keys;
+    Arrow compare kernels, no pandas), so the only data movement is one
+    row per block.
     """
-    import pandas as pd
+    from engine.shuffle import combine
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
-    def _partial(b: pa.Table) -> pa.Table:
+    def _items(b: pa.Table) -> pa.Table:
         d = b.column("l_shipdate").to_numpy(zero_copy_only=False)
         disc = b.column("l_discount").to_numpy(zero_copy_only=False)
         qty = b.column("l_quantity").to_numpy(zero_copy_only=False)
@@ -2099,20 +2002,15 @@ def q6_forecast_revenue(lineitem_ds, *, date_lo: str = "1996-01-01",
             keep = ((d >= lo) & (d < hi) & (disc >= disc_lo)
                     & (disc <= disc_hi) & (qty < qty_lt))
         keep &= ~(np.isnan(disc) | np.isnan(qty) | np.isnan(price))
-        return pa.table({
-            "rev": pa.array([float((price[keep] * disc[keep]).sum())],
-                            pa.float64()),
-            "n": pa.array([int(keep.sum())], pa.int64())})
+        return pa.table({"rev": pa.array(price[keep] * disc[keep],
+                                         pa.float64())})
 
-    parts = lineitem_ds.map_batches(_partial, batch_format="pyarrow",
-                                    zero_copy_batch=True,
-                                    batch_size=batch_size)
-    # one row per block -> a scalar Sum aggregate is the intended
-    # consumption (no shuffle; Ray folds partials in a tree)
-    totals = parts.sum(["rev", "n"])
-    n = int(totals["sum(n)"] or 0)
-    rev = float(totals["sum(rev)"]) if n else None
-    return pa.table({"revenue": pa.array([rev], pa.float64()),
+    t = combine(lineitem_ds, [], {"revenue": ("rev", "sum"),
+                                  "n_items": ("rev", "count")},
+                derive=_items, batch_size=batch_size).take_all()[0]
+    n = int(t["n_items"] or 0)
+    return pa.table({"revenue": pa.array([t["revenue"] if n else None],
+                                         pa.float64()),
                      "n_items": pa.array([n], pa.int64())})
 
 
@@ -2129,12 +2027,13 @@ def event_type_cooccurrence(ds, *, key_col: str = "user_id",
     each partition a cross-batch dedup + one vectorized self-merge
     expands pairs (bounded: a key with t distinct types yields t(t-1)/2
     rows, and t is capped by the type vocabulary, not the corpus); the
-    final (type_a, type_b) groupby is vocabulary²-bounded. Returns
+    final (type_a, type_b) :func:`engine.shuffle.combine` is
+    vocabulary²-bounded. Returns
     (type_a, type_b, n_keys).
     """
     import pandas as pd
-    from engine.shuffle import balance, by_key
-    from ray.data.aggregate import Sum
+    import ray.data
+    from engine.shuffle import by_key, column_dtype, combine
     out_empty = pd.DataFrame({"type_a": [], "type_b": [],
                               "n": pd.array([], dtype="int64")})
 
@@ -2154,22 +2053,12 @@ def event_type_cooccurrence(ds, *, key_col: str = "user_id",
                    prep=lambda df: df[[key_col, type_col]]
                    .dropna(subset=[type_col]).drop_duplicates(),
                    batch_size=batch_size, empty=out_empty)
-    agg = balance(parts).groupby(["type_a", "type_b"]).aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"type_a": b.column("type_a"),
-                         "type_b": b.column("type_b"),
-                         "n_keys": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        t = column_dtype(ds, type_col)
-        return ray.data.from_arrow(pa.table(
-            {"type_a": pa.array([], t), "type_b": pa.array([], t),
-             "n_keys": pa.array([], pa.int64())}))
-    return res
+    t = column_dtype(ds, type_col)
+    seed = ray.data.from_arrow(pa.table({  # types an empty result
+        "type_a": pa.array([], t), "type_b": pa.array([], t),
+        "n": pa.array([], pa.int64())}))
+    return combine(seed.union(parts), ["type_a", "type_b"],
+                   {"n_keys": ("n", "sum")})
 
 
 def collect_distinct_sorted(ds, *, key_col: str = "user_id",
@@ -2214,50 +2103,31 @@ def dense_daily_counts(ds, *, ts_col: str = "ts",
     corpus min and max day appears, zero-days included (``generate_series
     LEFT JOIN`` parity). NULL-ts rows drop. Returns (day, n).
 
-    Scale shape: per-batch day-count combiners bound the shuffle at
-    days x blocks tiny rows; the dense reindex runs worker-side over ONE
-    coalesced block (the aggregate is days-bounded — a century is ~37k
-    rows), never on the driver.
+    Scale shape: per-batch day counts (:func:`engine.shuffle.combine`)
+    bound the shuffle at days x blocks tiny rows; the dense reindex runs
+    worker-side over ONE coalesced block (the aggregate is days-bounded —
+    a century is ~37k rows), never on the driver.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish
 
-    def _partial(df):
-        if ts_col not in df.columns or not len(df):
-            return pd.DataFrame({"day": pd.array([], "datetime64[us]"),
-                                 "n": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna(), [ts_col]]
-        g = sub[ts_col].dt.floor("D").value_counts().sort_index()
-        return pd.DataFrame({"day": g.index.to_numpy(),
-                             "n": g.to_numpy(np.int64)})
+    def _days(b: pa.Table) -> pa.Table:
+        return pa.table({"day": pc.floor_temporal(_us(b.column(ts_col)),
+                                                  unit="day")})
 
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby("day").aggregate(Sum("n"))
+    def _dense(t: pa.Table) -> pa.Table:
+        day = t.column("day").to_numpy(zero_copy_only=False) \
+            .astype("datetime64[D]")
+        cal = np.arange(day.min(), day.max() + 1) if len(day) else day
+        n = np.zeros(len(cal), np.int64)
+        n[(day - cal[:1]).astype(np.int64)] = \
+            t.column("n").to_numpy(zero_copy_only=False)
+        return pa.table({"day": pa.array(cal.astype("datetime64[us]"),
+                                         pa.timestamp("us")),
+                         "n": pa.array(n, pa.int64())})
 
-    def _dense(df):
-        if "day" not in df.columns or not len(df):
-            return pd.DataFrame({"day": pd.array([], "datetime64[us]"),
-                                 "n": pd.array([], dtype="int64")})
-        df = df.sort_values("day")
-        cal = pd.date_range(df["day"].iloc[0], df["day"].iloc[-1],
-                            freq="D")
-        s = df.set_index("day")["sum(n)"].reindex(cal, fill_value=0)
-        # date_range yields ns-resolution; the corpus (and the SQL
-        # mirror) are us — pin the output resolution to match
-        return pd.DataFrame({
-            "day": s.index.to_numpy().astype("datetime64[us]"),
-            "n": s.to_numpy(np.int64)})
-
-    res = agg.repartition(1).map_batches(
-        _dense, batch_format="pandas", batch_size=None).materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"day": pa.array([], pa.timestamp("us")),
-             "n": pa.array([], pa.int64())}))
-    return res
+    return finish(combine(ds, "day", {"n": ("day", "count")},
+                          derive=_days, batch_size=batch_size),
+                  _dense, one_block=True)
 
 
 def session_duration_stats(ds, *, key_col: str = "user_id",
@@ -2319,118 +2189,58 @@ def rollup_counts(ds, *, group_col: str = "event_type",
     (lvl, group, day, n).
 
     Scale shape: ONE corpus pass builds the fine (group, day) contingency
-    (in-batch combiner, bounded by groups x days); every coarser grain
-    derives from that bounded aggregate with small worker-side groupbys
+    (:func:`engine.shuffle.combine`, bounded by groups x days); every
+    coarser grain is one more ``combine`` over that bounded aggregate,
     and a union — the corpus is never re-read or re-shuffled per grain.
     """
-    import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish
 
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "day": [],
-                                 "n": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna() & df[group_col].notna(),
-                     [group_col, ts_col]]
-        # np.datetime_as_string on day resolution == strftime('%Y-%m-%d')
-        # but vectorized (strftime formats row-by-row — measured 2x on
-        # the 1M-row events pass)
-        g = pd.DataFrame({
-            group_col: sub[group_col],
-            "day": np.datetime_as_string(
-                sub[ts_col].to_numpy().astype("datetime64[D]"))}) \
-            .groupby([group_col, "day"], sort=False) \
-            .size().rename("n").reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    fine = balance(ds.map_batches(_partial, batch_format="pandas",
-                                  batch_size=batch_size)) \
-        .groupby([group_col, "day"]).aggregate(Sum("n")).materialize()
-
-    def _typed(lvl, g, day, n):
+    def _cells(b: pa.Table) -> pa.Table:
         return pa.table({
-            "lvl": pa.array(lvl, pa.int64()),
-            group_col: pa.array(g, pa.string()),
-            "day": pa.array(day, pa.string()),
-            "n": pa.array(n, pa.int64())})
+            group_col: b.column(group_col),
+            "day": pc.strftime(_us(b.column(ts_col)), format="%Y-%m-%d")})
 
-    if fine.count() == 0:
-        return ray.data.from_arrow(_typed([], [], [], []))
+    def _level(lvl):
+        def _typed(b: pa.Table) -> pa.Table:
+            b = b.filter(pc.is_valid(b.column("n")))
+            n = b.num_rows
 
-    def _lvl0(b: pa.Table) -> pa.Table:
-        return _typed([0] * b.num_rows,
-                      b.column(group_col).to_pylist(),
-                      b.column("day").to_pylist(),
-                      b.column("sum(n)").to_pylist())
+            def col(c):
+                return pc.cast(b.column(c), pa.string()) \
+                    if c in b.column_names else pa.nulls(n, pa.string())
+            return pa.table({
+                "lvl": pa.array(np.full(n, lvl), pa.int64()),
+                group_col: col(group_col), "day": col("day"),
+                "n": pc.cast(b.column("n"), pa.int64())})
+        return _typed
 
-    def _lvl1(b: pa.Table) -> pa.Table:
-        return _typed([1] * b.num_rows,
-                      b.column(group_col).to_pylist(),
-                      [None] * b.num_rows,
-                      b.column("sum(sum(n))").to_pylist())
-
-    def _lvl2(b: pa.Table) -> pa.Table:
-        return _typed([2] * b.num_rows, [None] * b.num_rows,
-                      b.column("day").to_pylist(),
-                      b.column("sum(sum(n))").to_pylist())
-
-    full = fine.map_batches(_lvl0, batch_format="pyarrow")
-    by_g = fine.groupby(group_col).aggregate(Sum("sum(n)")) \
-        .map_batches(_lvl1, batch_format="pyarrow")
-    by_d = fine.groupby("day").aggregate(Sum("sum(n)")) \
-        .map_batches(_lvl2, batch_format="pyarrow")
-    total = ray.data.from_arrow(_typed(
-        [3], [None], [None], [int(fine.sum("sum(n)"))]))
-    return full.union(by_g).union(by_d).union(total)
+    fine = combine(ds, [group_col, "day"], {"n": ("day", "count")},
+                   derive=_cells, batch_size=batch_size)
+    grains = [fine] + [combine(fine, keys, {"n": ("n", "sum")})
+                       for keys in ([group_col], ["day"], [])]
+    out = [finish(g, _level(lvl)) for lvl, g in enumerate(grains)]
+    return out[0].union(*out[1:])
 
 
 def activity_heatmap(ds, *, ts_col: str = "ts",
                      batch_size: int = 65536):
     """Day-of-week x hour-of-day event counts — the calendar heatmap
-    (dow 0=Sunday..6, DuckDB ``dayofweek`` parity; pandas Monday-based
-    weekday is shifted to match). NULL-ts rows drop. Returns
-    (dow, hod, n), only non-empty cells (at most 168 rows).
+    (dow 0=Sunday..6, DuckDB ``dayofweek`` parity). NULL-ts rows drop.
+    Returns (dow, hod, n), only non-empty cells (at most 168 rows).
 
-    Scale shape: per-batch 2-key combiner -> a 168-cell groupby-sum; the
-    corpus never shuffles.
+    Scale shape: per-batch 2-key partial counts -> a 168-cell
+    :func:`engine.shuffle.combine`; the corpus never shuffles.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
-    def _partial(df):
-        if ts_col not in df.columns or not len(df):
-            return pd.DataFrame({"dow": pd.array([], dtype="int64"),
-                                 "hod": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
-        sub = df.loc[df[ts_col].notna(), [ts_col]]
-        g = pd.DataFrame({
-            "dow": ((sub[ts_col].dt.dayofweek + 1) % 7).astype(np.int64),
-            "hod": sub[ts_col].dt.hour.astype(np.int64)}) \
-            .groupby(["dow", "hod"], sort=False) \
-            .size().rename("n").reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
+    def _cells(b: pa.Table) -> pa.Table:
+        ts = _us(b.column(ts_col))
+        return pa.table({
+            "dow": pc.day_of_week(ts, count_from_zero=True, week_start=7),
+            "hod": pc.hour(ts)})
 
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(["dow", "hod"]).aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"dow": b.column("dow"), "hod": b.column("hod"),
-                         "n": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"dow": pa.array([], pa.int64()),
-             "hod": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}))
-    return res
+    return combine(ds, ["dow", "hod"], {"n": ("dow", "count")},
+                   derive=_cells, batch_size=batch_size)
 
 
 def user_hour_entropy(ds, *, key_col: str = "user_id",
@@ -2491,11 +2301,11 @@ def cohort_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     (min day) and the per-(cohort, offset) counts resolve vectorized — a
     user's rows all co-locate, so "distinct users" is exact without a
     second distinct pass; only (cohort, offset, n) partials feed the
-    final bounded groupby.
+    final bounded :func:`engine.shuffle.combine`.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance, by_key
+    import ray.data
+    from engine.shuffle import by_key, combine
 
     def _days(df):
         sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
@@ -2521,22 +2331,12 @@ def cohort_retention(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                        "cohort": [],
                        "day_offset": pd.array([], dtype="int64"),
                        "n": pd.array([], dtype="int64")}))
-    agg = balance(parts).groupby(["cohort", "day_offset"]) \
-        .aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"cohort": b.column("cohort"),
-                         "day_offset": b.column("day_offset"),
-                         "n_users": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"cohort": pa.array([], pa.string()),
-             "day_offset": pa.array([], pa.int64()),
-             "n_users": pa.array([], pa.int64())}))
-    return res
+    seed = ray.data.from_arrow(pa.table({  # types an empty result
+        "cohort": pa.array([], pa.string()),
+        "day_offset": pa.array([], pa.int64()),
+        "n": pa.array([], pa.int64())}))
+    return combine(seed.union(parts), ["cohort", "day_offset"],
+                   {"n_users": ("n", "sum")})
 
 
 def rolling_rows_mean(ds, *, key_col: str = "user_id",
@@ -2589,11 +2389,12 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     Scale shape — ONE data-data hash join, every dimension size-gated:
 
     1. lineitem filters ``l_returnflag = 'R'`` and pre-aggregates
-       revenue per orderkey INSIDE ``map_batches`` (combiner rows, never
-       raw lineitem);
+       revenue per orderkey INSIDE ``map_batches`` (one Arrow
+       ``group_by`` per batch, never raw lineitem);
     2. orders filter to the quarter and carry only (orderkey, custkey);
-    3. ``Dataset.join`` on orderkey, then a custkey groupby-sum bounds
-       the result at the customer count;
+    3. ``Dataset.join`` on orderkey, then a custkey
+       :func:`engine.shuffle.combine` bounds the result at the customer
+       count;
     4. the customer dimension attaches via a sorted-array broadcast
        (``ray.put`` + searchsorted) below ``broadcast_limit`` rows, a
        distributed hash join above; nation (25 rows) always broadcasts;
@@ -2602,25 +2403,14 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     Returns a pandas DataFrame
     (c_custkey, c_name, revenue, c_acctbal, n_name).
     """
-    import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
-    from engine.shuffle import join_kwargs
+    from engine.shuffle import combine, join_kwargs
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
     def _li_partial(b: pa.Table) -> pa.Table:
-        sub = b.filter(pc.equal(b.column("l_returnflag"), "R"))
-        rev = (sub.column("l_extendedprice").to_numpy(zero_copy_only=False)
-               * (1.0 - sub.column("l_discount").to_numpy(
-                   zero_copy_only=False)))
-        df = pd.DataFrame({
-            "o_orderkey": sub.column("l_orderkey").to_numpy(
-                zero_copy_only=False),
-            "rev": rev}).groupby("o_orderkey", sort=False) \
-            .sum().reset_index()
-        return pa.table({"o_orderkey": pa.array(df["o_orderkey"]),
-                         "rev": pa.array(df["rev"], pa.float64())})
+        return _revenue_by_order(
+            b.filter(pc.equal(b.column("l_returnflag"), "R")))
 
     li = lineitem_ds.map_batches(_li_partial, batch_format="pyarrow",
                                  zero_copy_batch=True,
@@ -2642,14 +2432,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                      **join_kwargs(),
                      on=("o_orderkey",))
 
-    def _norm(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0:  # schemaless empty join partition
-            return pa.table({"o_custkey": pa.array([], pa.int64()),
-                             "rev": pa.array([], pa.float64())})
-        return b.select(["o_custkey", "rev"])
-
-    per_cust = joined.map_batches(_norm, batch_format="pyarrow") \
-        .groupby("o_custkey").aggregate(Sum("rev"))
+    per_cust = combine(joined, "o_custkey", {"rev": ("rev", "sum")})
 
     nat = nation_ds.to_pandas()  # 25 rows by spec — always broadcast
     nat_map = dict(zip(nat["n_nationkey"].tolist(),
@@ -2682,7 +2465,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
             pos = np.searchsorted(keys, ck)
             pos = np.minimum(pos, len(keys) - 1)
             ok = keys[pos] == ck
-            rev = b.column("sum(rev)").to_numpy(zero_copy_only=False)[ok]
+            rev = b.column("rev").to_numpy(zero_copy_only=False)[ok]
             p = pos[ok]
             return pa.table({
                 "c_custkey": pa.array(ck[ok]),
@@ -2709,7 +2492,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
             return pa.table({
                 "c_custkey": b.column("o_custkey"),
                 "c_name": b.column("c_name"),
-                "revenue": pc.cast(b.column("sum(rev)"), pa.float64()),
+                "revenue": pc.cast(b.column("rev"), pa.float64()),
                 "c_acctbal": pc.cast(b.column("c_acctbal"), pa.float64()),
                 "n_name": pa.array([nat_map.get(x) for x in nk.tolist()],
                                    pa.string())})
@@ -2738,11 +2521,11 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
     Scale shape: (id, key, ts, type) rows shuffle once
     (:func:`engine.shuffle.by_key`); adjacency is a grouped
     ``shift(-1)`` and the pair counts collapse per partition before the
-    tiny final groupby.
+    tiny final :func:`engine.shuffle.combine`.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance, by_key
+    import ray.data
+    from engine.shuffle import by_key, column_dtype, combine
     cols = [id_col, key_col, ts_col, type_col]
 
     def _pairs(df):
@@ -2763,28 +2546,16 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
                    batch_size=batch_size, empty=pd.DataFrame({
                        "from_type": [], "to_type": [],
                        "n": pd.array([], dtype="int64")}))
-    agg = balance(parts).groupby(["from_type", "to_type"]) \
-        .aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"from_type": b.column("from_type"),
-                         "to_type": b.column("to_type"),
-                         "n": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        t = column_dtype(ds, type_col)
-        return ray.data.from_arrow(pa.table(
-            {"from_type": pa.array([], t), "to_type": pa.array([], t),
-             "n": pa.array([], pa.int64())}))
-    return res
+    t = column_dtype(ds, type_col)
+    seed = ray.data.from_arrow(pa.table({  # types an empty result
+        "from_type": pa.array([], t), "to_type": pa.array([], t),
+        "n": pa.array([], pa.int64())}))
+    return combine(seed.union(parts), ["from_type", "to_type"],
+                   {"n": ("n", "sum")})
 
 
-# far-future sentinel for "target never seen"; must stay representable
-# in ns resolution too (pandas ns max is 2262) since from_pandas inputs
-# carry datetime64[ns]
+# far-future sentinel for "target never seen"; it stays representable
+# in ns resolution (pandas ns max is 2262)
 _FAR_FUTURE = np.datetime64("2260-01-01", "us")
 
 
@@ -2798,58 +2569,35 @@ def time_to_first_target(ds, *, key_col: str = "user_id",
     the target report NULL (SQL LEFT JOIN). NULL keys / ts drop.
     Returns (key, seconds_to_target).
 
-    Scale shape: pure two-level MIN — each block collapses to one
-    (key, min ts, min target-ts) combiner row, the groupby is
-    key-bounded, and no co-location or sort is needed (min is
+    Scale shape: pure two-level MIN (:func:`engine.shuffle.combine`) —
+    each block collapses to one (key, min ts, min target-ts) row, the
+    merge is key-bounded, and no co-location or sort is needed (min is
     associative).
     """
-    import pandas as pd
-    from ray.data.aggregate import Min
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish
 
-    def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({
-                key_col: [],
-                "first_ts": pd.array([], "datetime64[us]"),
-                "first_target": pd.array([], "datetime64[us]")})
-        sub = df.loc[df[ts_col].notna() & df[key_col].notna(),
-                     [key_col, ts_col, type_col]]
-        g = sub.groupby(key_col, sort=False).agg(
-            first_ts=(ts_col, "min")).reset_index()
-        tgt = sub.loc[sub[type_col] == target] \
-            .groupby(key_col, sort=False).agg(
-                first_target=(ts_col, "min")).reset_index()
-        out = g.merge(tgt, on=key_col, how="left")
-        # never-seen targets ride as a far-future SENTINEL, not NaT:
-        # a NaT/null partial poisons the cross-block Min (observed —
-        # ignore_nulls is not reliable across pandas-block partials)
-        out["first_target"] = out["first_target"].fillna(_FAR_FUTURE)
-        return out
+    def _times(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b.column(ts_col)))
+        ts = _us(b.column(ts_col))
+        hit = pc.fill_null(pc.equal(b.column(type_col), target), False)
+        # never-seen targets ride as a far-future SENTINEL, not NULL, so
+        # the target min is never NULL in any partial
+        far = pa.scalar(_FAR_FUTURE, pa.timestamp("us"))
+        return pa.table({key_col: b.column(key_col), "ts": ts,
+                         "tgt": pc.if_else(hit, ts, far)})
 
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(key_col).aggregate(
-        Min("first_ts"), Min("first_target"))
+    def _final(b: pa.Table) -> pa.Table:
+        ft = b.column("first_target").to_numpy(zero_copy_only=False)
+        delta = (ft - b.column("first_ts").to_numpy(zero_copy_only=False)) \
+            / np.timedelta64(1, "s")
+        never = ft >= _FAR_FUTURE
+        return pa.table({key_col: b.column(key_col),
+                         "seconds_to_target": pa.array(
+                             delta, pa.float64(), mask=never)})
 
-    def _final(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "seconds_to_target": []})
-        ft = df["min(first_target)"]
-        delta = (ft - df["min(first_ts)"]).dt.total_seconds() \
-            .to_numpy(np.float64)
-        delta[ft.to_numpy() >= _FAR_FUTURE] = np.nan  # never converted
-        return pd.DataFrame({key_col: df[key_col].to_numpy(),
-                             "seconds_to_target": delta})
-
-    res = agg.map_batches(_final, batch_format="pandas").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {key_col: pa.array([], column_dtype(ds, key_col)),
-             "seconds_to_target": pa.array([], pa.float64())}))
-    return res
+    return finish(combine(ds, key_col, {"first_ts": ("ts", "min"),
+                                        "first_target": ("tgt", "min")},
+                          derive=_times, batch_size=batch_size), _final)
 
 
 def daily_active_users(ds, *, key_col: str = "user_id",
@@ -2931,66 +2679,31 @@ def orders_per_customer_histogram(orders_ds, customer_ds, *,
     zero-inflated engagement histogram. Returns
     (n_orders, n_customers).
 
-    Scale shape: per-key counts come from the combiner + key groupby;
-    a semi-join against the dimension keys drops DANGLING foreign keys
-    (they must not masquerade as customers — the corpus has them, see
-    referential_orders); the histogram over the surviving counts is
-    count-of-counts, and the zero bin is arithmetic — total customers
+    Scale shape: per-key counts come from one
+    :func:`engine.shuffle.combine`; a semi-join against the dimension
+    keys drops DANGLING foreign keys (they must not masquerade as
+    customers — the corpus has them, see referential_orders); the
+    histogram over the surviving counts is a second ``combine``
+    (count-of-counts), and the zero bin is arithmetic — total customers
     minus customers with >= 1 order — so no anti-join ships rows.
     """
-    import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
-    def _partial(df):
-        if fk_col not in df.columns or not len(df):
-            return pd.DataFrame({fk_col: [],
-                                 "n": pd.array([], dtype="int64")})
-        sub = df.loc[df[fk_col].notna(), [fk_col]]
-        g = sub.groupby(fk_col, sort=False).size().rename("n") \
-            .reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    per_key = balance(orders_ds.map_batches(
-        _partial, batch_format="pandas", batch_size=batch_size)) \
-        .groupby(fk_col).aggregate(Sum("n"))
+    per_key = combine(orders_ds, fk_col, {"n": (fk_col, "count")},
+                      derive=lambda b: b.select([fk_col]),
+                      batch_size=batch_size)
     per_key = semi_join(per_key, customer_ds, key_col=fk_col,
-                        right_key_col=pk_col)
-
-    def _coc(df):
-        if not len(df) or "sum(n)" not in df.columns:
-            return pd.DataFrame({"n_orders": pd.array([], dtype="int64"),
-                                 "cnt": pd.array([], dtype="int64")})
-        g = df.groupby("sum(n)", sort=False).size().rename("cnt") \
-            .reset_index()
-        g.columns = ["n_orders", "cnt"]
-        g["n_orders"] = g["n_orders"].astype(np.int64)
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
-
-    per_key = per_key.materialize()
-    n_with_orders = per_key.count()
-    total_customers = customer_ds.count()
-    hist = balance(per_key.map_batches(
-        _coc, batch_format="pandas", batch_size=None)) \
-        .groupby("n_orders").aggregate(Sum("cnt"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"n_orders": b.column("n_orders"),
-                         "n_customers": b.column("sum(cnt)")})
-
-    res = hist.map_batches(_final, batch_format="pyarrow").materialize()
-    zero = int(total_customers - n_with_orders)
-    zero_tbl = pa.table({"n_orders": pa.array([0], pa.int64()),
-                         "n_customers": pa.array([zero], pa.int64())})
-    if res.count() == 0:
-        return ray.data.from_arrow(zero_tbl) if zero > 0 else \
-            ray.data.from_arrow(zero_tbl.slice(0, 0))
+                        right_key_col=pk_col).materialize()
+    hist = combine(per_key, "n_orders", {"n_customers": ("n_orders",
+                                                         "count")},
+                   derive=lambda b: pa.table({"n_orders": b.column("n")}))
+    zero = int(customer_ds.count() - per_key.count())
     if zero > 0:
-        res = res.union(ray.data.from_arrow(zero_tbl))
-    return res
+        hist = hist.union(ray.data.from_arrow(pa.table({
+            "n_orders": pa.array([0], pa.int64()),
+            "n_customers": pa.array([zero], pa.int64())})))
+    return hist
 
 
 def share_within_group(ds, *, outer_col: str, inner_col: str,
@@ -3000,32 +2713,21 @@ def share_within_group(ds, *, outer_col: str, inner_col: str,
     outer)`` parity. NULL members drop. Returns
     (outer, inner, n, share).
 
-    Scale shape: the two-key count combiner bounds the shuffle; the
-    share transform runs per OUTER partition
+    Scale shape: the two-key count :func:`engine.shuffle.combine` bounds
+    the shuffle; the share transform runs per OUTER partition
     (:func:`engine.shuffle.by_key`) over the (outer x inner)-bounded
     aggregate — cheap by construction.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance, by_key
+    from engine.shuffle import by_key, combine
 
-    def _partial(df):
-        if outer_col not in df.columns or not len(df):
-            return pd.DataFrame({outer_col: [], inner_col: [],
-                                 "n": pd.array([], dtype="int64")})
-        sub = df[[outer_col, inner_col]].dropna()
-        g = sub.groupby([outer_col, inner_col], sort=False) \
-            .size().rename("n").reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    agg = balance(ds.map_batches(_partial, batch_format="pandas",
-                                 batch_size=batch_size)) \
-        .groupby([outer_col, inner_col]).aggregate(Sum("n"))
+    agg = combine(ds, [outer_col, inner_col], {"n": (inner_col, "count")},
+                  derive=lambda b: b.select([outer_col, inner_col]),
+                  batch_size=batch_size)
 
     def _share(df):
-        n = df["sum(n)"].to_numpy(np.float64)
-        tot = df.groupby(outer_col, sort=False)["sum(n)"] \
+        n = df["n"].to_numpy(np.float64)
+        tot = df.groupby(outer_col, sort=False)["n"] \
             .transform("sum").to_numpy(np.float64)
         return pd.DataFrame({outer_col: df[outer_col].to_numpy(),
                              inner_col: df[inner_col].to_numpy(),
@@ -3090,44 +2792,30 @@ def user_value_concentration(ds, *, key_col: str = "user_id",
     values drop. Returns (key, max_share).
 
     Pure two-level associative aggregate (max and sum both combine):
-    one (key, max, sum) combiner row per block, key-bounded groupby, no
-    co-location or sort.
+    one (key, max, sum) row per block (:func:`engine.shuffle.combine`),
+    key-bounded merge, no co-location or sort.
     """
-    import pandas as pd
-    from ray.data.aggregate import Max, Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
 
-    def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "mx": [], "s": []})
-        sub = df[[key_col, val_col]].dropna()
-        g = sub.groupby(key_col, sort=False)[val_col] \
-            .agg(["max", "sum"]).reset_index()
-        g.columns = [key_col, "mx", "s"]
-        return g
-
-    agg = balance(ds.map_batches(_partial, batch_format="pandas",
-                                 batch_size=batch_size)) \
-        .groupby(key_col).aggregate(Max("mx"), Sum("s"))
+    def _values(b: pa.Table) -> pa.Table:
+        v = pc.cast(b.column(val_col), pa.float64())
+        keep = not_null(v)
+        return pa.table({key_col: b.column(key_col).filter(keep),
+                         "v": v.filter(keep)})
 
     def _final(b: pa.Table) -> pa.Table:
-        mx = b.column("max(mx)").to_numpy(zero_copy_only=False)
-        s = b.column("sum(s)").to_numpy(zero_copy_only=False)
+        mx = b.column("mx").to_numpy(zero_copy_only=False)
+        s = b.column("s").to_numpy(zero_copy_only=False)
         with np.errstate(invalid="ignore", divide="ignore"):
             share = np.where(s != 0.0, mx / s, np.nan)
         return pa.table({
             key_col: b.column(key_col),
-            "max_share": pa.array([None if np.isnan(x) else float(x)
-                                   for x in share], pa.float64())})
+            "max_share": pa.array(share, pa.float64(),
+                                  mask=np.isnan(share))})
 
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {key_col: pa.array([], column_dtype(ds, key_col)),
-             "max_share": pa.array([], pa.float64())}))
-    return res
+    return finish(combine(ds, key_col, {"mx": ("v", "max"),
+                                        "s": ("v", "sum")},
+                          derive=_values, batch_size=batch_size), _final)
 
 
 def daily_ratio(ds, *, ts_col: str = "ts", type_col: str = "event_type",

@@ -3,7 +3,7 @@
 Ray Data's sort-based groupby derives its reduce parallelism from the
 upstream block count; a partial-aggregate stage that collapses a corpus into
 a few small blocks therefore serializes the per-group reduce (measured 10x:
-95k-group aggregate 9-14s at 2 blocks vs 1.4s at 64). ``balance`` inserts an
+95k-group aggregate 9-14s at 2 blocks vs 1.4s at 64). ``_balance`` inserts an
 explicit repartition so reduce parallelism tracks the cluster size instead of
 the accident of upstream blocking.
 
@@ -16,6 +16,12 @@ multi-node deployment would tune to nodes x cores).
 operator that needs whole keys together (windows, sessions, per-group
 quantiles, pair dedup) runs through it, so the NULL-key and typed-empty
 contracts live in one place.
+
+``combine`` is the engine's one decomposable-aggregate shape: every
+operator whose result merges per-batch partials by key (sums, counts,
+min/max — stats, dedup, referential, the relational and text
+aggregates) runs through it, and ``finish`` runs a post-step over its
+output without losing the typed empty.
 """
 
 from __future__ import annotations
@@ -97,10 +103,113 @@ def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
         .groupby("part").map_groups(_group, batch_format="pandas")
 
 
-def balance(ds, blocks: int | None = None):
+def _balance(ds):
     """Repartition a (small, pre-aggregated) dataset for the following
     groupby's reduce parallelism."""
-    return ds.repartition(blocks if blocks is not None else reduce_blocks())
+    return ds.repartition(reduce_blocks())
+
+
+def not_null(arr):
+    """Arrow mask: True where ``arr`` holds a value — neither NULL nor
+    NaN (pandas ``notna``)."""
+    import pyarrow.compute as pc
+    return pc.invert(pc.is_null(arr, nan_is_null=True))
+
+
+#: how the per-batch partial of each ``combine`` op merges across batches
+_MERGE = {"sum": "Sum", "count": "Sum", "min": "Min", "max": "Max"}
+
+
+def combine(ds, keys, aggs, *, derive=None, batch_size=None,
+            concurrency=None):
+    """Decomposable aggregate: per-batch partials merged by ``keys``.
+
+    ``aggs`` maps each output column to ``(source_column, op)``, ``op``
+    one of ``sum``/``min``/``max``/``count`` (``count`` counts non-NULL
+    values, SQL ``count(col)``). Steps:
+
+    1. per batch (Arrow): ``derive(batch)`` — the caller's projection or
+       filter — then rows with a NULL (or NaN) key are dropped, then ONE
+       ``pa.Table.group_by(keys).aggregate(...)``;
+    2. :func:`_balance` plus Ray's ``groupby(keys).aggregate(...)``: a
+       ``count`` partial merges with Sum, the others with their own op;
+       every column comes out under its own name. With no ``keys`` it
+       is one global row (no shuffle).
+
+    NULL-key contract: NULL keys always drop. Every caller's SQL mirror
+    groups them away or filters them, and Ray's sort-based groupby
+    cannot hold one (it raises ``TypeError`` comparing ``None`` with a
+    value once a NULL and a non-NULL key share a reduce).
+
+    Re-combining rows that are already partials gives the same rows, so
+    a caller may union carried partial rows (streaming state) or feed
+    per-partition partials (a :func:`by_key` output) back in.
+
+    Returns a MATERIALIZED dataset (the result is key-bounded). It is
+    typed even when empty: the zero-row partial of the input schema
+    (``derive`` over a zero-row table) stands in, since Ray never calls a
+    UDF on an empty block.
+    """
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+    from ray.data import aggregate
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    specs = list(dict.fromkeys(aggs.values()))
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        if batch.num_columns == 0:  # a schemaless empty join partition
+            return batch
+        if derive is not None:
+            batch = derive(batch)
+        for k in keys:
+            keep = not_null(batch.column(k))
+            if not pc.all(keep).as_py():
+                batch = batch.filter(keep)
+        g = batch.group_by(keys, use_threads=False).aggregate(specs)
+        return pa.table([g.column(k) for k in keys]
+                        + [g.column(f"{src}_{op}")
+                           for src, op in aggs.values()],
+                        names=keys + list(aggs))
+
+    parts = ds.map_batches(_partial, batch_format="pyarrow",
+                           zero_copy_batch=True, batch_size=batch_size,
+                           concurrency=concurrency)
+    merges = [getattr(aggregate, _MERGE[op])(col, alias_name=col)
+              for col, (_, op) in aggs.items()]
+    if keys:
+        out = _balance(parts).groupby(keys).aggregate(*merges)
+    else:
+        out = parts.groupby(None).aggregate(*merges)
+    out = out.materialize()
+    if out.count() == 0:
+        sch = _schema(ds)
+        if sch is not None:
+            return ray.data.from_arrow(
+                _partial(sch.empty_table()).slice(0, 0))
+    return out
+
+
+def finish(ds, fn, *, one_block: bool = False):
+    """``fn`` (``pa.Table -> pa.Table``) over each block of ``ds``, a
+    materialized typed dataset such as :func:`combine`'s output — the
+    post-step (mean, std, corr, a dense reindex) of a decomposable
+    aggregate. ``one_block`` first coalesces ``ds`` into one block, for
+    a post-step that needs every row at once (the result is
+    key-bounded). On an empty ``ds``, ``fn`` runs once on its zero-row
+    table, so the result stays typed and a global post-step can report
+    its SQL empty row (``(NULL, 0)``) — Ray never calls a UDF on an
+    empty block.
+    """
+    import ray.data
+    if ds.count() == 0:
+        sch = _schema(ds)
+        return ds if sch is None else ray.data.from_arrow(
+            fn(sch.empty_table()))
+    if one_block:
+        ds = ds.repartition(1)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def tree_reduce(parts, merge_block, *, fanout: int = 32,
@@ -131,10 +240,22 @@ def tree_reduce(parts, merge_block, *, fanout: int = 32,
     return cur
 
 
-def column_dtype(ds, col: str, default=None):
-    """Arrow dtype of ``ds``'s column ``col``, for typed-empty substitution
-    on the all-filtered-corpus corner (Ray never calls UDFs on empty
-    blocks, so a fully-filtered pipeline yields a SCHEMALESS empty).
+def _arrow_type(t):
+    """Arrow type of a pandas-block schema entry; ``object`` (and any
+    dtype Arrow cannot map) reads as string."""
+    import numpy as np
+    import pyarrow as pa
+    try:
+        return pa.from_numpy_dtype(np.dtype(t))
+    except Exception:
+        return pa.string()
+
+
+def _schema(ds):
+    """Arrow schema of ``ds``, for typed-empty substitution on the
+    all-filtered-corpus corner (Ray never calls UDFs on empty blocks, so
+    a fully-filtered pipeline yields a SCHEMALESS empty); ``None`` when
+    Ray cannot tell.
 
     Metadata-only first (never executes the plan); falls back to
     ``fetch_if_missing=True`` — which may execute enough of the plan to
@@ -147,18 +268,27 @@ def column_dtype(ds, col: str, default=None):
     for fetch in (False, True):
         try:
             sch = ds.schema(fetch_if_missing=fetch)
-            if sch is None:
-                continue
-            base = sch.base_schema
-            try:
-                return base.field(col).type
-            except Exception:
-                # pandas-block datasets report a PandasBlockSchema
-                # (names + numpy dtypes), not an Arrow schema
-                i = list(base.names).index(col)
-                return pa.from_numpy_dtype(base.types[i])
         except Exception:
-            pass
+            continue
+        if sch is None:
+            continue
+        base = sch.base_schema
+        if isinstance(base, pa.Schema):
+            return base
+        # pandas-block datasets report a PandasBlockSchema (names + numpy
+        # dtypes), not an Arrow schema
+        return pa.schema([(n, _arrow_type(t))
+                          for n, t in zip(base.names, base.types)])
+    return None
+
+
+def column_dtype(ds, col: str, default=None):
+    """Arrow dtype of ``ds``'s column ``col`` (see :func:`_schema`);
+    ``default`` — else ``pa.string()`` — when unknown."""
+    import pyarrow as pa
+    sch = _schema(ds)
+    if sch is not None and col in sch.names:
+        return sch.field(col).type
     return default if default is not None else pa.string()
 
 

@@ -428,13 +428,13 @@ def embedding_covariance(ds, *, vec_col: str = "embedding", dim: int,
 
     Scale shape: each batch collapses to ONE d(d+1)/2 + d + 1 long-row
     partial (X^T X upper triangle via one ``np.matmul``, the column
-    sums, and the row count) — the corpus streams once and only
-    O(d^2)-bounded rows shuffle; the final covariance assembles
-    worker-side over the single coalesced bounded block.
+    sums, and the row count), merged by :func:`engine.shuffle.combine`
+    — the corpus streams once and only O(d^2)-bounded rows shuffle; the
+    final covariance assembles worker-side over the single coalesced
+    bounded block.
     ``use_dims`` restricts to the first k dimensions (an oracle-sized
     slice; the full-width gram is the same one matmul).
     """
-    import pandas as pd
     d = int(use_dims or dim)
     iu, ju = np.triu_indices(d)
 
@@ -457,43 +457,26 @@ def embedding_covariance(ds, *, vec_col: str = "embedding", dim: int,
             "v": pa.array(np.r_[g[iu, ju], s, [float(n)]],
                           pa.float64())})
 
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
-    parts = ds.map_batches(_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size)
-    agg = balance(parts).groupby(["i", "j"]).aggregate(Sum("v"))
-
-    def _cov(df):
-        if "i" not in df.columns or not len(df):
-            return pd.DataFrame({"i": pd.array([], dtype="int64"),
-                                 "j": pd.array([], dtype="int64"),
-                                 "cov": [],
-                                 "n": pd.array([], dtype="int64")})
-        v = dict(zip(zip(df["i"], df["j"]), df["sum(v)"]))
+    def _cov(t: pa.Table) -> pa.Table:
+        v = dict(zip(zip(t.column("i").to_pylist(),
+                         t.column("j").to_pylist()),
+                     t.column("v").to_pylist()))
         n = v.get((-1, -1), 0.0)
-        rows = {"i": [], "j": [], "cov": [], "n": []}
-        for a, b in zip(iu.tolist(), ju.tolist()):
-            sxy = v.get((a, b), 0.0)
-            sx = v.get((a, -1), 0.0)
-            sy = v.get((b, -1), 0.0)
-            cov = (sxy - sx * sy / n) / (n - 1.0) if n >= 2 else np.nan
-            rows["i"].append(a)
-            rows["j"].append(b)
-            rows["cov"].append(cov)
-            rows["n"].append(int(n))
-        out = pd.DataFrame(rows)
-        out["i"] = out["i"].astype(np.int64)
-        out["j"] = out["j"].astype(np.int64)
-        out["n"] = out["n"].astype(np.int64)
-        return out
+        sxy = np.array([v.get(p, 0.0)
+                        for p in zip(iu.tolist(), ju.tolist())])
+        sx = np.array([v.get((a, -1), 0.0) for a in iu.tolist()])
+        sy = np.array([v.get((b, -1), 0.0) for b in ju.tolist()])
+        cov = (sxy - sx * sy / n) / (n - 1.0) if n >= 2 \
+            else np.full(len(iu), np.nan)
+        rows = len(iu) if t.num_rows else 0  # no vectors: no pairs
+        return pa.table({
+            "i": pa.array(iu[:rows], pa.int64()),
+            "j": pa.array(ju[:rows], pa.int64()),
+            "cov": pa.array(cov[:rows], pa.float64(),
+                            mask=np.isnan(cov[:rows])),
+            "n": pa.array(np.full(rows, int(n)), pa.int64())})
 
-    res = agg.repartition(1).map_batches(
-        _cov, batch_format="pandas", batch_size=None).materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"i": pa.array([], pa.int64()),
-             "j": pa.array([], pa.int64()),
-             "cov": pa.array([], pa.float64()),
-             "n": pa.array([], pa.int64())}))
-    return res
+    from engine.shuffle import combine, finish
+    return finish(combine(ds, ["i", "j"], {"v": ("v", "sum")},
+                          derive=_partial, batch_size=batch_size),
+                  _cov, one_block=True)

@@ -372,9 +372,10 @@ def grouped_moments(ds, *, group_col: str, value_col: str,
                     batch_size=None):
     """Per-group count / mean / sample-stddev / min / max in ONE corpus
     pass — the classic sufficient-statistics shape: each block collapses
-    to per-group ``(n, sum, sumsq, min, max)`` combiner rows inside
-    ``map_batches``, so only group-count rows ever shuffle, and the final
-    moments come from the merged sums (``var = (s2 - s1^2/n)/(n-1)``).
+    to per-group ``(n, sum, sumsq, min, max)`` partials
+    (:func:`engine.shuffle.combine`), so only group-count rows ever
+    shuffle, and the final moments come from the merged sums
+    (``var = (s2 - s1^2/n)/(n-1)``).
 
     The sum-of-squares estimator's cancellation error is ~sqrt(n)*eps
     relative to ``s2`` — far below any reporting precision for values
@@ -384,110 +385,67 @@ def grouped_moments(ds, *, group_col: str, value_col: str,
     (group, n, mean, std_samp, vmin, vmax); groups with n == 1 report
     NULL std_samp like ``stddev_samp``.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum, Min, Max
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
 
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "n": [], "s1": [],
-                                 "s2": [], "vmin": [], "vmax": []})
-        sub = df[[group_col, value_col]].dropna()
-        v = sub[value_col].astype(np.float64)
-        g = pd.DataFrame({group_col: sub[group_col], "v": v, "v2": v * v}) \
-            .groupby(group_col, sort=False).agg(
-                n=("v", "size"), s1=("v", "sum"), s2=("v2", "sum"),
-                vmin=("v", "min"), vmax=("v", "max")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = balance(ds.map_batches(_partial, batch_format="pandas",
-                                   batch_size=batch_size))
-    agg = parts.groupby(group_col).aggregate(
-        Sum("n"), Sum("s1"), Sum("s2"), Min("vmin"), Max("vmax"))
+    def _values(b: pa.Table) -> pa.Table:
+        v = pc.cast(b.column(value_col), pa.float64())
+        keep = not_null(v)
+        v = v.filter(keep)
+        return pa.table({group_col: b.column(group_col).filter(keep),
+                         "v": v, "v2": pc.multiply(v, v)})
 
     def _final(b: pa.Table) -> pa.Table:
-        n = b.column("sum(n)").to_numpy(zero_copy_only=False) \
+        n = b.column("n").to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        s1 = b.column("sum(s1)").to_numpy(zero_copy_only=False)
-        s2 = b.column("sum(s2)").to_numpy(zero_copy_only=False)
-        mean = s1 / n
+        s1 = b.column("s1").to_numpy(zero_copy_only=False)
+        s2 = b.column("s2").to_numpy(zero_copy_only=False)
         with np.errstate(invalid="ignore", divide="ignore"):
+            mean = s1 / n
             var = np.maximum(s2 - s1 * s1 / n, 0.0) / (n - 1.0)
             std = np.where(n > 1, np.sqrt(var), np.nan)
         return pa.table({
             group_col: b.column(group_col),
-            "n": pa.array(n.astype(np.int64), pa.int64()),
+            "n": b.column("n"),
             "mean": pa.array(mean, pa.float64()),
-            "std_samp": pa.array([None if np.isnan(x) else float(x)
-                                  for x in std], pa.float64()),
-            "vmin": pc.cast(b.column("min(vmin)"), pa.float64()),
-            "vmax": pc.cast(b.column("max(vmax)"), pa.float64())})
+            "std_samp": pa.array(std, pa.float64(), mask=np.isnan(std)),
+            "vmin": b.column("vmin"),
+            "vmax": b.column("vmax")})
 
-    res = agg.map_batches(_final, batch_format="pyarrow")
-    # Ray never invokes the UDF on empty blocks (the num_columns guard
-    # would be dead code), so an all-filtered corpus — every value NULL —
-    # yields a SCHEMALESS empty that breaks downstream sort/select. The
-    # result is group-bounded, so materializing here is free (the groupby
-    # was a barrier anyway) and lets us substitute a typed empty.
-    res = res.materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {group_col: pa.array([], column_dtype(ds, group_col)),
-             "n": pa.array([], pa.int64()),
-             "mean": pa.array([], pa.float64()),
-             "std_samp": pa.array([], pa.float64()),
-             "vmin": pa.array([], pa.float64()),
-             "vmax": pa.array([], pa.float64())}))
-    return res
+    return finish(combine(ds, group_col, {
+        "n": ("v", "count"), "s1": ("v", "sum"), "s2": ("v2", "sum"),
+        "vmin": ("v", "min"), "vmax": ("v", "max")},
+        derive=_values, batch_size=batch_size), _final)
 
 
 def grouped_corr(ds, *, group_col: str, x_col: str, y_col: str,
                  batch_size=None):
     """Per-group Pearson correlation of two numeric columns in ONE corpus
-    pass via sufficient statistics ``(n, sx, sy, sxx, syy, sxy)`` combined
-    inside ``map_batches`` — only group-count rows shuffle.
+    pass via sufficient statistics ``(n, sx, sy, sxx, syy, sxy)``
+    combined per batch (:func:`engine.shuffle.combine`) — only
+    group-count rows shuffle.
 
     ``r = (sxy - sx*sy/n) / sqrt((sxx - sx^2/n) * (syy - sy^2/n))`` —
     algebraically ``corr(x, y)``; rows where EITHER value is NULL are
     dropped (SQL pairwise semantics). Groups with n < 2 or zero variance
     report NULL. Returns (group, n, corr).
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
 
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "n": [], "sx": [],
-                                 "sy": [], "sxx": [], "syy": [], "sxy": []})
-        sub = df[[group_col, x_col, y_col]].dropna()
-        x = sub[x_col].astype(np.float64)
-        y = sub[y_col].astype(np.float64)
-        g = pd.DataFrame({group_col: sub[group_col], "x": x, "y": y,
-                          "xx": x * x, "yy": y * y, "xy": x * y}) \
-            .groupby(group_col, sort=False).agg(
-                n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
-                sxx=("xx", "sum"), syy=("yy", "sum"),
-                sxy=("xy", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = balance(ds.map_batches(_partial, batch_format="pandas",
-                                   batch_size=batch_size))
-    agg = parts.groupby(group_col).aggregate(
-        Sum("n"), Sum("sx"), Sum("sy"), Sum("sxx"), Sum("syy"), Sum("sxy"))
+    def _pairs(b: pa.Table) -> pa.Table:
+        x = pc.cast(b.column(x_col), pa.float64())
+        y = pc.cast(b.column(y_col), pa.float64())
+        keep = pc.and_(not_null(x), not_null(y))
+        x, y = x.filter(keep), y.filter(keep)
+        return pa.table({group_col: b.column(group_col).filter(keep),
+                         "x": x, "y": y, "xx": pc.multiply(x, x),
+                         "yy": pc.multiply(y, y), "xy": pc.multiply(x, y)})
 
     def _final(b: pa.Table) -> pa.Table:
-        n = b.column("sum(n)").to_numpy(zero_copy_only=False) \
+        n = b.column("n").to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        sx = b.column("sum(sx)").to_numpy(zero_copy_only=False)
-        sy = b.column("sum(sy)").to_numpy(zero_copy_only=False)
-        sxx = b.column("sum(sxx)").to_numpy(zero_copy_only=False)
-        syy = b.column("sum(syy)").to_numpy(zero_copy_only=False)
-        sxy = b.column("sum(sxy)").to_numpy(zero_copy_only=False)
+        sx, sy, sxx, syy, sxy = (
+            b.column(c).to_numpy(zero_copy_only=False)
+            for c in ("sx", "sy", "sxx", "syy", "sxy"))
         with np.errstate(invalid="ignore", divide="ignore"):
             cov = sxy - sx * sy / n
             vx = sxx - sx * sx / n
@@ -496,23 +454,13 @@ def grouped_corr(ds, *, group_col: str, x_col: str, y_col: str,
             r = np.where((n > 1) & (vx > 0) & (vy > 0), r, np.nan)
         return pa.table({
             group_col: b.column(group_col),
-            "n": pa.array(n.astype(np.int64), pa.int64()),
-            "corr": pa.array([None if np.isnan(x) else float(x)
-                              for x in r], pa.float64())})
+            "n": b.column("n"),
+            "corr": pa.array(r, pa.float64(), mask=np.isnan(r))})
 
-    res = agg.map_batches(_final, batch_format="pyarrow")
-    # Same all-filtered-corpus schemaless-empty corner as grouped_moments:
-    # materialize (group-bounded, the groupby was a barrier anyway) and
-    # substitute a typed empty so downstream sort/select keep working.
-    res = res.materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {group_col: pa.array([], column_dtype(ds, group_col)),
-             "n": pa.array([], pa.int64()),
-             "corr": pa.array([], pa.float64())}))
-    return res
+    return finish(combine(ds, group_col, {
+        "n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
+        "sxx": ("xx", "sum"), "syy": ("yy", "sum"), "sxy": ("xy", "sum")},
+        derive=_pairs, batch_size=batch_size), _final)
 
 
 def grouped_quantiles(ds, *, group_col: str, value_col: str,
@@ -557,46 +505,34 @@ def value_histogram(ds, col: str, *, lo: float, hi: float, bins: int,
     Binning uses the single expression ``min(floor((x - lo) * bins /
     (hi - lo)), bins - 1)`` so a SQL oracle reproduces bin edges
     bit-for-bit (numpy and DuckDB evaluate the identical float64 ops).
-    Partial ``bincount`` per batch -> a bins-bounded groupby-sum; the
-    corpus never shuffles.
+    Per-batch bin counts merge in a bins-bounded
+    :func:`engine.shuffle.combine`; the corpus never shuffles.
     """
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine
+    return combine(ds, "bin", {"n": ("bin", "count")},
+                   derive=_binner(col, lo, hi, bins),
+                   batch_size=batch_size)
+
+
+def _binner(col: str, lo: float, hi: float, bins: int, group_col=None):
+    """Per-batch projection to the SQL-reproducible ``bin`` of ``col``
+    (out-of-range / NULL / NaN rows drop), with ``group_col`` carried
+    alongside when given."""
     w = float(hi) - float(lo)
 
-    def _partial(b: pa.Table) -> pa.Table:
+    def _bin(b: pa.Table) -> pa.Table:
         v = pc.cast(b.column(col), pa.float64()) \
             .to_numpy(zero_copy_only=False)
         with np.errstate(invalid="ignore"):
             keep = (v >= lo) & (v <= hi) & ~np.isnan(v)
-        v = v[keep]
-        idx = np.minimum(np.floor((v - lo) * bins / w),
+        idx = np.minimum(np.floor((v[keep] - lo) * bins / w),
                          bins - 1).astype(np.int64)
-        counts = np.bincount(idx, minlength=bins)
-        nz = np.flatnonzero(counts)
-        return pa.table({"bin": pa.array(nz, pa.int64()),
-                         "n": pa.array(counts[nz], pa.int64())})
-
-    parts = ds.map_batches(_partial, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size)
-    agg = balance(parts).groupby("bin").aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"bin": b.column("bin"),
-                         "n": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow")
-    # Ray never invokes the UDF on empty blocks, so an all-filtered corpus
-    # yields a SCHEMALESS empty that breaks downstream sort/select. The
-    # result is bins-bounded, so materializing it here is free (the
-    # groupby was a barrier anyway) and lets us substitute a typed empty.
-    res = res.materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"bin": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}))
-    return res
+        out = {"bin": pa.array(idx, pa.int64())}
+        if group_col is not None:
+            out = {group_col: b.column(group_col).filter(pa.array(keep)),
+                   **out}
+        return pa.table(out)
+    return _bin
 
 
 def percentile_rank(ds, col: str, *, id_col: str,
@@ -606,38 +542,32 @@ def percentile_rank(ds, col: str, *, id_col: str,
     ``percent_rank() OVER (ORDER BY col)`` parity (ties share a rank;
     NULL/NaN rows are dropped).
 
-    Two passes: distinct-value counts aggregate first (in-batch combiner,
-    value-bounded groupby), then the sorted (value, cumulative-count) CDF
-    broadcasts once via ``ray.put`` and every row resolves map-only with
-    one searchsorted. The gate: the CDF is O(distinct values) — above
-    ``distinct_limit`` this op refuses (ValueError) rather than silently
-    materializing an unbounded array; bucket/round the column upstream or
-    use ``exact_quantiles`` + interpolation for an approximate rank.
+    Two passes: distinct-value counts aggregate first
+    (:func:`engine.shuffle.combine`, value-bounded), then the sorted
+    (value, cumulative-count) CDF broadcasts once via ``ray.put`` and
+    every row resolves map-only with one searchsorted. The gate: the CDF
+    is O(distinct values) — above ``distinct_limit`` this op refuses
+    (ValueError) rather than silently materializing an unbounded array;
+    bucket/round the column upstream or use ``exact_quantiles`` +
+    interpolation for an approximate rank.
     """
     import ray
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
-    def _vc(b: pa.Table) -> pa.Table:
-        v = pc.cast(b.column(col), pa.float64()) \
-            .to_numpy(zero_copy_only=False)
-        v = v[~np.isnan(v)]
-        u, c = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(u, pa.float64()),
-                         "c": pa.array(c.astype(np.int64))})
-
-    counts = balance(ds.map_batches(_vc, batch_format="pyarrow",
-                                    zero_copy_batch=True,
-                                    batch_size=batch_size)) \
-        .groupby("v").aggregate(Sum("c")).materialize()
+    counts = combine(ds, "v", {"c": ("v", "count")},
+                     derive=lambda b: pa.table(
+                         {"v": pc.cast(b.column(col), pa.float64())}),
+                     batch_size=batch_size)
     n_distinct = counts.count()
     if n_distinct > distinct_limit:
         raise ValueError(
             f"{n_distinct} distinct values exceed distinct_limit="
             f"{distinct_limit}; bucket the column or use exact_quantiles")
-    cdf = counts.to_pandas().sort_values("v")
-    vals = cdf["v"].to_numpy()
-    cnts = cdf["sum(c)"].to_numpy()
+    cdf = counts.to_pandas()  # a zero-row frame comes back without columns
+    vals = cdf["v"].to_numpy() if len(cdf) else np.zeros(0)
+    cnts = cdf["c"].to_numpy() if len(cdf) else np.zeros(0, np.int64)
+    order = np.argsort(vals, kind="stable")
+    vals, cnts = vals[order], cnts[order]
     n = int(cnts.sum())
     below = np.concatenate([[0], np.cumsum(cnts)[:-1]]).astype(np.int64)
     ref = ray.put((vals, below, n))
@@ -675,60 +605,34 @@ def grouped_weighted_mean(ds, *, group_col: str, value_col: str,
     to exactly zero reports NULL (SQL ``CASE WHEN sum(w) = 0``).
 
     Same sufficient-statistics shape as :func:`grouped_moments`: each
-    block collapses to per-group ``(n, swx, sw)`` combiner rows inside
-    ``map_batches``, only group-count rows shuffle, and the final divide
-    is vectorized. Returns (group, n, weighted_mean).
+    block collapses to per-group ``(n, swx, sw)`` partials
+    (:func:`engine.shuffle.combine`), only group-count rows shuffle, and
+    the final divide is vectorized. Returns (group, n, weighted_mean).
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
 
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [], "n": [], "swx": [],
-                                 "sw": []})
-        sub = df[[group_col, value_col, weight_col]].dropna(
-            subset=[value_col, weight_col])
-        w = sub[weight_col].astype(np.float64)
-        g = pd.DataFrame({group_col: sub[group_col],
-                          "wx": sub[value_col].astype(np.float64) * w,
-                          "w": w}) \
-            .groupby(group_col, sort=False).agg(
-                n=("w", "size"), swx=("wx", "sum"),
-                sw=("w", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = balance(ds.map_batches(_partial, batch_format="pandas",
-                                   batch_size=batch_size))
-    agg = parts.groupby(group_col).aggregate(Sum("n"), Sum("swx"),
-                                             Sum("sw"))
+    def _products(b: pa.Table) -> pa.Table:
+        v = pc.cast(b.column(value_col), pa.float64())
+        w = pc.cast(b.column(weight_col), pa.float64())
+        keep = pc.and_(not_null(v), not_null(w))
+        v, w = v.filter(keep), w.filter(keep)
+        return pa.table({group_col: b.column(group_col).filter(keep),
+                         "wx": pc.multiply(v, w), "w": w})
 
     def _final(b: pa.Table) -> pa.Table:
-        n = b.column("sum(n)").to_numpy(zero_copy_only=False)
-        swx = b.column("sum(swx)").to_numpy(zero_copy_only=False)
-        sw = b.column("sum(sw)").to_numpy(zero_copy_only=False)
+        swx = b.column("swx").to_numpy(zero_copy_only=False)
+        sw = b.column("sw").to_numpy(zero_copy_only=False)
         with np.errstate(invalid="ignore", divide="ignore"):
             wm = np.where(sw != 0.0, swx / sw, np.nan)
         return pa.table({
             group_col: b.column(group_col),
-            "n": pa.array(n.astype(np.int64), pa.int64()),
-            "weighted_mean": pa.array([None if np.isnan(x) else float(x)
-                                       for x in wm], pa.float64())})
+            "n": b.column("n"),
+            "weighted_mean": pa.array(wm, pa.float64(),
+                                      mask=np.isnan(wm))})
 
-    res = agg.map_batches(_final, batch_format="pyarrow")
-    # Bounded final: materialize + typed-empty substitution on an
-    # all-filtered corpus (Ray never calls UDFs on empty blocks — see
-    # grouped_moments).
-    res = res.materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {group_col: pa.array([], column_dtype(ds, group_col)),
-             "n": pa.array([], pa.int64()),
-             "weighted_mean": pa.array([], pa.float64())}))
-    return res
+    return finish(combine(ds, group_col, {
+        "n": ("w", "count"), "swx": ("wx", "sum"), "sw": ("w", "sum")},
+        derive=_products, batch_size=batch_size), _final)
 
 
 def grouped_histogram(ds, *, group_col: str, col: str, lo: float,
@@ -739,53 +643,14 @@ def grouped_histogram(ds, *, group_col: str, col: str, lo: float,
     bit-for-bit SQL-reproducible ``min(floor((x - lo) * bins / (hi -
     lo)), bins - 1)`` as :func:`value_histogram`.
 
-    Scale shape: a per-batch pandas (group, bin) size combiner bounds
-    the shuffle at (groups x bins) rows per block — the corpus never
-    shuffles; the final two-key groupby-sum is (groups x bins)-bounded,
-    so it materializes for the typed-empty substitution like the other
-    bounded finals.
+    Scale shape: per-batch (group, bin) counts
+    (:func:`engine.shuffle.combine`) bound the shuffle at
+    (groups x bins) rows per block — the corpus never shuffles.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
-    w = float(hi) - float(lo)
-
-    def _partial(df):
-        if group_col not in df.columns or not len(df):
-            return pd.DataFrame({group_col: [],
-                                 "bin": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
-        v = df[col].to_numpy(np.float64)
-        with np.errstate(invalid="ignore"):
-            keep = (v >= lo) & (v <= hi) & ~np.isnan(v) \
-                & df[group_col].notna().to_numpy()
-        sub = df.loc[keep, [group_col]].copy()
-        vv = v[keep]
-        sub["bin"] = np.minimum(np.floor((vv - lo) * bins / w),
-                                bins - 1).astype(np.int64)
-        g = sub.groupby([group_col, "bin"], sort=False) \
-            .size().rename("n").reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby([group_col, "bin"]).aggregate(Sum("n"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({group_col: b.column(group_col),
-                         "bin": b.column("bin"),
-                         "n": b.column("sum(n)")})
-
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        return ray.data.from_arrow(pa.table(
-            {group_col: pa.array([], column_dtype(ds, group_col)),
-             "bin": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64())}))
-    return res
+    from engine.shuffle import combine
+    return combine(ds, [group_col, "bin"], {"n": ("bin", "count")},
+                   derive=_binner(col, lo, hi, bins, group_col),
+                   batch_size=batch_size)
 
 
 def mutual_information(ds, *, a_col: str, b_col: str, lo: float,
@@ -797,59 +662,36 @@ def mutual_information(ds, *, a_col: str, b_col: str, lo: float,
     SQL-reproducible one of :func:`value_histogram`. Returns ONE row
     (mi, n); an empty contingency reports (NULL, 0).
 
-    Scale shape: the per-batch (category, bin) count combiner bounds the
-    shuffle at vocabulary x bins rows per block; the MI reduce runs
-    worker-side over the single coalesced contingency block (repartition
-    to 1 block of a vocabulary-x-bins-bounded table — never a driver
-    loop).
+    Scale shape: per-batch (category, bin) counts
+    (:func:`engine.shuffle.combine`) bound the shuffle at vocabulary x
+    bins rows per block; the MI reduce runs worker-side over the single
+    coalesced contingency block (a vocabulary-x-bins-bounded table —
+    never a driver loop).
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
-    w = float(hi) - float(lo)
+    from engine.shuffle import combine, finish
 
-    def _partial(df):
-        if a_col not in df.columns or not len(df):
-            return pd.DataFrame({"a": [], "b": pd.array([], dtype="int64"),
-                                 "n": pd.array([], dtype="int64")})
-        v = df[b_col].to_numpy(np.float64)
-        with np.errstate(invalid="ignore"):
-            keep = (v >= lo) & (v <= hi) & ~np.isnan(v) \
-                & df[a_col].notna().to_numpy()
-        sub = pd.DataFrame({"a": df.loc[keep, a_col].to_numpy()})
-        vv = v[keep]
-        sub["b"] = np.minimum(np.floor((vv - lo) * bins / w),
-                              bins - 1).astype(np.int64)
-        g = sub.groupby(["a", "b"], sort=False).size().rename("n") \
-            .reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
+    def _mi(t: pa.Table) -> pa.Table:
+        n = t.column("n").to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
+        tot = n.sum()
+        mi = None
+        if len(n):
+            df = pd.DataFrame({
+                "a": t.column(a_col).to_numpy(zero_copy_only=False),
+                "b": t.column("bin").to_numpy(), "n": n})
+            na = df.groupby("a", sort=False)["n"].transform("sum") \
+                .to_numpy(np.float64)
+            nb = df.groupby("b", sort=False)["n"].transform("sum") \
+                .to_numpy(np.float64)
+            mi = float(((n / tot) * np.log((n * tot) / (na * nb))).sum())
+        return pa.table({"mi": pa.array([mi], pa.float64()),
+                         "n": pa.array([int(tot)], pa.int64())})
 
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(["a", "b"]).aggregate(Sum("n"))
-
-    def _mi(df):
-        if "a" not in df.columns or not len(df):
-            return pd.DataFrame({"mi": pd.array([], dtype="float64"),
-                                 "n": pd.array([], dtype="int64")})
-        n = df["sum(n)"].to_numpy(np.float64)
-        t = n.sum()
-        na = df.groupby("a", sort=False)["sum(n)"].transform("sum") \
-            .to_numpy(np.float64)
-        nb = df.groupby("b", sort=False)["sum(n)"].transform("sum") \
-            .to_numpy(np.float64)
-        mi = float(((n / t) * np.log((n * t) / (na * nb))).sum())
-        return pd.DataFrame({"mi": [mi], "n": [int(t)]})
-
-    res = agg.repartition(1).map_batches(
-        _mi, batch_format="pandas", batch_size=None).materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"mi": pa.array([None], pa.float64()),
-             "n": pa.array([0], pa.int64())}))
-    return res
+    cells = combine(ds, [a_col, "bin"], {"n": ("bin", "count")},
+                    derive=_binner(b_col, lo, hi, bins, a_col),
+                    batch_size=batch_size)
+    return finish(cells, _mi, one_block=True)
 
 
 def grouped_gini(ds, *, group_col: str, value_col: str,
@@ -940,43 +782,38 @@ def spearman_corr(ds, *, x_col: str, y_col: str,
     is constant. Ranks are exact, not sampled.
 
     Scale shape (the :func:`percentile_rank` pattern, doubled): one
-    corpus pass emits tagged per-batch value counts (value-bounded
-    groupby), the two sorted (value, avg-rank) CDFs broadcast once via
-    ``ray.put`` — gated at ``distinct_limit`` distinct values per side —
-    then a map-only pass resolves both ranks via searchsorted and folds
-    the six sufficient statistics one row per block; no row-level data
-    ever reaches the driver.
+    corpus pass merges tagged per-batch value counts
+    (:func:`engine.shuffle.combine`, value-bounded), the two sorted
+    (value, avg-rank) CDFs broadcast once via ``ray.put`` — gated at
+    ``distinct_limit`` distinct values per side — then a map-only pass
+    resolves both ranks via searchsorted and folds the six sufficient
+    statistics one row per block; no row-level data ever reaches the
+    driver.
     """
     import ray
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
-    def _vc(b: pa.Table) -> pa.Table:
+    def _tagged(b: pa.Table) -> pa.Table:
         x = pc.cast(b.column(x_col), pa.float64()) \
             .to_numpy(zero_copy_only=False)
         y = pc.cast(b.column(y_col), pa.float64()) \
             .to_numpy(zero_copy_only=False)
         keep = ~(np.isnan(x) | np.isnan(y))
-        ux, cx = np.unique(x[keep], return_counts=True)
-        uy, cy = np.unique(y[keep], return_counts=True)
+        k = int(keep.sum())
         return pa.table({
-            "tag": pa.array(np.r_[np.zeros(len(ux), np.int8),
-                                  np.ones(len(uy), np.int8)]),
-            "v": pa.array(np.r_[ux, uy], pa.float64()),
-            "c": pa.array(np.r_[cx, cy].astype(np.int64))})
+            "tag": pa.array(np.r_[np.zeros(k, np.int8),
+                                  np.ones(k, np.int8)]),
+            "v": pa.array(np.r_[x[keep], y[keep]], pa.float64())})
 
-    counts = balance(ds.map_batches(_vc, batch_format="pyarrow",
-                                    zero_copy_batch=True,
-                                    batch_size=batch_size)) \
-        .groupby(["tag", "v"]).aggregate(Sum("c")).materialize()
-    cdf = counts.to_pandas()
+    cdf = combine(ds, ["tag", "v"], {"c": ("v", "count")}, derive=_tagged,
+                  batch_size=batch_size).to_pandas()
     if not len(cdf):
         return pa.table({"spearman_r": pa.array([None], pa.float64()),
                          "n": pa.array([0], pa.int64())})
 
     def _ranks(sub):
         sub = sub.sort_values("v")
-        cnt = sub["sum(c)"].to_numpy(np.float64)
+        cnt = sub["c"].to_numpy(np.float64)
         below = np.concatenate([[0.0], np.cumsum(cnt)[:-1]])
         return sub["v"].to_numpy(), below + (cnt + 1.0) / 2.0
 
@@ -1014,17 +851,16 @@ def spearman_corr(ds, *, x_col: str, y_col: str,
                 "syy": pa.array([float((ry * ry).sum())], pa.float64()),
                 "sxy": pa.array([float((rx * ry).sum())], pa.float64())})
 
-    parts = ds.map_batches(_Stats(ref), batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size)
-    t = parts.sum(["n", "sx", "sy", "sxx", "syy", "sxy"])
-    n = int(t["sum(n)"] or 0)
+    t = combine(ds, [], {c: (c, "sum") for c in
+                         ("n", "sx", "sy", "sxx", "syy", "sxy")},
+                derive=_Stats(ref), batch_size=batch_size).take_all()[0]
+    n = int(t["n"] or 0)
     r = None
     if n >= 2:
-        sx, sy = t["sum(sx)"], t["sum(sy)"]
-        den2 = (n * t["sum(sxx)"] - sx * sx) \
-            * (n * t["sum(syy)"] - sy * sy)
+        sx, sy = t["sx"], t["sy"]
+        den2 = (n * t["sxx"] - sx * sx) * (n * t["syy"] - sy * sy)
         if den2 > 0:
-            r = float((n * t["sum(sxy)"] - sx * sy) / np.sqrt(den2))
+            r = float((n * t["sxy"] - sx * sy) / np.sqrt(den2))
     return pa.table({"spearman_r": pa.array([r], pa.float64()),
                      "n": pa.array([n], pa.int64())})
 
@@ -1037,72 +873,50 @@ def corr_matrix(ds, *, cols: Sequence[str], batch_size=None):
     n < 2 or either side is constant.
 
     Scale shape: each block collapses to C(k, 2) sufficient-statistic
-    rows (n, sx, sy, sxx, syy, sxy) inside ``map_batches``, so the
-    shuffle is pairs x blocks rows regardless of corpus size; the final
-    divide is a pairs-bounded groupby.
+    rows (n, sx, sy, sxx, syy, sxy), merged by pair
+    (:func:`engine.shuffle.combine`), so the shuffle is pairs x blocks
+    rows regardless of corpus size; the final divide is vectorized.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish
     pairs = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:]]
+    stats = ("n", "sx", "sy", "sxx", "syy", "sxy")
 
-    def _partial(df):
-        rows = {"col_x": [], "col_y": [], "n": [], "sx": [], "sy": [],
-                "sxx": [], "syy": [], "sxy": []}
-        if not len(df) or cols[0] not in df.columns:
-            out = pd.DataFrame(rows)
-            out["n"] = out["n"].astype(np.int64)
-            return out
-        arr = {c: df[c].to_numpy(np.float64) for c in cols}
+    def _pair_stats(t: pa.Table) -> pa.Table:
+        arr = {c: pc.cast(t.column(c), pa.float64())
+               .to_numpy(zero_copy_only=False) for c in cols}
+        rows = {s: [] for s in stats}
         for a, b in pairs:
             x, y = arr[a], arr[b]
             keep = ~(np.isnan(x) | np.isnan(y))
             xs, ys = x[keep], y[keep]
-            rows["col_x"].append(a)
-            rows["col_y"].append(b)
-            rows["n"].append(int(keep.sum()))
-            rows["sx"].append(float(xs.sum()))
-            rows["sy"].append(float(ys.sum()))
-            rows["sxx"].append(float((xs * xs).sum()))
-            rows["syy"].append(float((ys * ys).sum()))
-            rows["sxy"].append(float((xs * ys).sum()))
-        out = pd.DataFrame(rows)
-        out["n"] = out["n"].astype(np.int64)
-        return out
-
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(["col_x", "col_y"]).aggregate(
-        Sum("n"), Sum("sx"), Sum("sy"), Sum("sxx"), Sum("syy"),
-        Sum("sxy"))
+            for s, v in zip(stats, (keep.sum(), xs.sum(), ys.sum(),
+                                    (xs * xs).sum(), (ys * ys).sum(),
+                                    (xs * ys).sum())):
+                rows[s].append(v)
+        return pa.table({
+            "col_x": pa.array([a for a, _ in pairs], pa.string()),
+            "col_y": pa.array([b for _, b in pairs], pa.string()),
+            "n": pa.array(rows["n"], pa.int64()),
+            **{s: pa.array(rows[s], pa.float64()) for s in stats[1:]}})
 
     def _final(b: pa.Table) -> pa.Table:
-        n = b.column("sum(n)").to_numpy(zero_copy_only=False) \
+        n = b.column("n").to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        sx = b.column("sum(sx)").to_numpy(zero_copy_only=False)
-        sy = b.column("sum(sy)").to_numpy(zero_copy_only=False)
-        sxx = b.column("sum(sxx)").to_numpy(zero_copy_only=False)
-        syy = b.column("sum(syy)").to_numpy(zero_copy_only=False)
-        sxy = b.column("sum(sxy)").to_numpy(zero_copy_only=False)
+        sx, sy, sxx, syy, sxy = (
+            b.column(c).to_numpy(zero_copy_only=False) for c in stats[1:])
         with np.errstate(invalid="ignore", divide="ignore"):
             den2 = (n * sxx - sx * sx) * (n * syy - sy * sy)
             r = np.where((n >= 2) & (den2 > 0),
                          (n * sxy - sx * sy) / np.sqrt(den2), np.nan)
         return pa.table({
             "col_x": b.column("col_x"), "col_y": b.column("col_y"),
-            "r": pa.array([None if np.isnan(v) else float(v)
-                           for v in r], pa.float64()),
-            "n": pa.array(n.astype(np.int64), pa.int64())})
+            "r": pa.array(r, pa.float64(), mask=np.isnan(r)),
+            "n": b.column("n")})
 
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"col_x": pa.array([], pa.string()),
-             "col_y": pa.array([], pa.string()),
-             "r": pa.array([], pa.float64()),
-             "n": pa.array([], pa.int64())}))
-    return res
+    return finish(combine(ds, ["col_x", "col_y"],
+                          {s: (s, "sum") for s in stats},
+                          derive=_pair_stats, batch_size=batch_size),
+                  _final)
 
 
 def grouped_quantile_buckets(ds, *, group_col: str, value_col: str,
@@ -1183,49 +997,34 @@ def pareto_share(ds, *, key_col: str, value_col: str,
     values drop. Returns ONE row (top_share, n_keys); NULL share when
     the total is zero or there are no keys.
 
-    Scale shape: the per-key sums come from the standard in-batch
-    combiner + key groupby (bounded at the key count); the rank cutoff
-    reduce runs worker-side over ONE coalesced block of that bounded
-    aggregate (same pattern as mutual_information). For key counts that
-    outgrow a single worker block, use a quantile fence from
+    Scale shape: the per-key sums come from
+    :func:`engine.shuffle.combine` (bounded at the key count); the rank
+    cutoff reduce runs worker-side over ONE coalesced block of that
+    bounded aggregate (same pattern as mutual_information). For key
+    counts that outgrow a single worker block, use a quantile fence from
     ``exact_quantiles`` instead — documented trade-off, not a silent
     cap.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
 
-    def _partial(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({key_col: [], "v": []})
-        sub = df[[key_col, value_col]].dropna()
-        g = sub.groupby(key_col, sort=False)[value_col].sum() \
-            .rename("v").reset_index()
-        return g
+    def _values(b: pa.Table) -> pa.Table:
+        v = pc.cast(b.column(value_col), pa.float64())
+        keep = not_null(v)
+        return pa.table({key_col: b.column(key_col).filter(keep),
+                         "v": v.filter(keep)})
 
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(key_col).aggregate(Sum("v"))
-
-    def _share(df):
-        if key_col not in df.columns or not len(df):
-            return pd.DataFrame({"top_share": [],
-                                 "n_keys": pd.array([], dtype="int64")})
-        v = np.sort(df["sum(v)"].to_numpy(np.float64))[::-1]
+    def _share(t: pa.Table) -> pa.Table:
+        v = np.sort(t.column("v").to_numpy(zero_copy_only=False))[::-1]
         n = len(v)
         k = int(np.ceil(top_frac * n))
         tot = v.sum()
-        share = float(v[:k].sum() / tot) if tot != 0.0 else np.nan
-        return pd.DataFrame({"top_share": [share], "n_keys": [n]})
+        share = float(v[:k].sum() / tot) if tot != 0.0 else None
+        return pa.table({"top_share": pa.array([share], pa.float64()),
+                         "n_keys": pa.array([n], pa.int64())})
 
-    res = agg.repartition(1).map_batches(
-        _share, batch_format="pandas", batch_size=None).materialize()
-    if res.count() == 0:
-        import ray.data
-        return ray.data.from_arrow(pa.table(
-            {"top_share": pa.array([None], pa.float64()),
-             "n_keys": pa.array([0], pa.int64())}))
-    return res
+    sums = combine(ds, key_col, {"v": ("v", "sum")}, derive=_values,
+                   batch_size=batch_size)
+    return finish(sums, _share, one_block=True)
 
 
 def grouped_count_mean(ds, *, group_cols: Sequence[str], value_col: str,
@@ -1236,46 +1035,24 @@ def grouped_count_mean(ds, *, group_cols: Sequence[str], value_col: str,
     (*group_cols, n, mean).
 
     Same sufficient-statistics shape as :func:`grouped_weighted_mean`:
-    per-block (n, s) combiner rows, a (group-tuple)-bounded groupby, a
-    vectorized final divide, and the typed-empty substitution on
-    all-filtered input.
+    per-block (n, s) partials (:func:`engine.shuffle.combine`), a
+    (group-tuple)-bounded merge and a vectorized final divide.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
-    from engine.shuffle import balance
+    from engine.shuffle import combine, finish, not_null
     gcols = list(group_cols)
 
-    def _partial(df):
-        if not len(df) or gcols[0] not in df.columns:
-            out = pd.DataFrame({c: [] for c in gcols})
-            out["n"] = pd.array([], dtype="int64")
-            out["s"] = pd.array([], dtype="float64")
-            return out
-        sub = df[gcols + [value_col]].dropna()
-        g = sub.groupby(gcols, sort=False)[value_col] \
-            .agg(["size", "sum"]).reset_index()
-        g.columns = gcols + ["n", "s"]
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = ds.map_batches(_partial, batch_format="pandas",
-                           batch_size=batch_size)
-    agg = balance(parts).groupby(gcols).aggregate(Sum("n"), Sum("s"))
+    def _values(b: pa.Table) -> pa.Table:
+        v = pc.cast(b.column(value_col), pa.float64())
+        keep = not_null(v)
+        return pa.table({**{c: b.column(c).filter(keep) for c in gcols},
+                         "v": v.filter(keep)})
 
     def _final(b: pa.Table) -> pa.Table:
-        n = b.column("sum(n)").to_numpy(zero_copy_only=False)
-        s = b.column("sum(s)").to_numpy(zero_copy_only=False)
-        cols = {c: b.column(c) for c in gcols}
-        cols["n"] = pa.array(n.astype(np.int64), pa.int64())
-        cols["mean"] = pa.array(s / n, pa.float64())
-        return pa.table(cols)
+        n = b.column("n").to_numpy(zero_copy_only=False)
+        s = b.column("s").to_numpy(zero_copy_only=False)
+        return b.select(gcols + ["n"]).append_column(
+            "mean", pa.array(s / n, pa.float64()))
 
-    res = agg.map_batches(_final, batch_format="pyarrow").materialize()
-    if res.count() == 0:
-        import ray.data
-        from engine.shuffle import column_dtype
-        cols = {c: pa.array([], column_dtype(ds, c)) for c in gcols}
-        cols["n"] = pa.array([], pa.int64())
-        cols["mean"] = pa.array([], pa.float64())
-        return ray.data.from_arrow(pa.table(cols))
-    return res
+    return finish(combine(ds, gcols, {"n": ("v", "count"),
+                                      "s": ("v", "sum")},
+                          derive=_values, batch_size=batch_size), _final)

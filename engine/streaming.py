@@ -170,14 +170,13 @@ def process_micro_batch(events_ds, state_dir: str, *,
     stream's lifetime. Open windows + watermark persist in ``state_dir``.
 
     Scale shape: the persisted open state enters the new slice's one
-    (key, wstart) groupby as extra partial rows, so the state merge is
-    distributed — the driver touches only the per-block meta rows
-    (late-count / max-ts scalars, O(blocks) of them after the groupby)
-    and the watermark; open state is written back by workers.
+    (key, wstart) :func:`engine.shuffle.combine` as extra partial rows,
+    so the state merge is distributed — the driver touches only the
+    per-batch meta rows (late-count / max-ts scalars) and the watermark;
+    open state is written back by workers.
     """
     import ray.data
-    from engine.shuffle import balance
-    from ray.data.aggregate import Max, Sum
+    from engine.shuffle import combine, not_null
 
     win_us = _parse_duration_s(window) * 1_000_000
     late_us = _parse_duration_s(allowed_lateness) * 1_000_000
@@ -185,51 +184,44 @@ def process_micro_batch(events_ds, state_dir: str, *,
     meta = state.load_meta()
     wm = meta["watermark_us"]  # None before any event
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        if len(batch) == 0:
-            kt = batch.schema.field(key_col).type
-            return pa.table({
-                "key": pa.array([], kt),
-                "wstart": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "value_sum": pa.array([], pa.float64()),
-                "late": pa.array([], pa.int64()),
-                "max_ts": pa.array([], pa.int64())})
+    def _rows(batch: pa.Table) -> pa.Table:
+        """One partial row per on-time event plus ONE meta row per batch
+        (``wstart = -1``: the batch's late count and max ts)."""
         ts = pc.cast(batch.column(ts_col), pa.timestamp("us"))
         ts_us = ts.to_numpy(zero_copy_only=False).astype("datetime64[us]") \
             .astype(np.int64)
         on_time = np.ones(len(batch), dtype=bool) if wm is None \
             else ts_us >= wm
-        wstart = (ts_us // win_us) * win_us
-        df = pd.DataFrame({
-            "key": batch.column(key_col).to_numpy(zero_copy_only=False),
-            "wstart": wstart, "on_time": on_time,
-            "value": pc.cast(batch.column(value_col),
-                             pa.float64()).to_numpy(zero_copy_only=False),
-        })
-        sub = df[df["on_time"]]
-        g = sub.groupby(["key", "wstart"], sort=False).agg(
-            n_events=("value", "size"),
-            value_sum=("value", "sum")).reset_index()
-        g["late"] = np.int64(0)
-        g["max_ts"] = np.int64(0)
-        row = pd.DataFrame([{
-            "key": df["key"].iloc[0] if len(df) else 0,
-            "wstart": np.int64(-1), "n_events": np.int64(0),
-            "value_sum": 0.0,
-            "late": np.int64((~df["on_time"]).sum()),
-            "max_ts": np.int64(ts_us.max()) if len(ts_us) else np.int64(0),
-        }])
-        out = pd.concat([g, row], ignore_index=True)
-        out["n_events"] = out["n_events"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        on = pa.array(on_time)
+        n_on = int(on_time.sum())
+        keys = batch.column(key_col)
+        v = pc.cast(batch.column(value_col), pa.float64())
+        zeros = pa.array(np.zeros(n_on, np.int64))
+        data = pa.table({
+            "key": keys.filter(on),
+            "wstart": pa.array(((ts_us // win_us) * win_us)[on_time]),
+            "n_events": pa.array(np.ones(n_on, np.int64)),
+            # SQL sum skips NULLs; an all-NULL window sums to 0.0
+            "value_sum": pc.if_else(not_null(v), v, 0.0).filter(on),
+            "late": zeros, "max_ts": zeros})
+        # the meta row needs a non-NULL key so the merge keeps it
+        present = keys.drop_null()
+        mkey = present.slice(0, 1) if len(present) \
+            else pa.array([0]).cast(keys.type)
+        row = pa.table({
+            "key": mkey, "wstart": pa.array([-1], pa.int64()),
+            "n_events": pa.array([0], pa.int64()),
+            "value_sum": pa.array([0.0], pa.float64()),
+            "late": pa.array([len(batch) - n_on], pa.int64()),
+            "max_ts": pa.array([ts_us.max() if len(ts_us) else 0],
+                               pa.int64())})
+        return pa.concat_tables([data, row.cast(data.schema)])
 
-    partials = balance(events_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency))
+    rows = events_ds.map_batches(
+        _rows, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=batch_size, concurrency=concurrency)
 
-    # previous open state joins the SAME groupby as extra partial rows —
+    # previous open state joins the SAME merge as extra partial rows —
     # the state merge is part of the one distributed shuffle
     prev_path = state.open_artifact(meta)
     if prev_path is not None:
@@ -246,15 +238,15 @@ def process_micro_batch(events_ds, state_dir: str, *,
                     "late": pa.array(np.zeros(n, np.int64)),
                     "max_ts": pa.array(np.zeros(n, np.int64))})
 
-            partials = partials.union(prev_ds.map_batches(
+            rows = rows.union(prev_ds.map_batches(
                 _as_partial, batch_format="pyarrow"))
 
-    # one distributed merge of new partials + carried state; the result is
-    # bounded by (keys x windows touched) so object-store materialization
-    # (spillable, never the driver) lets us consume it thrice below
-    agg = partials.groupby(["key", "wstart"]).aggregate(
-        Sum("n_events"), Sum("value_sum"), Sum("late"),
-        Max("max_ts")).materialize()
+    # one distributed merge of new rows + carried state; the result is
+    # bounded by (keys x windows touched) and materialized (spillable,
+    # never the driver), so it is consumed thrice below
+    agg = combine(rows, ["key", "wstart"], {
+        "n_events": ("n_events", "sum"), "value_sum": ("value_sum", "sum"),
+        "late": ("late", "sum"), "max_ts": ("max_ts", "max")})
 
     def _meta_rows(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b.column("wstart"), -1))
@@ -265,8 +257,8 @@ def process_micro_batch(events_ds, state_dir: str, *,
               if t.num_columns and len(t)]
     if mparts:
         mt = pa.concat_tables(mparts)
-        n_late = int(pc.sum(mt.column("sum(late)")).as_py() or 0)
-        max_ts = int(pc.max(mt.column("max(max_ts)")).as_py() or 0)
+        n_late = int(pc.sum(mt.column("late")).as_py() or 0)
+        max_ts = int(pc.max(mt.column("max_ts")).as_py() or 0)
     else:
         n_late, max_ts = 0, 0
 
@@ -275,12 +267,8 @@ def process_micro_batch(events_ds, state_dir: str, *,
         new_wm = wm  # watermark never regresses
 
     def _data_rows(b: pa.Table) -> pa.Table:
-        d = b.filter(pc.not_equal(b.column("wstart"), -1))
-        return pa.table({
-            "key": d.column("key"),
-            "wstart": d.column("wstart"),
-            "n_events": d.column("sum(n_events)"),
-            "value_sum": d.column("sum(value_sum)")})
+        return b.filter(pc.not_equal(b.column("wstart"), -1)) \
+            .select(["key", "wstart", "n_events", "value_sum"])
 
     data = agg.map_batches(_data_rows, batch_format="pyarrow")
     wm_cut = new_wm if new_wm is not None else np.iinfo(np.int64).min

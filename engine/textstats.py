@@ -73,9 +73,9 @@ def token_doc_frequency(ds, *, text_col: str = "text",
 
     The classic corpus-wide wide op done Ray-Data-first: tokens are split
     zero-copy (``pc.split_pattern_regex``), per-batch DISTINCT (doc, token)
-    pairs are computed via dictionary codes + ``np.unique`` (the combiner),
-    and only (token, partial_df) rows shuffle into the final token groupby —
-    never the token stream itself.
+    pairs are computed via dictionary codes + ``np.unique`` (the per-batch
+    partial), and only (token, partial_df) rows shuffle into the token
+    :func:`engine.shuffle.combine` — never the token stream itself.
     """
     import pyarrow.compute as pc
 
@@ -90,27 +90,16 @@ def token_doc_frequency(ds, *, text_col: str = "text",
         codes = enc.indices.to_numpy(zero_copy_only=False)
         pairs = np.unique(np.stack([parent, codes]), axis=1)
         uniq_codes, df_counts = np.unique(pairs[1], return_counts=True)
-        dictionary = enc.dictionary.to_pylist()
-        tokens, dfs = [], []
-        for c, n in zip(uniq_codes.tolist(), df_counts.tolist()):
-            t = dictionary[c]
-            if t:  # drop empty tokens from leading separators
-                tokens.append(t)
-                dfs.append(n)
-        return pa.table({"token": pa.array(tokens, pa.string()),
-                         "partial_df": pa.array(dfs, pa.int64())})
+        tokens = enc.dictionary.take(pa.array(uniq_codes, pa.int64()))
+        keep = pc.greater(pc.utf8_length(tokens), 0)  # leading separators
+        return pa.table({"token": pc.cast(tokens.filter(keep), pa.string()),
+                         "partial_df": pa.array(df_counts.astype(np.int64))
+                         .filter(keep)})
 
-    from engine.shuffle import balance
-    partials = balance(ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency))
-    agg = partials.groupby("token").sum("partial_df")
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({"token": b.column("token"),
-                         "df": b.column("sum(partial_df)")})
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    from engine.shuffle import combine
+    return combine(ds, "token", {"df": ("partial_df", "sum")},
+                   derive=_partial, batch_size=batch_size,
+                   concurrency=concurrency)
 
 
 def quality_scores(ds, *, text_col: str = "text", key_col: str = "doc_id",
@@ -308,32 +297,30 @@ def ngram_novelty(ds, reference_ds, *, text_col: str = "text",
     already-trained corpus (novelty 0 = fully contained).
 
     The reference gram set builds distributedly (per-batch distinct
-    grams, groupby-deduped) and broadcasts once. Below ``exact_limit``
-    distinct grams it ships as a sorted string array (EXACT — what a SQL
-    oracle can reproduce); above, as a Bloom filter of gram hashes (fpr
-    -> novelty slightly UNDER-estimated, never over), the same
-    degradation contract as the referential checks. Scoring is map-only.
+    grams merged by :func:`engine.shuffle.combine`) and broadcasts once.
+    Below ``exact_limit`` distinct grams it ships as a sorted string
+    array (EXACT — what a SQL oracle can reproduce); above, as a Bloom
+    filter of gram hashes (fpr -> novelty slightly UNDER-estimated,
+    never over), the same degradation contract as the referential
+    checks. Scoring is map-only.
     """
     import pandas as pd
     import ray
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
-    def _ref_grams(df):
-        if text_col not in df.columns or not len(df):
-            return pd.DataFrame({"g": []})
+    def _ref_grams(batch: pa.Table) -> pa.Table:
         grams = set()
-        for t in df[text_col]:
+        for t in batch.column(text_col).to_pylist():
             grams.update(_word_ngrams(t, n))
-        return pd.DataFrame({"g": sorted(grams)})
+        return pa.table({"g": pa.array(sorted(grams), pa.string())})
 
-    ref_distinct = balance(reference_ds.map_batches(
-        _ref_grams, batch_format="pandas", batch_size=batch_size)) \
-        .groupby("g").map_groups(lambda d: d.head(1) if "g" in d.columns
-                                 else d, batch_format="pandas") \
-        .materialize()
+    ref_distinct = combine(reference_ds, "g", {"n": ("g", "count")},
+                           derive=_ref_grams, batch_size=batch_size)
     n_ref = ref_distinct.count()
     if n_ref <= exact_limit:
-        ref = np.sort(ref_distinct.to_pandas()["g"].to_numpy())
+        grams = ref_distinct.to_pandas()  # a zero-row frame has no columns
+        ref = np.sort(grams["g"].to_numpy()) if len(grams) \
+            else np.zeros(0, dtype=object)
         mode = "exact"
     else:
         from engine.sketches import Bloom
@@ -723,8 +710,7 @@ def token_type_ratio(ds, *, text_col: str = "text",
             key_col: batch.column(key_col),
             "n_tokens": pa.array(n_tokens, pa.int64()),
             "n_distinct": pa.array(n_distinct, pa.int64()),
-            "ttr": pa.array([None if np.isnan(x) else float(x)
-                             for x in ttr], pa.float64())})
+            "ttr": pa.array(ttr, pa.float64(), mask=np.isnan(ttr))})
 
     return ds.map_batches(_fn, batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=batch_size, concurrency=concurrency)
@@ -809,9 +795,9 @@ def bigram_heavy_hitters(ds, *, text_col: str = "text", k: int = 20,
     counts collapse inside ``map_batches`` (adjacency = consecutive
     flattened tokens with the same parent row; joined via
     ``pc.binary_join_element_wise``), so only (bigram, partial_count)
-    rows shuffle; a per-block top-k after the groupby bounds the final
-    sort at blocks x k rows. Returns the top-k Dataset
-    (bigram, n_occurrences).
+    rows shuffle into :func:`engine.shuffle.combine`; a per-block top-k
+    after the merge bounds the final sort at blocks x k rows. Returns
+    the top-k Dataset (bigram, n_occurrences).
     """
     from engine.kernels import _flatten, _valid_mask
 
@@ -840,23 +826,18 @@ def bigram_heavy_hitters(ds, *, text_col: str = "text", k: int = 20,
         return pa.table({"bigram": pc.cast(vc.field("values"), pa.string()),
                          "cnt": pc.cast(vc.field("counts"), pa.int64())})
 
-    from engine.shuffle import balance
-    partials = balance(ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency))
-    agg = partials.groupby("bigram").sum("cnt")
-
     def _block_topk(b: pa.Table) -> pa.Table:
-        out = pa.table({"bigram": b.column("bigram"),
-                        "n_occurrences": b.column("sum(cnt)")})
-        if out.num_rows > k:
-            idx = pc.select_k_unstable(
-                out, k, [("n_occurrences", "descending"),
-                         ("bigram", "ascending")])
-            out = out.take(idx)
-        return out
+        if b.num_rows > k:
+            b = b.take(pc.select_k_unstable(
+                b, k, [("n_occurrences", "descending"),
+                       ("bigram", "ascending")]))
+        return b
 
-    return agg.map_batches(_block_topk, batch_format="pyarrow") \
+    from engine.shuffle import combine
+    return combine(ds, "bigram", {"n_occurrences": ("cnt", "sum")},
+                   derive=_partial, batch_size=batch_size,
+                   concurrency=concurrency) \
+        .map_batches(_block_topk, batch_format="pyarrow") \
         .sort(["n_occurrences", "bigram"],
               descending=[True, False]).limit(k)
 
@@ -905,10 +886,8 @@ def token_entropy(ds, *, text_col: str = "text", key_col: str = "doc_id",
         return pa.table({
             key_col: batch.column(key_col),
             "n_tokens": pa.array(n_tok, pa.int64()),
-            "entropy": pa.array([None if np.isnan(x) else float(x)
-                                 for x in ent], pa.float64()),
-            "top_share": pa.array([None if np.isnan(x) else float(x)
-                                   for x in top], pa.float64())})
+            "entropy": pa.array(ent, pa.float64(), mask=np.isnan(ent)),
+            "top_share": pa.array(top, pa.float64(), mask=np.isnan(top))})
 
     return ds.map_batches(_fn, batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=batch_size, concurrency=concurrency)
@@ -921,15 +900,15 @@ def token_counts_by_group(ds, *, group_col: str = "lang",
     vocabulary profile. NULL groups drop; NULL text counts as empty.
     Returns (group, token, cnt).
 
-    Scale shape: the per-batch (group-code, token-code) pair-count
-    combiner (one ``np.unique`` over stacked dictionary codes — the
+    Scale shape: the per-batch (group-code, token-code) pair counts (one
+    ``np.unique`` over stacked dictionary codes — the
     :func:`token_doc_frequency` trick with the doc axis swapped for the
-    group axis) bounds the shuffle at per-batch-distinct pairs; the
-    final groupby is (groups x vocabulary)-bounded.
+    group axis) bound the shuffle at per-batch-distinct pairs; the
+    :func:`engine.shuffle.combine` merge is (groups x
+    vocabulary)-bounded.
     """
-    from ray.data.aggregate import Sum
     from engine.kernels import _flatten, _valid_mask
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
     def _partial(batch: pa.Table) -> pa.Table:
         gcol = batch.column(group_col)
@@ -965,18 +944,9 @@ def token_counts_by_group(ds, *, group_col: str = "lang",
                              pa.string()),
             "cnt": pa.array(cnt.astype(np.int64))})
 
-    parts = balance(ds.map_batches(_partial, batch_format="pyarrow",
-                                   zero_copy_batch=True,
-                                   batch_size=batch_size,
-                                   concurrency=concurrency))
-    agg = parts.groupby([group_col, "token"]).aggregate(Sum("cnt"))
-
-    def _final(b: pa.Table) -> pa.Table:
-        return pa.table({group_col: b.column(group_col),
-                         "token": b.column("token"),
-                         "cnt": b.column("sum(cnt)")})
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return combine(ds, [group_col, "token"], {"cnt": ("cnt", "sum")},
+                   derive=_partial, batch_size=batch_size,
+                   concurrency=concurrency)
 
 
 def vocabulary_stats(ds, *, text_col: str = "text",
@@ -986,14 +956,14 @@ def vocabulary_stats(ds, *, text_col: str = "text",
     token occurrences. Returns ONE row
     (vocab_size, hapax_count, total_tokens).
 
-    Scale shape: per-batch token ``value_counts`` combiners shuffle only
-    (token, cnt) rows; the three scalars then fold from per-block
-    partials over the token aggregate (count / count-if-1 / sum) — the
-    vocabulary itself never coalesces into one block.
+    Scale shape: per-batch token ``value_counts`` shuffle only
+    (token, cnt) rows into :func:`engine.shuffle.combine`; the three
+    scalars then fold from per-block partials over the token aggregate
+    (count / count-if-1 / sum, a keyless ``combine``) — the vocabulary
+    itself never coalesces into one block.
     """
-    from ray.data.aggregate import Sum
     from engine.kernels import _flatten, _valid_mask
-    from engine.shuffle import balance
+    from engine.shuffle import combine
 
     def _partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -1006,27 +976,21 @@ def vocabulary_stats(ds, *, text_col: str = "text",
         return pa.table({"token": pc.cast(vc.field("values"), pa.string()),
                          "cnt": pc.cast(vc.field("counts"), pa.int64())})
 
-    parts = balance(ds.map_batches(_partial, batch_format="pyarrow",
-                                   zero_copy_batch=True,
-                                   batch_size=batch_size,
-                                   concurrency=concurrency))
-    agg = parts.groupby("token").aggregate(Sum("cnt"))
-
     def _fold(b: pa.Table) -> pa.Table:
-        n = b.column("sum(cnt)").to_numpy(zero_copy_only=False)
+        n = b.column("cnt").to_numpy(zero_copy_only=False)
         return pa.table({
             "vocab": pa.array([len(n)], pa.int64()),
             "hapax": pa.array([int((n == 1).sum())], pa.int64()),
             "total": pa.array([int(n.sum())], pa.int64())})
 
-    folded = agg.map_batches(_fold, batch_format="pyarrow",
-                             batch_size=None)
-    t = folded.sum(["vocab", "hapax", "total"])
-    return pa.table({
-        "vocab_size": pa.array([int(t["sum(vocab)"] or 0)], pa.int64()),
-        "hapax_count": pa.array([int(t["sum(hapax)"] or 0)], pa.int64()),
-        "total_tokens": pa.array([int(t["sum(total)"] or 0)],
-                                 pa.int64())})
+    tokens = combine(ds, "token", {"cnt": ("cnt", "sum")}, derive=_partial,
+                     batch_size=batch_size, concurrency=concurrency)
+    t = combine(tokens, [], {"vocab_size": ("vocab", "sum"),
+                             "hapax_count": ("hapax", "sum"),
+                             "total_tokens": ("total", "sum")},
+                derive=_fold).take_all()[0]
+    return pa.table({c: pa.array([int(v or 0)], pa.int64())
+                     for c, v in t.items()})
 
 
 def jaccard_to_query(ds, *, query_tokens, text_col: str = "text",
@@ -1080,8 +1044,7 @@ def jaccard_to_query(ds, *, query_tokens, text_col: str = "text",
             j = np.where(union > 0, inter / union, np.nan)
         return pa.table({
             key_col: batch.column(key_col),
-            "jaccard": pa.array([None if np.isnan(x) else float(x)
-                                 for x in j], pa.float64())})
+            "jaccard": pa.array(j, pa.float64(), mask=np.isnan(j))})
 
     scored = ds.map_batches(_score, batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=batch_size,

@@ -318,10 +318,7 @@ CASES = {
 # (an empty document-frequency table is schemaless, and Arrow cannot join
 # an all-NULL doc_id column). Of the decomposable aggregates: both cases
 # of q3, q5 and q10 and the empty case of the revenue_by_segment join
-# path (Ray's hash join fails on an empty or all-NULL-key side), both
-# cases of percentile_rank and ngram_novelty (an empty aggregate has no
-# value column), and the NULL case of top_event_types (``np.unique``
-# cannot sort NULL event types).
+# path (Ray's hash join fails on an empty or all-NULL-key side).
 EXPECTED = {
     "activity_heatmap": {
         "empty": (0, "dow:int64 hod:int64 n:int64"),
@@ -389,7 +386,7 @@ EXPECTED = {
         "empty": (0, None),
         "null": (0, None)},
     "exact_duplicates": {
-        "empty": (0, None),
+        "empty": (0, "text_hash:string keep_id:int64 dup_count:int64"),
         "null": (1, "text_hash:string keep_id:int64 dup_count:int64")},
     "except_distinct": {
         "empty": (0, None),
@@ -470,8 +467,13 @@ EXPECTED = {
     "mutual_information": {
         "empty": (1, "mi:double n:int64"),
         "null": (1, "mi:double n:int64")},
-    "normalized_duplicates": {
+    "ngram_novelty": {
         "empty": (0, None),
+        "null": (3,
+                    "doc_id:int64 novel_grams:int64 total_grams:int64 "
+                    "novelty:double")},
+    "normalized_duplicates": {
+        "empty": (0, "norm_hash:string keep_id:int64 dup_count:int64"),
         "null": (1, "norm_hash:string keep_id:int64 dup_count:int64")},
     "orders_per_customer_histogram": {
         "empty": (1, "n_orders:int64 n_customers:int64"),
@@ -485,6 +487,9 @@ EXPECTED = {
     "peak_hourly_rate": {
         "empty": (0, None),
         "null": (0, None)},
+    "percentile_rank": {
+        "empty": (0, None),
+        "null": (0, "event_id:int64 pct_rank:double")},
     "pivot_agg": {
         "empty": (0, None),
         "null": (0, None)},
@@ -496,16 +501,22 @@ EXPECTED = {
                     "key:int64 window_start:timestamp[us] n_events:int64 "
                     "value_sum:double")},
     "q1_pricing_summary": {
-        "empty": (0, None),
-        "null": (0, None)},
+        "empty": (0,
+                    "l_returnflag:string l_linestatus:string sum_qty:double "
+                    "sum_base_price:double sum_disc_price:double "
+                    "avg_qty:double count_order:int64"),
+        "null": (0,
+                    "l_returnflag:string l_linestatus:string sum_qty:double "
+                    "sum_base_price:double sum_disc_price:double "
+                    "avg_qty:double count_order:int64")},
     "q6_forecast_revenue": {
         "empty": (1, "revenue:double n_items:int64"),
         "null": (1, "revenue:double n_items:int64")},
     "revenue_by_segment": {
-        "empty": (0, None),
-        "null": (0, None)},
+        "empty": (0, "c_mktsegment:string revenue:double n_orders:int64"),
+        "null": (0, "c_mktsegment:string revenue:double n_orders:int64")},
     "revenue_by_segment_join": {
-        "null": (0, None)},
+        "null": (0, "c_mktsegment:string revenue:double n_orders:int64")},
     "rolling_rows_mean": {
         "empty": (0, None),
         "null": (3, "event_id:int64 rolling_mean:double")},
@@ -556,13 +567,14 @@ EXPECTED = {
         "empty": (0, "user_id:int64 seconds_to_target:double"),
         "null": (0, "user_id:int64 seconds_to_target:double")},
     "token_counts_by_group": {
-        "empty": (0, None),
-        "null": (0, None)},
+        "empty": (0, "lang:string token:string cnt:int64"),
+        "null": (0, "lang:string token:string cnt:int64")},
     "token_doc_frequency": {
+        "empty": (0, "token:string df:int64"),
+        "null": (0, "token:string df:int64")},
+    "top_event_types": {
         "empty": (0, None),
         "null": (0, None)},
-    "top_event_types": {
-        "empty": (0, None)},
     "union_distinct": {
         "empty": (0, None),
         "null": (0, None)},

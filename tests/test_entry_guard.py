@@ -3,7 +3,9 @@
 An AST scan of ``__ray_entry__.py``: queries are rows of ``_QUERIES`` or
 functions registered with ``@_bespoke(name)``; output rounding goes through
 the one helper ``_round_cols``; no query carries its own rounding, renaming
-or planting closure, and no per-row ``np.isnan`` loop comes back.
+or planting closure, and no per-row ``np.isnan`` loop comes back — in the
+entry or anywhere in ``engine/`` (``pa.array(x, mask=np.isnan(x))`` is the
+vectorized spelling).
 """
 
 import ast
@@ -63,7 +65,11 @@ def test_round_half_away_called_only_by_the_rounding_helper():
 
 def test_no_comprehension_tests_isnan():
     comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    bad = [c.lineno for c in ast.walk(TREE) if isinstance(c, comps)
+    trees = {ENTRY.name: TREE, **{
+        f"engine/{p.name}": ast.parse(p.read_text())
+        for p in sorted((REPO / "engine").glob("*.py"))}}
+    bad = [f"{name}:{c.lineno}" for name, tree in trees.items()
+           for c in ast.walk(tree) if isinstance(c, comps)
            for a in ast.walk(c) if isinstance(a, ast.Attribute)
            and a.attr == "isnan"]
     assert bad == []

@@ -1768,6 +1768,12 @@ class TestNullableKeyDtypeRegressions:
         c = hash64(np.array([2.0, 3.5]))
         d = hash64(np.array([3.5, np.nan, 2.0]))
         assert c[0] == d[2] and c[1] == d[0]
+        # every NULL spelling hashes to ONE value, which by_key's
+        # null_keys="one" partition relies on (pd.util.hash_array with
+        # categorize=False would hash None and NaN apart)
+        import pandas as pd
+        n = hash64(np.array([None, np.nan, pd.NA, "x"], dtype=object))
+        assert n[0] == n[1] == n[2] != n[3]
 
     def test_set_op_key_in_null_batch_still_matches(self, ray_session):
         """A key that appears int64 on one side and float64-degraded

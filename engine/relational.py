@@ -2,8 +2,8 @@
 event aggregates — the generic query surface (every one DuckDB-checkable).
 
 Patterns (the point, at 100 TB):
-* groupbys pre-aggregate inside ``map_batches`` (few groups -> each batch
-  collapses to group-count rows) before the small shuffle;
+* groupbys pre-aggregate per batch (few groups -> each batch collapses to
+  group-count rows) before the small shuffle (``shuffle.combine``);
 * small dimension tables broadcast via ``ray.put`` and hash-lookup inside
   ``map_batches`` — never a data-data shuffle join;
 * event windows bucket by ``date_trunc`` inside the batch then groupby the

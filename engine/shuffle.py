@@ -134,7 +134,7 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     2. :func:`_balance` plus Ray's ``groupby(keys).aggregate(...)``: a
        ``count`` partial merges with Sum, the others with their own op;
        every column comes out under its own name. With no ``keys`` it
-       is one global row (no shuffle).
+       is one global row (no shuffle; NULLs on an empty input).
 
     NULL-key contract: NULL keys always drop. Every caller's SQL mirror
     groups them away or filters them, and Ray's sort-based groupby
@@ -156,7 +156,6 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     from ray.data import aggregate
 
     keys = [keys] if isinstance(keys, str) else list(keys)
-    specs = list(dict.fromkeys(aggs.values()))
 
     def _partial(batch: pa.Table) -> pa.Table:
         if batch.num_columns == 0:  # a schemaless empty join partition
@@ -167,7 +166,8 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
             keep = not_null(batch.column(k))
             if not pc.all(keep).as_py():
                 batch = batch.filter(keep)
-        g = batch.group_by(keys, use_threads=False).aggregate(specs)
+        g = batch.group_by(keys, use_threads=False) \
+            .aggregate(list(aggs.values()))
         return pa.table([g.column(k) for k in keys]
                         + [g.column(f"{src}_{op}")
                            for src, op in aggs.values()],

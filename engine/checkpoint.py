@@ -5,33 +5,40 @@ validated partitions. Design (SURVEY.md §4): partition identity derives from
 the INPUT layout (hive ``partition_id=...`` directories written by synth),
 never from runtime block order.
 
-The job reads each partition ONCE. A unit of ``unit_partitions``
-partitions runs one read and one fused ``map_batches`` stage
-(``_UnitPass``): every batch goes through four passes, each giving one
-partition artifact:
+The job reads each partition ONCE, in one pipeline over all pending
+partitions: ``ray.data.from_items`` holds one work item
+``(partition_id, files)`` per partition (a partition above ``_ITEM_ROWS``
+footer rows is cut into consecutive file groups), and one
+``map_batches(batch_size=1)`` stage (``_PartitionPass``) reads each
+item's files with pyarrow inside its own task, so no corpus block passes
+through the object store. It cuts the rows into ``batch_size``-row
+slices across file boundaries, appends ``partition_id`` from the item,
+and every slice goes through four passes, each giving one partition
+artifact:
 
 * ``violations`` — the keyword-validation rows (``dataset.ValidateBatch``);
-* ``profile`` — profile rows per (batch, partition, column)
+* ``profile`` — profile rows per (slice, column)
   (``drift.ProfileBatch``: counts, min/max, HLL, t-digest, value counts);
-* ``keys`` — ``(key, count)`` of each non-NULL ``doc_id`` of the batch,
+* ``keys`` — ``(key, count)`` of each non-NULL ``doc_id`` of the slice,
   combined with Arrow ``group_by`` (NULL keys are never duplicates);
-* ``refs`` — the dangling ``spans.media_ref`` rows against the exact
-  catalog set (``referential._RefCheckBatch``), only with a catalog; the
-  set is built and ``ray.put`` once per run.
+* ``refs`` — the dangling ``spans.media_ref`` rows against the catalog's
+  distinct refs (``referential._RefCheckBatch``, Arrow ``is_in``), only
+  with a catalog; the value set is built and ``ray.put`` once per run.
 
 The workers write the artifacts: the driver makes a dot-prefixed temp dir
-under ``out_dir`` (hive discovery skips it), each stage call writes one
-parquet file per (pass, partition) of its batch into it and returns one
-small row per file. The driver writes a typed-empty file for a partition
-and pass without one, removes the partition's old manifest, renames each
-``<artifact>/partition_id=<pid>`` dir into place with only the files the
-returned rows name (a retried task's first attempt may leave others) and
-then writes ``_manifest/<pid>.json`` — the commit point (atomic: temp
-file + fsync + rename). A kill anywhere before it just re-runs the
-partition. A manifest counts only if its input fingerprint matches, it
-records the fingerprint of this run's catalog files (none without a
-catalog) and it lists every artifact this run writes; otherwise the
-partition re-runs. Verdict files are replaced the same atomic way.
+under ``out_dir`` (hive discovery skips it), each task writes one parquet
+file per (pass, slice) into it — a typed-empty one per pass for an item
+without rows, from its files' schema — and returns one small row per
+file. When a partition's last row arrives, the driver removes its old
+manifest, renames each ``<artifact>/partition_id=<pid>`` dir into place
+with only the files the returned rows name (a retried task's first
+attempt may leave others), writes the verdict and then
+``_manifest/<pid>.json`` — the commit point (atomic: temp file + fsync +
+rename). A kill anywhere before it just re-runs the partition. A
+manifest counts only if its input fingerprint matches, it records the
+fingerprint of this run's catalog files (none without a catalog) and it
+lists every artifact this run writes; otherwise the partition re-runs.
+Verdict files are replaced the same atomic way.
 
 The global steps then merge committed rows and never read the corpus:
 stats (every partition's profile rows), drift (baseline = the
@@ -66,6 +73,10 @@ ARTIFACTS = ("violations", "profile", "keys", "refs")
 #: process; above it one ``shuffle.by_key`` pass does (the size of the
 #: engine's other driver bounds)
 _DRIVER_MERGE_ROWS = 2_000_000
+
+#: rows above which a partition is cut into several work items (file
+#: groups), so one large partition still spreads over CPUs
+_ITEM_ROWS = 1_000_000
 
 
 def _input_fingerprint(paths: Sequence[str]) -> str:
@@ -120,24 +131,6 @@ def completed_partitions(out_dir: str) -> dict[str, dict]:
     return done
 
 
-def _with_partition_id(b):
-    """Drop the reader's ``path`` column and make sure ``partition_id`` is
-    there: the hive dir segment of the source file path, ``"all"`` for
-    unpartitioned input."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    paths = b.column("path")
-    b = b.drop_columns(["path"])
-    if "partition_id" in b.column_names:
-        return b
-    hive = pc.replace_substring_regex(
-        paths, pattern=r"^.*partition_id=([^/]+)/.*$", replacement=r"\1")
-    return b.append_column("partition_id", pc.if_else(
-        pc.match_substring(paths, "partition_id="), hive,
-        pa.scalar("all")).cast(pa.string()))
-
-
 def _doc_id_counts(batch):
     """``keys`` pass: ``(partition_id, key, count)`` of each non-NULL
     ``doc_id`` of a batch. NULL keys are never duplicates, so they are
@@ -153,113 +146,123 @@ def _doc_id_counts(batch):
                      "count": g.column("doc_id_count")})
 
 
-def _rows_of(table, pid: str):
-    """A partition's rows of a pass output, without ``partition_id``."""
-    import pyarrow.compute as pc
-    return table.filter(pc.equal(table.column("partition_id"), pid)) \
-        .drop_columns(["partition_id"])
+def _work_items(parts: dict, rows: dict) -> list[dict]:
+    """The stage's work items, ``{"partition_id", "files", "rows"}``: one
+    per partition, files in sorted order. A partition of more than
+    ``_ITEM_ROWS`` rows (parquet footers) is cut into consecutive file
+    groups of at most that many rows (a larger file is a group of its
+    own), so it still spreads over CPUs."""
+    items = []
+    for pid, files in parts.items():
+        if not files:
+            raise FileNotFoundError(f"partition {pid!r} has no parquet files")
+        group, n = [], 0
+        for f in files:
+            if group and n + rows[f] > _ITEM_ROWS:
+                items.append({"partition_id": pid, "files": group, "rows": n})
+                group, n = [], 0
+            group.append(f)
+            n += rows[f]
+        items.append({"partition_id": pid, "files": group, "rows": n})
+    return items
 
 
-class _UnitPass:
-    """A unit's passes fused into one ``map_batches`` stage that writes
-    the artifact files itself, so no artifact row passes through the
-    driver. Each call runs every pass over its batch and writes one file
-    per (pass, partition of the batch) to
-    ``<tmp>/<pass>/partition_id=<pid>/<uuid>.parquet``; the dirs exist
-    already (the driver makes them), so a straggler of a failed unit whose
-    temp dir is gone fails instead of writing a new one. It returns one
-    row per file: ``(partition_id, pass, file, rows, seq0_rows)``, where
-    ``seq0_rows`` counts the violating docs of a ``violations`` file (each
-    has exactly one ``error_seq`` 0 row)."""
+def _slices(files: Sequence[str], batch_size: int):
+    """``batch_size``-row slices of ``files`` read in order, cut across
+    file boundaries; at most one slice plus one row group is held."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    def __init__(self, passes: dict, tmp: str):
+    buf, n = [], 0
+    for f in files:
+        pf = pq.ParquetFile(f)
+        for i in range(pf.num_row_groups):
+            buf.append(pf.read_row_group(i))
+            n += buf[-1].num_rows
+            while n >= batch_size:
+                t = pa.concat_tables(buf)
+                yield t.slice(0, batch_size)
+                buf = [t.slice(batch_size)]
+                n -= batch_size
+    if n:
+        yield pa.concat_tables(buf)
+
+
+class _PartitionPass:
+    """The job's one stage: each call reads one work item's files itself
+    and writes its artifact files, so no corpus block and no artifact row
+    passes through the object store or the driver.
+
+    It cuts the item's rows into ``batch_size``-row slices (across file
+    boundaries), appends ``partition_id`` from the item and runs every
+    pass over each slice, writing one file per (pass, slice) to
+    ``<tmp>/<pass>/partition_id=<pid>/<uuid>.parquet``. An item without
+    rows gets one typed-empty file per pass: the passes over its files'
+    empty schema. The dirs exist already (the driver makes them), so a
+    straggler whose partition was committed or whose temp dir is gone
+    fails instead of writing a new one. It returns one row per file:
+    ``(partition_id, pass, file, rows, seq0_rows)``, where ``seq0_rows``
+    counts the violating docs of a ``violations`` file (each has exactly
+    one ``error_seq`` 0 row)."""
+
+    def __init__(self, passes: dict, tmp: str, batch_size: int):
         self.passes = passes
         self.tmp = tmp
+        self.batch_size = batch_size
 
-    def __call__(self, batch):
+    def __call__(self, items):
+        import itertools
+
         import pyarrow as pa
         import pyarrow.compute as pc
         import pyarrow.parquet as pq
-        from engine.kernels import partition_codes
 
-        batch = _with_partition_id(batch)
-        pids = partition_codes(batch)[0]
-        name = f"{uuid.uuid4().hex}.parquet"
         rows = []
-        for p, fn in self.passes.items():
-            out = fn(batch)
-            for pid in pids:
-                t = _rows_of(out, pid)
-                pq.write_table(t, os.path.join(
-                    self.tmp, p, f"partition_id={pid}", name))
-                seq0 = int(pc.sum(pc.equal(t.column("error_seq"), 0))
-                           .as_py() or 0) if p == "violations" else 0
-                rows.append({"partition_id": pid, "pass": p, "file": name,
-                             "rows": t.num_rows, "seq0_rows": seq0})
+        for item in items.to_pylist():
+            pid, files = item["partition_id"], item["files"]
+            slices = _slices(files, self.batch_size)
+            first = next(slices, None)
+            if first is None:
+                first = pq.read_schema(files[0]).empty_table()
+            for t in itertools.chain([first], slices):
+                if "partition_id" in t.column_names:
+                    t = t.drop_columns(["partition_id"])
+                t = t.append_column("partition_id", pa.repeat(
+                    pa.scalar(pid, pa.string()), t.num_rows))
+                name = f"{uuid.uuid4().hex}.parquet"
+                for p, fn in self.passes.items():
+                    out = fn(t).drop_columns(["partition_id"])
+                    pq.write_table(out, os.path.join(
+                        self.tmp, p, f"partition_id={pid}", name))
+                    seq0 = int(pc.sum(pc.equal(
+                        out.column("error_seq"), 0)).as_py() or 0) \
+                        if p == "violations" else 0
+                    rows.append({"partition_id": pid, "pass": p,
+                                 "file": name, "rows": out.num_rows,
+                                 "seq0_rows": seq0})
         return pa.Table.from_pylist(rows)
 
 
-def _typed_empty(ds, passes: dict) -> dict:
-    """``{pass: typed-empty artifact}``: each pass over an empty batch of
-    the reader's schema (Ray skips UDFs on empty blocks, so a partition
-    without rows gets no file from the stage)."""
-    import pyarrow as pa
-
-    empty = ds.schema().base_schema.empty_table()
-    if "path" not in empty.column_names:  # an empty input's schema
-        empty = empty.append_column("path", pa.array([], pa.string()))
-    batch = _with_partition_id(empty)
-    return {name: fn(batch).drop_columns(["partition_id"])
-            for name, fn in passes.items()}
-
-
-def _publish(out_dir: str, pids: Sequence[str], ds, passes: dict,
-             batch_size: int) -> list[dict]:
-    """Run one unit's fused stage over ``ds`` into a temp dir, then rename
-    each partition's artifact dirs into place; returns the stage's file
-    rows. The old manifest goes first: until the new one commits, a kill
-    leaves the partition to be re-run, never half-replaced outputs under
-    a manifest that still counts."""
-    import pyarrow.parquet as pq
-
-    tmp = tempfile.mkdtemp(prefix=".unit-", dir=out_dir)
-
-    def _dir(name, pid):
-        return os.path.join(tmp, name, f"partition_id={pid}")
-
-    try:
-        for name in passes:
-            for pid in pids:
-                os.makedirs(_dir(name, pid))
-        written = ds.map_batches(
-            _UnitPass(passes, tmp), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size).take_all()
-        files: dict = {(pid, name): set() for pid in pids for name in passes}
-        for r in written:
-            files[r["partition_id"], r["pass"]].add(r["file"])
-        empty = None
-        for (pid, name), named in files.items():
-            if not named:
-                empty = empty or _typed_empty(ds, passes)
-                pq.write_table(empty[name], os.path.join(
-                    _dir(name, pid), "part-0.parquet"))
-                named.add("part-0.parquet")
-        for pid in pids:
-            old = os.path.join(out_dir, "_manifest", f"{pid}.json")
-            if os.path.exists(old):
-                os.remove(old)
-            for name in ARTIFACTS:
-                dest = os.path.join(out_dir, name, f"partition_id={pid}")
-                shutil.rmtree(dest, ignore_errors=True)
-                if name in passes:
-                    for f in set(os.listdir(_dir(name, pid))) \
-                            - files[pid, name]:
-                        os.remove(os.path.join(_dir(name, pid), f))
-                    os.makedirs(os.path.dirname(dest), exist_ok=True)
-                    os.rename(_dir(name, pid), dest)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return written
+def _publish(out_dir: str, tmp: str, pid: str, written: list[dict],
+             passes: dict) -> None:
+    """Rename one partition's artifact dirs from the stage's temp dir into
+    place, each with only the files the stage's rows name (a retried
+    task's first attempt may leave others). The old manifest goes first:
+    until the new one commits, a kill leaves the partition to be re-run,
+    never half-replaced outputs under a manifest that still counts."""
+    old = os.path.join(out_dir, "_manifest", f"{pid}.json")
+    if os.path.exists(old):
+        os.remove(old)
+    for name in ARTIFACTS:
+        dest = os.path.join(out_dir, name, f"partition_id={pid}")
+        shutil.rmtree(dest, ignore_errors=True)
+        if name in passes:
+            src = os.path.join(tmp, name, f"partition_id={pid}")
+            named = {r["file"] for r in written if r["pass"] == name}
+            for f in set(os.listdir(src)) - named:
+                os.remove(os.path.join(src, f))
+            os.makedirs(os.path.dirname(dest), exist_ok=True)
+            os.rename(src, dest)
 
 
 def _read_artifact(out_dir: str, name: str, pids: Sequence[str]):
@@ -280,23 +283,21 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
                        catalog_path: Optional[str] = None,
                        baseline_exclude: Sequence[str] = (),
                        max_units: Optional[int] = None,
-                       unit_partitions: int = 1,
                        batch_size: int = 8192) -> dict:
     """Validate a partitioned corpus with checkpoint/resume.
 
-    Partitions are processed in units of ``unit_partitions`` (one read
-    and one stage per unit — larger units amortize per-pipeline startup;
-    smaller units give finer resume granularity since manifests commit
-    per unit). Verdicts are derived from the unit's violations plus
-    parquet-footer row counts, not a second pass. Call again after a
-    kill: partitions whose manifest fits this run are skipped.
+    All pending partitions (at most ``max_units`` of them per call) run
+    through one pipeline whose tasks read their own files; each partition
+    commits as soon as its last work item returns. Verdicts are derived
+    from the stage's violations file rows plus parquet-footer row counts,
+    not a second pass. Call again after a kill: partitions whose manifest
+    fits this run are skipped.
     """
     import pyarrow.parquet as pq
     import ray
-    import ray.data
     from engine.dataset import ValidateBatch
     from engine.drift import CATEGORICAL_DEFAULT, ProfileBatch
-    from engine.referential import _RefCheckBatch
+    from engine.referential import _RefCheckBatch, exact_set
 
     os.makedirs(out_dir, exist_ok=True)
     parts = {pid: files for pid, files in list_partitions(corpus_dir).items()
@@ -319,64 +320,20 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
 
     pending = [pid for pid in parts if not _fits(done.get(pid, {}), pid)]
     summary["skipped"] = len(parts) - len(pending)
-    units = [pending[i:i + unit_partitions]
-             for i in range(0, len(pending), unit_partitions)]
-    if max_units is not None:
-        units = units[:max_units]
+    pending = pending[:max_units]
 
-    passes = {"violations": ValidateBatch(schema_json),
-              "profile": ProfileBatch(categorical=CATEGORICAL_DEFAULT),
-              "keys": _doc_id_counts}
-    if catalog_path and units:
-        catalog = set(pq.read_table(catalog_path, columns=["media_ref"])
-                      .column("media_ref").to_pylist())
-        passes["refs"] = _RefCheckBatch(
-            ray.put(catalog), "spans", "media_ref", "doc_id", exact=True,
-            carry=("partition_id",))
-
-    for unit in units:
-        started = time.time()
-        unit_files = [f for pid in unit for f in parts[pid]]
-        written = _publish(
-            out_dir, unit,
-            ray.data.read_parquet(unit_files, include_paths=True),
-            passes, batch_size)
-        finished = time.time()
-
-        # verdicts from the stage's violations file rows (no second pass)
-        viol = [r for r in written if r["pass"] == "violations"]
-        for pid in unit:
-            n_viol = sum(r["rows"] for r in viol if r["partition_id"] == pid)
-            viol_docs = sum(r["seq0_rows"] for r in viol
-                            if r["partition_id"] == pid)
-            # docs from parquet footers: metadata only, no data read
-            docs = sum(pq.ParquetFile(f).metadata.num_rows
-                       for f in parts[pid])
-            row = {"docs": docs, "violation_docs": viol_docs,
-                   "violations": n_viol, "pass": n_viol == 0,
-                   "checks_failed": (["keyword_validation"] if n_viol
-                                     else [])}
-            verd_dir = os.path.join(out_dir, "verdicts",
-                                    f"partition_id={pid}")
-            os.makedirs(verd_dir, exist_ok=True)
-            _write_verdict(os.path.join(verd_dir, "verdict.parquet"), row)
-            summary["processed"] += 1
-            summary["violations"] += n_viol
-            record = {
-                "partition_id": pid,
-                "input_fragments": [os.path.basename(f) for f in parts[pid]],
-                "input_fingerprint": fps[pid],
-                "catalog_fingerprint": cat_fp,
-                "artifacts": list(passes),
-                "started_at": started,
-                "finished_at": finished,
-                "outputs": [os.path.join(out_dir, name, f"partition_id={pid}")
-                            for name in (*passes, "verdicts")],
-                "metrics": {k: row[k] for k in
-                            ("docs", "violation_docs", "violations")},
-            }
-            # manifest write is the commit point for this partition
-            _commit_manifest(out_dir, pid, record)
+    if pending:
+        passes = {"violations": ValidateBatch(schema_json),
+                  "profile": ProfileBatch(categorical=CATEGORICAL_DEFAULT),
+                  "keys": _doc_id_counts}
+        if catalog_path:
+            passes["refs"] = _RefCheckBatch(
+                ray.put(exact_set(pq.read_table(
+                    catalog_path, columns=["media_ref"]).column("media_ref"))),
+                "spans", "media_ref", "doc_id", exact=True,
+                carry=("partition_id",))
+        _run_partitions(out_dir, {pid: parts[pid] for pid in pending},
+                        passes, batch_size, summary, fps, cat_fp)
 
     if max_units is None:
         state = hashlib.sha256(json.dumps(
@@ -385,6 +342,88 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
         _run_global_checks(out_dir, list(parts), catalog_path,
                            baseline_exclude, summary, state)
     return summary
+
+
+def _run_partitions(out_dir: str, parts: dict, passes: dict,
+                    batch_size: int, summary: dict, fps: dict,
+                    cat_fp: Optional[str]) -> None:
+    """Run ``parts`` (partition id -> files) through one
+    ``_PartitionPass`` pipeline and commit each partition when the stage
+    has returned all its file rows (one per pass and slice; one slice for
+    an item without rows, known from the parquet footers)."""
+    import collections
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    rows = {f: pq.ParquetFile(f).metadata.num_rows
+            for files in parts.values() for f in files}
+    items = _work_items(parts, rows)
+    expect = collections.Counter()
+    for it in items:
+        expect[it["partition_id"]] += len(passes) * max(
+            1, -(-it["rows"] // batch_size))
+    written = collections.defaultdict(list)
+    started = time.time()
+    tmp = tempfile.mkdtemp(prefix=".unit-", dir=out_dir)
+    try:
+        for name in passes:
+            for pid in parts:
+                os.makedirs(os.path.join(tmp, name, f"partition_id={pid}"))
+        stage = ray.data.from_items(
+            items, override_num_blocks=len(items)).map_batches(
+            _PartitionPass(passes, tmp, batch_size), batch_format="pyarrow",
+            batch_size=1)
+        for out in stage.iter_batches(batch_size=None,
+                                      batch_format="pyarrow"):
+            for r in out.to_pylist():
+                pid = r["partition_id"]
+                written[pid].append(r)
+                if len(written[pid]) < expect[pid]:
+                    continue
+                _publish(out_dir, tmp, pid, written[pid], passes)
+                n_viol = _commit_partition(
+                    out_dir, pid, written[pid],
+                    sum(rows[f] for f in parts[pid]), {
+                        "partition_id": pid,
+                        "input_fragments": [os.path.basename(f)
+                                            for f in parts[pid]],
+                        "input_fingerprint": fps[pid],
+                        "catalog_fingerprint": cat_fp,
+                        "artifacts": list(passes),
+                        "started_at": started,
+                        "finished_at": time.time(),
+                        "outputs": [os.path.join(out_dir, name,
+                                                 f"partition_id={pid}")
+                                    for name in (*passes, "verdicts")]})
+                summary["processed"] += 1
+                summary["violations"] += n_viol
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    short = {pid: (len(written[pid]), n) for pid, n in expect.items()
+             if len(written[pid]) != n}
+    if short:
+        raise RuntimeError(f"stage rows (returned, expected) of uncommitted "
+                           f"partitions: {short}")
+
+
+def _commit_partition(out_dir: str, pid: str, written: list[dict],
+                      docs: int, record: dict) -> int:
+    """Write a published partition's verdict from the stage's violations
+    file rows (no second pass), then its manifest: the commit point.
+    Returns the partition's violation count."""
+    viol = [r for r in written if r["pass"] == "violations"]
+    n_viol = sum(r["rows"] for r in viol)
+    row = {"docs": docs, "violation_docs": sum(r["seq0_rows"] for r in viol),
+           "violations": n_viol, "pass": n_viol == 0,
+           "checks_failed": ["keyword_validation"] if n_viol else []}
+    verd_dir = os.path.join(out_dir, "verdicts", f"partition_id={pid}")
+    os.makedirs(verd_dir, exist_ok=True)
+    _write_verdict(os.path.join(verd_dir, "verdict.parquet"), row)
+    _commit_manifest(out_dir, pid, {
+        **record, "metrics": {k: row[k] for k in
+                              ("docs", "violation_docs", "violations")}})
+    return n_viol
 
 
 def _run_global_checks(out_dir: str, pids: list[str],

@@ -63,7 +63,6 @@ def cmd_validate(args) -> int:
     summary = run_validation_job(
         args.input, args.out, schema_json=schema_json,
         catalog_path=args.catalog, max_units=args.max_units,
-        unit_partitions=args.unit_partitions,
         baseline_exclude=args.baseline_exclude.split(",")
         if args.baseline_exclude else ())
     print(json.dumps(summary))
@@ -307,15 +306,16 @@ def main(argv=None) -> int:
     p.add_argument("--num-cpus", type=int, default=None)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("validate", help="checkpointed corpus validation job")
+    p = sub.add_parser("validate", help="checkpointed corpus validation job: "
+                       "one pipeline reads each partition once, then the "
+                       "global checks merge the committed artifacts")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--schema", default=None)
     p.add_argument("--catalog", default=None)
-    p.add_argument("--max-units", type=int, default=None)
-    p.add_argument("--unit-partitions", type=int, default=1,
-                   help="partitions per pipeline unit (higher = faster, "
-                        "coarser resume granularity)")
+    p.add_argument("--max-units", type=int, default=None,
+                   help="validate at most N pending partitions in this call "
+                        "and skip the global checks (resume later)")
     p.add_argument("--baseline-exclude", default="")
     p.add_argument("--num-cpus", type=int, default=None)
     p.set_defaults(fn=cmd_validate)

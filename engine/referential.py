@@ -57,9 +57,17 @@ def build_bloom(catalog_ds, column: str = "media_ref", *,
     return merged
 
 
-def build_exact_set(catalog_ds, column: str = "media_ref") -> set:
-    return set(r[column] for r in
-               catalog_ds.select_columns([column]).iter_rows())
+def exact_set(values) -> pa.Array:
+    """The exact check's value set: the distinct ``values`` (an Arrow
+    array or chunked array) as one Arrow string array."""
+    return pc.unique(pc.cast(values, pa.string()))
+
+
+def build_exact_set(catalog_ds, column: str = "media_ref") -> pa.Array:
+    return exact_set(pa.chunked_array(
+        [pc.cast(b.column(column), pa.string()) for b in
+         catalog_ds.select_columns([column]).iter_batches(
+             batch_format="pyarrow", batch_size=None)], pa.string()))
 
 
 def count_dangling_fk(fact_ds, dim_ds, *, fk: str, pk: str,
@@ -185,26 +193,27 @@ class _RefCheckBatch:
         if not _is_list_t(arr.type):
             raise TypeError(f"{self.list_col} is not a list column")
         elems, parent, within = _flatten(arr, _valid_mask(arr))
-        refs = _decode(elems.field(self.ref_field)).to_numpy(
-            zero_copy_only=False)
-        nonempty = np.array([r is not None and r != "" for r in refs],
-                            dtype=bool)
-        check = refs[nonempty]
+        refs = pc.cast(_decode(elems.field(self.ref_field)), pa.string())
+        nonempty = pc.fill_null(pc.not_equal(refs, ""), False)
+        check = refs.filter(nonempty)
         if self.exact:
-            hit = np.array([r in side for r in check], dtype=bool)
+            hit = pc.is_in(check, value_set=side).to_numpy(
+                zero_copy_only=False)
         else:
-            hit = side.contains(check.astype(object))
-        sel = np.nonzero(nonempty)[0][hit if self.present else ~hit]
+            hit = side.contains(check.to_numpy(zero_copy_only=False))
+        sel = np.nonzero(nonempty.to_numpy(zero_copy_only=False))[0][
+            hit if self.present else ~hit]
         rows = batch.select([self.key_column, *self.carry]).take(
             pa.array(parent[sel]))
         out = pa.table({
             self.key_column: rows.column(self.key_column),
             "span_index": pa.array(within[sel].astype(np.int32)),
-            "media_ref": pa.array(refs[sel].tolist(), pa.string()),
+            "media_ref": refs.take(pa.array(sel, pa.int64())),
             **{c: rows.column(c) for c in self.carry},
         })
         if self.emit_hit_keys:
-            hit_keys = np.unique(check[hit].astype(object))
+            hit_keys = np.unique(check.filter(pa.array(hit))
+                                 .to_numpy(zero_copy_only=False))
             marker = pa.table({
                 self.key_column: pa.array([""] * len(hit_keys), pa.string()),
                 "span_index": pa.array(
@@ -265,8 +274,7 @@ def check_references(docs_ds, catalog_ds, *, list_col: str = "spans",
     if fp.count() == 0:
         return misses
 
-    fp_keys = set(fp.to_pandas()["key"].tolist())
-    fp_ref = ray.put(fp_keys)
+    fp_ref = ray.put(build_exact_set(fp, "key"))
     fp_rows = docs_ds.map_batches(
         _RefCheckBatch(fp_ref, list_col, ref_field, key_column, True,
                        present=True),

@@ -23,6 +23,39 @@ def _us(col):
     return pc.cast(col, pa.timestamp("us"), safe=False)
 
 
+def _key_rows(*sides):
+    """Each ``(ds, key)`` side of an inner join or a dimension lookup,
+    materialized without its rows whose key is NULL (they never match),
+    or None when a side has no row left: the caller returns its typed
+    empty result. Ray's hash join raises ``ArrowInvalid`` on an empty
+    side, and an empty table's ``to_pandas()`` has no columns."""
+    out = []
+    for ds, key in sides:
+        def _valid(b: pa.Table, key=key) -> pa.Table:
+            if b.num_columns == 0:  # schemaless empty join partition
+                return b
+            return b.filter(pc.is_valid(b.column(key)))
+
+        side = ds.map_batches(_valid, batch_format="pyarrow").materialize()
+        if not side.count():
+            return None
+        out.append(side)
+    return out
+
+
+def _inner_join(left, right, on: str, right_on: str | None = None):
+    """Inner ``Dataset.join`` of ``left[on]`` with ``right[right_on or
+    on]``, sized by :func:`engine.shuffle.join_kwargs`, over the rows
+    with a non-NULL key; None when a side has none (:func:`_key_rows`)."""
+    from engine.shuffle import join_kwargs
+
+    sides = _key_rows((left, on), (right, right_on or on))
+    if sides is None:
+        return None
+    return sides[0].join(sides[1], join_type="inner", **join_kwargs(),
+                         on=(on,), right_on=(right_on,) if right_on else None)
+
+
 def q1_pricing_summary(lineitem_ds, *, batch_size: int = 65536,
                        concurrency=None):
     """TPC-H Q1-style multi-aggregate groupby over lineitem."""
@@ -58,7 +91,9 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
     order rows hash-join the dimension and the (tiny) per-segment
     :func:`engine.shuffle.combine` finishes — the dimension never
     touches the driver."""
-    from engine.shuffle import combine, join_kwargs
+    import ray.data
+
+    from engine.shuffle import combine
 
     def _orders(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -69,8 +104,11 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
                                zero_copy_batch=True, batch_size=batch_size,
                                concurrency=concurrency)
     dim = customer_ds.select_columns(["c_custkey", "c_mktsegment"])
-    joined = op.join(dim, join_type="inner",
-                     **join_kwargs(), on=("c_custkey",))
+    joined = _inner_join(op, dim, "c_custkey")
+    if joined is None:
+        joined = ray.data.from_arrow(pa.table({
+            "c_mktsegment": pa.array([], pa.string()),
+            "p": pa.array([], pa.float64())}))
 
     return combine(joined, "c_mktsegment", {
         "revenue": ("p", "sum"), "n_orders": ("c_mktsegment", "count")})
@@ -93,10 +131,13 @@ def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
         return _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
                                         concurrency)
 
-    cust = customer_ds.select_columns(
-        ["c_custkey", "c_mktsegment"]).to_pandas()
-    lookup = dict(zip(cust["c_custkey"].astype(np.int64),
-                      cust["c_mktsegment"]))
+    lookup = {}
+    sides = _key_rows((customer_ds.select_columns(
+        ["c_custkey", "c_mktsegment"]), "c_custkey"))
+    if sides:
+        cust = sides[0].to_pandas()
+        lookup = dict(zip(cust["c_custkey"].astype(np.int64),
+                          cust["c_mktsegment"]))
     ref = ray.put(lookup)
 
     class _Segment:
@@ -608,13 +649,27 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
     """
     import ray
 
-    from engine.shuffle import join_kwargs
-
     cutoff64 = np.datetime64(cutoff, "us")
 
-    cust = customer_ds.map_batches(
+    def _final(b: pa.Table) -> pa.Table:
+        rev = b.column("rev").to_numpy(zero_copy_only=False)
+        rev = np.sign(rev) * np.floor(np.abs(rev) * 1e4 + 0.5) / 1e4
+        return pa.table({
+            "l_orderkey": b.column("o_orderkey"),
+            "o_orderdate": pc.cast(b.column("o_orderdate"),
+                                   pa.timestamp("us")),
+            "revenue": pa.array(rev, pa.float64())})
+
+    empty = _final(pa.table({
+        "o_orderkey": pa.array([], pa.int64()),
+        "o_orderdate": pa.array([], pa.timestamp("us")),
+        "rev": pa.array([], pa.float64())})).to_pandas()
+    sides = _key_rows((customer_ds.map_batches(
         lambda b: b.filter(pc.equal(b.column("c_mktsegment"), segment))
-        .select(["c_custkey"]), batch_format="pyarrow").materialize()
+        .select(["c_custkey"]), batch_format="pyarrow"), "c_custkey"))
+    if sides is None:
+        return empty
+    (cust,) = sides
 
     def _date_filter(b: pa.Table) -> pa.Table:
         od = pc.cast(b.column("o_orderdate"), pa.timestamp("us")) \
@@ -645,10 +700,11 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
         def _rename(b: pa.Table) -> pa.Table:
             return pa.table({"o_custkey": b.column("c_custkey")})
 
-        dim = cust.map_batches(_rename, batch_format="pyarrow")
-        joined_orders = dated.join(dim, join_type="inner",
-                                   **join_kwargs(),
-                                   on=("o_custkey",))
+        joined_orders = _inner_join(
+            dated, cust.map_batches(_rename, batch_format="pyarrow"),
+            "o_custkey")
+        if joined_orders is None:
+            return empty
 
         def _norm_orders(b: pa.Table) -> pa.Table:
             if b.num_columns == 0:  # schemaless empty join partition
@@ -672,25 +728,17 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                  concurrency=concurrency)
 
     from engine.shuffle import combine, finish
-    joined = li.join(orders, join_type="inner",
-                     **join_kwargs(), on=("o_orderkey",))
-
-    def _final(b: pa.Table) -> pa.Table:
-        rev = b.column("rev").to_numpy(zero_copy_only=False)
-        rev = np.sign(rev) * np.floor(np.abs(rev) * 1e4 + 0.5) / 1e4
-        return pa.table({
-            "l_orderkey": b.column("o_orderkey"),
-            "o_orderdate": pc.cast(b.column("o_orderdate"),
-                                   pa.timestamp("us")),
-            "revenue": pa.array(rev, pa.float64())})
-
+    joined = _inner_join(li, orders, "o_orderkey")
+    if joined is None:
+        return empty
     out = finish(combine(joined, ["o_orderkey", "o_orderdate"],
                          {"rev": ("rev", "sum")}), _final)
     # distributed top-k: the qualifying (orderkey, orderdate) aggregate is
     # ~10^7-10^8 rows at 100x — sort().limit(k) keeps it off the driver
     top = out.sort(["revenue", "o_orderdate", "l_orderkey"],
-                   descending=[True, False, False]).limit(k)
-    return top.to_pandas().reset_index(drop=True)
+                   descending=[True, False, False]).limit(k).to_pandas()
+    # an empty sort result has no columns
+    return top.reset_index(drop=True) if len(top) else empty
 
 
 def count_distinct(ds, *, group_col: str, value_col: str,
@@ -870,10 +918,26 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
     """
     import pandas as pd
     import ray
-    from engine.shuffle import combine, finish, join_kwargs
+    import ray.data
+    from engine.shuffle import combine, finish
 
-    nat = nation_ds.to_pandas()
-    reg = region_ds.to_pandas()
+    def _final(b: pa.Table) -> pa.Table:
+        nk = b.column("nkey").to_numpy(zero_copy_only=False)
+        names = [name_of.get(int(k), "") for k in nk]
+        return pa.table({"n_name": pa.array(names, pa.string()),
+                         "revenue": b.column("rev")})
+
+    def _revenue(partials, derive=None):
+        return finish(combine(partials, "nkey", {"rev": ("rev", "sum")},
+                              derive=derive), _final)
+
+    name_of = {}  # the region's nations, set below
+    empty = ray.data.from_arrow(pa.table({
+        "nkey": pa.array([], pa.int64()), "rev": pa.array([], pa.float64())}))
+    dims = _key_rows((nation_ds, "n_nationkey"), (region_ds, "r_regionkey"))
+    if dims is None:
+        return _revenue(empty)
+    nat, reg = (d.to_pandas() for d in dims)
     rkeys = set(reg[reg["r_name"] == region_name]["r_regionkey"])
     nat_in = nat[nat["n_regionkey"].isin(rkeys)]
     nation_keys = set(int(k) for k in nat_in["n_nationkey"])
@@ -908,10 +972,10 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         of = orders_ds.map_batches(_ofilter, batch_format="pyarrow",
                                    batch_size=batch_size)
-        cust = customer_ds.select_columns(["c_custkey", "c_nationkey"])
-        oc = of.join(cust, join_type="inner",
-                     **join_kwargs(),
-                     on=("o_custkey",), right_on=("c_custkey",))
+        oc = _inner_join(of, customer_ds.select_columns(
+            ["c_custkey", "c_nationkey"]), "o_custkey", "c_custkey")
+        if oc is None:
+            return _revenue(empty)
 
         def _norm_oc(b: pa.Table) -> pa.Table:
             if b.num_columns == 0:  # schemaless empty join partition
@@ -934,9 +998,9 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
-        lo_j = li.join(oc, join_type="inner",
-                       **join_kwargs(),
-                       on=("l_orderkey",), right_on=("o_orderkey",))
+        lo_j = _inner_join(li, oc, "l_orderkey", "o_orderkey")
+        if lo_j is None:
+            return _revenue(empty)
 
         def _norm_ls(b: pa.Table) -> pa.Table:
             if b.num_columns == 0:
@@ -946,10 +1010,10 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
             return b.select(["l_suppkey", "cnat", "rev"])
 
         ls = lo_j.map_batches(_norm_ls, batch_format="pyarrow")
-        supp = supplier_ds.select_columns(["s_suppkey", "s_nationkey"])
-        fin = ls.join(supp, join_type="inner",
-                      **join_kwargs(),
-                      on=("l_suppkey",), right_on=("s_suppkey",))
+        fin = _inner_join(ls, supplier_ds.select_columns(
+            ["s_suppkey", "s_nationkey"]), "l_suppkey", "s_suppkey")
+        if fin is None:
+            return _revenue(empty)
 
         def _nation_revenue(b: pa.Table) -> pa.Table:
             snat = pc.cast(b.column("s_nationkey"), pa.int64()) \
@@ -1008,9 +1072,9 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
-        joined = li.join(oc, join_type="inner",
-                         **join_kwargs(),
-                         on=("l_orderkey",), right_on=("o_orderkey",))
+        joined = _inner_join(li, oc, "l_orderkey", "o_orderkey")
+        if joined is None:
+            return _revenue(empty)
 
         class _SuppNationRevenue:
             def __init__(self, ref):
@@ -1030,14 +1094,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         partials, derive = joined, _SuppNationRevenue(supp_lut)
 
-    def _final(b: pa.Table) -> pa.Table:
-        nk = b.column("nkey").to_numpy(zero_copy_only=False)
-        names = [name_of.get(int(k), "") for k in nk]
-        return pa.table({"n_name": pa.array(names, pa.string()),
-                         "revenue": b.column("rev")})
-
-    return finish(combine(partials, "nkey", {"rev": ("rev", "sum")},
-                          derive=derive), _final)
+    return _revenue(partials, derive)
 
 
 def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -2404,7 +2461,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     (c_custkey, c_name, revenue, c_acctbal, n_name).
     """
     import ray
-    from engine.shuffle import combine, join_kwargs
+    from engine.shuffle import combine
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
@@ -2428,19 +2485,6 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                                    zero_copy_batch=True,
                                    batch_size=batch_size,
                                    concurrency=concurrency)
-    joined = li.join(orders, join_type="inner",
-                     **join_kwargs(),
-                     on=("o_orderkey",))
-
-    per_cust = combine(joined, "o_custkey", {"rev": ("rev", "sum")})
-
-    nat = nation_ds.to_pandas()  # 25 rows by spec — always broadcast
-    nat_map = dict(zip(nat["n_nationkey"].tolist(),
-                       nat["n_name"].tolist()))
-    cust = customer_ds.map_batches(
-        lambda b: b.select(["c_custkey", "c_name", "c_acctbal",
-                            "c_nationkey"]),
-        batch_format="pyarrow").materialize()
 
     def _typed_empty():
         return pa.table({
@@ -2449,6 +2493,21 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
             "revenue": pa.array([], pa.float64()),
             "c_acctbal": pa.array([], pa.float64()),
             "n_name": pa.array([], pa.string())})
+
+    dims = _key_rows((nation_ds, "n_nationkey"), (customer_ds.map_batches(
+        lambda b: b.select(["c_custkey", "c_name", "c_acctbal",
+                            "c_nationkey"]),
+        batch_format="pyarrow"), "c_custkey"))
+    joined = None if dims is None else _inner_join(li, orders, "o_orderkey")
+    if joined is None:
+        return _typed_empty().to_pandas()
+    nation, cust = dims
+
+    per_cust = combine(joined, "o_custkey", {"rev": ("rev", "sum")})
+
+    nat = nation.to_pandas()  # 25 rows by spec — always broadcast
+    nat_map = dict(zip(nat["n_nationkey"].tolist(),
+                       nat["n_name"].tolist()))
 
     if cust.count() <= broadcast_limit:
         cdf = cust.to_pandas().sort_values("c_custkey")
@@ -2477,13 +2536,12 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
 
         enriched = per_cust.map_batches(_attach, batch_format="pyarrow")
     else:
-        cj = per_cust.join(
-            cust.map_batches(
-                lambda b: b.rename_columns(
-                    ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
-                batch_format="pyarrow"),
-            join_type="inner", **join_kwargs(),
-            on=("o_custkey",))
+        cj = _inner_join(per_cust, cust.map_batches(
+            lambda b: b.rename_columns(
+                ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
+            batch_format="pyarrow"), "o_custkey")
+        if cj is None:
+            return _typed_empty().to_pandas()
 
         def _attach_joined(b: pa.Table) -> pa.Table:
             if b.num_columns == 0 or not b.num_rows:

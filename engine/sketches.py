@@ -65,6 +65,27 @@ def hash64(values: np.ndarray, seed: int = 0) -> np.ndarray:
         return _splitmix(h.astype(np.uint64), seed)
 
 
+def _hash_set(values: np.ndarray) -> np.ndarray:
+    """:func:`hash64` of values whose registers only see the value set.
+
+    ``hash_array(categorize=True)`` factorizes an object array and hashes
+    each distinct value with ``categorize=False``, every NULL spelling
+    mapping to ``2**64-1``; hashing without the factorize and then
+    setting the NULLs gives the same hashes for values Arrow already made
+    distinct (``pc.unique``), without the factorize's cost. Values equal
+    only under Python equality (``1`` and ``1.0``) may hash apart."""
+    import pandas as pd
+
+    arr = np.asarray(values)
+    if not (arr.dtype == object or arr.dtype.kind in "USm"):
+        return hash64(arr)
+    arr = arr.astype(object)
+    h = pd.util.hash_array(arr, categorize=False)
+    h[pd.isna(arr)] = np.iinfo(np.uint64).max
+    with np.errstate(over="ignore"):
+        return _splitmix(h, 0)
+
+
 # ---------------------------------------------------------------------------
 # HyperLogLog
 
@@ -81,7 +102,7 @@ class HLL:
     def update(self, values: np.ndarray) -> "HLL":
         if len(values) == 0:
             return self
-        h = hash64(values)
+        h = _hash_set(values)
         idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
         w = (h << np.uint64(self.p)) & np.uint64(0xFFFFFFFFFFFFFFFF)
         # rank = leading zeros of w within (64-p) bits, + 1

@@ -112,28 +112,35 @@ def orders(kind):
                         [dt.datetime(1996, 2, 1)] * 3)})
 
 
-def _dimension(cols):
+def _dimension(cols, kind="null"):
     """A dimension table: the same three valid rows for every ``kind``
-    (only the fact tables are empty or NULL-keyed)."""
-    return lambda kind: _ds("null", cols)
+    (only the fact tables are empty or NULL-keyed), or with
+    ``kind="empty"`` no rows for every ``kind``."""
+    return lambda _: _ds(kind, cols)
 
 
-customer = _dimension({
+CUSTOMER = {
     "c_custkey": (pa.int64(), [1, 2, 3]),
     "c_name": (pa.string(), ["a", "b", "c"]),
     "c_nationkey": (pa.int32(), [0, 0, 1]),
     "c_acctbal": (pa.float64(), [1.0, 2.0, 3.0]),
-    "c_mktsegment": (pa.string(), ["BUILDING", "AUTO", "BUILDING"])})
+    "c_mktsegment": (pa.string(), ["BUILDING", "AUTO", "BUILDING"])}
+NATION = {
+    "n_nationkey": (pa.int32(), [0, 1, 2]),
+    "n_name": (pa.string(), ["A", "B", "C"]),
+    "n_regionkey": (pa.int32(), [0, 0, 1])}
+REGION = {
+    "r_regionkey": (pa.int32(), [0, 1, 2]),
+    "r_name": (pa.string(), ["ASIA", "EUROPE", "AFRICA"])}
+customer = _dimension(CUSTOMER)
 supplier = _dimension({
     "s_suppkey": (pa.int64(), [1, 2, 3]),
     "s_nationkey": (pa.int32(), [0, 0, 1])})
-nation = _dimension({
-    "n_nationkey": (pa.int32(), [0, 1, 2]),
-    "n_name": (pa.string(), ["A", "B", "C"]),
-    "n_regionkey": (pa.int32(), [0, 0, 1])})
-region = _dimension({
-    "r_regionkey": (pa.int32(), [0, 1, 2]),
-    "r_name": (pa.string(), ["ASIA", "EUROPE", "AFRICA"])})
+nation = _dimension(NATION)
+region = _dimension(REGION)
+no_customer = _dimension(CUSTOMER, "empty")
+no_nation = _dimension(NATION, "empty")
+no_region = _dimension(REGION, "empty")
 
 
 def null_docs(kind):
@@ -261,18 +268,42 @@ CASES = {
     "revenue_by_segment": _rel("revenue_by_segment", orders, customer),
     "revenue_by_segment_join": _rel("revenue_by_segment", orders, customer,
                                     broadcast_limit=-1),
+    "revenue_by_segment_no_customer": _rel("revenue_by_segment", orders,
+                                           no_customer),
     "top_event_types": _rel("top_event_types", untyped_events),
     "q3_shipping_priority": _rel("q3_shipping_priority", lineitem, orders,
                                  customer),
+    "q3_shipping_priority_join": _rel("q3_shipping_priority", lineitem,
+                                      orders, customer, broadcast_limit=-1),
+    "q3_shipping_priority_no_customer": _rel("q3_shipping_priority",
+                                             lineitem, orders, no_customer),
     "q5_local_supplier_volume": _rel("q5_local_supplier_volume", lineitem,
                                      orders, customer, supplier, nation,
                                      region),
+    "q5_local_supplier_volume_join": _rel(
+        "q5_local_supplier_volume", lineitem, orders, customer, supplier,
+        nation, region, broadcast_limit=-1),
+    "q5_local_supplier_volume_no_nation": _rel(
+        "q5_local_supplier_volume", lineitem, orders, customer, supplier,
+        no_nation, region),
+    "q5_local_supplier_volume_no_region": _rel(
+        "q5_local_supplier_volume", lineitem, orders, customer, supplier,
+        nation, no_region),
     "q6_forecast_revenue": _rel("q6_forecast_revenue", lineitem),
     "dense_daily_counts": _rel("dense_daily_counts", untimed_events),
     "rollup_counts": _rel("rollup_counts", untimed_events),
     "activity_heatmap": _rel("activity_heatmap", untimed_events),
     "q10_returned_item_reporting": _rel("q10_returned_item_reporting",
                                         lineitem, orders, customer, nation),
+    "q10_returned_item_reporting_join": _rel(
+        "q10_returned_item_reporting", lineitem, orders, customer, nation,
+        broadcast_limit=-1),
+    "q10_returned_item_reporting_no_customer": _rel(
+        "q10_returned_item_reporting", lineitem, orders, no_customer,
+        nation),
+    "q10_returned_item_reporting_no_nation": _rel(
+        "q10_returned_item_reporting", lineitem, orders, customer,
+        no_nation),
     "time_to_first_target": _rel("time_to_first_target", events),
     "orders_per_customer_histogram": _rel("orders_per_customer_histogram",
                                           orders, customer),
@@ -316,9 +347,11 @@ CASES = {
 # case of stream_dedup_micro_batch (its state write rejects NULL keys),
 # and both cases of the tfidf_topk / doc_mean_idf hash-join fall-through
 # (an empty document-frequency table is schemaless, and Arrow cannot join
-# an all-NULL doc_id column). Of the decomposable aggregates: both cases
-# of q3, q5 and q10 and the empty case of the revenue_by_segment join
-# path (Ray's hash join fails on an empty or all-NULL-key side).
+# an all-NULL doc_id column). The joins of q3, q5, q10 and the
+# revenue_by_segment join path, and their dimension lookups, go through
+# ``relational._key_rows``: a side without a non-NULL key row gives the
+# typed empty result (the ``_join`` cases take the hash-join paths, the
+# ``_no_<dimension>`` cases an empty dimension table).
 EXPECTED = {
     "activity_heatmap": {
         "empty": (0, "dow:int64 hod:int64 n:int64"),
@@ -500,6 +533,34 @@ EXPECTED = {
         "null": (0,
                     "key:int64 window_start:timestamp[us] n_events:int64 "
                     "value_sum:double")},
+    "q10_returned_item_reporting": {
+        "empty": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object"),
+        "null": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object")},
+    "q10_returned_item_reporting_join": {
+        "empty": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object"),
+        "null": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object")},
+    "q10_returned_item_reporting_no_customer": {
+        "empty": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object"),
+        "null": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object")},
+    "q10_returned_item_reporting_no_nation": {
+        "empty": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object"),
+        "null": (0,
+                    "c_custkey:int64 c_name:object revenue:float64 "
+                    "c_acctbal:float64 n_name:object")},
     "q1_pricing_summary": {
         "empty": (0,
                     "l_returnflag:string l_linestatus:string sum_qty:double "
@@ -509,6 +570,39 @@ EXPECTED = {
                     "l_returnflag:string l_linestatus:string sum_qty:double "
                     "sum_base_price:double sum_disc_price:double "
                     "avg_qty:double count_order:int64")},
+    "q3_shipping_priority": {
+        "empty": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64"),
+        "null": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64")},
+    "q3_shipping_priority_join": {
+        "empty": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64"),
+        "null": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64")},
+    "q3_shipping_priority_no_customer": {
+        "empty": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64"),
+        "null": (0,
+                    "l_orderkey:int64 o_orderdate:datetime64[us] "
+                    "revenue:float64")},
+    "q5_local_supplier_volume": {
+        "empty": (0, "n_name:string revenue:double"),
+        "null": (0, "n_name:string revenue:double")},
+    "q5_local_supplier_volume_join": {
+        "empty": (0, "n_name:string revenue:double"),
+        "null": (0, "n_name:string revenue:double")},
+    "q5_local_supplier_volume_no_nation": {
+        "empty": (0, "n_name:string revenue:double"),
+        "null": (0, "n_name:string revenue:double")},
+    "q5_local_supplier_volume_no_region": {
+        "empty": (0, "n_name:string revenue:double"),
+        "null": (0, "n_name:string revenue:double")},
     "q6_forecast_revenue": {
         "empty": (1, "revenue:double n_items:int64"),
         "null": (1, "revenue:double n_items:int64")},
@@ -516,6 +610,10 @@ EXPECTED = {
         "empty": (0, "c_mktsegment:string revenue:double n_orders:int64"),
         "null": (0, "c_mktsegment:string revenue:double n_orders:int64")},
     "revenue_by_segment_join": {
+        "empty": (0, "c_mktsegment:string revenue:double n_orders:int64"),
+        "null": (0, "c_mktsegment:string revenue:double n_orders:int64")},
+    "revenue_by_segment_no_customer": {
+        "empty": (0, "c_mktsegment:string revenue:double n_orders:int64"),
         "null": (0, "c_mktsegment:string revenue:double n_orders:int64")},
     "rolling_rows_mean": {
         "empty": (0, None),
@@ -642,3 +740,31 @@ def test_by_key_empty_and_null_keys(ray_session, name, kind):
 def test_stream_dedup_empty_input(ray_session, tmp_path):
     assert _observe(_stream_dedup("empty", tmp_path)) \
         == EXPECTED["stream_dedup_micro_batch"]["empty"]
+
+
+def test_join_without_matching_keys_is_typed(ray_session):
+    """q3 and q10 over fact tables whose keys never meet: the join runs
+    and is empty, and the result keeps the typed columns of the empty
+    cases pinned above."""
+    import engine.relational as rel
+
+    shipped = {"l_orderkey": (pa.int64(), [100, 101, 102]),
+               "l_suppkey": (pa.int64(), [1, 2, 3]),
+               "l_quantity": (pa.float64(), [1.0, 2.0, 3.0]),
+               "l_extendedprice": (pa.float64(), [10.0, 20.0, 30.0]),
+               "l_discount": (pa.float64(), [0.05, 0.05, 0.05]),
+               "l_returnflag": (pa.string(), ["R", "R", "R"]),
+               "l_linestatus": (pa.string(), ["F", "F", "F"]),
+               "l_shipdate": (pa.timestamp("us"),
+                              [dt.datetime(1998, 7, 1)] * 3)}
+    keyed = {"o_orderkey": (pa.int64(), [1, 2, 3]),
+             "o_custkey": (pa.int64(), [1, 2, 3]),
+             "o_totalprice": (pa.float64(), [5.0, 6.0, 7.0]),
+             "o_orderdate": (pa.timestamp("us"),
+                             [dt.datetime(1996, 2, 1)] * 3)}
+    li, od = _ds("null", shipped), _ds("null", keyed)
+    assert _observe(rel.q3_shipping_priority(li, od, customer("null"))) \
+        == EXPECTED["q3_shipping_priority"]["null"]
+    assert _observe(rel.q10_returned_item_reporting(
+        li, od, customer("null"), nation("null"))) \
+        == EXPECTED["q10_returned_item_reporting"]["null"]

@@ -344,15 +344,23 @@ def test_manifest_counts_only_with_this_runs_catalog(corpus, clean_job,
 
 
 def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
-    """Every corpus file is read by exactly one unit read, and after the
-    last partition commit the job reads no parquet through Ray at all:
-    stats, uniqueness, referential and drift merge committed rows."""
+    """Every corpus file is in exactly one of the driver's work items (the
+    stage's tasks read only their item's files), and after the last
+    partition commit the job reads no corpus at all: no work item and no
+    Ray read; stats, uniqueness, referential and drift merge committed
+    rows."""
     import ray.data
     import engine.checkpoint as ck
 
     out_root, corpus_dir = corpus
     events = []
-    real_read, real_commit = ray.data.read_parquet, ck._commit_manifest
+    real_items, real_read = ck._work_items, ray.data.read_parquet
+    real_commit = ck._commit_manifest
+
+    def _items(parts, rows):
+        items = real_items(parts, rows)
+        events.extend(("read", it["files"], None) for it in items)
+        return items
 
     def _read(paths, **kw):
         events.append(("read", paths, kw.get("columns")))
@@ -362,6 +370,7 @@ def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
         real_commit(out_dir, name, record)
         events.append(("commit", name, None))
 
+    monkeypatch.setattr(ck, "_work_items", _items)
     monkeypatch.setattr(ray.data, "read_parquet", _read)
     monkeypatch.setattr(ck, "_commit_manifest", _commit)
     _job(corpus_dir, tmp_path / "job",
@@ -382,10 +391,10 @@ def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
 
 def test_resumed_job_reads_only_uncommitted_partitions(corpus, clean_job,
                                                        tmp_path, monkeypatch):
-    """A job resumed after two of four partitions committed reads the
-    other two partitions' files and nothing else, and its outputs equal
-    an uninterrupted run's."""
-    import ray.data
+    """A job resumed after two of four partitions committed has work
+    items for the other two partitions' files and nothing else, and its
+    outputs equal an uninterrupted run's."""
+    import engine.checkpoint as ck
     from engine.checkpoint import list_partitions
 
     out_root, corpus_dir = corpus
@@ -393,13 +402,14 @@ def test_resumed_job_reads_only_uncommitted_partitions(corpus, clean_job,
     out = str(tmp_path / "job")
     assert _job(corpus_dir, out, catalog, max_units=2)["processed"] == 2
     reads = []
-    real_read = ray.data.read_parquet
+    real_items = ck._work_items
 
-    def _read(paths, **kw):
-        reads.append(paths)
-        return real_read(paths, **kw)
+    def _items(parts, rows):
+        items = real_items(parts, rows)
+        reads.extend(it["files"] for it in items)
+        return items
 
-    monkeypatch.setattr(ray.data, "read_parquet", _read)
+    monkeypatch.setattr(ck, "_work_items", _items)
     s = _job(corpus_dir, out, catalog)
     assert s["processed"] == 2 and s["skipped"] == 2
     parts = list_partitions(corpus_dir)
@@ -565,3 +575,126 @@ def test_keys_pass_drops_null_doc_ids():
     assert sorted(zip(*got.to_pydict().values())) == sorted(zip(
         want["partition_id"].to_pylist(), want["doc_id"].to_pylist(),
         want["count_all"].to_pylist()))
+
+
+# ---------------------------------------------------------------------------
+# the read seam: work items, slices across files, file groups, flat input
+
+
+@pytest.fixture(scope="module")
+def split_corpus(corpus, tmp_path_factory):
+    """The test corpus with each partition's rows split over three files,
+    and the committed rows of a default run on it."""
+    import pyarrow.parquet as pq
+
+    out_root, corpus_dir = corpus
+    split = tmp_path_factory.mktemp("split") / "corpus"
+    for d in sorted(glob.glob(os.path.join(corpus_dir, "partition_id=*"))):
+        t = pq.read_table(sorted(glob.glob(os.path.join(d, "*.parquet"))))
+        os.makedirs(split / os.path.basename(d))
+        step = -(-t.num_rows // 3)
+        for i in range(3):
+            pq.write_table(t.slice(i * step, step), str(
+                split / os.path.basename(d) / f"part-{i}.parquet"))
+    catalog = os.path.join(out_root, "media_catalog.parquet")
+    out = tmp_path_factory.mktemp("split_job") / "job"
+    _job(str(split), out, catalog)
+    return str(split), catalog, _committed(out)
+
+
+def _committed(out_dir):
+    """A job's rows that do not depend on where slices are cut: the
+    violations, refs and verdict rows, the uniqueness and referential
+    checks, and the ``keys`` counts summed per (partition, key). (The
+    t-digests of stats and drift are per slice.)"""
+    import collections
+    rows = {sub: _rows(out_dir, sub) for sub in (
+        "violations", "refs", "verdicts", "checks/uniqueness",
+        "checks/referential")}
+    keys = collections.Counter()
+    for r in map(json.loads, _rows(out_dir, "keys")):
+        keys[r["partition_id"], r["key"]] += r["count"]
+    return {**rows, "keys": sorted(keys.items())}
+
+
+def test_slices_cross_file_boundaries(split_corpus, tmp_path):
+    """At a batch size that cuts slices across file boundaries, the
+    committed rows equal the default run's, and each partition has one
+    file per slice of its rows, not per slice of each file."""
+    import math
+    import pyarrow.parquet as pq
+    from engine.checkpoint import list_partitions
+
+    split, catalog, want = split_corpus
+    out = tmp_path / "job"
+    _job(split, out, catalog, batch_size=60)
+    assert _committed(out) == want
+    for pid, files in list_partitions(split).items():
+        n = [pq.ParquetFile(f).metadata.num_rows for f in files]
+        per_file = sum(math.ceil(k / 60) for k in n)
+        assert len(glob.glob(os.path.join(
+            out, "keys", f"partition_id={pid}", "*.parquet"))) \
+            == math.ceil(sum(n) / 60) < per_file
+
+
+def test_large_partition_is_cut_into_file_groups(split_corpus, tmp_path,
+                                                 monkeypatch):
+    """A partition above ``_ITEM_ROWS`` footer rows becomes several work
+    items of consecutive files; the partition still commits once, with
+    the rows of the default run."""
+    import engine.checkpoint as ck
+
+    split, catalog, want = split_corpus
+    items = []
+    real_items = ck._work_items
+
+    def _items(parts, rows):
+        items.extend(real_items(parts, rows))
+        return items
+
+    monkeypatch.setattr(ck, "_ITEM_ROWS", 100)
+    monkeypatch.setattr(ck, "_work_items", _items)
+    out = tmp_path / "job"
+    s = _job(split, out, catalog)
+    assert s["processed"] == 4 and len(items) == 12
+    for pid, files in ck.list_partitions(split).items():
+        assert [f for it in items if it["partition_id"] == pid
+                for f in it["files"]] == files
+    assert _committed(out) == want
+
+
+def test_unpartitioned_input_is_partition_all(corpus, clean_job, tmp_path):
+    """A corpus without hive dirs is the one partition ``"all"``: its
+    violations and verdict are one partition's rows of the clean run."""
+    import shutil
+    from engine.checkpoint import completed_partitions
+
+    out_root, corpus_dir = corpus
+    flat = tmp_path / "flat"
+    shutil.copytree(os.path.join(corpus_dir, "partition_id=p0001"), flat)
+    out = tmp_path / "job"
+    s = _job(str(flat), out, os.path.join(out_root, "media_catalog.parquet"))
+    assert s["partitions"] == 1 and s["processed"] == 1
+    rec = completed_partitions(str(out))
+    assert sorted(rec) == ["__global_drift", "__global_referential",
+                           "__global_stats", "__global_uniqueness", "all"]
+
+    def _of(rows, pid):
+        return sorted(json.dumps({**r, "partition_id": "all"}, sort_keys=True)
+                      for r in map(json.loads, rows)
+                      if r["partition_id"] == pid)
+
+    for sub in ("violations", "verdicts", "refs"):
+        assert _rows(out, sub) == _of(_rows(clean_job[0], sub), "p0001"), sub
+    assert rec["all"]["metrics"]["docs"] > 0
+
+
+def test_partition_without_files_is_named(tmp_path):
+    """A hive partition dir without parquet files has no schema to write
+    typed-empty artifacts from: the job names it instead of running."""
+    from engine.checkpoint import run_validation_job
+
+    (tmp_path / "corpus" / "partition_id=p0000").mkdir(parents=True)
+    with pytest.raises(FileNotFoundError, match="p0000"):
+        run_validation_job(str(tmp_path / "corpus"), str(tmp_path / "job"))
+    assert not glob.glob(os.path.join(tmp_path, "job", ".*"))

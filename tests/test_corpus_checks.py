@@ -44,6 +44,41 @@ class TestSketchUnits:
                 zero_copy_only=False)).registers
             assert got.tobytes() == want.tobytes()
 
+    def test_hll_set_hash_matches_hash64_registers(self):
+        """``HLL.update`` hashes object arrays without the factorize; its
+        registers equal those built from ``hash64`` (factorize, then every
+        NULL spelling to one hash) on unique and low-cardinality strings,
+        NULLs, Python ints in an object array and bytes."""
+        import pandas as pd
+        from engine.sketches import HLL, hash64
+
+        def _registers(values):  # HLL.update's rank step over hash64
+            h = HLL()
+            hv = hash64(values)
+            idx = (hv >> np.uint64(64 - h.p)).astype(np.int64)
+            w = (hv << np.uint64(h.p)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+            nz = w != 0
+            msb = np.zeros(len(w), dtype=np.int64)
+            msb[nz] = np.floor(np.log2(w[nz].astype(np.float64)))
+            rank = np.where(nz, 64 - msb, (64 - h.p) + 1).astype(np.uint8)
+            np.maximum.at(h.registers, idx, rank)
+            return h.registers
+
+        rng = np.random.default_rng(11)
+        cases = {
+            "unique": np.array([f"s{i}" for i in range(20_000)], object),
+            "low_cardinality": np.array(
+                ["a", "b", "c", "d"])[rng.integers(0, 4, 20_000)]
+            .astype(object),
+            "nulls": np.array(["x", None, np.nan, pd.NA, "y", None], object),
+            "python_ints": np.array([1, 2, 3, 2, None, 10**12], object),
+            "bytes": np.array([b"a", b"bb", None, b"a", b""], object),
+        }
+        for name, values in cases.items():
+            got = HLL().update(values).registers
+            assert got.tobytes() == _registers(values).tobytes(), name
+            assert got.any(), name
+
     def test_tdigest_quantiles(self):
         from engine.sketches import TDigest
         rng = np.random.default_rng(3)
@@ -165,6 +200,47 @@ class TestReferential:
         assert set(map(tuple, bloom[["doc_id", "media_ref"]].values)) <= \
             set(map(tuple, exact[["doc_id", "media_ref"]].values))
         assert len(bloom) >= 0.9 * len(exact)
+
+    def test_exact_ref_check_matches_set_membership(self):
+        """The exact check tests membership with Arrow ``is_in`` against
+        the catalog's distinct refs; its rows equal a Python set loop's
+        over NULL refs, ``""``, hits, dangling refs and NULL span lists,
+        ``span_index`` and the carried ``partition_id`` included."""
+        import pyarrow as pa
+        from engine.referential import _RefCheckBatch, exact_set
+
+        span = pa.struct([("media_ref", pa.string())])
+        spans = [[{"media_ref": "m1"}, {"media_ref": None},
+                  {"media_ref": "gone"}],
+                 None,
+                 [{"media_ref": ""}, {"media_ref": "m2"}, None,
+                  {"media_ref": "lost"}, {"media_ref": "gone"}],
+                 [],
+                 [{"media_ref": "m1"}]]
+        batch = pa.table({
+            "doc_id": ["d0", "d1", "d2", "d3", "d4"],
+            "spans": pa.array(spans, pa.list_(span)),
+            "partition_id": ["p0", "p0", "p1", "p1", "p1"]})
+        catalog = ["m1", "m2", None, "m1", "m3"]
+        out = _RefCheckBatch(exact_set(pa.array(catalog)), "spans",
+                             "media_ref", "doc_id", exact=True,
+                             carry=("partition_id",))(batch)
+        side = set(catalog)
+        want = [{"doc_id": d, "span_index": i, "media_ref": s["media_ref"],
+                 "partition_id": p}
+                for d, ss, p in zip(batch["doc_id"].to_pylist(), spans,
+                                    batch["partition_id"].to_pylist())
+                for i, s in enumerate(ss or [])
+                if s and s["media_ref"] not in (None, "")
+                and s["media_ref"] not in side]
+        assert out.to_pylist() == want
+        assert [r["media_ref"] for r in want] == ["gone", "lost", "gone"]
+        assert out.schema.field("media_ref").type == pa.string()
+        assert out.schema.field("span_index").type == pa.int32()
+        present = _RefCheckBatch(exact_set(pa.array(catalog)), "spans",
+                                 "media_ref", "doc_id", exact=True,
+                                 present=True)(batch)
+        assert present.column("media_ref").to_pylist() == ["m1", "m2", "m1"]
 
 
 class TestDrift:

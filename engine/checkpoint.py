@@ -7,14 +7,15 @@ never from runtime block order.
 
 The job reads each partition ONCE, in one pipeline over all pending
 partitions: ``ray.data.from_items`` holds one work item
-``(partition_id, files)`` per partition (a partition above ``_ITEM_ROWS``
-footer rows is cut into consecutive file groups), and one
-``map_batches(batch_size=1)`` stage (``_PartitionPass``) reads each
-item's files with pyarrow inside its own task, so no corpus block passes
-through the object store. It cuts the rows into ``batch_size``-row
-slices across file boundaries, appends ``partition_id`` from the item,
-and every slice goes through four passes, each giving one partition
-artifact:
+``(partition_id, files, start, stop)`` per partition (a partition larger
+than its share of the cluster's CPUs is cut into row ranges on slice
+boundaries), and one ``map_batches(batch_size=1)`` stage
+(``_PartitionPass``) reads each item's rows with pyarrow inside its own
+task, so no corpus block passes through the object store. It cuts the
+rows into ``batch_size``-row slices across file boundaries, cast to the
+unified schema of the partition's files, appends ``partition_id`` from
+the item, and every slice goes through four passes, each giving one
+partition artifact:
 
 * ``violations`` — the keyword-validation rows (``dataset.ValidateBatch``);
 * ``profile`` — profile rows per (slice, column)
@@ -73,10 +74,6 @@ ARTIFACTS = ("violations", "profile", "keys", "refs")
 #: process; above it one ``shuffle.by_key`` pass does (the size of the
 #: engine's other driver bounds)
 _DRIVER_MERGE_ROWS = 2_000_000
-
-#: rows above which a partition is cut into several work items (file
-#: groups), so one large partition still spreads over CPUs
-_ITEM_ROWS = 1_000_000
 
 
 def _input_fingerprint(paths: Sequence[str]) -> str:
@@ -146,39 +143,62 @@ def _doc_id_counts(batch):
                      "count": g.column("doc_id_count")})
 
 
-def _work_items(parts: dict, rows: dict) -> list[dict]:
-    """The stage's work items, ``{"partition_id", "files", "rows"}``: one
-    per partition, files in sorted order. A partition of more than
-    ``_ITEM_ROWS`` rows (parquet footers) is cut into consecutive file
-    groups of at most that many rows (a larger file is a group of its
-    own), so it still spreads over CPUs."""
+def _work_items(parts: dict, rows: dict, batch_size: int,
+                cpus: int) -> list[dict]:
+    """The stage's work items, ``{"partition_id", "files", "start",
+    "stop"}``: rows ``[start, stop)`` of a partition's files read in
+    sorted order. Each partition is cut into ranges of ``step`` rows:
+    the pending rows per cluster CPU, rounded up to a multiple of
+    ``batch_size``. So the items fill the CPUs even when the partitions
+    are fewer, and a cut falls on a slice boundary: the slices, and with
+    them every output, do not depend on the cut."""
+    total = sum(rows[f] for files in parts.values() for f in files)
+    step = batch_size * max(1, -(-total // (cpus * batch_size)))
     items = []
     for pid, files in parts.items():
         if not files:
             raise FileNotFoundError(f"partition {pid!r} has no parquet files")
-        group, n = [], 0
-        for f in files:
-            if group and n + rows[f] > _ITEM_ROWS:
-                items.append({"partition_id": pid, "files": group, "rows": n})
-                group, n = [], 0
-            group.append(f)
-            n += rows[f]
-        items.append({"partition_id": pid, "files": group, "rows": n})
+        n = sum(rows[f] for f in files)
+        items += [{"partition_id": pid, "files": files, "start": a,
+                   "stop": min(a + step, n)}
+                  for a in range(0, max(n, 1), step)]
     return items
 
 
-def _slices(files: Sequence[str], batch_size: int):
-    """``batch_size``-row slices of ``files`` read in order, cut across
-    file boundaries; at most one slice plus one row group is held."""
+def _conform(t, schema):
+    """``t`` with the columns and types of ``schema`` (the unified schema
+    of its partition's files): NULLs for a column its file lacks."""
+    import pyarrow as pa
+
+    if t.schema.equals(schema):
+        return t
+    return pa.table([t.column(f.name).cast(f.type) if f.name in t.column_names
+                     else pa.nulls(t.num_rows, f.type) for f in schema],
+                    schema=schema)
+
+
+def _slices(files: Sequence[str], schema, batch_size: int, start: int,
+            stop: int):
+    """``batch_size``-row slices of rows ``[start, stop)`` of ``files``
+    read in order, cut across file boundaries, each row group cast to
+    ``schema``; at most one slice plus one row group is held."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    buf, n = [], 0
+    buf, n, at = [], 0, 0  # at: rows of the row groups before this one
     for f in files:
+        if at >= stop:
+            break
         pf = pq.ParquetFile(f)
         for i in range(pf.num_row_groups):
-            buf.append(pf.read_row_group(i))
-            n += buf[-1].num_rows
+            m = pf.metadata.row_group(i).num_rows
+            lo, hi = max(start - at, 0), min(stop - at, m)
+            at += m
+            if lo >= hi:
+                continue
+            buf.append(_conform(pf.read_row_group(i), schema)
+                       .slice(lo, hi - lo))
+            n += hi - lo
             while n >= batch_size:
                 t = pa.concat_tables(buf)
                 yield t.slice(0, batch_size)
@@ -189,18 +209,20 @@ def _slices(files: Sequence[str], batch_size: int):
 
 
 class _PartitionPass:
-    """The job's one stage: each call reads one work item's files itself
+    """The job's one stage: each call reads one work item's rows itself
     and writes its artifact files, so no corpus block and no artifact row
     passes through the object store or the driver.
 
     It cuts the item's rows into ``batch_size``-row slices (across file
-    boundaries), appends ``partition_id`` from the item and runs every
-    pass over each slice, writing one file per (pass, slice) to
+    boundaries) with the unified schema of the partition's files (a
+    column all NULL in one file may be typed ``null`` there), appends
+    ``partition_id`` from the item and runs every pass over each slice,
+    writing one file per (pass, slice) to
     ``<tmp>/<pass>/partition_id=<pid>/<uuid>.parquet``. An item without
-    rows gets one typed-empty file per pass: the passes over its files'
-    empty schema. The dirs exist already (the driver makes them), so a
-    straggler whose partition was committed or whose temp dir is gone
-    fails instead of writing a new one. It returns one row per file:
+    rows gets one typed-empty file per pass: the passes over that
+    schema's empty table. The dirs exist already (the driver makes them),
+    so a straggler whose partition was committed or whose temp dir is
+    gone fails instead of writing a new one. It returns one row per file:
     ``(partition_id, pass, file, rows, seq0_rows)``, where ``seq0_rows``
     counts the violating docs of a ``violations`` file (each has exactly
     one ``error_seq`` 0 row)."""
@@ -220,10 +242,13 @@ class _PartitionPass:
         rows = []
         for item in items.to_pylist():
             pid, files = item["partition_id"], item["files"]
-            slices = _slices(files, self.batch_size)
+            schema = pa.unify_schemas([pq.read_schema(f) for f in files],
+                                      promote_options="permissive")
+            slices = _slices(files, schema, self.batch_size, item["start"],
+                             item["stop"])
             first = next(slices, None)
             if first is None:
-                first = pq.read_schema(files[0]).empty_table()
+                first = schema.empty_table()
             for t in itertools.chain([first], slices):
                 if "partition_id" in t.column_names:
                     t = t.drop_columns(["partition_id"])
@@ -350,19 +375,26 @@ def _run_partitions(out_dir: str, parts: dict, passes: dict,
     """Run ``parts`` (partition id -> files) through one
     ``_PartitionPass`` pipeline and commit each partition when the stage
     has returned all its file rows (one per pass and slice; one slice for
-    an item without rows, known from the parquet footers)."""
+    an item without rows, known from the parquet footers).
+
+    If a commit step raises, tasks may still be running (closing the
+    batch iterator does not stop them), so the temp dir is renamed away
+    before it is removed: a late task's write then fails instead of
+    leaving a file behind."""
     import collections
 
     import pyarrow.parquet as pq
+    import ray
     import ray.data
 
     rows = {f: pq.ParquetFile(f).metadata.num_rows
             for files in parts.values() for f in files}
-    items = _work_items(parts, rows)
+    items = _work_items(parts, rows, batch_size,
+                        max(1, int(ray.cluster_resources().get("CPU", 1))))
     expect = collections.Counter()
     for it in items:
         expect[it["partition_id"]] += len(passes) * max(
-            1, -(-it["rows"] // batch_size))
+            1, -(-(it["stop"] - it["start"]) // batch_size))
     written = collections.defaultdict(list)
     started = time.time()
     tmp = tempfile.mkdtemp(prefix=".unit-", dir=out_dir)
@@ -399,7 +431,9 @@ def _run_partitions(out_dir: str, parts: dict, passes: dict,
                 summary["processed"] += 1
                 summary["violations"] += n_viol
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        gone = f"{tmp}.removed"
+        os.rename(tmp, gone)
+        shutil.rmtree(gone, ignore_errors=True)
     short = {pid: (len(written[pid]), n) for pid, n in expect.items()
              if len(written[pid]) != n}
     if short:

@@ -12,6 +12,8 @@ Patterns (the point, at 100 TB):
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -23,20 +25,24 @@ def _us(col):
     return pc.cast(col, pa.timestamp("us"), safe=False)
 
 
+def _valid_keys(ds, key: str):
+    """``ds`` without its rows whose ``key`` is NULL (they never match)."""
+    def _valid(b: pa.Table) -> pa.Table:
+        if b.num_columns == 0:  # schemaless empty join partition
+            return b
+        return b.filter(pc.is_valid(b.column(key)))
+
+    return ds.map_batches(_valid, batch_format="pyarrow")
+
+
 def _key_rows(*sides):
-    """Each ``(ds, key)`` side of an inner join or a dimension lookup,
-    materialized without its rows whose key is NULL (they never match),
-    or None when a side has no row left: the caller returns its typed
-    empty result. Ray's hash join raises ``ArrowInvalid`` on an empty
-    side, and an empty table's ``to_pandas()`` has no columns."""
+    """Each ``(ds, key)`` dimension side of a lookup, materialized
+    without its NULL-key rows (:func:`_valid_keys`), or None when a side
+    has no row left: the caller returns its typed empty result, since an
+    empty table's ``to_pandas()`` has no columns."""
     out = []
     for ds, key in sides:
-        def _valid(b: pa.Table, key=key) -> pa.Table:
-            if b.num_columns == 0:  # schemaless empty join partition
-                return b
-            return b.filter(pc.is_valid(b.column(key)))
-
-        side = ds.map_batches(_valid, batch_format="pyarrow").materialize()
+        side = _valid_keys(ds, key).materialize()
         if not side.count():
             return None
         out.append(side)
@@ -46,11 +52,21 @@ def _key_rows(*sides):
 def _inner_join(left, right, on: str, right_on: str | None = None):
     """Inner ``Dataset.join`` of ``left[on]`` with ``right[right_on or
     on]``, sized by :func:`engine.shuffle.join_kwargs`, over the rows
-    with a non-NULL key; None when a side has none (:func:`_key_rows`)."""
+    with a non-NULL key; None when a side has none, since Ray's hash join
+    raises ``ArrowInvalid`` on an empty side. The sides stay lazy: the
+    test runs each only up to its first row (``limit(1)``), so a fact
+    side streams into the hash shuffle instead of sitting whole in the
+    object store. A side that is a shuffle's output (a join, a combine)
+    comes in materialized, or the test would run that shuffle twice."""
     from engine.shuffle import join_kwargs
 
-    sides = _key_rows((left, on), (right, right_on or on))
-    if sides is None:
+    sides = [_valid_keys(left, on), _valid_keys(right, right_on or on)]
+    nonempty = all(side.limit(1).count() for side in sides)
+    # the test's executor keeps its blocks in reference cycles: without a
+    # collection they stay pinned while the join runs (at sf0.1, q3's
+    # pinned peak 37 MB against 19 MB)
+    gc.collect()
+    if not nonempty:
         return None
     return sides[0].join(sides[1], join_type="inner", **join_kwargs(),
                          on=(on,), right_on=(right_on,) if right_on else None)
@@ -713,8 +729,10 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                     "o_orderdate": pa.array([], pa.timestamp("us"))})
             return b.select(["o_orderkey", "o_orderdate"])
 
-        orders = joined_orders.map_batches(_norm_orders,
-                                           batch_format="pyarrow")
+        # a join's output is materialized before it joins again, so the
+        # next join's emptiness test does not run this join twice
+        orders = joined_orders.map_batches(
+            _norm_orders, batch_format="pyarrow").materialize()
 
     def _li_partial(b: pa.Table) -> pa.Table:
         sd = pc.cast(b.column("l_shipdate"), pa.timestamp("us")) \
@@ -985,7 +1003,9 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                 "o_orderkey": b.column("o_orderkey"),
                 "cnat": pc.cast(b.column("c_nationkey"), pa.int64())})
 
-        oc = oc.map_batches(_norm_oc, batch_format="pyarrow")
+        # join outputs are materialized before they join again, so the
+        # next join's emptiness test does not run this join twice
+        oc = oc.map_batches(_norm_oc, batch_format="pyarrow").materialize()
 
         def _lpartial(b: pa.Table) -> pa.Table:
             price = b.column("l_extendedprice").to_numpy(
@@ -1009,7 +1029,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                                  "rev": pa.array([], pa.float64())})
             return b.select(["l_suppkey", "cnat", "rev"])
 
-        ls = lo_j.map_batches(_norm_ls, batch_format="pyarrow")
+        ls = lo_j.map_batches(_norm_ls, batch_format="pyarrow").materialize()
         fin = _inner_join(ls, supplier_ds.select_columns(
             ["s_suppkey", "s_nationkey"]), "l_suppkey", "s_suppkey")
         if fin is None:
@@ -2536,7 +2556,9 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
 
         enriched = per_cust.map_batches(_attach, batch_format="pyarrow")
     else:
-        cj = _inner_join(per_cust, cust.map_batches(
+        # materialized, so the emptiness test does not run the shuffles
+        # behind per_cust twice
+        cj = _inner_join(per_cust.materialize(), cust.map_batches(
             lambda b: b.rename_columns(
                 ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
             batch_format="pyarrow"), "o_custkey")

@@ -357,8 +357,8 @@ def test_job_reads_each_partition_once(corpus, tmp_path, monkeypatch):
     real_items, real_read = ck._work_items, ray.data.read_parquet
     real_commit = ck._commit_manifest
 
-    def _items(parts, rows):
-        items = real_items(parts, rows)
+    def _items(*args):
+        items = real_items(*args)
         events.extend(("read", it["files"], None) for it in items)
         return items
 
@@ -404,8 +404,8 @@ def test_resumed_job_reads_only_uncommitted_partitions(corpus, clean_job,
     reads = []
     real_items = ck._work_items
 
-    def _items(parts, rows):
-        items = real_items(parts, rows)
+    def _items(*args):
+        items = real_items(*args)
         reads.extend(it["files"] for it in items)
         return items
 
@@ -578,7 +578,8 @@ def test_keys_pass_drops_null_doc_ids():
 
 
 # ---------------------------------------------------------------------------
-# the read seam: work items, slices across files, file groups, flat input
+# the read seam: work items, slices across files, row ranges, file schemas,
+# flat input
 
 
 @pytest.fixture(scope="module")
@@ -637,30 +638,69 @@ def test_slices_cross_file_boundaries(split_corpus, tmp_path):
             == math.ceil(sum(n) / 60) < per_file
 
 
-def test_large_partition_is_cut_into_file_groups(split_corpus, tmp_path,
-                                                 monkeypatch):
-    """A partition above ``_ITEM_ROWS`` footer rows becomes several work
-    items of consecutive files; the partition still commits once, with
-    the rows of the default run."""
+def test_partitions_are_cut_into_row_ranges_to_fill_the_cpus(
+        split_corpus, tmp_path, monkeypatch):
+    """On a cluster with more CPUs than the partitions fill, each
+    partition becomes several work items of consecutive row ranges cut
+    on slice boundaries (here inside files); every output, t-digests
+    included, equals the run with one item per partition."""
+    import pyarrow.parquet as pq
+    import ray
     import engine.checkpoint as ck
 
-    split, catalog, want = split_corpus
+    split, catalog, _ = split_corpus
+    parts = ck.list_partitions(split)
+    rows = {f: pq.ParquetFile(f).metadata.num_rows
+            for files in parts.values() for f in files}
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert len(ck._work_items(parts, rows, 60, cpus)) == len(parts)
+    one = tmp_path / "one"
+    _job(split, one, catalog, batch_size=60)
+
     items = []
     real_items = ck._work_items
 
-    def _items(parts, rows):
-        items.extend(real_items(parts, rows))
+    def _items(parts, rows, batch_size, cpus):
+        items.extend(real_items(parts, rows, batch_size, 16))
         return items
 
-    monkeypatch.setattr(ck, "_ITEM_ROWS", 100)
     monkeypatch.setattr(ck, "_work_items", _items)
-    out = tmp_path / "job"
-    s = _job(split, out, catalog)
-    assert s["processed"] == 4 and len(items) == 12
-    for pid, files in ck.list_partitions(split).items():
-        assert [f for it in items if it["partition_id"] == pid
-                for f in it["files"]] == files
-    assert _committed(out) == want
+    cut = tmp_path / "cut"
+    assert _job(split, cut, catalog, batch_size=60)["processed"] == 4
+    for pid, files in parts.items():
+        own = [it for it in items if it["partition_id"] == pid]
+        assert len(own) > 1 and own[0]["start"] == 0
+        assert all(a["stop"] == b["start"] and a["stop"] % 60 == 0
+                   for a, b in zip(own, own[1:]))
+        assert own[-1]["stop"] == sum(rows[f] for f in files)
+    assert _outputs(cut) == _outputs(one)
+    assert _committed(cut) == _committed(one)
+
+
+def test_file_with_null_typed_column_joins_its_partition(split_corpus,
+                                                         tmp_path):
+    """A writer that sees no value types an all-NULL column ``null``: a
+    partition with such a file next to string-typed ones reads with the
+    files' unified schema, and the job's rows equal those of the same
+    corpus with the NULLs typed string (slices here cross the files)."""
+    import shutil
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    split, catalog, _ = split_corpus
+    runs = []
+    for typ in (pa.string(), pa.null()):
+        corpus = tmp_path / str(typ) / "corpus"
+        shutil.copytree(split, corpus)
+        f = str(corpus / "partition_id=p0001" / "part-1.parquet")
+        t = pq.read_table(f)
+        pq.write_table(t.set_column(
+            t.schema.get_field_index("doc_id"), pa.field("doc_id", typ),
+            pa.nulls(t.num_rows, typ)), f)
+        out = tmp_path / str(typ) / "job"
+        _job(str(corpus), out, catalog, batch_size=60)
+        runs.append((_outputs(out), _committed(out)))
+    assert runs[0] == runs[1]
 
 
 def test_unpartitioned_input_is_partition_all(corpus, clean_job, tmp_path):

@@ -338,9 +338,12 @@ def run_validation_job(corpus_dir: str, out_dir: str, *,
     fps = {pid: _input_fingerprint(files) for pid, files in parts.items()}
 
     def _fits(rec: dict, pid: str) -> bool:
-        """Does a partition's manifest count as done for this run?"""
+        """Does a partition's manifest count as done for this run? The
+        slice size must match too: the profile t-digests are per slice,
+        so the stats and drift checks depend on where slices are cut."""
         return (rec.get("input_fingerprint") == fps[pid]
                 and rec.get("catalog_fingerprint") == cat_fp
+                and rec.get("batch_size") == batch_size
                 and set(artifacts) <= set(rec.get("artifacts", ())))
 
     pending = [pid for pid in parts if not _fits(done.get(pid, {}), pid)]
@@ -422,6 +425,7 @@ def _run_partitions(out_dir: str, parts: dict, passes: dict,
                                             for f in parts[pid]],
                         "input_fingerprint": fps[pid],
                         "catalog_fingerprint": cat_fp,
+                        "batch_size": batch_size,
                         "artifacts": list(passes),
                         "started_at": started,
                         "finished_at": time.time(),

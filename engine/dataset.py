@@ -207,33 +207,31 @@ class _DocVerdictBatch:
 def partition_verdicts(ds, schema_json: str = DOC_SCHEMA_JSON, *,
                        instance_columns: Optional[Sequence[str]] = None,
                        batch_size: int = 8192, concurrency=None):
-    """Per-partition pass/fail verdicts: partial counts inside map_batches,
-    then a small groupby-sum over (partitions x batches) rows only."""
-    partials = ds.map_batches(
-        _DocVerdictBatch(schema_json, instance_columns),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency)
-    agg = partials.groupby("partition_id").sum(
-        ["docs", "violation_docs", "violations"])
-    agg = agg.map_batches(_finalize_verdict, batch_format="pyarrow")
-    return agg
+    """Per-partition pass/fail verdicts: partial counts per batch, merged
+    by partition (:func:`engine.shuffle.combine`) over (partitions x
+    batches) rows only, then the verdict columns
+    (:func:`engine.shuffle.finish`) over one block — one row per
+    partition, and no empty merge block left with another schema."""
+    from engine.shuffle import combine, finish
+    sums = combine(ds, "partition_id",
+                   {c: (c, "sum") for c in
+                    ("docs", "violation_docs", "violations")},
+                   derive=_DocVerdictBatch(schema_json, instance_columns),
+                   batch_size=batch_size, concurrency=concurrency)
+    return finish(sums, _finalize_verdict, one_block=True)
 
 
 def _finalize_verdict(batch: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
-    viol = batch.column("sum(violations)")
-    viol_np = viol.to_numpy(zero_copy_only=False)
+    viol = batch.column("violations")
     checks_failed = pa.array(
-        [["keyword_validation"] if v > 0 else [] for v in viol_np],
+        [["keyword_validation"] if v > 0 else []
+         for v in viol.to_numpy(zero_copy_only=False)],
         pa.list_(pa.string()))
-    return pa.table({
-        "partition_id": batch.column("partition_id"),
-        "docs": batch.column("sum(docs)"),
-        "violation_docs": batch.column("sum(violation_docs)"),
-        "violations": viol,
-        "pass": pc.equal(viol, 0),
-        "checks_failed": checks_failed,
-    })
+    return batch.select(["partition_id", "docs", "violation_docs",
+                         "violations"]) \
+        .append_column("pass", pc.equal(viol, 0)) \
+        .append_column("checks_failed", checks_failed)
 
 
 class JsonColumnValidator:

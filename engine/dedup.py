@@ -207,8 +207,9 @@ def _emit_partition_pairs(df, max_bucket_size: int = 64, value_col=None):
 
     The partition holds complete buckets (``by_key`` on bkey), so pair
     emission is exact, and the work is vectorized over the whole partition
-    instead of one pandas UDF call per bucket: sort by (bkey, key), find
-    bucket boundaries, emit cached-triu index pairs per qualifying bucket.
+    instead of one pandas UDF call per bucket: on the partition sorted by
+    (bkey, key), find bucket boundaries, emit cached-triu index pairs per
+    qualifying bucket.
     Duplicate keys within a bucket (possible only via a ~2^-63 bkey
     collision merging two buckets) are dropped, matching the np.unique of
     the per-bucket formulation.
@@ -219,14 +220,14 @@ def _emit_partition_pairs(df, max_bucket_size: int = 64, value_col=None):
     Byte-identical floods belong to exact dedup, which has no such cap.
     """
     import pandas as pd
+    from engine.shuffle import key_starts
     val_cols = [f"{value_col}_a", f"{value_col}_b"] if value_col else []
     cols = ["key_a", "key_b"] + val_cols
     if "key" not in df.columns or not len(df):
         return pd.DataFrame({c: [] for c in cols})
     sub = df.drop_duplicates(subset=["bkey", "key"])
-    sub = sub.sort_values(["bkey", "key"], kind="mergesort")
     bk = sub["bkey"].to_numpy()
-    starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
+    starts = np.flatnonzero(key_starts(bk) == np.arange(len(bk)))
     sizes = np.diff(np.r_[starts, len(bk)])
     ok = (sizes >= 2) & (sizes <= max_bucket_size)
     if not ok.any():
@@ -264,7 +265,8 @@ def _pairs_via_partitions(cand, *, max_bucket_size: int = 64,
         out = _emit_partition_pairs(df, max_bucket_size, value_col)
         return post(out) if post is not None else out
 
-    return by_key(cand, "bkey", _udf, empty=_udf(pd.DataFrame()))
+    return by_key(cand, "bkey", _udf, order=["key"],
+                  empty=_udf(pd.DataFrame()))
 
 
 def _unique_pairs(pairs, *, min_col=None):

@@ -25,6 +25,14 @@ def _us(col):
     return pc.cast(col, pa.timestamp("us"), safe=False)
 
 
+def _seconds(arr):
+    """A time array as float64 seconds: ``datetime64`` of any unit as
+    seconds since the epoch, anything numeric as itself."""
+    if np.issubdtype(arr.dtype, np.datetime64):
+        return arr.astype("datetime64[ns]").astype(np.int64) / 1e9
+    return arr.astype(np.float64)
+
+
 def _valid_keys(ds, key: str):
     """``ds`` without its rows whose ``key`` is NULL (they never match)."""
     def _valid(b: pa.Table) -> pa.Table:
@@ -225,104 +233,80 @@ def sessionize(events_ds, *, gap_minutes: int = 30, batch_size: int = 65536):
     """Gap-based sessionization: events of one user sorted by time; a gap
     > ``gap_minutes`` starts a new session. Shuffle key = user_id (each
     user's events must be co-located and ordered — the documented
-    partitioning assumption).
+    partitioning assumption). NULL users are one user, as in SQL
+    ``PARTITION BY``.
 
-    Whole users co-locate (:func:`engine.shuffle.by_key`) and ONE
-    vectorized UDF sessionizes a whole partition — sort by (user, ts),
-    break sessions where the user changes or the gap exceeds the
-    threshold, aggregate with boundary arithmetic.
-
+    :func:`session_aggregate`'s kernel without the value columns.
     Output: (user_id, session_id, n_events, session_start, session_end).
     """
-    import pandas as pd
-
-    from engine.shuffle import by_key
-
-    gap = np.timedelta64(gap_minutes * 60, "s")
-    out_cols = ["user_id", "session_id", "n_events", "session_start",
-                "session_end"]
-
-    def _sessions_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["user_id", "ts"], kind="mergesort")
-        ts = df["ts"].to_numpy()
-        uid = df["user_id"].to_numpy()
-        new_user = np.r_[True, uid[1:] != uid[:-1]]
-        gap_break = np.r_[False, (ts[1:] - ts[:-1]) > gap]
-        new_session = new_user | gap_break
-        sid_global = np.cumsum(new_session)
-        user_first_sid = sid_global[np.flatnonzero(new_user)]
-        user_ord = np.cumsum(new_user) - 1
-        sid = sid_global - user_first_sid[user_ord] + 1
-        s_start = np.flatnonzero(new_session)
-        s_end = np.r_[s_start[1:], len(ts)]
-        return pd.DataFrame({
-            "user_id": uid[s_start],
-            "session_id": sid[s_start].astype("int64"),
-            "n_events": (s_end - s_start).astype("int64"),
-            # us precision to match SQL timestamps exactly
-            "session_start": ts[s_start].astype("datetime64[us]"),
-            "session_end": ts[s_end - 1].astype("datetime64[us]"),
-        })
-
-    return by_key(events_ds.select_columns(["user_id", "ts"]), "user_id",
-                  _sessions_part, batch_size=batch_size,
-                  empty=pd.DataFrame({c: [] for c in out_cols}))
+    return _sessions(events_ds, gap_minutes, None, batch_size)
 
 
 def session_aggregate(events_ds, *, gap_minutes: int = 30,
                       val_col: str = "value", batch_size: int = 65536):
-    """Gap-based sessions WITH per-session value aggregates — the
-    :func:`sessionize` kernel extended with boundary-difference prefix
-    sums over the value column, so each session also reports its value
-    SUM and non-NULL value count in the same single vectorized pass (no
+    """Gap-based sessions WITH per-session value aggregates: each
+    session also reports its value SUM and non-NULL value count, from
+    boundary-difference prefix sums in the same vectorized pass (no
     second shuffle, no per-session loop).
+
+    Whole users co-locate sorted by (user, ts) (:func:`engine.shuffle.by_key`
+    with ``order``) and ONE vectorized UDF sessionizes a whole
+    partition: sessions break where the user changes
+    (:func:`engine.shuffle.key_starts`, so NULL users are one user) or
+    the gap exceeds the threshold.
 
     SQL aggregate NULL semantics: NULL values contribute nothing; an
     all-NULL session reports ``value_sum`` NULL and ``n_values`` 0.
     Output: (user_id, session_id, n_events, session_start, session_end,
-    value_sum, n_values). Same partitioning contract as
-    :func:`sessionize` (whole users co-located, shuffle key = user hash).
+    value_sum, n_values).
     """
+    return _sessions(events_ds, gap_minutes, val_col, batch_size)
+
+
+def _sessions(events_ds, gap_minutes, val_col, batch_size):
+    """The one gap-session kernel of :func:`sessionize` (``val_col``
+    None: no value columns) and :func:`session_aggregate`."""
     import pandas as pd
 
-    from engine.shuffle import by_key
+    from engine.shuffle import by_key, key_starts
 
     gap = np.timedelta64(gap_minutes * 60, "s")
+    cols = ["user_id", "ts"] + ([val_col] if val_col else [])
     out_cols = ["user_id", "session_id", "n_events", "session_start",
-                "session_end", "value_sum", "n_values"]
+                "session_end"] + (["value_sum", "n_values"] if val_col
+                                  else [])
 
     def _sessions_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.sort_values(["user_id", "ts"], kind="mergesort")
         ts = df["ts"].to_numpy()
         uid = df["user_id"].to_numpy()
-        v = df[val_col].to_numpy().astype(np.float64)
-        new_user = np.r_[True, uid[1:] != uid[:-1]]
-        gap_break = np.r_[False, (ts[1:] - ts[:-1]) > gap]
-        new_session = new_user | gap_break
+        user_start = key_starts(uid)
+        new_session = (user_start == np.arange(len(ts))) \
+            | np.r_[False, (ts[1:] - ts[:-1]) > gap]
         sid_global = np.cumsum(new_session)
-        user_first_sid = sid_global[np.flatnonzero(new_user)]
-        user_ord = np.cumsum(new_user) - 1
-        sid = sid_global - user_first_sid[user_ord] + 1
+        sid = sid_global - sid_global[user_start] + 1
         s_start = np.flatnonzero(new_session)
         s_end = np.r_[s_start[1:], len(ts)]
-        ok = ~np.isnan(v)
-        cs = np.concatenate([[0.0], np.cumsum(np.where(ok, v, 0.0))])
-        cn = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
-        sums = cs[s_end] - cs[s_start]
-        cnts = cn[s_end] - cn[s_start]
-        return pd.DataFrame({
+        out = pd.DataFrame({
             "user_id": uid[s_start],
             "session_id": sid[s_start].astype("int64"),
             "n_events": (s_end - s_start).astype("int64"),
             # us precision to match SQL timestamps exactly
             "session_start": ts[s_start].astype("datetime64[us]"),
             "session_end": ts[s_end - 1].astype("datetime64[us]"),
-            "value_sum": np.where(cnts > 0, sums, np.nan),
-            "n_values": cnts,
         })
+        if val_col:
+            v = df[val_col].to_numpy().astype(np.float64)
+            ok = ~np.isnan(v)
+            cs = np.concatenate([[0.0], np.cumsum(np.where(ok, v, 0.0))])
+            cn = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
+            cnts = cn[s_end] - cn[s_start]
+            out["value_sum"] = np.where(cnts > 0, cs[s_end] - cs[s_start],
+                                        np.nan)
+            out["n_values"] = cnts
+        return out
 
-    return by_key(events_ds.select_columns(["user_id", "ts", val_col]),
-                  "user_id", _sessions_part, batch_size=batch_size,
+    return by_key(events_ds.select_columns(cols), "user_id", _sessions_part,
+                  order=["ts"], batch_size=batch_size,
                   empty=pd.DataFrame({c: [] for c in out_cols}))
 
 
@@ -364,70 +348,53 @@ def grouped_topk(ds, *, group_col: str, score_col: str, id_col: str,
                   empty=pd.DataFrame({c: [] for c in by}))
 
 
-def _rolling_frames(df, *, key_col, ts_col, val_col, id_col,
-                    window_seconds):
-    """Shared RANGE-frame kernel for the rolling-window operators: sort
-    a partition by (key, ts, id), then compute every trailing-window
-    frame's non-NULL value sum and count with one ``np.searchsorted``
-    pair over a monotone composite timestamp (each key's times shifted
-    into a disjoint range separated by more than the window) — no
-    per-key Python loop. Tie peers at the current row's timestamp are
-    included (``side="right"``), matching SQL RANGE frames.
+def _range_window(ds, out, empty, *, key_col, ts_col, val_col, id_col,
+                  window_seconds, batch_size):
+    """Shared RANGE-frame shape of the rolling-window operators: whole
+    keys co-locate sorted by (key, ts, id) (:func:`engine.shuffle.by_key`
+    with ``order``), then ONE vectorized pass per partition finds every
+    row's trailing-window frame with one ``np.searchsorted`` pair over a
+    monotone composite timestamp (each key's times shifted into a
+    disjoint range separated by more than the window) — no per-key
+    Python loop. Tie peers at the current row's timestamp are included
+    (``side="right"``), matching SQL RANGE frames. ``out(v, j, e)``
+    reduces the float64 values ``v`` over each row i's frame
+    ``v[j[i]:e[i]]`` to the output columns next to ``id_col``.
 
-    NULL-ts contract: rows with a NULL timestamp are DROPPED first —
-    they have no place on a RANGE axis, and the NaT->int64 sentinel
-    (-2**63) would otherwise break the composite's monotonicity and
-    corrupt every frame in the partition. NULL KEYS group as ONE
-    partition, exactly like SQL ``PARTITION BY`` — elementwise
-    ``NaN != NaN`` is True, so without the both-null mask every NULL-key
-    row would silently become its own single-row partition (None-keyed
-    object arrays compare ``None != None`` False, so the two NULL
-    spellings would even disagree with each other). Returns
-    (sub, sums, cnts).
+    NULL-ts contract: rows with a NULL timestamp are DROPPED before the
+    shuffle — they have no place on a RANGE axis, and the NaT->int64
+    sentinel (-2**63) would otherwise break the composite's
+    monotonicity and corrupt every frame in the partition. NULL KEYS
+    group as ONE partition, exactly like SQL ``PARTITION BY``
+    (:func:`engine.shuffle.key_starts`).
     """
-    sub, v, j, e = _rolling_bounds(df, key_col=key_col, ts_col=ts_col,
-                                   val_col=val_col, id_col=id_col,
-                                   window_seconds=window_seconds)
-    if not len(sub):
-        return sub, np.array([]), np.array([], dtype=np.int64)
+    import pandas as pd
+    from engine.shuffle import by_key, key_starts
+    cols = [id_col, key_col, ts_col, val_col]
+
+    def _roll(sub):
+        t = _seconds(sub[ts_col].to_numpy())
+        new_key = key_starts(sub[key_col].to_numpy()) == np.arange(len(sub))
+        span = (t.max() - t.min()) + window_seconds + 1.0
+        m = (np.cumsum(new_key) - 1) * span + (t - t.min())
+        j = np.searchsorted(m, m - window_seconds, side="left")
+        e = np.searchsorted(m, m, side="right")
+        return pd.DataFrame({id_col: sub[id_col].to_numpy(),
+                             **out(sub[val_col].to_numpy()
+                                   .astype(np.float64), j, e)})
+
+    return by_key(ds, key_col, _roll,
+                  prep=lambda df: df.loc[df[ts_col].notna(), cols],
+                  order=[ts_col, id_col], batch_size=batch_size, empty=empty)
+
+
+def _range_sums(v, j, e):
+    """Non-NULL value sum and count of each frame ``v[j[i]:e[i]]``, from
+    prefix sums."""
     ok = ~np.isnan(v)
     cs = np.concatenate([[0.0], np.cumsum(np.where(ok, v, 0.0))])
     cw = np.concatenate([[0], np.cumsum(ok.astype(np.int64))])
-    return sub, cs[e] - cs[j], cw[e] - cw[j]
-
-
-def _rolling_bounds(df, *, key_col, ts_col, val_col, id_col,
-                    window_seconds):
-    """The frame-boundary half of :func:`_rolling_frames`: returns
-    ``(sub, v, j, e)`` where ``sub`` is the NULL-ts-dropped partition
-    sorted by (key, ts, id), ``v`` its float64 values, and row i's RANGE
-    frame is ``sub[j[i]:e[i]]`` (tie peers included). Shared by the
-    sum/count/mean kernels (prefix sums over the bounds) and the min/max
-    kernel (sparse-table range reduce over the bounds)."""
-    import pandas as pd
-    sub = df.dropna(subset=[ts_col]) \
-        .sort_values([key_col, ts_col, id_col],
-                     kind="mergesort").reset_index(drop=True)
-    if not len(sub):
-        return sub, np.array([]), np.array([], dtype=np.int64), \
-            np.array([], dtype=np.int64)
-    ts = sub[ts_col].to_numpy()
-    if np.issubdtype(ts.dtype, np.datetime64):
-        t = ts.astype("datetime64[ns]").astype(np.int64) / 1e9
-    else:
-        t = ts.astype(np.float64)
-    keys = sub[key_col].to_numpy()
-    knull = pd.isna(keys)
-    with np.errstate(invalid="ignore"):
-        neq = keys[1:] != keys[:-1]
-    new_key = np.r_[True, neq & ~(knull[1:] & knull[:-1])]
-    key_ord = np.cumsum(new_key) - 1
-    span = (t.max() - t.min()) + window_seconds + 1.0
-    m = key_ord * span + (t - t.min())
-    v = sub[val_col].to_numpy().astype(np.float64)
-    j = np.searchsorted(m, m - window_seconds, side="left")
-    e = np.searchsorted(m, m, side="right")
-    return sub, v, j, e
+    return cs[e] - cs[j], cw[e] - cw[j]
 
 
 def rolling_window_mean(ds, *, key_col: str = "user_id",
@@ -438,28 +405,23 @@ def rolling_window_mean(ds, *, key_col: str = "user_id",
     """Per-key rolling mean over a trailing time window — SQL ``avg(...)
     OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN <w> PRECEDING AND
     CURRENT ROW)`` semantics, including tie peers at the current row's
-    timestamp and NULL-skipping averages. NULL-ts rows are dropped (see
-    :func:`_rolling_frames`).
+    timestamp and NULL-skipping averages. NULL-ts rows are dropped.
 
-    Scale shape: :func:`engine.shuffle.by_key` on the key, then ONE
-    vectorized pass per partition (:func:`_rolling_frames`).
+    Scale shape: :func:`_range_window` (one :func:`engine.shuffle.by_key`
+    on the key, one vectorized pass per partition).
     """
     import pandas as pd
-    from engine.shuffle import by_key
-    cols = [id_col, key_col, ts_col, val_col]
 
-    def _roll(df):
-        sub, sums, cnts = _rolling_frames(
-            df, key_col=key_col, ts_col=ts_col, val_col=val_col,
-            id_col=id_col, window_seconds=window_seconds)
+    def _mean(v, j, e):
+        sums, cnts = _range_sums(v, j, e)
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
-        return pd.DataFrame({id_col: sub[id_col].to_numpy(),
-                             "rolling_mean": mean})
+            return {"rolling_mean": np.where(
+                cnts > 0, sums / np.maximum(cnts, 1), np.nan)}
 
-    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
-                  batch_size=batch_size,
-                  empty=pd.DataFrame({id_col: [], "rolling_mean": []}))
+    return _range_window(
+        ds, _mean, pd.DataFrame({id_col: [], "rolling_mean": []}),
+        key_col=key_col, ts_col=ts_col, val_col=val_col, id_col=id_col,
+        window_seconds=window_seconds, batch_size=batch_size)
 
 
 def asof_join(left, right, *, key_col: str = "user_id",
@@ -486,14 +448,10 @@ def asof_join(left, right, *, key_col: str = "user_id",
 
     def _tag(side: int, id_col: str, with_val: bool):
         def _fn(df):
-            ts = df[ts_col].to_numpy()
-            if np.issubdtype(ts.dtype, np.datetime64):
-                t = ts.astype("datetime64[ns]").astype(np.int64) / 1e9
-            else:
-                t = ts.astype(np.float64)
             return pd.DataFrame({
                 "id": df[id_col].to_numpy(),
-                "key": df[key_col].to_numpy(), "t": t,
+                "key": df[key_col].to_numpy(),
+                "t": _seconds(df[ts_col].to_numpy()),
                 "val": df[value_col].to_numpy().astype(np.float64)
                 if with_val else np.full(len(df), np.nan),
                 "side": np.full(len(df), side, dtype=np.int8)})
@@ -561,21 +519,16 @@ def interval_join(points, intervals, *, key_col: str = "user_id",
     empty = pd.DataFrame({point_id_col: [], interval_id_col: [],
                           key_col: []})
 
-    def _to_sec(arr):
-        if np.issubdtype(arr.dtype, np.datetime64):
-            return arr.astype("datetime64[ns]").astype(np.int64) / 1e9
-        return arr.astype(np.float64)
-
     def _tag_points(df):
-        t = _to_sec(df[ts_col].to_numpy())
+        t = _seconds(df[ts_col].to_numpy())
         return pd.DataFrame({
             "id": df[point_id_col].to_numpy(),
             "key": df[key_col].to_numpy(), "t0": t, "t1": t,
             "side": np.zeros(len(df), dtype=np.int8)})
 
     def _tag_intervals(df):
-        s = _to_sec(df[start_col].to_numpy())
-        e = _to_sec(df[end_col].to_numpy())
+        s = _seconds(df[start_col].to_numpy())
+        e = _seconds(df[end_col].to_numpy())
         if len(s) and float(np.max(e - s)) > max_duration_s:
             raise ValueError("interval longer than max_duration_s; "
                              "split long intervals upstream")
@@ -825,9 +778,7 @@ def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _ewm(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _ewm(sub):
         y = sub.groupby(key_col, sort=False)[val_col] \
             .ewm(alpha=alpha, adjust=False).mean() \
             .reset_index(level=0, drop=True).sort_index()
@@ -836,7 +787,7 @@ def ewma(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     return by_key(ds, key_col, _ewm, null_keys="drop",
                   prep=lambda df: df[cols].dropna(subset=[val_col]),
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "ewma": []}))
 
 
@@ -866,9 +817,7 @@ def ewma_halflife(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     cols = [id_col, key_col, ts_col, val_col]
     hl = pd.Timedelta(seconds=halflife_seconds)
 
-    def _ewm(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _ewm(sub):
         y = sub.groupby(key_col, sort=False)[val_col] \
             .ewm(halflife=hl, times=sub[ts_col]).mean() \
             .reset_index(level=0, drop=True).sort_index()
@@ -877,7 +826,7 @@ def ewma_halflife(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     return by_key(ds, key_col, _ewm, null_keys="drop",
                   prep=lambda df: df[cols].dropna(subset=[val_col, ts_col]),
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "ewma_hl": []}))
 
 
@@ -902,15 +851,13 @@ def lag_diff(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _diff(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _diff(sub):
         d = sub.groupby(key_col, sort=False, dropna=False)[val_col].diff()
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "lag_diff": d.to_numpy()})
 
     return by_key(ds, key_col, _diff, prep=lambda df: df[cols],
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "lag_diff": []}))
 
 
@@ -1383,9 +1330,7 @@ def running_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _cum(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _cum(sub):
         filled = sub[val_col].fillna(0.0)
         # dropna=False: SQL PARTITION BY groups NULL keys into ONE
         # partition with real running sums — pandas' default would
@@ -1396,7 +1341,7 @@ def running_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                              "running_sum": y.to_numpy(dtype=np.float64)})
 
     return by_key(ds, key_col, _cum, prep=lambda df: df[cols],
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "running_sum": []}))
 
 
@@ -1564,9 +1509,7 @@ def collect_sequence(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
     cols = [key_col, ts_col, id_col, val_col]
 
-    def _collect(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort")
+    def _collect(sub):
         g = sub.groupby(key_col, sort=False)[val_col]
         return pd.DataFrame({
             key_col: g.agg("first").index.to_numpy(),
@@ -1575,7 +1518,7 @@ def collect_sequence(ds, *, key_col: str = "user_id",
 
     return by_key(ds, key_col, _collect,
                   prep=lambda df: df[cols].dropna(subset=[val_col]),
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({key_col: [], "seq": [],
                                       "n_items": pd.array([],
                                                           dtype="int64")}))
@@ -1590,31 +1533,24 @@ def rolling_window_sum_count(ds, *, key_col: str = "user_id",
     window — ``sum(value) OVER (... RANGE <w> PRECEDING)`` /
     ``count(value) OVER (...)`` parity, including tie peers and SQL NULL
     semantics (an all-NULL frame sums to NULL, counts 0). NULL-ts rows
-    are dropped (see :func:`_rolling_frames`).
+    are dropped.
 
-    Shares :func:`_rolling_frames` with :func:`rolling_window_mean`
-    (:func:`engine.shuffle.by_key`, one searchsorted pair + prefix sums
-    per partition, no per-key loop). Returns (id, rolling_sum, rolling_n).
+    Shares :func:`_range_window` with :func:`rolling_window_mean`.
+    Returns (id, rolling_sum, rolling_n).
     """
     import pandas as pd
-    from engine.shuffle import by_key
-    cols = [id_col, key_col, ts_col, val_col]
 
-    def _roll(df):
-        sub, sums, cnts = _rolling_frames(
-            df, key_col=key_col, ts_col=ts_col, val_col=val_col,
-            id_col=id_col, window_seconds=window_seconds)
-        sums = np.where(cnts > 0, sums, np.nan)  # SQL: all-NULL -> NULL
-        return pd.DataFrame({id_col: sub[id_col].to_numpy(),
-                             "rolling_sum": sums,
-                             "rolling_n": np.asarray(cnts,
-                                                     dtype=np.int64)})
+    def _sum_count(v, j, e):
+        sums, cnts = _range_sums(v, j, e)
+        return {"rolling_sum": np.where(cnts > 0, sums, np.nan),
+                "rolling_n": cnts.astype(np.int64)}
 
-    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
-                  batch_size=batch_size,
-                  empty=pd.DataFrame({id_col: [], "rolling_sum": [],
-                                      "rolling_n": pd.array(
-                                          [], dtype="int64")}))
+    return _range_window(
+        ds, _sum_count, pd.DataFrame({
+            id_col: [], "rolling_sum": [],
+            "rolling_n": pd.array([], dtype="int64")}),
+        key_col=key_col, ts_col=ts_col, val_col=val_col, id_col=id_col,
+        window_seconds=window_seconds, batch_size=batch_size)
 
 
 def _range_reduce(v, j, e, op, fill):
@@ -1659,38 +1595,29 @@ def rolling_window_min_max(ds, *, key_col: str = "user_id",
     PRECEDING AND CURRENT ROW)`` / ``max(...)`` parity, including tie
     peers and SQL NULL semantics (NULL values are ignored; an all-NULL
     frame reports NULL for both). NULL-ts rows are dropped and NULL keys
-    group as ONE partition (see :func:`_rolling_frames`).
+    group as ONE partition (see :func:`_range_window`).
 
-    Shares the frame boundaries of :func:`_rolling_frames`
-    (:func:`_rolling_bounds`); the reduction itself is a sparse-table
-    range min/max (:func:`_range_reduce`) because prefix sums cannot
-    express min over overlapping frames — still one vectorized pass per
-    :func:`engine.shuffle.by_key` partition, O(n log n) in the partition
-    size. Returns (id, rolling_min, rolling_max).
+    Shares the frames of :func:`_range_window`; the reduction itself is
+    a sparse-table range min/max (:func:`_range_reduce`) because prefix
+    sums cannot express min over overlapping frames — still one
+    vectorized pass per partition, O(n log n) in the partition size.
+    Returns (id, rolling_min, rolling_max).
     """
     import pandas as pd
-    from engine.shuffle import by_key
-    cols = [id_col, key_col, ts_col, val_col]
-    empty = pd.DataFrame({id_col: [], "rolling_min": [],
-                          "rolling_max": []})
 
-    def _roll(df):
-        sub, v, j, e = _rolling_bounds(
-            df, key_col=key_col, ts_col=ts_col, val_col=val_col,
-            id_col=id_col, window_seconds=window_seconds)
-        if not len(sub):
-            return empty.copy()
+    def _min_max(v, j, e):
         lo = _range_reduce(np.where(np.isnan(v), np.inf, v), j, e,
                            np.minimum, np.inf)
         hi = _range_reduce(np.where(np.isnan(v), -np.inf, v), j, e,
                            np.maximum, -np.inf)
-        return pd.DataFrame({
-            id_col: sub[id_col].to_numpy(),
-            "rolling_min": np.where(np.isfinite(lo), lo, np.nan),
-            "rolling_max": np.where(np.isfinite(hi), hi, np.nan)})
+        return {"rolling_min": np.where(np.isfinite(lo), lo, np.nan),
+                "rolling_max": np.where(np.isfinite(hi), hi, np.nan)}
 
-    return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
-                  batch_size=batch_size, empty=empty)
+    return _range_window(
+        ds, _min_max, pd.DataFrame({id_col: [], "rolling_min": [],
+                                    "rolling_max": []}),
+        key_col=key_col, ts_col=ts_col, val_col=val_col, id_col=id_col,
+        window_seconds=window_seconds, batch_size=batch_size)
 
 
 def window_ranks(ds, *, key_col: str = "user_id",
@@ -1713,9 +1640,9 @@ def window_ranks(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _rank(df):
-        sub, idx, new_key, chg, key_start, run_start = _order_breaks(
-            df, key_col=key_col, val_col=val_col, id_col=id_col)
+    def _rank(sub):
+        idx, new_key, chg, key_start, run_start = _order_breaks(
+            sub, key_col=key_col, val_col=val_col)
         d = np.cumsum(chg)
         return pd.DataFrame({
             id_col: sub[id_col].to_numpy(),
@@ -1724,39 +1651,27 @@ def window_ranks(ds, *, key_col: str = "user_id",
             "dense_rank": d - d[key_start] + 1})
 
     return by_key(ds, key_col, _rank, prep=lambda df: df[cols],
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=[val_col, id_col], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       id_col: [],
                       "row_number": pd.array([], dtype="int64"),
                       "rank": pd.array([], dtype="int64"),
                       "dense_rank": pd.array([], dtype="int64")}))
 
 
-def _order_breaks(df, *, key_col, val_col, id_col):
-    """Shared break-flag kernel for the window-rank family: sort a
-    partition by (key, val NULLS LAST, id) and return ``(sub, idx,
+def _order_breaks(sub, *, key_col, val_col):
+    """Shared break-flag kernel for the window-rank family: on a
+    partition sorted by (key, val NULLS LAST, id), return ``(idx,
     new_key, chg, key_start, run_start)`` — per-row key-break and
-    value-run-break flags plus each row's key/run start index, all from
-    cumsum / maximum.accumulate (no per-key loop). NULL keys group as
-    ONE partition and NULL values are PEERS of each other, both
-    NULL-aware the same way as :func:`_rolling_bounds`."""
-    import pandas as pd
-    sub = df.sort_values([key_col, val_col, id_col], kind="mergesort",
-                         na_position="last").reset_index(drop=True)
-    n = len(sub)
-    idx = np.arange(n, dtype=np.int64)
-    keys = sub[key_col].to_numpy()
-    knull = pd.isna(keys)
-    with np.errstate(invalid="ignore"):
-        kneq = keys[1:] != keys[:-1]
-    new_key = np.r_[True, kneq & ~(knull[1:] & knull[:-1])]
-    vals = sub[val_col].to_numpy()
-    vnull = pd.isna(vals)
-    with np.errstate(invalid="ignore"):
-        vneq = vals[1:] != vals[:-1]
-    chg = new_key | np.r_[True, vneq & ~(vnull[1:] & vnull[:-1])]
-    key_start = np.maximum.accumulate(np.where(new_key, idx, 0))
-    run_start = np.maximum.accumulate(np.where(chg, idx, 0))
-    return sub, idx, new_key, chg, key_start, run_start
+    value-run-break flags plus each row's key/run start index (no
+    per-key loop). NULL keys group as ONE partition and NULL values are
+    PEERS of each other, both by :func:`engine.shuffle.key_starts`; a
+    value run also ends where its key does."""
+    from engine.shuffle import key_starts
+    idx = np.arange(len(sub), dtype=np.int64)
+    key_start = key_starts(sub[key_col].to_numpy())
+    run_start = np.maximum(key_start, key_starts(sub[val_col].to_numpy()))
+    return idx, key_start == idx, run_start == idx, key_start, run_start
 
 
 def window_rank_fractions(ds, *, key_col: str = "user_id",
@@ -1781,9 +1696,9 @@ def window_rank_fractions(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
     cols = [id_col, key_col, val_col]
 
-    def _fracs(df):
-        sub, idx, new_key, chg, key_start, run_start = _order_breaks(
-            df, key_col=key_col, val_col=val_col, id_col=id_col)
+    def _fracs(sub):
+        idx, new_key, chg, key_start, run_start = _order_breaks(
+            sub, key_col=key_col, val_col=val_col)
         n = len(sub)
         key_ord = np.cumsum(new_key) - 1
         sizes = np.diff(np.r_[idx[new_key], n])
@@ -1810,7 +1725,8 @@ def window_rank_fractions(ds, *, key_col: str = "user_id",
             "bucket": bucket.astype(np.int64)})
 
     return by_key(ds, key_col, _fracs, prep=lambda df: df[cols],
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=[val_col, id_col], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       id_col: [], "pct_rank": [], "cume_dist": [],
                       "bucket": pd.array([], dtype="int64")}))
 
@@ -1836,9 +1752,7 @@ def running_min_max(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _cum(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _cum(sub):
         keys = sub[key_col]
         g = sub.groupby(keys, sort=False, dropna=False)[val_col]
         lo = g.cummin().groupby(keys, sort=False, dropna=False).ffill()
@@ -1849,7 +1763,7 @@ def running_min_max(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             "running_max": hi.to_numpy(dtype=np.float64)})
 
     return by_key(ds, key_col, _cum, prep=lambda df: df[cols],
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "running_min": [],
                                       "running_max": []}))
 
@@ -1873,9 +1787,7 @@ def interevent_gap_stats(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col]
 
-    def _gaps(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _gaps(sub):
         keys = sub[key_col]
         prev = sub.groupby(keys, sort=False,
                            dropna=False)[ts_col].shift(1)
@@ -1889,7 +1801,8 @@ def interevent_gap_stats(ds, *, key_col: str = "user_id",
 
     return by_key(ds, key_col, _gaps,
                   prep=lambda df: df.loc[df[ts_col].notna(), cols],
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=[ts_col, id_col], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       key_col: [], "n_gaps": pd.array([], dtype="int64"),
                       "avg_gap_s": [], "max_gap_s": []}))
 
@@ -1910,26 +1823,17 @@ def delta_from_first(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     (id, delta_from_first).
     """
     import pandas as pd
-    from engine.shuffle import by_key
+    from engine.shuffle import by_key, key_starts
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _delta(df):
-        sub = df.sort_values([key_col, ts_col, id_col], kind="mergesort",
-                             na_position="last").reset_index(drop=True)
-        n = len(sub)
-        idx = np.arange(n, dtype=np.int64)
-        keys = sub[key_col].to_numpy()
-        knull = pd.isna(keys)
-        with np.errstate(invalid="ignore"):
-            kneq = keys[1:] != keys[:-1]
-        new_key = np.r_[True, kneq & ~(knull[1:] & knull[:-1])]
-        start = np.maximum.accumulate(np.where(new_key, idx, 0))
+    def _delta(sub):
+        start = key_starts(sub[key_col].to_numpy())
         v = sub[val_col].to_numpy(dtype=np.float64)
         return pd.DataFrame({id_col: sub[id_col].to_numpy(),
                              "delta_from_first": v - v[start]})
 
     return by_key(ds, key_col, _delta, prep=lambda df: df[cols],
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "delta_from_first": []}))
 
 
@@ -2157,8 +2061,7 @@ def collect_distinct_sorted(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
 
     def _collect(df):
-        sub = df[[key_col, val_col]].drop_duplicates() \
-            .sort_values([key_col, val_col], kind="mergesort")
+        sub = df[[key_col, val_col]].drop_duplicates()
         g = sub.groupby(key_col, sort=False)[val_col]
         return pd.DataFrame({
             key_col: g.agg("first").index.to_numpy(),
@@ -2168,7 +2071,7 @@ def collect_distinct_sorted(ds, *, key_col: str = "user_id",
     return by_key(ds, key_col, _collect, null_keys="drop",
                   prep=lambda df: df[[key_col, val_col]]
                   .dropna(subset=[val_col]).drop_duplicates(),
-                  batch_size=batch_size,
+                  order=[val_col], batch_size=batch_size,
                   empty=pd.DataFrame({key_col: [], "vals": [],
                                       "n_distinct": pd.array(
                                           [], dtype="int64")}))
@@ -2224,14 +2127,12 @@ def session_duration_stats(ds, *, key_col: str = "user_id",
     durations from a grouped min/max — no per-key loop.
     """
     import pandas as pd
-    from engine.shuffle import by_key
+    from engine.shuffle import by_key, key_starts
 
-    def _stats(df):
-        sub = df.sort_values([key_col, ts_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _stats(sub):
         keys = sub[key_col].to_numpy()
         ts = sub[ts_col].to_numpy()
-        new_key = np.r_[True, keys[1:] != keys[:-1]]
+        new_key = key_starts(keys) == np.arange(len(keys))
         gap = np.r_[np.timedelta64(0, "s"), np.diff(ts)] \
             > np.timedelta64(int(gap_seconds * 1e6), "us")
         sid = np.cumsum(new_key | gap)  # global session ordinal
@@ -2250,7 +2151,8 @@ def session_duration_stats(ds, *, key_col: str = "user_id",
     return by_key(ds, key_col, _stats, null_keys="drop",
                   prep=lambda df: df.loc[df[ts_col].notna(),
                                          [key_col, ts_col]],
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=[ts_col], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       key_col: [],
                       "n_sessions": pd.array([], dtype="int64"),
                       "avg_session_s": [], "max_session_s": []}))
@@ -2435,9 +2337,7 @@ def rolling_rows_mean(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, val_col]
 
-    def _roll(df):
-        sub = df.sort_values([key_col, ts_col, id_col], kind="mergesort",
-                             na_position="last").reset_index(drop=True)
+    def _roll(sub):
         y = sub.groupby(key_col, sort=False, dropna=False)[val_col] \
             .rolling(window_rows, min_periods=1).mean() \
             .reset_index(drop=True)
@@ -2449,7 +2349,7 @@ def rolling_rows_mean(ds, *, key_col: str = "user_id",
                                  y.to_numpy(dtype=np.float64)})
 
     return by_key(ds, key_col, _roll, prep=lambda df: df[cols],
-                  batch_size=batch_size,
+                  order=[ts_col, id_col], batch_size=batch_size,
                   empty=pd.DataFrame({id_col: [], "rolling_mean": []}))
 
 
@@ -2608,9 +2508,7 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
     from engine.shuffle import by_key, column_dtype, combine
     cols = [id_col, key_col, ts_col, type_col]
 
-    def _pairs(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _pairs(sub):
         nxt = sub.groupby(key_col, sort=False)[type_col].shift(-1)
         keep = nxt.notna()
         g = pd.DataFrame({"from_type": sub.loc[keep, type_col],
@@ -2623,7 +2521,8 @@ def event_transition_matrix(ds, *, key_col: str = "user_id",
     parts = by_key(ds, key_col, _pairs, null_keys="drop",
                    prep=lambda df: df.loc[df[ts_col].notna()
                                           & df[type_col].notna(), cols],
-                   batch_size=batch_size, empty=pd.DataFrame({
+                   order=[ts_col, id_col], batch_size=batch_size,
+                   empty=pd.DataFrame({
                        "from_type": [], "to_type": [],
                        "n": pd.array([], dtype="int64")}))
     t = column_dtype(ds, type_col)
@@ -2836,9 +2735,7 @@ def user_repeat_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     from engine.shuffle import by_key
     cols = [id_col, key_col, ts_col, type_col]
 
-    def _rate(df):
-        sub = df.sort_values([key_col, ts_col, id_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _rate(sub):
         nxt = sub.groupby(key_col, sort=False)[type_col].shift(-1)
         has = nxt.notna()
         rep = has & (nxt == sub[type_col])
@@ -2858,7 +2755,8 @@ def user_repeat_rate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     return by_key(ds, key_col, _rate, null_keys="drop",
                   prep=lambda df: df.loc[df[ts_col].notna()
                                          & df[type_col].notna(), cols],
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=[ts_col, id_col], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       key_col: [],
                       "n_transitions": pd.array([], dtype="int64"),
                       "repeat_rate": []}))
@@ -2965,7 +2863,7 @@ def longest_daily_streak(ds, *, key_col: str = "user_id",
     differences.
     """
     import pandas as pd
-    from engine.shuffle import by_key
+    from engine.shuffle import by_key, key_starts
 
     def _days(df):
         sub = df.loc[df[ts_col].notna(), [key_col, ts_col]]
@@ -2974,13 +2872,11 @@ def longest_daily_streak(ds, *, key_col: str = "user_id",
             .drop_duplicates()
 
     def _streaks(df):
-        sub = df[[key_col, "day"]].drop_duplicates() \
-            .sort_values([key_col, "day"],
-                         kind="mergesort").reset_index(drop=True)
+        sub = df[[key_col, "day"]].drop_duplicates()
         n = len(sub)
         keys = sub[key_col].to_numpy()
         days = sub["day"].to_numpy().astype("datetime64[D]")
-        new_key = np.r_[True, keys[1:] != keys[:-1]]
+        new_key = key_starts(keys) == np.arange(n)
         gap = np.r_[True, (days[1:] - days[:-1])
                     != np.timedelta64(1, "D")]
         brk = new_key | gap
@@ -2997,7 +2893,8 @@ def longest_daily_streak(ds, *, key_col: str = "user_id",
         return out
 
     return by_key(ds, key_col, _streaks, prep=_days, null_keys="drop",
-                  batch_size=batch_size, empty=pd.DataFrame({
+                  order=["day"], batch_size=batch_size,
+                  empty=pd.DataFrame({
                       key_col: [],
                       "longest_streak": pd.array([], dtype="int64"),
                       "n_streaks": pd.array([], dtype="int64")}))

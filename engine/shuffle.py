@@ -15,7 +15,11 @@ multi-node deployment would tune to nodes x cores).
 ``by_key`` is the engine's one key co-partition shape: every keyed
 operator that needs whole keys together (windows, sessions, per-group
 quantiles, pair dedup) runs through it, so the NULL-key and typed-empty
-contracts live in one place.
+contracts live in one place. Its ordered form (``order=[...]``) is the
+``PARTITION BY key ORDER BY ...`` shape: each partition frame arrives
+sorted by ``[key, *order]``, and :func:`key_starts` finds where each
+key's run begins. Both treat NULL keys as ONE key, the same rule as
+``hash64`` mapping every NULL spelling to one partition.
 
 ``combine`` is the engine's one decomposable-aggregate shape: every
 operator whose result merges per-batch partials by key (sums, counts,
@@ -47,7 +51,7 @@ def reduce_blocks() -> int:
 
 
 def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
-           empty, batch_size=None):
+           order=None, empty, batch_size=None):
     """Co-locate whole keys and run ``fn`` once per coarse partition.
 
     Rows hash on ``key`` to P = :func:`reduce_blocks` partitions (P
@@ -58,14 +62,18 @@ def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
        or in-batch combiner — then the NULL-key policy, then the
        partition column ``part = hash64(key) % P``;
     2. one ``groupby("part").map_groups(..., batch_format="pandas")``;
-    3. ``fn(frame)`` on each partition frame, ``part`` removed.
+    3. ``fn(frame)`` on each partition frame, ``part`` removed. With
+       ``order`` (a list of columns) the frame is first sorted by
+       ``[key, *order]`` — stable mergesort, NULLs last in every column,
+       index reset — so each key is one contiguous run in ``order``
+       order and ``fn`` finds the run starts with :func:`key_starts`.
 
     NULL-key contract, one of two families:
 
     * ``"one"``: NULL keys stay and form ONE partition — hash64 maps every
       NULL spelling to one value. SQL ``PARTITION BY`` / ``GROUP BY``
       semantics; ``fn`` must group them as one key too (``dropna=False``
-      or a both-NULL mask, since ``NaN != NaN``).
+      or :func:`key_starts`, since ``NaN != NaN``).
     * ``"drop"``: rows with a NULL key are dropped before the shuffle —
       the ewma family (its recursive-CTE oracle can never extend a
       NULL-key chain) and every ``WHERE key IS NOT NULL`` mirror.
@@ -96,11 +104,32 @@ def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
     def _group(df):
         if key not in df.columns or not len(df):
             return empty.copy()
-        return fn(df.drop(columns="part"))
+        df = df.drop(columns="part")
+        if order is not None:
+            df = df.sort_values([key, *order], kind="mergesort") \
+                .reset_index(drop=True)
+        return fn(df)
 
     return ds.map_batches(_part, batch_format="pandas",
                           batch_size=batch_size) \
         .groupby("part").map_groups(_group, batch_format="pandas")
+
+
+def key_starts(keys):
+    """Index of the first row of each row's key run in ``keys``, an
+    array sorted so that equal keys are contiguous (the key column of a
+    :func:`by_key` ``order`` frame). Two NULL keys are equal — NaN, None
+    and NaT alike — so all NULL-key rows form one run, as they form one
+    ``hash64`` partition. Row ``i`` starts a run where
+    ``key_starts(keys)[i] == i``."""
+    import numpy as np
+    import pandas as pd
+
+    keys = np.asarray(keys)
+    null = pd.isna(keys)
+    with np.errstate(invalid="ignore"):
+        brk = np.r_[True, (keys[1:] != keys[:-1]) & ~(null[1:] & null[:-1])]
+    return np.maximum.accumulate(np.where(brk, np.arange(len(keys)), 0))
 
 
 def _balance(ds):

@@ -704,17 +704,15 @@ def grouped_gini(ds, *, group_col: str, value_col: str,
     group whose values sum to zero reports NULL (the SQL mirror's ``CASE
     WHEN s != 0``). Returns (group, gini, n).
 
-    Scale shape: :func:`engine.shuffle.by_key` (only (group, value) rows
-    shuffle, once); per partition ONE sort + grouped cumcount/transform
-    Cython kernels — no per-group loop. The per-group-fits-worker
-    contract matches grouped_quantiles.
+    Scale shape: :func:`engine.shuffle.by_key` ordered by value (only
+    (group, value) rows shuffle, once); per partition grouped
+    cumcount/transform Cython kernels — no per-group loop. The
+    per-group-fits-worker contract matches grouped_quantiles.
     """
     import pandas as pd
     from engine.shuffle import by_key
 
-    def _gini(df):
-        sub = df.sort_values([group_col, value_col],
-                             kind="mergesort").reset_index(drop=True)
+    def _gini(sub):
         g = sub.groupby(group_col, sort=False)
         rn = g.cumcount().to_numpy(np.float64) + 1.0
         n = g[value_col].transform("size").to_numpy(np.float64)
@@ -734,7 +732,7 @@ def grouped_gini(ds, *, group_col: str, value_col: str,
     return by_key(ds, group_col, _gini, null_keys="drop",
                   prep=lambda df: df[[group_col, value_col]]
                   .dropna(subset=[value_col]),
-                  batch_size=batch_size,
+                  order=[value_col], batch_size=batch_size,
                   empty=pd.DataFrame({group_col: [], "gini": [],
                                       "n": pd.array([], dtype="int64")}))
 

@@ -558,6 +558,28 @@ def test_manifest_without_keys_reruns_partition(corpus, clean_job, tmp_path):
     assert _outputs(out) == clean_job[1]
 
 
+def test_resume_at_another_batch_size_reruns_partitions(corpus, clean_job,
+                                                        tmp_path):
+    """The profile t-digests are per slice, so partitions committed at
+    one ``batch_size`` do not count for a run at another: they re-run,
+    and ``checks/stats`` equals an uninterrupted run's at the new size."""
+    from engine.checkpoint import completed_partitions
+
+    out_root, corpus_dir = corpus
+    catalog = os.path.join(out_root, "media_catalog.parquet")
+    out = str(tmp_path / "job")
+    _job(corpus_dir, out, catalog, batch_size=100)
+    assert {rec["batch_size"] for pid, rec in completed_partitions(out)
+            .items() if not pid.startswith("__")} == {100}
+    assert _rows(out, "checks/stats") != clean_job[1]["checks/stats"]
+
+    s = _job(corpus_dir, out, catalog)
+    assert s["processed"] == 4 and s["skipped"] == 0
+    assert s["stats"] == "done"
+    assert _rows(out, "checks/stats") == clean_job[1]["checks/stats"]
+    assert _outputs(out) == clean_job[1]
+
+
 def test_keys_pass_drops_null_doc_ids():
     """The ``keys`` pass counts each non-NULL ``doc_id`` per partition as
     Arrow ``group_by`` does; NULL keys are never duplicates."""

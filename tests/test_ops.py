@@ -296,15 +296,26 @@ class TestRelational:
 
 
 class TestSessionize:
-    def test_vs_duckdb_window_functions(self, rds):
+    @pytest.mark.parametrize("source", ["events", "null_user"])
+    def test_vs_duckdb_window_functions(self, rds, source):
+        import ray.data
         from engine.relational import sessionize
-        got = sessionize(rds("events"), gap_minutes=30).to_pandas()
-        exp = duckdb.sql(f"""
+        from tests.test_round5_ops import null_user_events
+        con = duckdb.connect()
+        if source == "null_user":
+            events = null_user_events()
+            ds = ray.data.from_pandas(events)
+        else:
+            events = pq.read_table(f"{SF}/events.parquet")
+            ds = rds("events")
+        con.register("events", events)
+        got = sessionize(ds, gap_minutes=30).to_pandas()
+        exp = con.execute("""
             with marked as (
               select user_id, ts,
                      case when ts - lag(ts) over w > interval 30 minutes
                           or lag(ts) over w is null then 1 else 0 end as new_s
-              from read_parquet('{SF}/events.parquet')
+              from events
               window w as (partition by user_id order by ts)
             ), sess as (
               select user_id, ts,
@@ -318,6 +329,10 @@ class TestSessionize:
         g = got.sort_values(["user_id", "session_id"]).reset_index(drop=True)
         e = exp.sort_values(["user_id", "session_id"]).reset_index(drop=True)
         assert len(g) == len(e)
+        assert np.array_equal(g["user_id"].to_numpy(np.float64),
+                              e["user_id"].to_numpy(np.float64),
+                              equal_nan=True)
+        assert (g["session_id"].to_numpy() == e["session_id"].to_numpy()).all()
         assert (g["n_events"].to_numpy() == e["n_events"].to_numpy()).all()
         assert (g["session_start"].to_numpy()
                 == e["session_start"].to_numpy()).all()

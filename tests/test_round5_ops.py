@@ -139,19 +139,34 @@ class TestWindowRanks:
         assert out["dense_rank"].tolist() == [2, 1, 1]
 
 
+def null_user_events():
+    """Four events, three of them for a NULL user 10 min, then 2 h
+    apart: with a 30 min gap the NULL user has TWO sessions (2 events
+    and 1), as in SQL ``PARTITION BY user_id``, not one per event."""
+    t0 = pd.Timestamp("2020-01-01 09:00")
+    return pd.DataFrame({
+        "user_id": [np.nan, np.nan, np.nan, 5.0],
+        "ts": [t0, t0 + pd.Timedelta(minutes=10),
+               t0 + pd.Timedelta(minutes=130), t0],
+        "value": [1.5, np.nan, 4.0, 2.0]})
+
+
 class TestSessionAggregate:
-    @pytest.mark.parametrize("seed", [13])
+    @pytest.mark.parametrize("seed", [13, "null_user"])
     def test_differential_vs_duckdb(self, seed, ray_session):
         import ray.data
         from engine.relational import session_aggregate
-        rng = np.random.default_rng(seed)
-        n = 2500
-        df = pd.DataFrame({
-            "user_id": rng.integers(0, 40, n),
-            "ts": pd.to_datetime("2020-01-01") + pd.to_timedelta(
-                rng.integers(0, 3600 * 24, n), unit="s"),
-            "value": rng.normal(size=n).round(3)})
-        df.loc[rng.choice(n, n // 10, replace=False), "value"] = np.nan
+        if seed == "null_user":
+            df = null_user_events()
+        else:
+            rng = np.random.default_rng(seed)
+            n = 2500
+            df = pd.DataFrame({
+                "user_id": rng.integers(0, 40, n),
+                "ts": pd.to_datetime("2020-01-01") + pd.to_timedelta(
+                    rng.integers(0, 3600 * 24, n), unit="s"),
+                "value": rng.normal(size=n).round(3)})
+            df.loc[rng.choice(n, n // 10, replace=False), "value"] = np.nan
         got = session_aggregate(ray.data.from_pandas(df)).to_pandas() \
             .sort_values(["user_id", "session_id"]).reset_index(drop=True)
         con = duckdb.connect()
@@ -174,7 +189,10 @@ class TestSessionAggregate:
             from sess group by 1, 2
             order by user_id, session_id""").df()
         assert len(got) == len(exp)
-        for c in ("user_id", "session_id", "n_events", "n_values"):
+        assert np.array_equal(got["user_id"].to_numpy(np.float64),
+                              exp["user_id"].to_numpy(np.float64),
+                              equal_nan=True)
+        for c in ("session_id", "n_events", "n_values"):
             assert (got[c].to_numpy() == exp[c].to_numpy()).all(), c
         for c in ("session_start", "session_end"):
             assert (got[c].to_numpy() == exp[c].to_numpy()).all(), c

@@ -5,9 +5,12 @@ Keyed operators call :func:`engine.shuffle.by_key`, which owns the
 the NULL-key / typed-empty contracts. Decomposable aggregates call
 :func:`engine.shuffle.combine`, which owns the per-batch partial, the
 balancing repartition, Ray's ``groupby().aggregate(...)`` and the
-``"sum(x)"`` -> ``x`` naming. A hand-copied scaffold anywhere else in
-``engine/`` fails these tests. Exemptions are by function name, each with
-its reason.
+``"sum(x)"`` -> ``x`` naming. Window operators (``PARTITION BY key
+ORDER BY ...``) pass ``order`` to :func:`engine.shuffle.by_key`, which
+sorts each key partition, and find key runs with
+:func:`engine.shuffle.key_starts`, the one NULL-key equality rule. A
+hand-copied scaffold anywhere else in ``engine/`` fails these tests.
+Exemptions are by function name, each with its reason.
 """
 
 import ast
@@ -22,16 +25,27 @@ CO_PARTITION = re.compile(r"""groupby\(\s*["']part["']\s*\)"""
 COMBINE = re.compile(r"""["'](?:sum|min|max|count)\("""
                      r"|\bbalance\("
                      r"|from\s+ray\.data\.aggregate\s+import")
+# a key-partition sort, or a hand key break ``keys[1:] != keys[:-1]``
+ORDERED = re.compile(r"sort_values\(\[\s*(?:key_col|group_col)\b"
+                     r"|\b(\w+)\[1:\]\s*!=\s*\1\[:-1\]")
 GUARDS = {
     "co-partition": (CO_PARTITION, "engine.shuffle.by_key", {
         ("relational.py", "_distinct_keys"):
             "the only pyarrow-format group stage: keeps the key dtype "
             "intact",
     }),
-    "combine": (COMBINE, "engine.shuffle.combine", {
-        ("dataset.py", "_finalize_verdict"):
-            "the per-partition verdict sums run on the benchmarked "
-            "validate path, which this guard leaves as measured",
+    "combine": (COMBINE, "engine.shuffle.combine", {}),
+    "ordered": (ORDERED, "engine.shuffle.by_key(order=...) and "
+                "engine.shuffle.key_starts", {
+        ("relational.py", "keep_latest"):
+            "the same sort is the per-batch combiner too, and it puts "
+            "NULL timestamps first (NULLS-LAST under ts DESC)",
+        ("relational.py", "grouped_mode"):
+            "sorts the partition's (group, value) totals by count "
+            "descending, not the partition frame",
+        ("textstats.py", "tfidf_topk"):
+            "the same sort is the per-batch top-k combiner too, and it "
+            "sorts score descending",
     }),
 }
 

@@ -180,32 +180,28 @@ def _conform(t, schema):
 def _slices(files: Sequence[str], schema, batch_size: int, start: int,
             stop: int):
     """``batch_size``-row slices of rows ``[start, stop)`` of ``files``
-    read in order, cut across file boundaries, each row group cast to
+    read in order, cut across file boundaries
+    (:func:`engine.tuning.batch_slices`), each row group cast to
     ``schema``; at most one slice plus one row group is held."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
-    buf, n, at = [], 0, 0  # at: rows of the row groups before this one
-    for f in files:
-        if at >= stop:
-            break
-        pf = pq.ParquetFile(f)
-        for i in range(pf.num_row_groups):
-            m = pf.metadata.row_group(i).num_rows
-            lo, hi = max(start - at, 0), min(stop - at, m)
-            at += m
-            if lo >= hi:
-                continue
-            buf.append(_conform(pf.read_row_group(i), schema)
-                       .slice(lo, hi - lo))
-            n += hi - lo
-            while n >= batch_size:
-                t = pa.concat_tables(buf)
-                yield t.slice(0, batch_size)
-                buf = [t.slice(batch_size)]
-                n -= batch_size
-    if n:
-        yield pa.concat_tables(buf)
+    from engine.tuning import batch_slices
+
+    def row_groups():
+        at = 0  # rows of the row groups before this one
+        for f in files:
+            if at >= stop:
+                return
+            pf = pq.ParquetFile(f)
+            for i in range(pf.num_row_groups):
+                m = pf.metadata.row_group(i).num_rows
+                lo, hi = max(start - at, 0), min(stop - at, m)
+                at += m
+                if lo < hi:
+                    yield _conform(pf.read_row_group(i), schema) \
+                        .slice(lo, hi - lo)
+
+    return batch_slices(row_groups(), batch_size)
 
 
 class _PartitionPass:

@@ -1,10 +1,18 @@
 """Ray Data wiring: streaming validation of a Dataset against a schema.
 
 Pipeline shape (SURVEY.md §3.1 engine equivalent): the plan is compiled once
-per actor (``ValidateBatch.__init__``), batches flow zero-copy as
-``pyarrow.Table`` (``batch_format="pyarrow", zero_copy_batch=True``), and the
-violations stream is itself a Dataset that can be written, aggregated or
-joined without materializing the corpus. Nothing here calls ``ray.init``.
+on the driver (``ValidateBatch.__init__``) and shipped with the stage,
+batches flow as ``pyarrow.Table``, and the violations stream is itself a
+Dataset that can be written, aggregated or joined without materializing the
+corpus. ``validate_dataset`` and ``validate_dataset_multi`` build the stage
+with :func:`engine.tuning.map_read`: over a pure read (``read_parquet``
+with Ray's default task settings, ``columns=``, hive partitions and
+``include_paths`` included) the read's own tasks run inside the validate
+tasks (one per batch of rows, at least one per cluster CPU), each cutting
+what it reads into ``batch_size``-row slices, so there is no Read operator
+and no corpus block passes through the object store; any other input goes
+through ``ds.map_batches(..., zero_copy_batch=True)``. Nothing here calls
+``ray.init``.
 """
 
 from __future__ import annotations
@@ -120,16 +128,14 @@ def validate_dataset(ds, schema_json: str = DOC_SCHEMA_JSON, *,
     bytes/row (engine/tuning.py — metadata-only, pure reads only), so wide
     documents get smaller batches and narrow ones larger.
     """
+    from engine.tuning import autotune_batch_size, map_read
     if batch_size == "auto":
-        from engine.tuning import autotune_batch_size
         batch_size = autotune_batch_size(ds)
-    return ds.map_batches(
-        ValidateBatch(schema_json, key_column=key_column,
-                      carry_columns=carry_columns,
-                      instance_columns=instance_columns,
-                      with_message=with_message),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency)
+    return map_read(ds, ValidateBatch(schema_json, key_column=key_column,
+                                      carry_columns=carry_columns,
+                                      instance_columns=instance_columns,
+                                      with_message=with_message),
+                    batch_size, concurrency)
 
 
 class MultiValidateBatch:
@@ -162,11 +168,11 @@ def validate_dataset_multi(ds, schema_jsons: dict, *,
                            instance_columns: Optional[Sequence[str]] = None,
                            batch_size: int = 8192, concurrency=None):
     """One streaming pass, N schemas -> tagged violations Dataset."""
-    return ds.map_batches(
-        MultiValidateBatch(schema_jsons, key_column=key_column,
-                           instance_columns=instance_columns),
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency)
+    from engine.tuning import map_read
+    return map_read(ds, MultiValidateBatch(schema_jsons,
+                                           key_column=key_column,
+                                           instance_columns=instance_columns),
+                    batch_size, concurrency)
 
 
 class _DocVerdictBatch:

@@ -280,19 +280,25 @@ def _sessions(events_ds, gap_minutes, val_col, batch_size):
         ts = df["ts"].to_numpy()
         uid = df["user_id"].to_numpy()
         user_start = key_starts(uid)
+        # SQL: a row whose previous ts is NULL starts a session; a NULL
+        # ts after a non-NULL one joins its session (NULL > gap is not
+        # true). NULL ts sort last in a user, so a session holds at most
+        # one NULL ts, as its last row, or is one NULL-ts row.
         new_session = (user_start == np.arange(len(ts))) \
-            | np.r_[False, (ts[1:] - ts[:-1]) > gap]
+            | np.r_[False, np.isnat(ts[:-1]) | ((ts[1:] - ts[:-1]) > gap)]
         sid_global = np.cumsum(new_session)
         sid = sid_global - sid_global[user_start] + 1
         s_start = np.flatnonzero(new_session)
         s_end = np.r_[s_start[1:], len(ts)]
+        last = s_end - 1
+        last -= np.isnat(ts[last]) & (last > s_start)  # max of non-NULL ts
         out = pd.DataFrame({
             "user_id": uid[s_start],
             "session_id": sid[s_start].astype("int64"),
             "n_events": (s_end - s_start).astype("int64"),
             # us precision to match SQL timestamps exactly
             "session_start": ts[s_start].astype("datetime64[us]"),
-            "session_end": ts[s_end - 1].astype("datetime64[us]"),
+            "session_end": ts[last].astype("datetime64[us]"),
         })
         if val_col:
             v = df[val_col].to_numpy().astype(np.float64)

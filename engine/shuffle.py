@@ -138,6 +138,19 @@ def _balance(ds):
     return ds.repartition(reduce_blocks())
 
 
+def _drop_empty_blocks(ds):
+    """A materialized ``ds`` of Arrow blocks without its zero-row ones.
+    A sort-based reduce over fewer keys than reduces leaves schemaless
+    empty blocks beside the typed ones, and they break a consumer that
+    concatenates the blocks."""
+    import ray.data
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    if not refs or len(refs) == ds.num_blocks():
+        return ds
+    return ray.data.from_arrow_refs(refs)
+
+
 def not_null(arr):
     """Arrow mask: True where ``arr`` holds a value — neither NULL nor
     NaN (pandas ``notna``)."""
@@ -174,10 +187,10 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     a caller may union carried partial rows (streaming state) or feed
     per-partition partials (a :func:`by_key` output) back in.
 
-    Returns a MATERIALIZED dataset (the result is key-bounded). It is
-    typed even when empty: the zero-row partial of the input schema
-    (``derive`` over a zero-row table) stands in, since Ray never calls a
-    UDF on an empty block.
+    Returns a MATERIALIZED dataset (the result is key-bounded) whose
+    blocks all hold rows. It is typed even when empty: the zero-row
+    partial of the input schema (``derive`` over a zero-row table) stands
+    in, since Ray never calls a UDF on an empty block.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -208,10 +221,10 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     merges = [getattr(aggregate, _MERGE[op])(col, alias_name=col)
               for col, (_, op) in aggs.items()]
     if keys:
-        out = _balance(parts).groupby(keys).aggregate(*merges)
+        out = _drop_empty_blocks(
+            _balance(parts).groupby(keys).aggregate(*merges).materialize())
     else:
-        out = parts.groupby(None).aggregate(*merges)
-    out = out.materialize()
+        out = parts.groupby(None).aggregate(*merges).materialize()
     if out.count() == 0:
         sch = _schema(ds)
         if sch is not None:

@@ -339,3 +339,156 @@ class TestAutotune:
         bn = autotune_batch_size(
             ray.data.read_parquet(str(tmp_path / "narrow.parquet")))
         assert bw < bn
+
+
+def _violation_rows(v):
+    """(schemas, sorted rows) of a violations Dataset's non-empty blocks:
+    the rows compared over every column, ``spans`` and ``context``
+    included."""
+    import ray
+    tables = [t for t in ray.get(v.to_arrow_refs()) if t.num_rows]
+    rows = sorted(json.dumps(r, sort_keys=True, default=str)
+                  for t in tables for r in t.to_pylist())
+    return {t.schema.to_string() for t in tables}, rows
+
+
+class TestInTaskRead:
+    """A pure read runs inside the validate tasks
+    (``engine.tuning.map_read``); its violation rows and Arrow schema
+    equal the generic ``ds.map_batches`` path's on every input."""
+
+    @staticmethod
+    def _both(monkeypatch, make_ds, run):
+        import engine.tuning as tuning
+        fused = _violation_rows(run(make_ds()))
+        with monkeypatch.context() as m:
+            m.setattr(tuning, "_read_tasks", lambda ds, batch_size: None)
+            generic = _violation_rows(run(make_ds()))
+        return fused, generic
+
+    @pytest.mark.parametrize("batch_size", [128, "auto"])
+    def test_hive_corpus(self, corpus_dir, ray_session, monkeypatch,
+                         batch_size):
+        import ray.data
+        from engine.dataset import validate_dataset
+        fused, generic = self._both(
+            monkeypatch, lambda: ray.data.read_parquet(corpus_dir),
+            lambda ds: validate_dataset(ds, batch_size=batch_size))
+        assert fused == generic and len(fused[1]) > 100
+        assert "partition_id" in next(iter(fused[0]))
+
+    @pytest.mark.parametrize("with_message", [True, False])
+    def test_column_pruned_read(self, ray_session, monkeypatch,
+                                with_message):
+        # the driver entry's ``_read``: ``columns=`` and a block count
+        import ray.data
+        from engine.dataset import validate_dataset
+        from engine.shuffle import reduce_blocks
+        sj = ('{"type":"object","properties":{"n_chars":'
+              '{"type":"integer","maximum":300},'
+              '"lang":{"enum":["en","de"]}}}')
+        fused, generic = self._both(
+            monkeypatch, lambda: ray.data.read_parquet(
+                f"{SF_DIR}/documents.parquet", columns=["doc_id", "n_chars",
+                                                        "lang"],
+                override_num_blocks=reduce_blocks()),
+            lambda ds: validate_dataset(ds, sj, carry_columns=(),
+                                        with_message=with_message))
+        assert fused == generic and len(fused[1]) > 0
+
+    def test_include_paths(self, corpus_dir, ray_session, monkeypatch):
+        import ray.data
+        from engine.dataset import validate_dataset
+        fused, generic = self._both(
+            monkeypatch,
+            lambda: ray.data.read_parquet(corpus_dir, include_paths=True),
+            lambda ds: validate_dataset(ds, batch_size=100,
+                                        carry_columns=("spans", "path")))
+        assert fused == generic and '"path"' in fused[1][0]
+
+    def test_unpartitioned_dir_and_zero_row_file(self, ray_session,
+                                                 monkeypatch, tmp_path):
+        import ray.data
+        from engine.dataset import validate_dataset
+        src = pq.read_table(f"{SF_DIR}/documents.parquet")
+        sj = ('{"type":"object","properties":{"n_chars":'
+              '{"type":"integer","maximum":300}}}')
+        for i, (a, b) in enumerate(((0, 200), (200, 200), (200, 500))):
+            pq.write_table(src.slice(a, b - a), str(tmp_path / f"{i}.parquet"))
+        pq.write_table(src.slice(0, 0), str(tmp_path.parent / "zero.parquet"))
+        for path in (str(tmp_path), str(tmp_path.parent / "zero.parquet")):
+            fused, generic = self._both(
+                monkeypatch, lambda: ray.data.read_parquet(path),
+                lambda ds: validate_dataset(ds, sj, carry_columns=(),
+                                            batch_size=64))
+            assert fused == generic
+            rows = len(fused[1])
+            if path == str(tmp_path):
+                assert rows > 0
+        assert rows == 0
+
+    def test_empty_and_non_parquet_reads(self, ray_session, monkeypatch):
+        import ray.data
+        from engine.dataset import validate_dataset
+        sj = ('{"type":"object","properties":{"id":'
+              '{"type":"integer","maximum":20}}}')
+        for n in (0, 50):
+            fused, generic = self._both(
+                monkeypatch, lambda: ray.data.range(n),
+                lambda ds: validate_dataset(ds, sj, key_column="id",
+                                            carry_columns=(), batch_size=7))
+            assert fused == generic and len(fused[1]) == max(0, n - 21)
+
+    def test_multi_schema(self, corpus_dir, ray_session, monkeypatch):
+        import ray.data
+        from engine.dataset import DOC_SCHEMA_JSON, validate_dataset_multi
+        strict = DOC_SCHEMA_JSON.replace('"maxItems": 16', '"maxItems": 2')
+        fused, generic = self._both(
+            monkeypatch, lambda: ray.data.read_parquet(corpus_dir),
+            lambda ds: validate_dataset_multi(
+                ds, {"base": DOC_SCHEMA_JSON, "strict": strict},
+                batch_size=100))
+        assert fused == generic
+        assert {json.loads(r)["schema_name"] for r in fused[1]} == \
+            {"base", "strict"}
+
+    def test_plan_has_no_read_operator(self, corpus_dir, ray_session):
+        import re
+
+        import ray
+        import ray.data
+        from engine.dataset import validate_dataset
+        cpus = int(ray.cluster_resources()["CPU"])
+        # one read task per batch of the read's 1000 rows, at least one
+        # per CPU
+        for batch_size, most in ((8192, cpus), (64, max(cpus, 16))):
+            stats = validate_dataset(
+                ray.data.read_parquet(corpus_dir), batch_size=batch_size) \
+                .materialize().stats()
+            assert "ReadParquet" not in stats
+            tasks = re.search(
+                r"MapBatches\(_ReadThenMap\): (\d+) tasks executed", stats)
+            assert tasks, stats
+            assert 1 <= int(tasks.group(1)) <= most
+
+        # a transformed input keeps the read operator and the generic stage
+        stats = validate_dataset(
+            ray.data.read_parquet(corpus_dir).map_batches(
+                lambda b: b, batch_format="pyarrow")).materialize().stats()
+        assert "ReadParquet" in stats
+        assert "MapBatches(ValidateBatch)" in stats
+        assert "_ReadThenMap" not in stats
+
+    def test_reads_with_own_settings_keep_the_read_operator(self,
+                                                           corpus_dir,
+                                                           ray_session):
+        import ray.data
+        from engine.tuning import _read_tasks
+        assert _read_tasks(ray.data.read_parquet(corpus_dir), 2)
+        assert _read_tasks(ray.data.read_parquet(
+            corpus_dir, concurrency=1), 2) is None
+        assert _read_tasks(ray.data.read_parquet(
+            corpus_dir, ray_remote_args={"num_cpus": 0.5}), 2) is None
+        assert _read_tasks(ray.data.from_items([{"a": 1}]), 2) is None
+        assert _read_tasks(ray.data.read_parquet(corpus_dir).limit(3),
+                           2) is None

@@ -296,14 +296,15 @@ class TestRelational:
 
 
 class TestSessionize:
-    @pytest.mark.parametrize("source", ["events", "null_user"])
+    @pytest.mark.parametrize("source", ["events", "null_user", "null_ts"])
     def test_vs_duckdb_window_functions(self, rds, source):
         import ray.data
         from engine.relational import sessionize
-        from tests.test_round5_ops import null_user_events
+        from tests.test_round5_ops import null_ts_events, null_user_events
         con = duckdb.connect()
-        if source == "null_user":
-            events = null_user_events()
+        if source in ("null_user", "null_ts"):
+            events = null_user_events() if source == "null_user" \
+                else null_ts_events()
             ds = ray.data.from_pandas(events)
         else:
             events = pq.read_table(f"{SF}/events.parquet")
@@ -334,10 +335,9 @@ class TestSessionize:
                               equal_nan=True)
         assert (g["session_id"].to_numpy() == e["session_id"].to_numpy()).all()
         assert (g["n_events"].to_numpy() == e["n_events"].to_numpy()).all()
-        assert (g["session_start"].to_numpy()
-                == e["session_start"].to_numpy()).all()
-        assert (g["session_end"].to_numpy()
-                == e["session_end"].to_numpy()).all()
+        for c in ("session_start", "session_end"):
+            assert np.array_equal(g[c].to_numpy(), e[c].to_numpy(),
+                                  equal_nan=True), c
 
 
 class TestLshTuning:

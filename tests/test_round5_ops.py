@@ -151,13 +151,27 @@ def null_user_events():
         "value": [1.5, np.nan, 4.0, 2.0]})
 
 
+def null_ts_events():
+    """User 1 at 09:00, 09:10, NULL, NULL and user 2 at NULL: as in SQL
+    (NULL ts sort last; a row whose previous ts is NULL starts a
+    session), user 1 has (3 events, 09:00-09:10) and (1 event,
+    NULL-NULL), user 2 one NULL-NULL session."""
+    t0 = pd.Timestamp("2020-01-01 09:00")
+    return pd.DataFrame({
+        "user_id": [1, 1, 1, 1, 2],
+        "ts": [t0, t0 + pd.Timedelta(minutes=10), pd.NaT, pd.NaT, pd.NaT],
+        "value": [1.5, np.nan, 4.0, 2.0, 3.0]})
+
+
 class TestSessionAggregate:
-    @pytest.mark.parametrize("seed", [13, "null_user"])
+    @pytest.mark.parametrize("seed", [13, "null_user", "null_ts"])
     def test_differential_vs_duckdb(self, seed, ray_session):
         import ray.data
         from engine.relational import session_aggregate
         if seed == "null_user":
             df = null_user_events()
+        elif seed == "null_ts":
+            df = null_ts_events()
         else:
             rng = np.random.default_rng(seed)
             n = 2500
@@ -195,7 +209,8 @@ class TestSessionAggregate:
         for c in ("session_id", "n_events", "n_values"):
             assert (got[c].to_numpy() == exp[c].to_numpy()).all(), c
         for c in ("session_start", "session_end"):
-            assert (got[c].to_numpy() == exp[c].to_numpy()).all(), c
+            assert np.array_equal(got[c].to_numpy(), exp[c].to_numpy(),
+                                  equal_nan=True), c
         assert np.isclose(got["value_sum"].to_numpy(),
                           exp["value_sum"].to_numpy(),
                           equal_nan=True).all()

@@ -122,3 +122,19 @@ def test_finish_keeps_an_empty_result_typed(ray_session):
                                    "c": ("n", "count")}), mean)
     assert out.count() == 0
     assert list(out.schema().types) == [pa.string(), pa.float64()]
+
+
+def test_tiny_combine_blocks_concatenate(ray_session):
+    """Five rows over three keys merged by at least 8 reduces: every
+    block of the result holds rows of one schema, so the block tables
+    concatenate (zero-row schemaless reduce blocks raised ArrowInvalid),
+    and ``finish`` over them does too."""
+    import ray
+    from engine.shuffle import combine, finish
+    ds = _blocks(pa.table({"k": ["a", "b", "a", "c", "b"],
+                           "n": [1, 2, 3, 4, 5]}), 2)
+    out = combine(ds, "k", {"n": ("n", "sum")})
+    for res in (out, finish(out, lambda b: b)):
+        t = pa.concat_tables(ray.get(res.to_arrow_refs()))
+        assert sorted(t.to_pylist(), key=lambda r: r["k"]) == [
+            {"k": "a", "n": 4}, {"k": "b", "n": 7}, {"k": "c", "n": 4}]

@@ -115,8 +115,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
 
     if n_edges <= single_task_limit:
         def _local(df):
-            if "node" not in df.columns or not len(df):
-                return pd.DataFrame({"node": [], "cluster_id": []})
             nodes, comp = _numpy_components(df["node"].to_numpy(),
                                             df["val"].to_numpy())
             return pd.DataFrame({"node": nodes, "cluster_id": comp})
@@ -161,9 +159,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
             u = edges
         else:
             def _lab_rows(df, _kind=np.int8(_KIND_LABEL)):
-                if "node" not in df.columns or not len(df):
-                    return pd.DataFrame({"node": [], "val": [],
-                                         "kind": pd.array([], dtype="int8")})
                 n = df["node"].to_numpy()
                 l = df["label"].to_numpy()
                 ne = l != n
@@ -183,9 +178,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
                        empty=pd.DataFrame({"node": [], "cand": []}))
 
         def _cand_rows(df):
-            if "node" not in df.columns or not len(df):
-                return pd.DataFrame({"node": [], "val": [],
-                                     "kind": pd.array([], dtype="int8")})
             return pd.DataFrame({
                 "node": df["node"].to_numpy(),
                 "val": df["cand"].to_numpy(),
@@ -194,9 +186,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
         u2 = cands.map_batches(_cand_rows, batch_format="pandas")
         if labels is not None:
             def _prev_rows(df):
-                if "node" not in df.columns or not len(df):
-                    return pd.DataFrame({"node": [], "val": [],
-                                         "kind": pd.array([], dtype="int8")})
                 return pd.DataFrame({
                     "node": df["node"].to_numpy(),
                     "val": df["label"].to_numpy(),
@@ -215,8 +204,6 @@ def connected_components(pairs, *, key_a: str = "key_a",
                        max_rounds)
 
     def _final(df):
-        if "node" not in df.columns or not len(df):
-            return pd.DataFrame({"node": [], "cluster_id": []})
         return pd.DataFrame({"node": df["node"].to_numpy(),
                              "cluster_id": df["label"].to_numpy()})
 
@@ -239,8 +226,6 @@ def resolve_duplicates(docs, pairs, *, key_col: str = "doc_id",
     comps = connected_components(pairs)
 
     def _losers(df):
-        if "node" not in df.columns or not len(df):
-            return pd.DataFrame({"node": []})
         sub = df[df["node"].to_numpy() != df["cluster_id"].to_numpy()]
         return pd.DataFrame({"node": sub["node"].to_numpy()})
 
@@ -270,10 +255,8 @@ def resolve_duplicates(docs, pairs, *, key_col: str = "doc_id",
 
         return docs.map_batches(_Keep(keys_ref), batch_format="pyarrow")
 
-    from engine.shuffle import join_kwargs
-    return docs.join(losers, join_type="left_anti",
-                     **join_kwargs(),
-                     on=(key_col,), right_on=("node",))
+    from engine.shuffle import join
+    return join(docs, losers, key_col, "left_anti", right_on="node")
 
 
 def shingle_candidate_pairs(docs, *, text_col: str = "text",

@@ -354,7 +354,7 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     import pyarrow.compute as pc
     import ray
 
-    from engine.shuffle import combine, join_kwargs
+    from engine.shuffle import combine, join
 
     keyed = banded.map_batches(_add_bkey(cols), batch_format="pyarrow")
     # size-gated pin (broadcast-vs-shuffle-join style selection): when the
@@ -385,8 +385,7 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
     hot = counts.map_batches(_hot_only, batch_format="pyarrow").materialize()
     n_hot = hot.count()
     if n_hot > broadcast_limit:
-        return keyed.join(hot, join_type="inner",
-                          **join_kwargs(), on=("bkey",))
+        return join(keyed, hot, "bkey")
 
     ids = np.sort(hot.to_pandas()["bkey"].to_numpy()) if n_hot \
         else np.zeros(0, dtype=np.int64)
@@ -450,14 +449,12 @@ def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
     the payload drop out.
 
     Join path: partition count scales with the pair count (>= ~64 pairs
-    expected per partition, floor 1): Ray's hash-join aggregators produce
-    SCHEMALESS empty partitions, which crash the per-partition acero join —
-    sizing partitions to the data makes an empty partition a ~e^-64
-    probability event while still tracking cluster CPUs for large candidate
-    sets."""
+    expected per partition, floor 1), so a small candidate set does not
+    start an aggregator per CPU, while a large one still tracks cluster
+    CPUs."""
     import ray
 
-    from engine.shuffle import join_kwargs, join_partitions
+    from engine.shuffle import join
 
     payload_schema0 = payload.schema().base_schema
     kt0 = payload_schema0.field("key").type
@@ -502,38 +499,17 @@ def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
                              f"{col}_{side}": b.column(col)})
         return _fn
 
-    # the payload dataset is always Arrow-blocked (map_batches pyarrow
-    # output) and its "key" column is the pair-key dtype; the pair dataset
-    # may be pandas-blocked (map_groups), whose schema lacks Arrow types
-    kt, vt = kt0, vt0
-
-    def _norm(fields):
-        """Empty join partitions come out SCHEMALESS; rebuild them typed so
-        the next join / scoring stage never sees a zero-column block."""
-        def _fn(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:
-                return pa.table({name: pa.array([], t)
-                                 for name, t in fields})
-            return b
-        return _fn
-
     pa_side = payload.map_batches(_rename("a"), batch_format="pyarrow")
     pb_side = payload.map_batches(_rename("b"), batch_format="pyarrow")
-    n = max(1, min(join_partitions(4), n_pairs // 64 + 1))
-    # the pair set may carry pandas-blocked / schemaless empty partitions
-    # (map_groups output): normalize to typed Arrow before the first join
-    pairs_norm = uniq_pairs.map_batches(
-        _norm([("key_a", kt), ("key_b", kt)]), batch_format="pyarrow")
-    mid_fields = [("key_a", kt), ("key_b", kt), (f"{col}_a", vt)]
-    out = pairs_norm.join(
-        pa_side, join_type="inner", **join_kwargs(num_partitions=n),
-        on=("key_a",)).map_batches(_norm(mid_fields),
+    n = n_pairs // 64 + 1
+    # the pair set is pandas-blocked (a by_key output), whose schema lacks
+    # Arrow types: its seed comes from typed Arrow blocks. The first join's
+    # output is materialized, so the second join's seed schema does not
+    # run it twice.
+    pairs = uniq_pairs.map_batches(lambda b: b.select(["key_a", "key_b"]),
                                    batch_format="pyarrow")
-    final_fields = mid_fields + [(f"{col}_b", vt)]
-    return out.join(
-        pb_side, join_type="inner", **join_kwargs(num_partitions=n),
-        on=("key_b",)).map_batches(_norm(final_fields),
-                                   batch_format="pyarrow")
+    out = join(pairs, pa_side, "key_a", num_partitions=n).materialize()
+    return join(out, pb_side, "key_b", num_partitions=n)
 
 
 class _SigCandidatesBatch:

@@ -12,8 +12,6 @@ Patterns (the point, at 100 TB):
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -36,8 +34,6 @@ def _seconds(arr):
 def _valid_keys(ds, key: str):
     """``ds`` without its rows whose ``key`` is NULL (they never match)."""
     def _valid(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0:  # schemaless empty join partition
-            return b
         return b.filter(pc.is_valid(b.column(key)))
 
     return ds.map_batches(_valid, batch_format="pyarrow")
@@ -55,29 +51,6 @@ def _key_rows(*sides):
             return None
         out.append(side)
     return out
-
-
-def _inner_join(left, right, on: str, right_on: str | None = None):
-    """Inner ``Dataset.join`` of ``left[on]`` with ``right[right_on or
-    on]``, sized by :func:`engine.shuffle.join_kwargs`, over the rows
-    with a non-NULL key; None when a side has none, since Ray's hash join
-    raises ``ArrowInvalid`` on an empty side. The sides stay lazy: the
-    test runs each only up to its first row (``limit(1)``), so a fact
-    side streams into the hash shuffle instead of sitting whole in the
-    object store. A side that is a shuffle's output (a join, a combine)
-    comes in materialized, or the test would run that shuffle twice."""
-    from engine.shuffle import join_kwargs
-
-    sides = [_valid_keys(left, on), _valid_keys(right, right_on or on)]
-    nonempty = all(side.limit(1).count() for side in sides)
-    # the test's executor keeps its blocks in reference cycles: without a
-    # collection they stay pinned while the join runs (at sf0.1, q3's
-    # pinned peak 37 MB against 19 MB)
-    gc.collect()
-    if not nonempty:
-        return None
-    return sides[0].join(sides[1], join_type="inner", **join_kwargs(),
-                         on=(on,), right_on=(right_on,) if right_on else None)
 
 
 def q1_pricing_summary(lineitem_ds, *, batch_size: int = 65536,
@@ -114,28 +87,17 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
     """Distributed fall-through for a dimension too large to broadcast:
     order rows hash-join the dimension and the (tiny) per-segment
     :func:`engine.shuffle.combine` finishes — the dimension never
-    touches the driver."""
-    import ray.data
+    touches the driver. A projection (not a map) keeps the order side
+    typed when it is empty, so the result is typed too."""
+    from engine.shuffle import combine, join
 
-    from engine.shuffle import combine
-
-    def _orders(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_custkey": pc.cast(b.column("o_custkey"), pa.int64()),
-            "p": b.column("o_totalprice")})
-
-    op = orders_ds.map_batches(_orders, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=batch_size,
-                               concurrency=concurrency)
-    dim = customer_ds.select_columns(["c_custkey", "c_mktsegment"])
-    joined = _inner_join(op, dim, "c_custkey")
-    if joined is None:
-        joined = ray.data.from_arrow(pa.table({
-            "c_mktsegment": pa.array([], pa.string()),
-            "p": pa.array([], pa.float64())}))
-
+    joined = join(orders_ds.select_columns(["o_custkey", "o_totalprice"]),
+                  customer_ds.select_columns(["c_custkey", "c_mktsegment"]),
+                  "o_custkey", right_on="c_custkey")
     return combine(joined, "c_mktsegment", {
-        "revenue": ("p", "sum"), "n_orders": ("c_mktsegment", "count")})
+        "revenue": ("o_totalprice", "sum"),
+        "n_orders": ("c_mktsegment", "count")},
+        batch_size=batch_size, concurrency=concurrency)
 
 
 def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
@@ -616,13 +578,15 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
        ``map_batches`` (one Arrow ``group_by`` per batch), so the hash
        join moves one partial revenue row per (orderkey x batch), never
        raw lineitem rows;
-    3. ``Dataset.join`` on orderkey (partitions track cluster CPUs);
+    3. :func:`engine.shuffle.join` on orderkey;
     4. :func:`engine.shuffle.combine` merges the joined partials per
        (orderkey, orderdate);
        top-k via DISTRIBUTED sort + limit — the driver only ever sees the
        k result rows, not the full aggregate.
     """
     import ray
+
+    from engine.shuffle import combine, finish, join
 
     cutoff64 = np.datetime64(cutoff, "us")
 
@@ -675,23 +639,12 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
         def _rename(b: pa.Table) -> pa.Table:
             return pa.table({"o_custkey": b.column("c_custkey")})
 
-        joined_orders = _inner_join(
-            dated, cust.map_batches(_rename, batch_format="pyarrow"),
-            "o_custkey")
-        if joined_orders is None:
-            return empty
-
-        def _norm_orders(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:  # schemaless empty join partition
-                return pa.table({
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_orderdate": pa.array([], pa.timestamp("us"))})
-            return b.select(["o_orderkey", "o_orderdate"])
-
         # a join's output is materialized before it joins again, so the
-        # next join's emptiness test does not run this join twice
-        orders = joined_orders.map_batches(
-            _norm_orders, batch_format="pyarrow").materialize()
+        # next join's seed schema does not run this join twice
+        orders = join(dated, cust.map_batches(_rename,
+                                              batch_format="pyarrow"),
+                      "o_custkey").select_columns(
+            ["o_orderkey", "o_orderdate"]).materialize()
 
     def _li_partial(b: pa.Table) -> pa.Table:
         sd = pc.cast(b.column("l_shipdate"), pa.timestamp("us")) \
@@ -704,11 +657,8 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                  batch_size=batch_size,
                                  concurrency=concurrency)
 
-    from engine.shuffle import combine, finish
-    joined = _inner_join(li, orders, "o_orderkey")
-    if joined is None:
-        return empty
-    out = finish(combine(joined, ["o_orderkey", "o_orderdate"],
+    out = finish(combine(join(li, orders, "o_orderkey"),
+                         ["o_orderkey", "o_orderdate"],
                          {"rev": ("rev", "sum")}), _final)
     # distributed top-k: the qualifying (orderkey, orderdate) aggregate is
     # ~10^7-10^8 rows at 100x — sort().limit(k) keeps it off the driver
@@ -890,7 +840,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
     import pandas as pd
     import ray
     import ray.data
-    from engine.shuffle import combine, finish
+    from engine.shuffle import combine, finish, join
 
     def _final(b: pa.Table) -> pa.Table:
         nk = b.column("nkey").to_numpy(zero_copy_only=False)
@@ -899,8 +849,10 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                          "revenue": b.column("rev")})
 
     def _revenue(partials, derive=None):
-        return finish(combine(partials, "nkey", {"rev": ("rev", "sum")},
-                              derive=derive), _final)
+        # the typed empty comes first: a join of an empty side that a map
+        # produced is empty and carries no schema
+        return finish(empty.union(combine(partials, "nkey", {
+            "rev": ("rev", "sum")}, derive=derive)), _final)
 
     name_of = {}  # the region's nations, set below
     empty = ray.data.from_arrow(pa.table({
@@ -943,22 +895,17 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         of = orders_ds.map_batches(_ofilter, batch_format="pyarrow",
                                    batch_size=batch_size)
-        oc = _inner_join(of, customer_ds.select_columns(
-            ["c_custkey", "c_nationkey"]), "o_custkey", "c_custkey")
-        if oc is None:
-            return _revenue(empty)
-
-        def _norm_oc(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:  # schemaless empty join partition
-                return pa.table({"o_orderkey": pa.array([], pa.int64()),
-                                 "cnat": pa.array([], pa.int64())})
+        def _oc(b: pa.Table) -> pa.Table:
             return pa.table({
                 "o_orderkey": b.column("o_orderkey"),
                 "cnat": pc.cast(b.column("c_nationkey"), pa.int64())})
 
         # join outputs are materialized before they join again, so the
-        # next join's emptiness test does not run this join twice
-        oc = oc.map_batches(_norm_oc, batch_format="pyarrow").materialize()
+        # next join's seed schema does not run this join twice
+        oc = join(of, customer_ds.select_columns(
+            ["c_custkey", "c_nationkey"]), "o_custkey",
+            right_on="c_custkey").map_batches(
+            _oc, batch_format="pyarrow").materialize()
 
         def _lpartial(b: pa.Table) -> pa.Table:
             price = b.column("l_extendedprice").to_numpy(
@@ -971,22 +918,11 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
-        lo_j = _inner_join(li, oc, "l_orderkey", "o_orderkey")
-        if lo_j is None:
-            return _revenue(empty)
-
-        def _norm_ls(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:
-                return pa.table({"l_suppkey": pa.array([], pa.int64()),
-                                 "cnat": pa.array([], pa.int64()),
-                                 "rev": pa.array([], pa.float64())})
-            return b.select(["l_suppkey", "cnat", "rev"])
-
-        ls = lo_j.map_batches(_norm_ls, batch_format="pyarrow").materialize()
-        fin = _inner_join(ls, supplier_ds.select_columns(
-            ["s_suppkey", "s_nationkey"]), "l_suppkey", "s_suppkey")
-        if fin is None:
-            return _revenue(empty)
+        ls = join(li, oc, "l_orderkey", right_on="o_orderkey").map_batches(
+            lambda b: b.select(["l_suppkey", "cnat", "rev"]),
+            batch_format="pyarrow").materialize()
+        fin = join(ls, supplier_ds.select_columns(
+            ["s_suppkey", "s_nationkey"]), "l_suppkey", right_on="s_suppkey")
 
         def _nation_revenue(b: pa.Table) -> pa.Table:
             snat = pc.cast(b.column("s_nationkey"), pa.int64()) \
@@ -1045,9 +981,7 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
 
         li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
                                      batch_size=batch_size)
-        joined = _inner_join(li, oc, "l_orderkey", "o_orderkey")
-        if joined is None:
-            return _revenue(empty)
+        joined = join(li, oc, "l_orderkey", right_on="o_orderkey")
 
         class _SuppNationRevenue:
             def __init__(self, ref):
@@ -1384,7 +1318,7 @@ def _exists_join(left, right, *, key_col: str, right_key_col: str,
                  anti: bool, batch_size: int, broadcast_limit: int):
     """Shared kernel for :func:`semi_join` / :func:`anti_join`."""
     import ray
-    from engine.shuffle import join_kwargs
+    from engine.shuffle import join
 
     rkeys = _distinct_keys(right, right_key_col, key_col,
                            batch_size).materialize()
@@ -1422,43 +1356,8 @@ def _exists_join(left, right, *, key_col: str, right_key_col: str,
                                 batch_size=batch_size)
 
     # distributed fall-through: hash join against the DEDUPED key set
-    # (unique keys -> an inner join cannot multiply left rows).
-    lschema = left.schema(fetch_if_missing=True)
-    base = getattr(lschema, "base_schema", lschema)  # Ray wrapper or pa
-    lcols = list(base.names)
-
-    def _typed_empty():
-        return pa.table({f.name: pa.array([], f.type) for f in base})
-
-    if not anti:
-        joined = left.join(rkeys, join_type="inner",
-                           **join_kwargs(),
-                           on=(key_col,))
-
-        def _norm(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:  # schemaless empty join partition
-                return _typed_empty()
-            return b.select(lcols)
-
-        return joined.map_batches(_norm, batch_format="pyarrow")
-
-    def _mark(df):
-        df = df.copy()
-        df["__m"] = np.int64(1)
-        return df
-
-    marked = rkeys.map_batches(_mark, batch_format="pandas")
-    joined = left.join(marked, join_type="left_outer",
-                       **join_kwargs(),
-                       on=(key_col,))
-
-    def _keep_unmatched(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        if b.num_columns == 0:  # schemaless empty join partition
-            return _typed_empty()
-        return b.filter(pc.is_null(b.column("__m"))).select(lcols)
-
-    return joined.map_batches(_keep_unmatched, batch_format="pyarrow")
+    # (unique keys -> an inner join cannot multiply left rows)
+    return join(left, rkeys, key_col, "left_anti" if anti else "inner")
 
 
 def semi_join(left, right, *, key_col: str, right_key_col: str = None,
@@ -1486,7 +1385,7 @@ def anti_join(left, right, *, key_col: str, right_key_col: str = None,
     appear in ``right`` — ``WHERE NOT EXISTS`` parity. NULL left keys
     are KEPT (SQL: ``NULL = x`` is never true, so NOT EXISTS holds
     vacuously). Routing as :func:`semi_join`; the distributed path is a
-    left-outer join against the deduped keys keeping NULL-marker rows.
+    ``left_anti`` join against the deduped keys.
     """
     return _exists_join(left, right, key_col=key_col,
                         right_key_col=right_key_col or key_col,
@@ -2375,7 +2274,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
        revenue per orderkey INSIDE ``map_batches`` (one Arrow
        ``group_by`` per batch, never raw lineitem);
     2. orders filter to the quarter and carry only (orderkey, custkey);
-    3. ``Dataset.join`` on orderkey, then a custkey
+    3. :func:`engine.shuffle.join` on orderkey, then a custkey
        :func:`engine.shuffle.combine` bounds the result at the customer
        count;
     4. the customer dimension attaches via a sorted-array broadcast
@@ -2387,7 +2286,7 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     (c_custkey, c_name, revenue, c_acctbal, n_name).
     """
     import ray
-    from engine.shuffle import combine
+    from engine.shuffle import combine, join
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
@@ -2424,12 +2323,12 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
         lambda b: b.select(["c_custkey", "c_name", "c_acctbal",
                             "c_nationkey"]),
         batch_format="pyarrow"), "c_custkey"))
-    joined = None if dims is None else _inner_join(li, orders, "o_orderkey")
-    if joined is None:
+    if dims is None:
         return _typed_empty().to_pandas()
     nation, cust = dims
 
-    per_cust = combine(joined, "o_custkey", {"rev": ("rev", "sum")})
+    per_cust = combine(join(li, orders, "o_orderkey"), "o_custkey",
+                       {"rev": ("rev", "sum")})
 
     nat = nation.to_pandas()  # 25 rows by spec — always broadcast
     nat_map = dict(zip(nat["n_nationkey"].tolist(),
@@ -2443,8 +2342,6 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                         cdf["c_nationkey"].to_numpy(), nat_map))
 
         def _attach(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0 or not b.num_rows:
-                return _typed_empty()
             keys, names, bal, nk, nm = ray.get(side)
             ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
             pos = np.searchsorted(keys, ck)
@@ -2462,18 +2359,14 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
 
         enriched = per_cust.map_batches(_attach, batch_format="pyarrow")
     else:
-        # materialized, so the emptiness test does not run the shuffles
-        # behind per_cust twice
-        cj = _inner_join(per_cust.materialize(), cust.map_batches(
+        # per_cust is materialized (a combine output), so the seed schema
+        # does not run the shuffles behind it twice
+        cj = join(per_cust, cust.map_batches(
             lambda b: b.rename_columns(
                 ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
             batch_format="pyarrow"), "o_custkey")
-        if cj is None:
-            return _typed_empty().to_pandas()
 
         def _attach_joined(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0 or not b.num_rows:
-                return _typed_empty()
             nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
             return pa.table({
                 "c_custkey": b.column("o_custkey"),

@@ -1,4 +1,4 @@
-"""Shuffle tuning helpers.
+"""The shuffle shapes: keyed co-partition, decomposable aggregate, hash join.
 
 Ray Data's sort-based groupby derives its reduce parallelism from the
 upstream block count; a partial-aggregate stage that collapses a corpus into
@@ -26,6 +26,11 @@ operator whose result merges per-batch partials by key (sums, counts,
 min/max — stats, dedup, referential, the relational and text
 aggregates) runs through it, and ``finish`` runs a post-step over its
 output without losing the typed empty.
+
+``join`` is the engine's one hash join (``Dataset.join``): the sizing
+(``join_kwargs``) and the NULL-key seed row that keeps every join
+partition typed live in it, so no caller tests a side for emptiness or
+repairs a schemaless join block.
 """
 
 from __future__ import annotations
@@ -200,8 +205,6 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def _partial(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0:  # a schemaless empty join partition
-            return batch
         if derive is not None:
             batch = derive(batch)
         for k in keys:
@@ -296,15 +299,16 @@ def _arrow_type(t):
 def _schema(ds):
     """Arrow schema of ``ds``, for typed-empty substitution on the
     all-filtered-corpus corner (Ray never calls UDFs on empty blocks, so
-    a fully-filtered pipeline yields a SCHEMALESS empty); ``None`` when
-    Ray cannot tell.
+    a fully-filtered pipeline yields a SCHEMALESS empty) and for
+    :func:`join`'s seed rows; ``None`` when Ray cannot tell.
 
     Metadata-only first (never executes the plan); falls back to
     ``fetch_if_missing=True`` — which may execute enough of the plan to
-    read one block — only when metadata is absent. Callers invoke this
-    lazily, inside the empty-result branch, so the fetch is a corner-case
-    cost; the alternative was guessing ``pa.string()`` for an int key and
-    returning a WRONG-TYPED empty.
+    read one block — only when metadata is absent. ``combine`` and
+    ``finish`` invoke this lazily, inside the empty-result branch;
+    ``join`` pays the fetch once per lazy side, as the emptiness test it
+    replaced did. The alternative was guessing ``pa.string()`` for an
+    int key and returning a WRONG-TYPED empty.
     """
     import pyarrow as pa
     for fetch in (False, True):
@@ -348,6 +352,74 @@ def join_partitions(divisor: int = 2) -> int:
     """
     cpus = _cluster_cpus(_DEFAULT_CPUS)
     return min(cpus, max(4, cpus // divisor))
+
+
+#: the seed-only column that marks the left seed row of a ``left_anti``
+_SEED = "__join_seed"
+
+
+def join(left, right, on: str, how: str = "inner", *, right_on=None,
+         num_partitions=None):
+    """Hash join of ``left[on]`` with ``right[right_on or on]``: ``how``
+    is ``"inner"`` or ``"left_anti"``. The engine's one ``Dataset.join``;
+    it owns Ray's join hazards:
+
+    * sizing: :func:`join_kwargs`; a caller's ``num_partitions`` (fewer
+      partitions for a small input) never exceeds :func:`join_partitions`;
+    * empty sides: each join aggregator learns a side's schema from that
+      side's FIRST block, broadcast as zero-row shards. A zero-row first
+      block broadcasts nothing, and an aggregator that then gets no row
+      of a side cannot join (``ArrowInvalid``). So each side gets one
+      NULL-key seed row of its full schema, unioned in FIRST
+      (``seed.union(side)``): every aggregator holds both schemas, every
+      output block (zero-row ones too) carries the joined schema, and no
+      emptiness test runs. A seed after the side still fails when the
+      side's first block has no rows; a key-only seed runs, but its
+      output blocks mix schemas.
+    * NULL keys: a NULL key never matches (SQL), so no seed ever joins.
+      ``left_anti`` keeps the unmatched left seed: a seed-only column
+      (NULL on every real row) marks it and a filter drops it, while a
+      real NULL-key left row stays (NOT EXISTS holds). Ray skips that
+      filter on a zero-row block and emits it schemaless, as after any
+      map.
+
+    A side Ray reports no schema for has no rows (a block with rows
+    carries its schema; a map over an empty input does not): an inner
+    join with it, and a ``left_anti`` of it, is that empty side; a
+    ``left_anti`` against it is ``left``.
+
+    The seed's schema comes from :func:`_schema`: free for a read or a
+    materialized side, one ``limit(1)`` for a lazy transformed side. A
+    join output that joins again is therefore materialized first, or the
+    seed would run its shuffle twice.
+    """
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    if how not in ("inner", "left_anti"):
+        raise ValueError(f"how must be 'inner' or 'left_anti', not {how!r}")
+    lsch, rsch = _schema(left), _schema(right)
+    if lsch is None or rsch is None:
+        return right if lsch is not None and how == "inner" else left
+
+    def _seeded(side, sch, *extra):
+        seed = pa.table([pa.nulls(1, f.type) for f in sch]
+                        + [pa.array([True])] * len(extra),
+                        names=sch.names + list(extra))
+        return ray.data.from_arrow(seed).union(side)
+
+    anti = how == "left_anti"
+    out = _seeded(left, lsch, *([_SEED] if anti else [])).join(
+        _seeded(right, rsch), join_type=how, on=(on,),
+        right_on=(right_on,) if right_on else None,
+        **join_kwargs(num_partitions and min(num_partitions,
+                                             join_partitions())))
+    if not anti:
+        return out
+    return out.map_batches(
+        lambda b: b.filter(pc.is_null(b.column(_SEED))).drop_columns(_SEED),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def join_kwargs(num_partitions: int | None = None) -> dict:

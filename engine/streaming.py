@@ -562,8 +562,6 @@ def stream_dedup_micro_batch(docs_ds, state_dir: str, *,
                 if self._s is None:
                     self._s = ray.get(self.r) if isinstance(
                         self.r, ray.ObjectRef) else self.r
-                if b.num_columns == 0 or len(b) == 0 or not len(self._s):
-                    return pa.table({"h": pa.array([], pa.string())})
                 v = b.column("h").to_numpy(zero_copy_only=False)
                 pos = np.searchsorted(self._s, v)
                 pos = np.clip(pos, 0, len(self._s) - 1)

@@ -581,7 +581,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
     import ray
 
     from engine.kernels import _flatten, _valid_mask
-    from engine.shuffle import by_key, join_kwargs
+    from engine.shuffle import by_key, join
 
     n_docs = float(ds.count())
     df_tab = token_doc_frequency(ds, text_col=text_col,
@@ -589,8 +589,9 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
                                  concurrency=concurrency).materialize()
     vocab_n = df_tab.count()
 
-    def _doc_tf(batch: pa.Table) -> "pd.DataFrame":
-        """Distinct (doc, token, tf) rows of one batch — the combiner."""
+    def _doc_tf(batch: pa.Table) -> pa.Table:
+        """Distinct (doc, token, tf) rows of one batch — the combiner;
+        the key keeps its input type."""
         toks = pc.split_pattern_regex(batch.column(text_col),
                                       pattern=r"\s+")
         if isinstance(toks, pa.ChunkedArray):
@@ -601,13 +602,11 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
         codes = enc.indices.to_numpy(zero_copy_only=False)
         pairs, tf = np.unique(np.stack([parent, codes]), axis=1,
                               return_counts=True)
-        dictionary = np.asarray(enc.dictionary.to_pylist(), dtype=object)
-        tok = dictionary[pairs[1]]
-        keep = np.array([bool(t) for t in tok])  # drop empty tokens
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        return pd.DataFrame({key_col: keys[pairs[0][keep]],
-                             "token": tok[keep],
-                             "tf": tf[keep].astype(np.int64)})
+        tok = pc.cast(enc.dictionary.take(pa.array(pairs[1])), pa.string())
+        return pa.table({
+            key_col: batch.column(key_col).take(pa.array(pairs[0])),
+            "token": tok, "tf": pa.array(tf, pa.int64())}).filter(
+            pc.greater(pc.utf8_length(tok), 0))  # drop empty tokens
 
     def _topk_frame(df):
         """Deterministic per-doc top-k of a (doc, token, tf, score)
@@ -630,7 +629,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
                 if self._m is None:
                     self._m = ray.get(ref)
                 toks, dfs = self._m
-                t = _doc_tf(batch)
+                t = _doc_tf(batch).to_pandas()
                 if not len(t):
                     return pd.DataFrame({key_col: [], "token": [],
                                          "tf": pd.array([],
@@ -651,12 +650,10 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
 
     # distributed fall-through: combiner rows join df on token, then a
     # per-doc top-k by key (in-batch partial first)
-    tf_rows = ds.map_batches(
-        lambda b: _doc_tf(b), batch_format="pyarrow",
-        zero_copy_batch=True, batch_size=batch_size,
-        concurrency=concurrency)
-    joined = tf_rows.join(df_tab, join_type="inner",
-                          **join_kwargs(), on=("token",))
+    tf_rows = ds.map_batches(_doc_tf, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=batch_size,
+                             concurrency=concurrency)
+    joined = join(tf_rows, df_tab, "token")
 
     def _score(df):
         out = df[[key_col, "token", "tf"]].copy()
@@ -1079,7 +1076,9 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
     vocab_n = df_tab.count()
     from engine.kernels import _flatten, _valid_mask
 
-    def _pairs(batch: pa.Table) -> "pd.DataFrame":
+    def _pairs(batch: pa.Table) -> pa.Table:
+        """Distinct (doc, token) rows of one batch; the key keeps its
+        input type."""
         toks = pc.split_pattern_regex(
             pc.fill_null(batch.column(text_col), ""), pattern=r"\s+")
         if isinstance(toks, pa.ChunkedArray):
@@ -1087,16 +1086,14 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
         flat, parent, _ = _flatten(toks, _valid_mask(toks))
         keep = pc.greater(pc.utf8_length(flat), 0).to_numpy(
             zero_copy_only=False)
-        parent = parent[keep]
         enc = flat.dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False)[keep]
-        if not len(parent):
-            return pd.DataFrame({key_col: [], "token": []})
-        p, c = np.unique(np.stack([parent, codes]).astype(np.int64),
+        p, c = np.unique(np.stack([parent[keep], codes]).astype(np.int64),
                          axis=1)
-        dic = np.asarray(enc.dictionary.to_pylist(), dtype=object)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        return pd.DataFrame({key_col: keys[p], "token": dic[c]})
+        return pa.table({
+            key_col: batch.column(key_col).take(pa.array(p)),
+            "token": pc.cast(enc.dictionary.take(pa.array(c)),
+                             pa.string())})
 
     if vocab_n <= vocab_broadcast_limit:
         dfp = df_tab.to_pandas().sort_values("token")
@@ -1105,7 +1102,7 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
 
         def _score(batch: pa.Table) -> "pd.DataFrame":
             toks_, dfs_ = ray.get(ref)
-            t = _pairs(batch)
+            t = _pairs(batch).to_pandas()
             if not len(t):
                 return pd.DataFrame({key_col: [], "mean_idf": [],
                                      "n_distinct":
@@ -1129,14 +1126,11 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
 
     # distributed fall-through: distinct pairs join df on token, then a
     # per-key mean (per-doc rows co-locate)
-    from engine.shuffle import by_key, join_kwargs
-    pairs_ds = ds.map_batches(
-        lambda b: _pairs(b), batch_format="pyarrow",
-        zero_copy_batch=True, batch_size=batch_size,
-        concurrency=concurrency)
-    joined = pairs_ds.join(df_tab, join_type="inner",
-                           **join_kwargs(),
-                           on=("token",))
+    from engine.shuffle import by_key, join
+    pairs_ds = ds.map_batches(_pairs, batch_format="pyarrow",
+                              zero_copy_batch=True, batch_size=batch_size,
+                              concurrency=concurrency)
+    joined = join(pairs_ds, df_tab, "token")
 
     def _idf(df):
         return pd.DataFrame({

@@ -340,18 +340,26 @@ CASES = {
     "bigram_heavy_hitters": _text("bigram_heavy_hitters", null_docs),
     "token_counts_by_group": _text("token_counts_by_group", null_docs),
     "vocabulary_stats": _text("vocabulary_stats", null_docs),
+    # the hash-join fall-throughs of the TF-IDF family
+    "tfidf_topk_join": _text("tfidf_topk", docs, broadcast_limit=-1),
+    "tfidf_topk_join_no_text": _text("tfidf_topk", null_docs,
+                                     broadcast_limit=-1),
+    "doc_mean_idf_join": _text("doc_mean_idf", docs,
+                               vocab_broadcast_limit=-1),
+    "doc_mean_idf_join_no_text": _text("doc_mean_idf", null_docs,
+                                       vocab_broadcast_limit=-1),
 }
 
 # name -> {kind: (rows, "column:type ..." or None when schemaless)}.
-# Not pinned, because they fail before producing a result: the NULL-key
-# case of stream_dedup_micro_batch (its state write rejects NULL keys),
-# and both cases of the tfidf_topk / doc_mean_idf hash-join fall-through
-# (an empty document-frequency table is schemaless, and Arrow cannot join
-# an all-NULL doc_id column). The joins of q3, q5, q10 and the
-# revenue_by_segment join path, and their dimension lookups, go through
-# ``relational._key_rows``: a side without a non-NULL key row gives the
-# typed empty result (the ``_join`` cases take the hash-join paths, the
-# ``_no_<dimension>`` cases an empty dimension table).
+# Not pinned, because it fails before producing a result: the NULL-key
+# case of stream_dedup_micro_batch (its state write rejects NULL keys).
+# The joins of q3, q5, q10, the revenue_by_segment join path and the
+# tfidf_topk / doc_mean_idf fall-throughs go through ``shuffle.join``,
+# which joins empty and all-NULL-key sides; the dimension lookups go
+# through ``relational._key_rows``, where a side without a non-NULL key
+# row gives the typed empty result (the ``_join`` cases take the
+# hash-join paths, the ``_no_<dimension>`` cases an empty dimension
+# table).
 EXPECTED = {
     "activity_heatmap": {
         "empty": (0, "dow:int64 hod:int64 n:int64"),
@@ -397,6 +405,12 @@ EXPECTED = {
     "dense_daily_counts": {
         "empty": (0, "day:timestamp[us] n:int64"),
         "null": (0, "day:timestamp[us] n:int64")},
+    "doc_mean_idf_join": {
+        "empty": (0, None),
+        "null": (0, "doc_id:double mean_idf:double n_distinct:int64")},
+    "doc_mean_idf_join_no_text": {
+        "empty": (0, None),
+        "null": (0, None)},
     "duplicate_keys": {
         "empty": (0, None),
         "null": (0, None)},
@@ -661,6 +675,12 @@ EXPECTED = {
         "null": (1, "spearman_r:double n:int64")},
     "stream_dedup_micro_batch": {
         "empty": (0, "doc_id:int64 text_hash:string")},
+    "tfidf_topk_join": {
+        "empty": (0, None),
+        "null": (0, None)},
+    "tfidf_topk_join_no_text": {
+        "empty": (0, None),
+        "null": (0, None)},
     "time_to_first_target": {
         "empty": (0, "user_id:int64 seconds_to_target:double"),
         "null": (0, "user_id:int64 seconds_to_target:double")},

@@ -4,6 +4,7 @@ FIXTURES §3 schema variants over the spans corpus."""
 import glob
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -46,41 +47,98 @@ class TestParallelismInvariance:
         assert a == b and len(a) > 0
 
 
+#: ``engine.cli`` that halts right after it commits its first manifest
+#: whose name starts with ``argv[1]`` (a partition's ``p<id>``, a global
+#: step's ``__global_<step>``), so a SIGKILL lands exactly there
+HALT_AFTER_COMMIT = """
+import sys, time
+import engine.checkpoint as ck
+from engine.cli import main
+
+commit = ck._commit_manifest
+
+
+def _commit_then_halt(out_dir, name, record):
+    commit(out_dir, name, record)
+    if name.startswith(sys.argv[1]):
+        time.sleep(600)
+
+
+ck._commit_manifest = _commit_then_halt
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _validate(corpus_dir, job_out):
+    return ["validate", "--input", corpus_dir, "--out", job_out,
+            "--num-cpus", "4"]
+
+
+def _outputs(job_out):
+    """The rows of a job's violations, verdicts and each ``checks/*``
+    table, sorted on every column."""
+    names = ["violations", "verdicts"] + [
+        f"checks/{c}"
+        for c in sorted(os.listdir(os.path.join(job_out, "checks")))]
+    return {n: sorted(map(repr, pq.read_table(
+        os.path.join(job_out, n)).to_pylist())) for n in names}
+
+
 class TestKillResume:
-    def test_sigkill_mid_job_then_resume(self, corpus, tmp_path):
-        out_root, corpus_dir = corpus
+    @pytest.fixture(scope="class")
+    def clean(self, corpus, tmp_path_factory):
+        """The outputs of an uninterrupted job."""
+        job_out = str(tmp_path_factory.mktemp("clean") / "job")
+        r = run_group([sys.executable, "-m", "engine.cli",
+                       *_validate(corpus[1], job_out)], cwd=REPO,
+                      timeout=300)
+        assert r.returncode == 0, r.stderr[-500:]
+        return _outputs(job_out)
+
+    @pytest.mark.parametrize("kill_at", ["p", "__global_"])
+    def test_sigkill_mid_job_then_resume(self, corpus, clean, tmp_path,
+                                         kill_at):
+        """SIGKILL the job, and every Ray process it started, right after
+        its first partition manifest or its first global-step marker
+        commits. A resumed run keeps every commit, and its outputs equal
+        the uninterrupted job's."""
+        _, corpus_dir = corpus
         job_out = str(tmp_path / "job")
-        cmd = [sys.executable, "-m", "engine.cli", "validate",
-               "--input", corpus_dir, "--out", job_out, "--num-cpus", "4"]
-        # start the job, SIGKILL it (and every Ray process it started) as
-        # soon as the first manifest lands
-        p = start_group(cmd, cwd=REPO, stdout=subprocess.DEVNULL,
+        args = _validate(corpus_dir, job_out)
+        p = start_group([sys.executable, "-c", HALT_AFTER_COMMIT, kill_at,
+                         *args], cwd=REPO, stdout=subprocess.DEVNULL,
                         stderr=subprocess.DEVNULL)
-        manifest_glob = os.path.join(job_out, "_manifest", "p*.json")
+        manifests = os.path.join(job_out, "_manifest", "*.json")
         try:
             deadline = time.time() + 120
-            while time.time() < deadline:
-                if glob.glob(manifest_glob):
-                    break
-                if p.poll() is not None:
-                    break
+            while time.time() < deadline and p.poll() is None and not \
+                    glob.glob(os.path.join(job_out, "_manifest",
+                                           f"{kill_at}*.json")):
                 time.sleep(0.2)
         finally:
             kill_group(p)
-        done_before = sorted(glob.glob(manifest_glob))
-        assert done_before, "job died before completing any partition"
-        mtimes = {f: os.path.getmtime(f) for f in done_before}
+        assert p.returncode == -signal.SIGKILL, "the job ended unkilled"
+        done_before = {os.path.basename(f)[:-len(".json")]:
+                       os.path.getmtime(f) for f in glob.glob(manifests)}
+        steps = [n for n in done_before if n.startswith("__global_")]
+        parts = len(done_before) - len(steps)
+        assert parts == (1 if kill_at == "p" else 4) and \
+            len(steps) == (kill_at != "p"), sorted(done_before)
 
         # resume to completion in a fresh process
-        r = run_group(cmd, cwd=REPO, timeout=300)
+        r = run_group([sys.executable, "-m", "engine.cli", *args],
+                      cwd=REPO, timeout=300)
         assert r.returncode == 0, r.stderr[-500:]
         summary = json.loads(r.stdout.strip().splitlines()[-1])
-        assert summary["skipped"] >= len(done_before)
-        assert summary["skipped"] + summary["processed"] == 4
-        for f, t in mtimes.items():
-            assert os.path.getmtime(f) == t, f"manifest rewritten: {f}"
-        # outputs complete and readable
-        assert pq.read_table(os.path.join(job_out, "verdicts")).num_rows == 4
+        assert (summary["skipped"], summary["processed"]) == (parts,
+                                                              4 - parts)
+        for name in steps:
+            assert summary[name[len("__global_"):]] == "skipped"
+        for name, t in done_before.items():
+            assert os.path.getmtime(os.path.join(
+                job_out, "_manifest", f"{name}.json")) == t, \
+                f"manifest rewritten: {name}"
+        assert _outputs(job_out) == clean
 
 
 class TestFixtureSchemaVariants:

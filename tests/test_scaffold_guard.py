@@ -8,8 +8,11 @@ balancing repartition, Ray's ``groupby().aggregate(...)`` and the
 ``"sum(x)"`` -> ``x`` naming. Window operators (``PARTITION BY key
 ORDER BY ...``) pass ``order`` to :func:`engine.shuffle.by_key`, which
 sorts each key partition, and find key runs with
-:func:`engine.shuffle.key_starts`, the one NULL-key equality rule. A
-hand-copied scaffold anywhere else in ``engine/`` fails these tests.
+:func:`engine.shuffle.key_starts`, the one NULL-key equality rule. Hash
+joins call :func:`engine.shuffle.join`, which owns the join sizing
+(``join_kwargs``) and the typed seed rows that keep every join partition
+schemaful, so no join output needs a zero-column guard. A hand-copied
+scaffold anywhere else in ``engine/`` fails these tests.
 Exemptions are by function name, each with its reason.
 """
 
@@ -28,6 +31,11 @@ COMBINE = re.compile(r"""["'](?:sum|min|max|count)\("""
 # a key-partition sort, or a hand key break ``keys[1:] != keys[:-1]``
 ORDERED = re.compile(r"sort_values\(\[\s*(?:key_col|group_col)\b"
                      r"|\b(\w+)\[1:\]\s*!=\s*\1\[:-1\]")
+# a Dataset ``.join(`` (not ``"sep".join(`` or ``os.path.join(``), the join
+# sizing, or a zero-column block guard
+JOIN = re.compile(r"""(?<!["'])(?<!path)\.join\("""
+                  r"|\bjoin_kwargs\b"
+                  r"|\bnum_columns\s*==\s*0")
 GUARDS = {
     "co-partition": (CO_PARTITION, "engine.shuffle.by_key", {
         ("relational.py", "_distinct_keys"):
@@ -35,6 +43,11 @@ GUARDS = {
             "intact",
     }),
     "combine": (COMBINE, "engine.shuffle.combine", {}),
+    "join": (JOIN, "engine.shuffle.join", {
+        ("kernels.py", "_root_ctx"):
+            "N rows of zero columns are N empty JSON objects to validate, "
+            "not a join artefact",
+    }),
     "ordered": (ORDERED, "engine.shuffle.by_key(order=...) and "
                 "engine.shuffle.key_starts", {
         ("relational.py", "keep_latest"):

@@ -45,7 +45,8 @@ The global steps then merge committed rows and never read the corpus:
 stats (every partition's profile rows), drift (baseline = the
 non-excluded partitions' profile rows, per-partition KS/PSI against it),
 uniqueness (the sum of the ``keys`` counts per key: on the driver up to
-``_DRIVER_MERGE_ROWS`` key rows, above that one ``shuffle.by_key`` pass)
+the engine's small-side size of key rows, above that one
+``shuffle.by_key`` pass)
 and referential (the union of the refs rows). Each step commits a
 ``__global_<step>`` marker that records the job state (input and catalog
 fingerprints, baseline exclusions); a step re-runs when a partition was
@@ -69,11 +70,6 @@ from engine.storage import atomic_replace
 
 #: partition artifacts, in write order; ``refs`` only with a catalog
 ARTIFACTS = ("violations", "profile", "keys", "refs")
-
-#: committed ``keys`` rows up to which the driver merges uniqueness in
-#: process; above it one ``shuffle.by_key`` pass does (the size of the
-#: engine's other driver bounds)
-_DRIVER_MERGE_ROWS = 2_000_000
 
 
 def _input_fingerprint(paths: Sequence[str]) -> str:
@@ -523,7 +519,7 @@ def _run_global_checks(out_dir: str, pids: list[str],
 def _duplicate_keys(out_dir: str, pids: Sequence[str]):
     """Uniqueness from the committed ``keys`` rows: ``(key, dup_count)``
     of each key whose counts sum to more than 1. Up to
-    ``_DRIVER_MERGE_ROWS`` rows (from the parquet footers) the driver sums
+    ``shuffle.SMALL_ROWS`` rows (from the parquet footers) the driver sums
     them with one Arrow ``group_by``; above, one ``shuffle.by_key`` pass
     does. It needs no salt: a hot key has one row per keys file."""
     import functools
@@ -532,10 +528,12 @@ def _duplicate_keys(out_dir: str, pids: Sequence[str]):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
+    from engine import shuffle
+
     files = sorted(f for pid in pids for f in glob.glob(os.path.join(
         out_dir, "keys", f"partition_id={pid}", "*.parquet")))
     if sum(pq.ParquetFile(f).metadata.num_rows
-           for f in files) > _DRIVER_MERGE_ROWS:
+           for f in files) > shuffle.SMALL_ROWS:
         import pandas as pd
         import ray.data
         from engine.shuffle import by_key

@@ -20,10 +20,12 @@ corpus itself never shuffles, and P partitions track cluster CPUs
 Labels are monotonically non-increasing, so a zero changed-count is an exact
 fixpoint, not a heuristic.
 
-``resolve_duplicates`` routes the loser-key side by size: broadcast
-(``ray.put`` once, read per actor) below ``broadcast_limit``, distributed
-``left_anti`` hash join above it — the same auto-routing pattern as the
-referential checks (engine/referential.py).
+``resolve_duplicates`` removes the loser keys with one ``left_anti``
+:func:`engine.shuffle.join`, which broadcasts a small loser side and
+hash-joins a large one.
+
+NULL keys: an edge with a NULL end is dropped before either route (SQL
+drops NULL-key edges), so a NULL node is never in a cluster.
 """
 
 from __future__ import annotations
@@ -72,37 +74,39 @@ def _numpy_components(a: np.ndarray, b: np.ndarray):
 
 
 def connected_components(pairs, *, key_a: str = "key_a",
-                         key_b: str = "key_b", max_rounds: int = 50,
-                         single_task_limit: int = 4_000_000):
+                         key_b: str = "key_b", max_rounds: int = 50):
     """(node, cluster_id) for every node incident to a pair; ``cluster_id``
-    is the minimum node id of the component.
+    is the minimum node id of the component. A pair with a NULL end is no
+    edge.
 
     Nodes with no pair are implicitly their own singleton cluster and are
     not emitted (keeps the output proportional to the duplicate set, not
     the corpus).
 
-    Routing: at or below ``single_task_limit`` edge rows the whole sparse
-    edge set collapses into ONE Ray task running the numpy union-find —
-    worker-side, never the driver — because log(diameter) distributed
-    rounds cost ~5 Ray jobs each and fixed job overhead dominates small
-    graphs. Above the limit, distributed label propagation takes over.
+    Routing: at or below ``shuffle.SMALL_ROWS`` edge rows the whole
+    sparse edge set collapses into ONE Ray task running the numpy
+    union-find — worker-side, never the driver — because log(diameter)
+    distributed rounds cost ~5 Ray jobs each and fixed job overhead
+    dominates small graphs. Above it, distributed label propagation
+    takes over.
     """
     import pandas as pd
+    import pyarrow.compute as pc
     import ray.data
-    from engine.shuffle import by_key
+    from engine import shuffle
+    from engine.shuffle import by_key, not_null
 
-    def _sym(df):
-        if key_a not in df.columns or not len(df):
-            return pd.DataFrame({"node": [], "val": [],
-                                 "kind": pd.array([], dtype="int8")})
-        a = df[key_a].to_numpy()
-        b = df[key_b].to_numpy()
+    def _sym(t: pa.Table) -> pd.DataFrame:
+        t = t.filter(pc.and_(not_null(t.column(key_a)),
+                             not_null(t.column(key_b))))
+        a = t.column(key_a).to_numpy()
+        b = t.column(key_b).to_numpy()
         return pd.DataFrame({
             "node": np.concatenate([a, b]),
             "val": np.concatenate([b, a]),
             "kind": np.full(2 * len(a), _KIND_EDGE, dtype=np.int8)})
 
-    edges = pairs.map_batches(_sym, batch_format="pandas").materialize()
+    edges = pairs.map_batches(_sym, batch_format="pyarrow").materialize()
     n_edges = edges.count()
     if n_edges == 0:
         kt = pa.int64()
@@ -113,7 +117,7 @@ def connected_components(pairs, *, key_a: str = "key_a",
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], kt), "cluster_id": pa.array([], kt)}))
 
-    if n_edges <= single_task_limit:
+    if n_edges <= shuffle.SMALL_ROWS:
         def _local(df):
             nodes, comp = _numpy_components(df["node"].to_numpy(),
                                             df["val"].to_numpy())
@@ -210,52 +214,23 @@ def connected_components(pairs, *, key_a: str = "key_a",
     return labels.map_batches(_final, batch_format="pandas")
 
 
-def resolve_duplicates(docs, pairs, *, key_col: str = "doc_id",
-                       broadcast_limit: int = 2_000_000):
+def resolve_duplicates(docs, pairs, *, key_col: str = "doc_id"):
     """Survivor view of ``docs``: every near-dup cluster keeps only its
     minimum-key member; rows in no cluster pass through untouched.
 
-    The loser-key side (cluster members minus survivors) is proportional to
-    the duplicate count. Below ``broadcast_limit`` it ships once via
-    ``ray.put`` and the filter is map-only; above it, a distributed
-    ``left_anti`` hash join sized to cluster CPUs takes over.
+    The loser-key side (cluster members minus survivors) is proportional
+    to the duplicate count; one ``left_anti`` :func:`engine.shuffle.join`
+    drops its keys from ``docs``.
     """
     import pandas as pd
-    import ray
-
-    comps = connected_components(pairs)
+    from engine.shuffle import join
 
     def _losers(df):
         sub = df[df["node"].to_numpy() != df["cluster_id"].to_numpy()]
         return pd.DataFrame({"node": sub["node"].to_numpy()})
 
-    losers = comps.map_batches(_losers,
-                               batch_format="pandas").materialize()
-    n_losers = losers.count()
-    if n_losers == 0:
-        return docs
-    if n_losers <= broadcast_limit:
-        keys_ref = ray.put(np.sort(
-            losers.to_pandas()["node"].to_numpy()))
-
-        class _Keep:
-            def __init__(self, ref):
-                self.ref = ref
-                self._keys = None
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                if self._keys is None:
-                    self._keys = ray.get(self.ref) if isinstance(
-                        self.ref, ray.ObjectRef) else self.ref
-                vals = batch.column(key_col).to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(self._keys, vals)
-                pos = np.clip(pos, 0, len(self._keys) - 1)
-                drop = self._keys[pos] == vals
-                return batch.filter(pa.array(~drop))
-
-        return docs.map_batches(_Keep(keys_ref), batch_format="pyarrow")
-
-    from engine.shuffle import join
+    losers = connected_components(pairs).map_batches(_losers,
+                                                     batch_format="pandas")
     return join(docs, losers, key_col, "left_anti", right_on="node")
 
 
@@ -282,9 +257,6 @@ def shingle_candidate_pairs(docs, *, text_col: str = "text",
         _unique_pairs
 
     def _shingles(df):
-        if text_col not in df.columns or not len(df):
-            return pd.DataFrame({"key": [], "bkey": pd.array(
-                [], dtype="int64")})
         h, counts = _doc_shingle_hashes(df[text_col].tolist(), n)
         keys = np.repeat(df[key_col].to_numpy(), counts)
         frame = pd.DataFrame({"key": keys,
@@ -324,12 +296,10 @@ def near_dup_clusters(docs, *, text_col: str = "text",
 def resolve_near_duplicates(docs, *, text_col: str = "text",
                             key_col: str = "doc_id", n: int = 3,
                             threshold: float = 0.6,
-                            max_bucket_size: int | None = 256,
-                            broadcast_limit: int = 2_000_000):
+                            max_bucket_size: int | None = 256):
     """Survivor view: ``docs`` minus every non-canonical near-dup cluster
     member (the deduplication a training pipeline actually applies)."""
     edges = _near_dup_edges(docs, text_col=text_col, key_col=key_col, n=n,
                             threshold=threshold,
                             max_bucket_size=max_bucket_size)
-    return resolve_duplicates(docs, edges, key_col=key_col,
-                              broadcast_limit=broadcast_limit)
+    return resolve_duplicates(docs, edges, key_col=key_col)

@@ -327,7 +327,6 @@ def _add_bkey(cols: list[str]):
 
 
 def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
-                     broadcast_limit: int = 5_000_000,
                      n_rows_hint: Optional[int] = None,
                      pin_rows_limit: int = 20_000_000):
     """Rows of an LSH-banded dataset whose bucket has 2..max members.
@@ -345,14 +344,11 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
        _emit_partition_pairs) and are counted to the worker log;
        the hot-id set is materialized (bucket ids only — bounded by the
        corpus near-dup rate, orders of magnitude below the banded rows);
-    4. semi-join the banded rows against the hot ids: if the hot set is
-       small (< broadcast_limit) broadcast a sorted id array once via
-       ``ray.put`` and filter map-only with a vectorized searchsorted;
-       otherwise run a distributed hash join whose aggregator count tracks
-       cluster CPUs.
+    4. semi-join the banded rows against the hot ids with
+       :func:`engine.shuffle.join` (a small hot set broadcasts and the
+       filter is map-only; a large one hash-joins).
     """
     import pyarrow.compute as pc
-    import ray
 
     from engine.shuffle import combine, join
 
@@ -382,32 +378,8 @@ def _hot_bucket_join(banded, cols: list[str], *, max_bucket_size: int = 64,
                 n_flood, max_bucket_size)
         return b.filter(keep).select(["bkey"])
 
-    hot = counts.map_batches(_hot_only, batch_format="pyarrow").materialize()
-    n_hot = hot.count()
-    if n_hot > broadcast_limit:
-        return join(keyed, hot, "bkey")
-
-    ids = np.sort(hot.to_pandas()["bkey"].to_numpy()) if n_hot \
-        else np.zeros(0, dtype=np.int64)
-    ref = ray.put(ids)
-
-    class _HotMember:
-        def __init__(self, ids_ref):
-            self.ids_ref = ids_ref
-            self._ids = None
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            if self._ids is None:
-                self._ids = ray.get(self.ids_ref) if isinstance(
-                    self.ids_ref, ray.ObjectRef) else self.ids_ref
-            v = b.column("bkey").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self._ids, v)
-            pos_c = np.minimum(pos, max(len(self._ids) - 1, 0))
-            mask = (self._ids[pos_c] == v) if len(self._ids) else \
-                np.zeros(len(v), dtype=bool)
-            return b.filter(pa.array(mask))
-
-    return keyed.map_batches(_HotMember(ref), batch_format="pyarrow")
+    return join(keyed, counts.map_batches(_hot_only,
+                                          batch_format="pyarrow"), "bkey")
 
 
 def _pair_key_bloom(uniq_pairs, n_pairs: Optional[int] = None, *,
@@ -435,63 +407,19 @@ def _pair_key_bloom(uniq_pairs, n_pairs: Optional[int] = None, *,
                        fpr=fpr)
 
 
-def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
-                       broadcast_limit: int = 2_000_000):
+def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int):
     """Join a (key, <col>) payload dataset onto both sides of a pair
     dataset, producing ``<col>_a`` / ``<col>_b`` columns — the distributed
     replacement for a driver-built key->payload dict.
 
-    Size-gated routing (the ``count_dangling_fk`` broadcast_limit pattern):
-    a payload below ``broadcast_limit`` rows — the sparse-candidate common
-    case — ships ONCE via ``ray.put`` and both sides attach map-only with a
-    vectorized lookup; larger payloads fall through to two distributed hash
-    joins. Inner-join semantics either way: pairs whose key is missing from
-    the payload drop out.
-
-    Join path: partition count scales with the pair count (>= ~64 pairs
-    expected per partition, floor 1), so a small candidate set does not
-    start an aggregator per CPU, while a large one still tracks cluster
-    CPUs."""
-    import ray
-
+    Two :func:`engine.shuffle.join` calls: a payload of the
+    sparse-candidate common case broadcasts and both sides attach
+    map-only; a large one hash-joins, with a partition count that scales
+    with the pair count (>= ~64 pairs expected per partition, floor 1),
+    so a small candidate set does not start an aggregator per CPU, while
+    a large one still tracks cluster CPUs. Inner-join semantics: pairs
+    whose key is missing from the payload drop out."""
     from engine.shuffle import join
-
-    payload_schema0 = payload.schema().base_schema
-    kt0 = payload_schema0.field("key").type
-    vt0 = payload_schema0.field(col).type
-    if payload.count() <= broadcast_limit:  # payload is materialized: free
-        import pandas as pd
-        pdf = payload.to_pandas().drop_duplicates("key")
-        lookup = pd.Series(pdf[col].to_numpy(), index=pdf["key"].to_numpy())
-        ref = ray.put(lookup)
-
-        class _Attach:
-            def __init__(self, r):
-                self.r = r
-                self._s = None
-
-            def __call__(self, df):
-                if self._s is None:
-                    self._s = ray.get(self.r) if isinstance(
-                        self.r, ray.ObjectRef) else self.r
-                empty = pa.table({
-                    "key_a": pa.array([], kt0), "key_b": pa.array([], kt0),
-                    f"{col}_a": pa.array([], vt0),
-                    f"{col}_b": pa.array([], vt0)})
-                if "key_a" not in df.columns or not len(df):
-                    return empty
-                va = self._s.reindex(df["key_a"].to_numpy()).to_numpy()
-                vb = self._s.reindex(df["key_b"].to_numpy()).to_numpy()
-                keep = ~(pd.isna(va) | pd.isna(vb))
-                if not keep.any():
-                    return empty
-                return pa.table({
-                    "key_a": pa.array(df["key_a"].to_numpy()[keep], kt0),
-                    "key_b": pa.array(df["key_b"].to_numpy()[keep], kt0),
-                    f"{col}_a": pa.array(list(va[keep]), vt0),
-                    f"{col}_b": pa.array(list(vb[keep]), vt0)})
-
-        return uniq_pairs.map_batches(_Attach(ref), batch_format="pandas")
 
     def _rename(side: str):
         def _fn(b: pa.Table) -> pa.Table:
@@ -503,9 +431,9 @@ def _join_pair_payload(uniq_pairs, payload, col: str, n_pairs: int,
     pb_side = payload.map_batches(_rename("b"), batch_format="pyarrow")
     n = n_pairs // 64 + 1
     # the pair set is pandas-blocked (a by_key output), whose schema lacks
-    # Arrow types: its seed comes from typed Arrow blocks. The first join's
-    # output is materialized, so the second join's seed schema does not
-    # run it twice.
+    # Arrow types: the join's left schema comes from typed Arrow blocks.
+    # The first join's output is materialized, so the second join's left
+    # schema does not run it twice.
     pairs = uniq_pairs.map_batches(lambda b: b.select(["key_a", "key_b"]),
                                    batch_format="pyarrow")
     out = join(pairs, pa_side, "key_a", num_partitions=n).materialize()

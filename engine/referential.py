@@ -71,51 +71,33 @@ def build_exact_set(catalog_ds, column: str = "media_ref") -> pa.Array:
 
 
 def count_dangling_fk(fact_ds, dim_ds, *, fk: str, pk: str,
-                      batch_size: int = 65536, concurrency=None,
-                      broadcast_limit: int = 2_000_000):
+                      batch_size: int = 65536, concurrency=None):
     """Generic FK check: count of fact rows whose ``fk`` is not a ``pk`` of
-    the dimension table.
+    the dimension table (a NULL ``fk`` is no reference).
 
-    Small dimensions (< ``broadcast_limit`` keys) take the broadcast path:
-    the distinct key array ships ONCE via ``ray.put`` and each batch runs a
-    vectorized ``np.isin`` membership test, emitting one partial count.
-    Larger dimensions are routed automatically to the exact distributed
-    anti-join (``dangling_fk_rows``) — shuffling distinct keys instead of
-    broadcasting an unbounded set to every task.
+    One ``left_anti`` :func:`engine.shuffle.join` of the non-NULL fact
+    keys against the dimension, then ``count()``: a small dimension
+    broadcasts (each batch one searchsorted membership test, no
+    shuffle), a large one hash-joins. See :func:`dangling_fk_rows` for
+    the dangling keys themselves.
     """
-    import ray
+    from engine.shuffle import join
 
-    n_dim = dim_ds.count()
-    if n_dim > broadcast_limit:
-        rows = dangling_fk_rows(fact_ds, dim_ds, fk=fk, pk=pk,
-                                batch_size=batch_size,
+    def _keys(batch: pa.Table) -> pa.Table:
+        return batch.select([fk]).filter(pc.is_valid(batch.column(fk)))
+
+    facts = fact_ds.map_batches(_keys, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=batch_size,
                                 concurrency=concurrency)
-        total = rows.sum("n_occurrences")
-        return pa.table({"n_dangling": pa.array([int(total or 0)],
-                                                pa.int64())})
-
-    keys_df = dim_ds.select_columns([pk]).to_pandas()
-    keys = np.unique(keys_df[pk].dropna().to_numpy())
-    ref = ray.put(keys)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        side = ray.get(ref)
-        vals = batch.column(fk).drop_null().to_numpy(zero_copy_only=False)
-        n = int(len(vals) - np.isin(vals, side).sum())
-        return pa.table({"dangling": pa.array([n], pa.int64())})
-
-    partials = fact_ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size, concurrency=concurrency)
-    agg = partials.sum("dangling")  # scalar
-
-    return pa.table({"n_dangling": pa.array([int(agg or 0)], pa.int64())})
+    n = join(facts, dim_ds.select_columns([pk]), fk, "left_anti",
+             right_on=pk).count()
+    return pa.table({"n_dangling": pa.array([n], pa.int64())})
 
 
 def dangling_fk_rows(fact_ds, dim_ds, *, fk: str, pk: str,
                      batch_size: int = 65536, concurrency=None):
-    """Exact distributed anti-join — the scale path when the dimension side
-    is too large to broadcast (SURVEY §2.4 "exact verify" variant).
+    """The dangling keys themselves, with their fact-row counts: an exact
+    distributed anti-join (SURVEY §2.4 "exact verify" variant).
 
     Both sides tag their keys (fact: one occurrence each, dimension: one
     ``in_dim`` mark) and ONE :func:`engine.shuffle.combine` over their

@@ -4,8 +4,8 @@ event aggregates — the generic query surface (every one DuckDB-checkable).
 Patterns (the point, at 100 TB):
 * groupbys pre-aggregate per batch (few groups -> each batch collapses to
   group-count rows) before the small shuffle (``shuffle.combine``);
-* small dimension tables broadcast via ``ray.put`` and hash-lookup inside
-  ``map_batches`` — never a data-data shuffle join;
+* every join goes through ``shuffle.join``: a small dimension table
+  broadcasts once and joins map-only, never a data-data shuffle join;
 * event windows bucket by ``date_trunc`` inside the batch then groupby the
   (already tiny) bucket rows.
 """
@@ -82,13 +82,18 @@ def q1_pricing_summary(lineitem_ds, *, batch_size: int = 65536,
         _final)
 
 
-def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
-                             concurrency):
-    """Distributed fall-through for a dimension too large to broadcast:
-    order rows hash-join the dimension and the (tiny) per-segment
-    :func:`engine.shuffle.combine` finishes — the dimension never
-    touches the driver. A projection (not a map) keeps the order side
-    typed when it is empty, so the result is typed too."""
+def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
+                       concurrency=None):
+    """orders x customer join -> revenue per market segment.
+
+    The order rows join the dimension on custkey
+    (:func:`engine.shuffle.join`: a small customer table broadcasts, a
+    large one — it scales with the corpus, TPC-H customer = 0.15N —
+    hash-joins) and the (tiny) per-segment
+    :func:`engine.shuffle.combine` finishes; the dimension never touches
+    the driver as a dict. A projection (not a map) keeps the order side
+    typed when it is empty, so the result is typed too.
+    """
     from engine.shuffle import combine, join
 
     joined = join(orders_ds.select_columns(["o_custkey", "o_totalprice"]),
@@ -98,55 +103,6 @@ def _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
         "revenue": ("o_totalprice", "sum"),
         "n_orders": ("c_mktsegment", "count")},
         batch_size=batch_size, concurrency=concurrency)
-
-
-def revenue_by_segment(orders_ds, customer_ds, *, batch_size: int = 65536,
-                       concurrency=None, broadcast_limit: int = 2_000_000):
-    """orders x customer join -> revenue per market segment.
-
-    Size-gated routing (the ``count_dangling_fk`` broadcast_limit pattern):
-    a dimension below ``broadcast_limit`` rows ships ONCE via ``ray.put``
-    as a key->segment lookup and the join is map-only; a larger dimension —
-    it scales with the corpus (TPC-H customer = 0.15N), so at 100x it does
-    not fit a driver dict — falls through to a distributed hash join of
-    the order rows against the dimension table.
-    """
-    import ray
-
-    if customer_ds.count() > broadcast_limit:
-        return _revenue_by_segment_join(orders_ds, customer_ds, batch_size,
-                                        concurrency)
-
-    lookup = {}
-    sides = _key_rows((customer_ds.select_columns(
-        ["c_custkey", "c_mktsegment"]), "c_custkey"))
-    if sides:
-        cust = sides[0].to_pandas()
-        lookup = dict(zip(cust["c_custkey"].astype(np.int64),
-                          cust["c_mktsegment"]))
-    ref = ray.put(lookup)
-
-    class _Segment:
-        def __init__(self, side):
-            self._ref = side
-            self._lut = None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pandas as pd
-            if self._lut is None:
-                self._lut = ray.get(self._ref)
-            keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-            seg = pd.Series(keys).map(self._lut)  # vectorized hash lookup
-            return pa.table({
-                "c_mktsegment": pa.array(seg.to_numpy(object), pa.string(),
-                                         from_pandas=True),
-                "p": batch.column("o_totalprice")})
-
-    from engine.shuffle import combine
-    return combine(orders_ds, "c_mktsegment", {
-        "revenue": ("p", "sum"), "n_orders": ("c_mktsegment", "count")},
-        derive=_Segment(ref), batch_size=batch_size,
-        concurrency=concurrency)
 
 
 def events_per_user_hour(events_ds, *, batch_size: int = 65536,
@@ -562,30 +518,25 @@ def _revenue_by_order(lines: pa.Table) -> pa.Table:
 def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                          segment: str = "BUILDING",
                          cutoff: str = "1998-06-01", k: int = 10,
-                         batch_size: int = 65536, concurrency=None,
-                         broadcast_limit: int = 2_000_000):
+                         batch_size: int = 65536, concurrency=None):
     """TPC-H Q3 shape: top-k orders by revenue for one market segment.
 
-    Scale shape — one semi-join + ONE data-data hash join:
+    Scale shape — two :func:`engine.shuffle.join` calls (each broadcasts
+    a small right side and hash-joins a large one):
 
-    1. segment customers filter orders: below ``broadcast_limit`` keys the
-       distinct key array ships once via ``ray.put`` (vectorized np.isin
-       per batch, date filter applied in the pass before); above it — the
-       segment is ~N/5 customers, unbounded in the corpus — a distributed
-       hash join on custkey does the semi-join. Only (o_orderkey,
-       o_orderdate) survive either way;
+    1. the date-filtered orders join the segment customers on custkey
+       (the segment is ~N/5 customers, unbounded in the corpus); only
+       (o_orderkey, o_orderdate) survive;
     2. lineitem is filtered + pre-aggregated per l_orderkey INSIDE
-       ``map_batches`` (one Arrow ``group_by`` per batch), so the hash
-       join moves one partial revenue row per (orderkey x batch), never
-       raw lineitem rows;
+       ``map_batches`` (one Arrow ``group_by`` per batch), so the join
+       moves one partial revenue row per (orderkey x batch), never raw
+       lineitem rows;
     3. :func:`engine.shuffle.join` on orderkey;
     4. :func:`engine.shuffle.combine` merges the joined partials per
        (orderkey, orderdate);
        top-k via DISTRIBUTED sort + limit — the driver only ever sees the
        k result rows, not the full aggregate.
     """
-    import ray
-
     from engine.shuffle import combine, finish, join
 
     cutoff64 = np.datetime64(cutoff, "us")
@@ -624,27 +575,8 @@ def q3_shipping_priority(lineitem_ds, orders_ds, customer_ds, *,
                                   batch_size=batch_size,
                                   concurrency=concurrency)
 
-    if cust.count() <= broadcast_limit:
-        keys = np.unique(cust.to_pandas()["c_custkey"].to_numpy())
-        keys_ref = ray.put(keys)
-
-        def _semi(b: pa.Table) -> pa.Table:
-            side = ray.get(keys_ref)
-            ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-            sub = b.filter(pa.array(np.isin(ck, side)))
-            return sub.select(["o_orderkey", "o_orderdate"])
-
-        orders = dated.map_batches(_semi, batch_format="pyarrow")
-    else:
-        def _rename(b: pa.Table) -> pa.Table:
-            return pa.table({"o_custkey": b.column("c_custkey")})
-
-        # a join's output is materialized before it joins again, so the
-        # next join's seed schema does not run this join twice
-        orders = join(dated, cust.map_batches(_rename,
-                                              batch_format="pyarrow"),
-                      "o_custkey").select_columns(
-            ["o_orderkey", "o_orderdate"]).materialize()
+    orders = join(dated, cust, "o_custkey", right_on="c_custkey") \
+        .select_columns(["o_orderkey", "o_orderdate"])
 
     def _li_partial(b: pa.Table) -> pa.Table:
         sd = pc.cast(b.column("l_shipdate"), pa.timestamp("us")) \
@@ -822,23 +754,18 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
                              region_name: str = "ASIA",
                              date_lo: str = "1996-01-01",
                              date_hi: str = "1997-01-01",
-                             batch_size: int = 65536,
-                             broadcast_limit: int = 2_000_000):
+                             batch_size: int = 65536):
     """TPC-H Q5: revenue per nation from lineitems where the customer and
     the supplier share a nation in ``region_name``, for one order year.
 
     Join orchestration at scale: region/nation are O(10^2) rows always
-    (driver-safe); customer and supplier route by size — below
-    ``broadcast_limit`` they ship once via ``ray.put`` as key->nationkey
-    lookups and every attach is map-only, leaving ONE unavoidable
-    big-big hash join (lineitem x filtered orders, sized to cluster
-    CPUs); above the limit the attaches become distributed hash joins of
-    the same shape. Revenue merges per nation in one
-    :func:`engine.shuffle.combine` over the post-join batches, so the
-    shuffle sees nation-count rows.
+    (driver-safe); the year's orders attach the customer nation, the
+    lineitems those orders, then the supplier nation, each through
+    :func:`engine.shuffle.join` (a small right side broadcasts, a large
+    one hash-joins on aggregators sized to cluster CPUs). Revenue merges
+    per nation in one :func:`engine.shuffle.combine` over the post-join
+    batches, so the shuffle sees nation-count rows.
     """
-    import pandas as pd
-    import ray
     import ray.data
     from engine.shuffle import combine, finish, join
 
@@ -869,139 +796,53 @@ def q5_local_supplier_volume(lineitem_ds, orders_ds, customer_ds,
     lo = np.datetime64(date_lo)
     hi = np.datetime64(date_hi)
 
-    def _dim_lut(ds, key, nkey):
-        """key -> nationkey lookup restricted to the region's nations."""
-        def _f(b: pa.Table) -> pa.Table:
-            nk = b.column(nkey).to_numpy(zero_copy_only=False)
-            m = np.isin(nk, list(nation_keys))
-            sub = b.filter(pa.array(m))
-            return pa.table({"k": pc.cast(sub.column(key), pa.int64()),
-                             "n": pc.cast(sub.column(nkey), pa.int64())})
-        small = ds.map_batches(_f, batch_format="pyarrow",
-                               batch_size=batch_size).to_pandas()
-        return dict(zip(small["k"], small["n"]))
+    def _ofilter(b: pa.Table) -> pa.Table:
+        d = b.column("o_orderdate").to_numpy(zero_copy_only=False)
+        keep = (d >= lo) & (d < hi)
+        sub = b.filter(pa.array(keep))
+        return pa.table({
+            "o_orderkey": pc.cast(sub.column("o_orderkey"), pa.int64()),
+            "o_custkey": pc.cast(sub.column("o_custkey"), pa.int64())})
 
-    if customer_ds.count() > broadcast_limit \
-            or supplier_ds.count() > broadcast_limit:
-        # distributed fall-through: same plan with hash joins for the
-        # dimension attaches (aggregators sized to cluster CPUs)
-        def _ofilter(b: pa.Table) -> pa.Table:
-            d = b.column("o_orderdate").to_numpy(zero_copy_only=False)
-            keep = (d >= lo) & (d < hi)
-            sub = b.filter(pa.array(keep))
-            return pa.table({
-                "o_orderkey": pc.cast(sub.column("o_orderkey"), pa.int64()),
-                "o_custkey": pc.cast(sub.column("o_custkey"), pa.int64())})
+    of = orders_ds.map_batches(_ofilter, batch_format="pyarrow",
+                               batch_size=batch_size)
 
-        of = orders_ds.map_batches(_ofilter, batch_format="pyarrow",
-                                   batch_size=batch_size)
-        def _oc(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_orderkey": b.column("o_orderkey"),
-                "cnat": pc.cast(b.column("c_nationkey"), pa.int64())})
+    def _oc(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_orderkey": b.column("o_orderkey"),
+            "cnat": pc.cast(b.column("c_nationkey"), pa.int64())})
 
-        # join outputs are materialized before they join again, so the
-        # next join's seed schema does not run this join twice
-        oc = join(of, customer_ds.select_columns(
-            ["c_custkey", "c_nationkey"]), "o_custkey",
-            right_on="c_custkey").map_batches(
-            _oc, batch_format="pyarrow").materialize()
+    oc = join(of, customer_ds.select_columns(
+        ["c_custkey", "c_nationkey"]), "o_custkey",
+        right_on="c_custkey").map_batches(_oc, batch_format="pyarrow")
 
-        def _lpartial(b: pa.Table) -> pa.Table:
-            price = b.column("l_extendedprice").to_numpy(
-                zero_copy_only=False)
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-            return pa.table({
-                "l_orderkey": pc.cast(b.column("l_orderkey"), pa.int64()),
-                "l_suppkey": pc.cast(b.column("l_suppkey"), pa.int64()),
-                "rev": pa.array(price * (1.0 - disc), pa.float64())})
+    def _lpartial(b: pa.Table) -> pa.Table:
+        price = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
+        disc = b.column("l_discount").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "l_orderkey": pc.cast(b.column("l_orderkey"), pa.int64()),
+            "l_suppkey": pc.cast(b.column("l_suppkey"), pa.int64()),
+            "rev": pa.array(price * (1.0 - disc), pa.float64())})
 
-        li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
-                                     batch_size=batch_size)
-        ls = join(li, oc, "l_orderkey", right_on="o_orderkey").map_batches(
-            lambda b: b.select(["l_suppkey", "cnat", "rev"]),
-            batch_format="pyarrow").materialize()
-        fin = join(ls, supplier_ds.select_columns(
-            ["s_suppkey", "s_nationkey"]), "l_suppkey", right_on="s_suppkey")
+    li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
+                                 batch_size=batch_size)
+    # a join output that joins again as the LEFT side is materialized
+    # first, so that join's schema does not run this one twice
+    ls = join(li, oc, "l_orderkey", right_on="o_orderkey").map_batches(
+        lambda b: b.select(["l_suppkey", "cnat", "rev"]),
+        batch_format="pyarrow").materialize()
+    fin = join(ls, supplier_ds.select_columns(
+        ["s_suppkey", "s_nationkey"]), "l_suppkey", right_on="s_suppkey")
 
-        def _nation_revenue(b: pa.Table) -> pa.Table:
-            snat = pc.cast(b.column("s_nationkey"), pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            cnat = b.column("cnat").to_numpy(zero_copy_only=False)
-            keep = (snat == cnat) & np.isin(snat, list(nation_keys))
-            return pa.table({"nkey": pa.array(snat[keep], pa.int64()),
-                             "rev": b.column("rev").filter(
-                                 pa.array(keep))})
+    def _nation_revenue(b: pa.Table) -> pa.Table:
+        snat = pc.cast(b.column("s_nationkey"), pa.int64()) \
+            .to_numpy(zero_copy_only=False)
+        cnat = b.column("cnat").to_numpy(zero_copy_only=False)
+        keep = (snat == cnat) & np.isin(snat, list(nation_keys))
+        return pa.table({"nkey": pa.array(snat[keep], pa.int64()),
+                         "rev": b.column("rev").filter(pa.array(keep))})
 
-        partials, derive = fin, _nation_revenue
-    else:
-        cust_lut = ray.put(_dim_lut(customer_ds, "c_custkey",
-                                    "c_nationkey"))
-        supp_lut = ray.put(_dim_lut(supplier_ds, "s_suppkey",
-                                    "s_nationkey"))
-
-        def _ofilter(b: pa.Table) -> pa.Table:
-            d = b.column("o_orderdate").to_numpy(zero_copy_only=False)
-            keep = (d >= lo) & (d < hi)
-            sub = b.filter(pa.array(keep))
-            return pa.table({
-                "o_orderkey": pc.cast(sub.column("o_orderkey"), pa.int64()),
-                "o_custkey": pc.cast(sub.column("o_custkey"), pa.int64())})
-
-        class _AttachCustNation:
-            def __init__(self, ref):
-                self.ref = ref
-                self._lut = None
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                if self._lut is None:
-                    self._lut = ray.get(self.ref)
-                ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-                cn = pd.Series(ck).map(self._lut)
-                keep = cn.notna().to_numpy()
-                return pa.table({
-                    "o_orderkey": b.column("o_orderkey").filter(
-                        pa.array(keep)),
-                    "cnat": pa.array(cn[keep].astype(np.int64),
-                                     pa.int64())})
-
-        oc = orders_ds.map_batches(_ofilter, batch_format="pyarrow",
-                                   batch_size=batch_size) \
-            .map_batches(_AttachCustNation(cust_lut),
-                         batch_format="pyarrow")
-
-        def _lpartial(b: pa.Table) -> pa.Table:
-            price = b.column("l_extendedprice").to_numpy(
-                zero_copy_only=False)
-            disc = b.column("l_discount").to_numpy(zero_copy_only=False)
-            return pa.table({
-                "l_orderkey": pc.cast(b.column("l_orderkey"), pa.int64()),
-                "l_suppkey": pc.cast(b.column("l_suppkey"), pa.int64()),
-                "rev": pa.array(price * (1.0 - disc), pa.float64())})
-
-        li = lineitem_ds.map_batches(_lpartial, batch_format="pyarrow",
-                                     batch_size=batch_size)
-        joined = join(li, oc, "l_orderkey", right_on="o_orderkey")
-
-        class _SuppNationRevenue:
-            def __init__(self, ref):
-                self.ref = ref
-                self._lut = None
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                if self._lut is None:
-                    self._lut = ray.get(self.ref)
-                sk = b.column("l_suppkey").to_numpy(zero_copy_only=False)
-                sn = pd.Series(sk).map(self._lut)
-                cnat = b.column("cnat").to_numpy(zero_copy_only=False)
-                keep = sn.notna().to_numpy() & (sn.to_numpy() == cnat)
-                return pa.table({
-                    "nkey": pa.array(sn[keep].astype(np.int64), pa.int64()),
-                    "rev": b.column("rev").filter(pa.array(keep))})
-
-        partials, derive = joined, _SuppNationRevenue(supp_lut)
-
-    return _revenue(partials, derive)
+    return _revenue(fin, _nation_revenue)
 
 
 def keep_latest(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -1314,83 +1155,34 @@ def _distinct_keys(ds, col: str, out_col: str, batch_size: int):
         .groupby("part").map_groups(_d, batch_format="pyarrow")
 
 
-def _exists_join(left, right, *, key_col: str, right_key_col: str,
-                 anti: bool, batch_size: int, broadcast_limit: int):
-    """Shared kernel for :func:`semi_join` / :func:`anti_join`."""
-    import ray
-    from engine.shuffle import join
-
-    rkeys = _distinct_keys(right, right_key_col, key_col,
-                           batch_size).materialize()
-    n_keys = rkeys.count()
-
-    if n_keys <= broadcast_limit:
-        # key set ships ONCE via ray.put; the filter is map-only.
-        vals = rkeys.to_pandas()
-        keys = vals[key_col].to_numpy() \
-            if key_col in vals.columns and len(vals) else \
-            np.array([], dtype=np.int64)
-        ref = ray.put(keys)
-
-        class _Filter:
-            def __init__(self, side, want_match):
-                self._ref, self._want = side, want_match
-                self._set = None
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-                if self._set is None:
-                    k = ray.get(self._ref)
-                    self._set = pa.array(
-                        k, type=b.column(key_col).type) if len(k) \
-                        else pa.array([], b.column(key_col).type)
-                m = pc.is_in(b.column(key_col), value_set=self._set)
-                # SQL EXISTS contract: a NULL key never matches — semi
-                # drops it, anti keeps it (NOT EXISTS holds vacuously).
-                m = pc.fill_null(m, False)
-                return b.filter(m if self._want else pc.invert(m))
-
-        return left.map_batches(_Filter(ref, not anti),
-                                batch_format="pyarrow",
-                                zero_copy_batch=True,
-                                batch_size=batch_size)
-
-    # distributed fall-through: hash join against the DEDUPED key set
-    # (unique keys -> an inner join cannot multiply left rows)
-    return join(left, rkeys, key_col, "left_anti" if anti else "inner")
-
-
 def semi_join(left, right, *, key_col: str, right_key_col: str = None,
-              batch_size: int = 65536, broadcast_limit: int = 2_000_000):
+              batch_size: int = 65536):
     """Row-preserving semi join: every left row whose key appears in
     ``right`` — ``WHERE EXISTS (SELECT 1 FROM right r WHERE r.k =
     l.k)`` parity (each left row at most once, all columns pass
     through; NULL left keys never match and are dropped).
 
-    Size-gated routing (the repo's broadcast pattern): right's DISTINCT
-    key set below ``broadcast_limit`` ships once via ``ray.put`` and the
-    filter is a map-only vectorized ``is_in``; a larger key set falls
-    through to a distributed hash join against the globally deduped keys
-    (unique keys, so the inner join cannot multiply left rows).
+    Right reduces to its DISTINCT key set before anything ships, and
+    :func:`engine.shuffle.join` picks the route: a small key set
+    broadcasts (the filter is map-only), a larger one hash-joins. Unique
+    keys, so the inner join cannot multiply left rows.
     """
-    return _exists_join(left, right, key_col=key_col,
-                        right_key_col=right_key_col or key_col,
-                        anti=False, batch_size=batch_size,
-                        broadcast_limit=broadcast_limit)
+    from engine.shuffle import join
+    return join(left, _distinct_keys(right, right_key_col or key_col,
+                                     key_col, batch_size), key_col)
 
 
 def anti_join(left, right, *, key_col: str, right_key_col: str = None,
-              batch_size: int = 65536, broadcast_limit: int = 2_000_000):
+              batch_size: int = 65536):
     """Row-preserving anti join: every left row whose key does NOT
     appear in ``right`` — ``WHERE NOT EXISTS`` parity. NULL left keys
     are KEPT (SQL: ``NULL = x`` is never true, so NOT EXISTS holds
-    vacuously). Routing as :func:`semi_join`; the distributed path is a
-    ``left_anti`` join against the deduped keys.
+    vacuously). Shape as :func:`semi_join`, with a ``left_anti`` join.
     """
-    return _exists_join(left, right, key_col=key_col,
-                        right_key_col=right_key_col or key_col,
-                        anti=True, batch_size=batch_size,
-                        broadcast_limit=broadcast_limit)
+    from engine.shuffle import join
+    return join(left, _distinct_keys(right, right_key_col or key_col,
+                                     key_col, batch_size), key_col,
+                "left_anti")
 
 
 def collect_sequence(ds, *, key_col: str = "user_id",
@@ -2263,12 +2055,12 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
                                 date_lo: str = "1996-01-01",
                                 date_hi: str = "1996-04-01", k: int = 20,
                                 batch_size: int = 65536,
-                                concurrency=None,
-                                broadcast_limit: int = 2_000_000):
+                                concurrency=None):
     """TPC-H Q10 shape: top-k customers by revenue lost to RETURNED
     items in one quarter, enriched with account balance and nation.
 
-    Scale shape — ONE data-data hash join, every dimension size-gated:
+    Scale shape — two :func:`engine.shuffle.join` calls (each broadcasts
+    a small right side and hash-joins a large one):
 
     1. lineitem filters ``l_returnflag = 'R'`` and pre-aggregates
        revenue per orderkey INSIDE ``map_batches`` (one Arrow
@@ -2277,15 +2069,13 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     3. :func:`engine.shuffle.join` on orderkey, then a custkey
        :func:`engine.shuffle.combine` bounds the result at the customer
        count;
-    4. the customer dimension attaches via a sorted-array broadcast
-       (``ray.put`` + searchsorted) below ``broadcast_limit`` rows, a
-       distributed hash join above; nation (25 rows) always broadcasts;
+    4. the customer dimension attaches by a second join on custkey;
+       nation (25 rows) maps on the driver's dict;
     5. distributed sort + limit keeps all but k rows off the driver.
 
     Returns a pandas DataFrame
     (c_custkey, c_name, revenue, c_acctbal, n_name).
     """
-    import ray
     from engine.shuffle import combine, join
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
@@ -2334,50 +2124,21 @@ def q10_returned_item_reporting(lineitem_ds, orders_ds, customer_ds,
     nat_map = dict(zip(nat["n_nationkey"].tolist(),
                        nat["n_name"].tolist()))
 
-    if cust.count() <= broadcast_limit:
-        cdf = cust.to_pandas().sort_values("c_custkey")
-        side = ray.put((cdf["c_custkey"].to_numpy(),
-                        cdf["c_name"].to_numpy(object),
-                        cdf["c_acctbal"].to_numpy(np.float64),
-                        cdf["c_nationkey"].to_numpy(), nat_map))
+    # per_cust is materialized (a combine output), so the left schema
+    # does not run the shuffles behind it twice
+    cj = join(per_cust, cust, "o_custkey", right_on="c_custkey")
 
-        def _attach(b: pa.Table) -> pa.Table:
-            keys, names, bal, nk, nm = ray.get(side)
-            ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, ck)
-            pos = np.minimum(pos, len(keys) - 1)
-            ok = keys[pos] == ck
-            rev = b.column("rev").to_numpy(zero_copy_only=False)[ok]
-            p = pos[ok]
-            return pa.table({
-                "c_custkey": pa.array(ck[ok]),
-                "c_name": pa.array(names[p].tolist(), pa.string()),
-                "revenue": pa.array(rev, pa.float64()),
-                "c_acctbal": pa.array(bal[p], pa.float64()),
-                "n_name": pa.array([nm.get(x) for x in nk[p].tolist()],
-                                   pa.string())})
+    def _attach(b: pa.Table) -> pa.Table:
+        nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "c_custkey": b.column("o_custkey"),
+            "c_name": b.column("c_name"),
+            "revenue": pc.cast(b.column("rev"), pa.float64()),
+            "c_acctbal": pc.cast(b.column("c_acctbal"), pa.float64()),
+            "n_name": pa.array([nat_map.get(x) for x in nk.tolist()],
+                               pa.string())})
 
-        enriched = per_cust.map_batches(_attach, batch_format="pyarrow")
-    else:
-        # per_cust is materialized (a combine output), so the seed schema
-        # does not run the shuffles behind it twice
-        cj = join(per_cust, cust.map_batches(
-            lambda b: b.rename_columns(
-                ["o_custkey", "c_name", "c_acctbal", "c_nationkey"]),
-            batch_format="pyarrow"), "o_custkey")
-
-        def _attach_joined(b: pa.Table) -> pa.Table:
-            nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
-            return pa.table({
-                "c_custkey": b.column("o_custkey"),
-                "c_name": b.column("c_name"),
-                "revenue": pc.cast(b.column("rev"), pa.float64()),
-                "c_acctbal": pc.cast(b.column("c_acctbal"), pa.float64()),
-                "n_name": pa.array([nat_map.get(x) for x in nk.tolist()],
-                                   pa.string())})
-
-        enriched = cj.map_batches(_attach_joined, batch_format="pyarrow")
-
+    enriched = cj.map_batches(_attach, batch_format="pyarrow")
     top = enriched.sort(["revenue", "c_custkey"],
                         descending=[True, False]).limit(k)
     out = top.to_pandas().reset_index(drop=True)

@@ -1,16 +1,19 @@
-"""The shuffle shapes: keyed co-partition, decomposable aggregate, hash join.
+"""The shuffle shapes: keyed co-partition, decomposable aggregate, join.
+
+One size rule, :data:`SMALL_ROWS`, decides whether an input small enough
+for one task (or the driver) to hold skips the shuffle: a ``join`` whose
+right side has at most that many rows broadcasts it, and a ``combine``
+whose partial rows are at most that many merges them in one task. Both
+routes give the same rows; only above the constant does work shuffle.
 
 Ray Data's sort-based groupby derives its reduce parallelism from the
 upstream block count; a partial-aggregate stage that collapses a corpus into
 a few small blocks therefore serializes the per-group reduce (measured 10x:
-95k-group aggregate 9-14s at 2 blocks vs 1.4s at 64). ``_balance`` inserts an
-explicit repartition so reduce parallelism tracks the cluster size instead of
-the accident of upstream blocking.
-
-Partial datasets are combiner outputs — orders of magnitude smaller than the
-corpus — so the extra balancing pass is cheap relative to the corpus scan at
-any scale, and it is what sets the reduce width explicitly (the knob a
-multi-node deployment would tune to nodes x cores).
+95k-group aggregate 9-14s at 2 blocks vs 1.4s at 64). Above
+:data:`SMALL_ROWS` partial rows, ``_balance`` inserts an explicit
+repartition so reduce parallelism tracks the cluster size instead of the
+accident of upstream blocking (the knob a multi-node deployment would tune
+to nodes x cores).
 
 ``by_key`` is the engine's one key co-partition shape: every keyed
 operator that needs whole keys together (windows, sessions, per-group
@@ -27,17 +30,32 @@ min/max — stats, dedup, referential, the relational and text
 aggregates) runs through it, and ``finish`` runs a post-step over its
 output without losing the typed empty.
 
-``join`` is the engine's one hash join (``Dataset.join``): the sizing
-(``join_kwargs``) and the NULL-key seed row that keeps every join
-partition typed live in it, so no caller tests a side for emptiness or
-repairs a schemaless join block.
+``join`` is the engine's one join, and its one ``Dataset.join``. It
+materializes the right side once. A right side of at most
+:data:`SMALL_ROWS` rows ships once through ``ray.put``, sorted by key,
+and each left batch looks its keys up in a hash index of the distinct
+right keys that is built once per worker, never per batch (a per-batch
+``pa.Table.join`` or ``pc.is_in`` rebuilds a hash table of the whole
+right side for every batch, ~10x the lookup). A larger right side takes
+the hash join, whose sizing (``join_kwargs``) and NULL-key seed rows
+keep every join partition typed. Both routes give pyarrow's
+``Table.join`` rows, so no caller picks a route, tests a side for
+emptiness or repairs a schemaless join block.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 
 #: CPU count assumed outside a Ray session
 _DEFAULT_CPUS = 8
+
+#: rows that one task or the driver holds at once: a join's right side up
+#: to this size is broadcast, and a combine's partial rows up to this size
+#: merge in one task; above it both shuffle
+SMALL_ROWS = 2_000_000
 
 
 def _cluster_cpus(default: int) -> int:
@@ -89,8 +107,6 @@ def by_key(ds, key: str, fn, *, prep=None, null_keys: str = "one",
     ``key``; otherwise the partition returns a copy of ``empty``, the
     caller's typed empty output frame.
     """
-    import numpy as np
-
     from engine.sketches import hash64
 
     if null_keys not in ("one", "drop"):
@@ -127,7 +143,6 @@ def key_starts(keys):
     and NaT alike — so all NULL-key rows form one run, as they form one
     ``hash64`` partition. Row ``i`` starts a run where
     ``key_starts(keys)[i] == i``."""
-    import numpy as np
     import pandas as pd
 
     keys = np.asarray(keys)
@@ -164,7 +179,7 @@ def not_null(arr):
 
 
 #: how the per-batch partial of each ``combine`` op merges across batches
-_MERGE = {"sum": "Sum", "count": "Sum", "min": "Min", "max": "Max"}
+_MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
 def combine(ds, keys, aggs, *, derive=None, batch_size=None,
@@ -178,10 +193,13 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
     1. per batch (Arrow): ``derive(batch)`` — the caller's projection or
        filter — then rows with a NULL (or NaN) key are dropped, then ONE
        ``pa.Table.group_by(keys).aggregate(...)``;
-    2. :func:`_balance` plus Ray's ``groupby(keys).aggregate(...)``: a
-       ``count`` partial merges with Sum, the others with their own op;
-       every column comes out under its own name. With no ``keys`` it
-       is one global row (no shuffle; NULLs on an empty input).
+    2. the partial rows are materialized and merged: a ``count``
+       partial merges with sum, the others with their own op; every
+       column comes out under its own name, rows sorted by ``keys``. Up
+       to :data:`SMALL_ROWS` partial rows merge in ONE task by one Arrow
+       ``group_by``; above it, :func:`_balance` plus Ray's
+       ``groupby(keys).aggregate(...)``. With no ``keys`` it is one
+       global row (no shuffle; NULLs on an empty input).
 
     NULL-key contract: NULL keys always drop. Every caller's SQL mirror
     groups them away or filters them, and Ray's sort-based groupby
@@ -218,16 +236,28 @@ def combine(ds, keys, aggs, *, derive=None, batch_size=None,
                            for src, op in aggs.values()],
                         names=keys + list(aggs))
 
+    def _merge(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(
+            [(col, _MERGE[op]) for col, (_, op) in aggs.items()])
+        return pa.table([g.column(k) for k in keys]
+                        + [g.column(f"{col}_{_MERGE[op]}")
+                           for col, (_, op) in aggs.items()],
+                        names=keys + list(aggs)).sort_by(
+                            [(k, "ascending") for k in keys])
+
     parts = ds.map_batches(_partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=batch_size,
-                           concurrency=concurrency)
-    merges = [getattr(aggregate, _MERGE[op])(col, alias_name=col)
+                           concurrency=concurrency).materialize()
+    merges = [getattr(aggregate, _MERGE[op].title())(col, alias_name=col)
               for col, (_, op) in aggs.items()]
-    if keys:
+    if not keys:
+        out = parts.groupby(None).aggregate(*merges).materialize()
+    elif parts.count() <= SMALL_ROWS:
+        out = parts.repartition(1).map_batches(
+            _merge, batch_format="pyarrow", batch_size=None).materialize()
+    else:
         out = _drop_empty_blocks(
             _balance(parts).groupby(keys).aggregate(*merges).materialize())
-    else:
-        out = parts.groupby(None).aggregate(*merges).materialize()
     if out.count() == 0:
         sch = _schema(ds)
         if sch is not None:
@@ -288,7 +318,6 @@ def tree_reduce(parts, merge_block, *, fanout: int = 32,
 def _arrow_type(t):
     """Arrow type of a pandas-block schema entry; ``object`` (and any
     dtype Arrow cannot map) reads as string."""
-    import numpy as np
     import pyarrow as pa
     try:
         return pa.from_numpy_dtype(np.dtype(t))
@@ -360,9 +389,122 @@ _SEED = "__join_seed"
 
 def join(left, right, on: str, how: str = "inner", *, right_on=None,
          num_partitions=None):
-    """Hash join of ``left[on]`` with ``right[right_on or on]``: ``how``
-    is ``"inner"`` or ``"left_anti"``. The engine's one ``Dataset.join``;
-    it owns Ray's join hazards:
+    """Join of ``left[on]`` with ``right[right_on or on]``: ``how`` is
+    ``"inner"`` or ``"left_anti"``. The engine's one join; it owns the
+    route and Ray's join hazards, and gives pyarrow's ``Table.join`` rows:
+
+    * columns: the left columns, then the right non-key columns (the
+      right key is dropped, ``right_on`` or not); a duplicate right key
+      multiplies rows;
+    * NULL keys: a NULL key never matches (SQL), so ``left_anti`` keeps
+      every NULL-key left row (NOT EXISTS holds);
+    * route: ``right`` is materialized once, which also makes its schema
+      free. At most :data:`SMALL_ROWS` right rows take
+      :func:`_broadcast_join` (map-only over the left batches); more take
+      :func:`_hash_join`.
+
+    A side Ray reports no schema for has no rows (a block with rows
+    carries its schema; a map over an empty input does not): an inner
+    join with it, and a ``left_anti`` of it, is that empty side; a
+    ``left_anti`` against it is ``left``. Otherwise the result is typed
+    even when it is empty.
+
+    The left schema comes from :func:`_schema`: free for a read or a
+    materialized side, one ``limit(1)`` for a lazy transformed side. A
+    hash join's output that is the LEFT side of another join is
+    therefore materialized first, or the schema would run its shuffle
+    twice (the right side is materialized here).
+    """
+    if how not in ("inner", "left_anti"):
+        raise ValueError(f"how must be 'inner' or 'left_anti', not {how!r}")
+    right = right.materialize()
+    lsch, rsch = _schema(left), _schema(right)
+    if lsch is None or rsch is None:
+        return right if lsch is not None and how == "inner" else left
+    if right.count() <= SMALL_ROWS:
+        return _broadcast_join(left, right, on, right_on or on, how, lsch)
+    return _hash_join(left, right, on, right_on, how, lsch, rsch,
+                      num_partitions)
+
+
+@functools.lru_cache(maxsize=4)
+def _lookup(ref):
+    """The broadcast side of ``ref`` with its key index, built once per
+    worker process (fused joins probe several sides in one task, so a
+    few are kept): a ``pd.Index`` of the distinct right keys, and each
+    key's first row and row count, with a zero-count entry last, for a
+    miss (``get_indexer`` gives -1)."""
+    import pandas as pd
+    import ray
+    keys, first, counts, rows = ray.get(ref)
+    return pd.Index(keys), np.r_[first, 0], np.r_[counts, 0], rows
+
+
+class _Probe:
+    """One left batch joined with the broadcast right side (see
+    :func:`_broadcast_join`): each valid left key's run ``[lo, lo + n)``
+    of right rows comes from one hash lookup, and ``np.repeat`` expands
+    it, so a duplicate right key multiplies rows."""
+
+    def __init__(self, ref, key: str, anti: bool):
+        self._ref, self._key, self._anti = ref, key, anti
+
+    def __call__(self, b):
+        import pyarrow as pa
+
+        index, starts, counts, rows = _lookup(self._ref)
+        col = b.column(self._key)
+        valid = not_null(col).to_numpy(zero_copy_only=False)
+        pos = np.full(len(b), -1, np.int64)
+        pos[valid] = index.get_indexer(col.filter(pa.array(valid))
+                                       .to_numpy())
+        n = counts[pos]
+        if self._anti:
+            return b.filter(pa.array(n == 0))
+        left = np.repeat(np.arange(len(b)), n)
+        right = np.arange(len(left)) - np.repeat(np.cumsum(n) - n
+                                                 - starts[pos], n)
+        return pa.Table.from_arrays(
+            b.take(left).columns + rows.take(right).columns,
+            names=b.column_names + rows.column_names)
+
+
+def _broadcast_join(left, right, on: str, rkey: str, how: str, lsch):
+    """:func:`join` of a right side of at most :data:`SMALL_ROWS` rows,
+    with no shuffle: its rows, sorted by key on the driver without NULL
+    keys, ship once via ``ray.put`` with each distinct key, its first
+    row and its row count, and
+    :class:`_Probe` joins each left batch. The key index is built once
+    per worker, never per batch: a per-batch ``pa.Table.join`` or
+    ``pc.is_in`` rebuilds a hash table of the whole right side for every
+    batch. A typed zero-row table of the joined schema comes first,
+    since Ray calls no UDF on an empty block."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    side = pa.concat_tables(
+        [t for t in ray.get(right.to_arrow_refs()) if t.num_rows]
+        or [_schema(right).empty_table()])
+    side = side.filter(not_null(side.column(rkey))).sort_by(rkey)
+    keys = side.column(rkey).to_numpy()
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) \
+        if len(keys) else np.zeros(0, np.int64)
+    rows = side.drop_columns([rkey])
+    anti = how == "left_anti"
+    sch = lsch if anti else pa.schema(list(lsch) + list(rows.schema))
+    # a key-only side has no columns left, and no row count after pickling
+    ref = ray.put((keys[first], first, np.diff(np.r_[first, len(keys)]),
+                   rows))
+    return ray.data.from_arrow(sch.empty_table()).union(left.map_batches(
+        _Probe(ref, on, anti), batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=None))
+
+
+def _hash_join(left, right, on: str, right_on, how: str, lsch, rsch,
+               num_partitions):
+    """:func:`join` of a right side of more than :data:`SMALL_ROWS` rows:
+    Ray's hash join (``Dataset.join``). It owns Ray's join hazards:
 
     * sizing: :func:`join_kwargs`; a caller's ``num_partitions`` (fewer
       partitions for a small input) never exceeds :func:`join_partitions`;
@@ -376,32 +518,15 @@ def join(left, right, on: str, how: str = "inner", *, right_on=None,
       emptiness test runs. A seed after the side still fails when the
       side's first block has no rows; a key-only seed runs, but its
       output blocks mix schemas.
-    * NULL keys: a NULL key never matches (SQL), so no seed ever joins.
-      ``left_anti`` keeps the unmatched left seed: a seed-only column
-      (NULL on every real row) marks it and a filter drops it, while a
-      real NULL-key left row stays (NOT EXISTS holds). Ray skips that
-      filter on a zero-row block and emits it schemaless, as after any
-      map.
-
-    A side Ray reports no schema for has no rows (a block with rows
-    carries its schema; a map over an empty input does not): an inner
-    join with it, and a ``left_anti`` of it, is that empty side; a
-    ``left_anti`` against it is ``left``.
-
-    The seed's schema comes from :func:`_schema`: free for a read or a
-    materialized side, one ``limit(1)`` for a lazy transformed side. A
-    join output that joins again is therefore materialized first, or the
-    seed would run its shuffle twice.
+    * NULL keys: no seed ever joins. ``left_anti`` keeps the unmatched
+      left seed: a seed-only column (NULL on every real row) marks it and
+      a filter drops it, while a real NULL-key left row stays. Ray skips
+      that filter on a zero-row block and emits it schemaless, as after
+      any map.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-
-    if how not in ("inner", "left_anti"):
-        raise ValueError(f"how must be 'inner' or 'left_anti', not {how!r}")
-    lsch, rsch = _schema(left), _schema(right)
-    if lsch is None or rsch is None:
-        return right if lsch is not None and how == "inner" else left
 
     def _seeded(side, sch, *extra):
         seed = pa.table([pa.nulls(1, f.type) for f in sch]

@@ -556,8 +556,7 @@ def pack_sequences(ds, *, text_col: str = "text", key_col: str = "doc_id",
 
 
 def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
-               k: int = 5, broadcast_limit: int = 5_000_000,
-               batch_size: int = 8192, concurrency=None):
+               k: int = 5, batch_size: int = 8192, concurrency=None):
     """Top-``k`` TF-IDF terms per document: ``score = tf * ln(N / df)``
     with tf the in-document token count, df from
     :func:`token_doc_frequency` (same whitespace tokenization, empties
@@ -568,18 +567,21 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
     Scale shape: the per-doc half needs NO shuffle at all — a document's
     tokens live in its own row, so tf and the top-k both resolve inside
     ``map_batches``. The corpus-wide half is the df table: when the
-    vocabulary is small (<= ``broadcast_limit``) it broadcasts ONCE via
-    ``ray.put`` (sorted token array + counts, one searchsorted per batch
-    dictionary); above the gate the (doc, token, tf) combiner rows — NOT
-    the raw token stream — flow through a distributed hash join on token
-    and a per-doc top-k (:func:`engine.shuffle.by_key`), the same
-    fall-through shape as the semi-join family.
+    vocabulary is small (at most ``shuffle.SMALL_ROWS`` tokens, the
+    engine's one small-side size) it broadcasts ONCE via ``ray.put``
+    (sorted token array + counts, one searchsorted per batch dictionary)
+    and the per-doc top-k runs in the same map; above it the (doc,
+    token, tf) combiner rows — NOT the raw token stream — flow through
+    :func:`engine.shuffle.join` on token and a per-doc top-k
+    (:func:`engine.shuffle.by_key`). This keeps its own fork because
+    only the broadcast route can fuse the top-k into the scoring map.
     """
     import math
 
     import pandas as pd
     import ray
 
+    from engine import shuffle
     from engine.kernels import _flatten, _valid_mask
     from engine.shuffle import by_key, join
 
@@ -616,7 +618,7 @@ def tfidf_topk(ds, *, text_col: str = "text", key_col: str = "doc_id",
                              kind="mergesort")
         return sub.groupby(key_col, sort=False).head(k)
 
-    if vocab_n <= broadcast_limit:
+    if vocab_n <= shuffle.SMALL_ROWS:
         dfp = df_tab.to_pandas().sort_values("token")
         ref = ray.put((dfp["token"].to_numpy(),
                        dfp["df"].to_numpy().astype(np.float64)))
@@ -1051,7 +1053,6 @@ def jaccard_to_query(ds, *, query_tokens, text_col: str = "text",
 
 
 def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
-                 vocab_broadcast_limit: int = 5_000_000,
                  batch_size: int = 8192, concurrency=None):
     """Per-document lexical rarity: the mean inverse document frequency
     ``avg(ln(N / df))`` over the doc's DISTINCT tokens — high values
@@ -1059,16 +1060,17 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
     tokens emit no row (SQL inner-join parity). Returns
     (key, mean_idf, n_distinct).
 
-    Scale shape (the :func:`tfidf_topk` gate): the df table comes from
-    the :func:`token_doc_frequency` combiner; below
-    ``vocab_broadcast_limit`` distinct tokens it broadcasts once
-    (sorted-array searchsorted, per-doc half map-only), above it the
-    per-batch distinct (doc, token) pairs hash-join df on token and a
-    per-key groupby averages (:func:`engine.shuffle.by_key`) — both
-    routes exact.
+    Scale shape (the :func:`tfidf_topk` gate, ``shuffle.SMALL_ROWS``
+    tokens): the df table comes from the :func:`token_doc_frequency`
+    combiner; a small one broadcasts once (sorted-array searchsorted,
+    the per-doc mean in the same map), above it the per-batch distinct
+    (doc, token) pairs join df on token (:func:`engine.shuffle.join`)
+    and a per-key groupby averages (:func:`engine.shuffle.by_key`) —
+    both routes exact.
     """
     import ray
     import pandas as pd
+    from engine import shuffle
     n_docs = ds.count()
     df_tab = token_doc_frequency(ds, text_col=text_col,
                                  batch_size=batch_size,
@@ -1095,7 +1097,7 @@ def doc_mean_idf(ds, *, text_col: str = "text", key_col: str = "doc_id",
             "token": pc.cast(enc.dictionary.take(pa.array(c)),
                              pa.string())})
 
-    if vocab_n <= vocab_broadcast_limit:
+    if vocab_n <= shuffle.SMALL_ROWS:
         dfp = df_tab.to_pandas().sort_values("token")
         ref = ray.put((dfp["token"].to_numpy(),
                        dfp["df"].to_numpy().astype(np.float64)))

@@ -250,7 +250,9 @@ CASES = {
                               labelled_vectors, group_col="label",
                               vec_col="embedding", dim=2),
     "connected_components": _mod("engine.cluster", "connected_components",
-                                 pairs, single_task_limit=0),
+                                 pairs),
+    "connected_components_single_task": _mod(
+        "engine.cluster", "connected_components", pairs),
     "minhash_near_duplicates": _mod("engine.dedup",
                                     "minhash_near_duplicates", docs),
     "simhash_near_duplicates": _mod("engine.dedup",
@@ -266,15 +268,14 @@ CASES = {
                              pk="c_custkey"),
     "q1_pricing_summary": _rel("q1_pricing_summary", lineitem),
     "revenue_by_segment": _rel("revenue_by_segment", orders, customer),
-    "revenue_by_segment_join": _rel("revenue_by_segment", orders, customer,
-                                    broadcast_limit=-1),
+    "revenue_by_segment_join": _rel("revenue_by_segment", orders, customer),
     "revenue_by_segment_no_customer": _rel("revenue_by_segment", orders,
                                            no_customer),
     "top_event_types": _rel("top_event_types", untyped_events),
     "q3_shipping_priority": _rel("q3_shipping_priority", lineitem, orders,
                                  customer),
     "q3_shipping_priority_join": _rel("q3_shipping_priority", lineitem,
-                                      orders, customer, broadcast_limit=-1),
+                                      orders, customer),
     "q3_shipping_priority_no_customer": _rel("q3_shipping_priority",
                                              lineitem, orders, no_customer),
     "q5_local_supplier_volume": _rel("q5_local_supplier_volume", lineitem,
@@ -282,7 +283,7 @@ CASES = {
                                      region),
     "q5_local_supplier_volume_join": _rel(
         "q5_local_supplier_volume", lineitem, orders, customer, supplier,
-        nation, region, broadcast_limit=-1),
+        nation, region),
     "q5_local_supplier_volume_no_nation": _rel(
         "q5_local_supplier_volume", lineitem, orders, customer, supplier,
         no_nation, region),
@@ -296,8 +297,7 @@ CASES = {
     "q10_returned_item_reporting": _rel("q10_returned_item_reporting",
                                         lineitem, orders, customer, nation),
     "q10_returned_item_reporting_join": _rel(
-        "q10_returned_item_reporting", lineitem, orders, customer, nation,
-        broadcast_limit=-1),
+        "q10_returned_item_reporting", lineitem, orders, customer, nation),
     "q10_returned_item_reporting_no_customer": _rel(
         "q10_returned_item_reporting", lineitem, orders, no_customer,
         nation),
@@ -341,25 +341,34 @@ CASES = {
     "token_counts_by_group": _text("token_counts_by_group", null_docs),
     "vocabulary_stats": _text("vocabulary_stats", null_docs),
     # the hash-join fall-throughs of the TF-IDF family
-    "tfidf_topk_join": _text("tfidf_topk", docs, broadcast_limit=-1),
-    "tfidf_topk_join_no_text": _text("tfidf_topk", null_docs,
-                                     broadcast_limit=-1),
-    "doc_mean_idf_join": _text("doc_mean_idf", docs,
-                               vocab_broadcast_limit=-1),
-    "doc_mean_idf_join_no_text": _text("doc_mean_idf", null_docs,
-                                       vocab_broadcast_limit=-1),
+    "tfidf_topk_join": _text("tfidf_topk", docs),
+    "tfidf_topk_join_no_text": _text("tfidf_topk", null_docs),
+    "doc_mean_idf_join": _text("doc_mean_idf", docs),
+    "doc_mean_idf_join_no_text": _text("doc_mean_idf", null_docs),
 }
+
+#: cases that run on the large route of ``engine.shuffle`` (the
+#: ``large_route`` fixture): the hash joins of the ``_join`` cases and
+#: the distributed label propagation of ``connected_components``; every
+#: other case runs on the small route (broadcast joins, one-task merges,
+#: the single-task union-find)
+LARGE = {"connected_components", "doc_mean_idf_join",
+         "doc_mean_idf_join_no_text", "q10_returned_item_reporting_join",
+         "q3_shipping_priority_join", "q5_local_supplier_volume_join",
+         "revenue_by_segment_join", "tfidf_topk_join",
+         "tfidf_topk_join_no_text"}
 
 # name -> {kind: (rows, "column:type ..." or None when schemaless)}.
 # Not pinned, because it fails before producing a result: the NULL-key
 # case of stream_dedup_micro_batch (its state write rejects NULL keys).
-# The joins of q3, q5, q10, the revenue_by_segment join path and the
-# tfidf_topk / doc_mean_idf fall-throughs go through ``shuffle.join``,
-# which joins empty and all-NULL-key sides; the dimension lookups go
+# The joins of q3, q5, q10, revenue_by_segment and the tfidf_topk /
+# doc_mean_idf fall-throughs go through ``shuffle.join``, which joins
+# empty and all-NULL-key sides on both routes; the dimension lookups go
 # through ``relational._key_rows``, where a side without a non-NULL key
 # row gives the typed empty result (the ``_join`` cases take the
-# hash-join paths, the ``_no_<dimension>`` cases an empty dimension
-# table).
+# hash-join route, the ``_no_<dimension>`` cases an empty dimension
+# table). A pair with a NULL end is no edge, so both
+# connected_components routes give the typed empty.
 EXPECTED = {
     "activity_heatmap": {
         "empty": (0, "dow:int64 hod:int64 n:int64"),
@@ -381,7 +390,10 @@ EXPECTED = {
         "null": (0, "user_id:double seq:<class 'object'> n_items:int64")},
     "connected_components": {
         "empty": (0, "node:int64 cluster_id:int64"),
-        "null": (0, None)},
+        "null": (0, "node:int64 cluster_id:int64")},
+    "connected_components_single_task": {
+        "empty": (0, "node:int64 cluster_id:int64"),
+        "null": (0, "node:int64 cluster_id:int64")},
     "corr_matrix": {
         "empty": (0, "col_x:string col_y:string r:double n:int64"),
         "null": (1, "col_x:string col_y:string r:double n:int64")},
@@ -753,7 +765,9 @@ def _observe(out):
 @pytest.mark.parametrize("name,kind", [
     (name, kind) for name in sorted(CASES) for kind in ("empty", "null")
     if kind in EXPECTED.get(name, {})])
-def test_by_key_empty_and_null_keys(ray_session, name, kind):
+def test_by_key_empty_and_null_keys(ray_session, large_route, name, kind):
+    if name in LARGE:
+        large_route()
     assert _observe(CASES[name](kind)) == EXPECTED[name][kind]
 
 

@@ -493,14 +493,13 @@ def test_empty_partition_gets_typed_empty_artifacts(corpus, tmp_path):
 
 
 def test_uniqueness_merge_through_by_key(corpus, clean_job, tmp_path,
-                                        monkeypatch):
-    """Above the driver bound the uniqueness step merges the committed
+                                        monkeypatch, large_route):
+    """Above ``shuffle.SMALL_ROWS`` the uniqueness step merges the committed
     ``keys`` files with one ``shuffle.by_key`` pass: its rows equal the
     in-process merge's and ``duplicate_keys`` over the corpus, and it
     reads nothing but ``keys`` files."""
     import pyarrow.parquet as pq
     import ray.data
-    import engine.checkpoint as ck
     from engine.uniqueness import duplicate_keys
 
     out_root, corpus_dir = corpus
@@ -512,7 +511,7 @@ def test_uniqueness_merge_through_by_key(corpus, clean_job, tmp_path,
         reads.append(paths)
         return real_read(paths, **kw)
 
-    monkeypatch.setattr(ck, "_DRIVER_MERGE_ROWS", 0)
+    large_route()
     _job(corpus_dir, out, os.path.join(out_root, "media_catalog.parquet"),
          max_units=4)
     monkeypatch.setattr(ray.data, "read_parquet", _read)

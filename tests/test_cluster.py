@@ -71,7 +71,8 @@ class TestConnectedComponents:
         nodes = sorted({x for e in edges for x in e})
         assert got == _uf_components(edges, nodes)
 
-    def test_distributed_path_matches_single_task(self, ray_session):
+    def test_distributed_path_matches_single_task(self, ray_session,
+                                                  large_route):
         """Force the label-propagation scale path and pin it to the numpy
         union-find fast path on a graph with a non-trivial diameter."""
         from engine.cluster import connected_components
@@ -80,8 +81,8 @@ class TestConnectedComponents:
         edges += [(int(a), int(b)) for a, b in rng.integers(20, 40, (12, 2))
                   if a != b]
         fast = _cc_dict(_pairs_ds(edges))
-        dist_df = connected_components(
-            _pairs_ds(edges), single_task_limit=0).to_pandas()
+        large_route()
+        dist_df = connected_components(_pairs_ds(edges)).to_pandas()
         dist = dict(zip(dist_df["node"], dist_df["cluster_id"]))
         assert dist == fast
 
@@ -115,13 +116,24 @@ class TestResolveDuplicates:
         # losers 2, 5, 7 dropped; singletons + cluster minima kept
         assert sorted(out["doc_id"]) == [0, 1, 3, 4, 6]
 
-    def test_join_path_matches_broadcast(self, ray_session):
+    def test_join_path_matches_broadcast(self, ray_session, large_route):
         from engine.cluster import resolve_duplicates
         docs = self._docs(list(range(30)))
         pairs = _pairs_ds([(i, i + 1) for i in range(0, 20, 2)])
         a = resolve_duplicates(docs, pairs).to_pandas()
-        b = resolve_duplicates(docs, pairs, broadcast_limit=0).to_pandas()
+        large_route()
+        b = resolve_duplicates(docs, pairs).to_pandas()
         assert sorted(a["doc_id"]) == sorted(b["doc_id"])
+
+    def test_null_ends_are_no_edges(self, ray_session, route):
+        """SQL drops a NULL-key edge: a pair with a NULL end joins no
+        cluster on either route, and a NULL node is never a loser."""
+        from engine.cluster import connected_components, resolve_duplicates
+        edges = [(None, None), (1, None), (None, 4), (2, 3), (None, None)]
+        got = connected_components(_pairs_ds(edges)).to_pandas()
+        assert dict(zip(got["node"], got["cluster_id"])) == {2: 2, 3: 2}
+        out = resolve_duplicates(self._docs([1, 2, 3, 4]), _pairs_ds(edges))
+        assert sorted(out.to_pandas()["doc_id"]) == [1, 2, 4]
 
     def test_no_pairs_passthrough(self, ray_session):
         from engine.cluster import resolve_duplicates

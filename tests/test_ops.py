@@ -254,30 +254,30 @@ class TestRelational:
         assert np.allclose(got["revenue"], exp["revenue"])
         assert (got["n_orders"] == exp["n_orders"]).all()
 
-    def test_segment_join_auto_route_both_sizes(self, rds):
-        """broadcast_limit=0 forces the distributed-join fall-through; the
-        result must match the broadcast path exactly (auto-route pytest
-        for the unbounded-dimension gate)."""
+    def test_segment_join_auto_route_both_sizes(self, rds, large_route):
+        """``large_route()`` forces the hash-join route; the result must
+        match the broadcast route exactly (auto-route pytest for the
+        unbounded-dimension gate)."""
         from engine.relational import revenue_by_segment
         small = revenue_by_segment(
             rds("orders"), rds("customer")).to_pandas().sort_values(
             "c_mktsegment").reset_index(drop=True)
+        large_route()
         large = revenue_by_segment(
-            rds("orders"), rds("customer"),
-            broadcast_limit=0).to_pandas().sort_values(
+            rds("orders"), rds("customer")).to_pandas().sort_values(
             "c_mktsegment").reset_index(drop=True)
         assert list(small["c_mktsegment"]) == list(large["c_mktsegment"])
         assert np.allclose(small["revenue"], large["revenue"])
         assert (small["n_orders"] == large["n_orders"]).all()
 
-    def test_q3_auto_route_both_sizes(self, rds):
+    def test_q3_auto_route_both_sizes(self, rds, large_route):
         from engine.relational import q3_shipping_priority
         kw = dict(segment="BUILDING", cutoff="1998-06-01", k=5)
         small = q3_shipping_priority(
             rds("lineitem"), rds("orders"), rds("customer"), **kw)
+        large_route()
         large = q3_shipping_priority(
-            rds("lineitem"), rds("orders"), rds("customer"),
-            broadcast_limit=0, **kw)
+            rds("lineitem"), rds("orders"), rds("customer"), **kw)
         assert list(small["l_orderkey"]) == list(large["l_orderkey"])
         assert np.allclose(small["revenue"], large["revenue"])
 
@@ -1085,9 +1085,10 @@ class TestQ5:
         assert got["n_name"].tolist() == exp["n_name"].tolist()
         assert np.allclose(got["revenue"], exp["revenue"])
 
-    def test_distributed_path_matches_broadcast(self, rds):
+    def test_distributed_path_matches_broadcast(self, rds, large_route):
         a = self._run(rds)
-        b = self._run(rds, broadcast_limit=0)  # force hash-join route
+        large_route()  # force the hash-join route
+        b = self._run(rds)
         assert a["n_name"].tolist() == b["n_name"].tolist()
         assert np.allclose(a["revenue"], b["revenue"])
 
@@ -1636,7 +1637,7 @@ class TestSemiAntiJoin:
             return b.filter(m).select(["user_id"])
         return ev, ev.map_batches(_hi, batch_format="pyarrow")
 
-    def test_vs_duckdb_both_routes(self, rds):
+    def test_vs_duckdb_both_routes(self, rds, route):
         from engine.relational import anti_join, semi_join
         ev, hi = self._sides(rds)
         for anti, fn in [(False, semi_join), (True, anti_join)]:
@@ -1649,13 +1650,11 @@ class TestSemiAntiJoin:
                     and p.event_type = 'purchase' and p.value > 95.0)
                 order by event_id
             """).df()["event_id"].tolist()
-            for limit in (2_000_000, 0):   # broadcast vs distributed
-                got = fn(ev, hi, key_col="user_id",
-                         broadcast_limit=limit).to_pandas()
-                ids = sorted(got["event_id"]) if len(got) else []
-                assert ids == exp, (anti, limit)
+            got = fn(ev, hi, key_col="user_id").to_pandas()
+            ids = sorted(got["event_id"]) if len(got) else []
+            assert ids == exp, (anti, route)
 
-    def test_null_key_contract(self, ray_session):
+    def test_null_key_contract(self, ray_session, route):
         """NULL left keys: semi drops (EXISTS never true), anti keeps
         (NOT EXISTS vacuously true) — on both routes."""
         import ray.data
@@ -1665,15 +1664,12 @@ class TestSemiAntiJoin:
             "x": pa.array(["a", "b", "c"], pa.string())}))
         right = ray.data.from_arrow(pa.table({
             "k": pa.array([1, None], pa.int64())}))
-        for limit in (10, 0):
-            s = semi_join(left, right, key_col="k",
-                          broadcast_limit=limit).to_pandas()
-            assert sorted(s["x"]) == ["a"], limit
-            a = anti_join(left, right, key_col="k",
-                          broadcast_limit=limit).to_pandas()
-            assert sorted(a["x"]) == ["b", "c"], limit
+        s = semi_join(left, right, key_col="k").to_pandas()
+        assert sorted(s["x"]) == ["a"], route
+        a = anti_join(left, right, key_col="k").to_pandas()
+        assert sorted(a["x"]) == ["b", "c"], route
 
-    def test_duplicate_right_keys_do_not_multiply(self, ray_session):
+    def test_duplicate_right_keys_do_not_multiply(self, ray_session, route):
         import ray.data
         from engine.relational import semi_join
         left = ray.data.from_arrow(pa.table({
@@ -1681,10 +1677,8 @@ class TestSemiAntiJoin:
             "x": pa.array(["a", "b"], pa.string())}))
         right = ray.data.from_arrow(pa.table({
             "k": pa.array([1, 1, 1], pa.int64())}))
-        for limit in (10, 0):
-            out = semi_join(left, right, key_col="k",
-                            broadcast_limit=limit).to_pandas()
-            assert sorted(out["x"]) == ["a"], limit
+        out = semi_join(left, right, key_col="k").to_pandas()
+        assert sorted(out["x"]) == ["a"], route
 
 
 class TestUnionDistinct:

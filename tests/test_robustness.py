@@ -47,26 +47,48 @@ class TestParallelismInvariance:
         assert a == b and len(a) > 0
 
 
-#: ``engine.cli`` that halts right after it commits its first manifest
-#: whose name starts with ``argv[1]`` (a partition's ``p<id>``, a global
-#: step's ``__global_<step>``), so a SIGKILL lands exactly there
-HALT_AFTER_COMMIT = """
+#: ``engine.cli`` that halts at the point ``argv[1]`` names, after it
+#: creates the file ``argv[2]``, so a SIGKILL lands exactly there:
+#: right after it commits its first manifest whose name starts with
+#: ``argv[1]`` (a partition's ``p<id>``, a global step's
+#: ``__global_<step>``), right after a partition's verdict write before
+#: its manifest (``verdict``), or inside the drift step's ``then`` hook
+#: once the fold has rewritten the verdicts, before the drift marker
+#: commits (``fold``)
+HALT_AT = """
 import sys, time
 import engine.checkpoint as ck
 from engine.cli import main
 
-commit = ck._commit_manifest
+point, flag = sys.argv[1], sys.argv[2]
 
 
-def _commit_then_halt(out_dir, name, record):
-    commit(out_dir, name, record)
-    if name.startswith(sys.argv[1]):
-        time.sleep(600)
+def _halt_after(fn, when=lambda *args: True):
+    def run(*args):
+        out = fn(*args)
+        if when(*args):
+            open(flag, "w").close()
+            time.sleep(600)
+        return out
+    return run
 
 
-ck._commit_manifest = _commit_then_halt
-sys.exit(main(sys.argv[2:]))
+if point == "verdict":
+    ck._write_verdict = _halt_after(ck._write_verdict)
+elif point == "fold":
+    ck._fold_drift_into_verdicts = _halt_after(ck._fold_drift_into_verdicts)
+else:
+    ck._commit_manifest = _halt_after(
+        ck._commit_manifest, lambda out_dir, name, record:
+        name.startswith(point))
+sys.exit(main(sys.argv[3:]))
 """
+
+#: kill point -> (partition manifests, global-step markers) committed
+#: when the job is killed there (the job has four partitions and, with
+#: no catalog, the stats, uniqueness and drift steps)
+COMMITTED_AT_KILL = {"p": (1, 0), "verdict": (0, 0), "__global_": (4, 1),
+                     "fold": (4, 2)}
 
 
 def _validate(corpus_dir, job_out):
@@ -95,25 +117,26 @@ class TestKillResume:
         assert r.returncode == 0, r.stderr[-500:]
         return _outputs(job_out)
 
-    @pytest.mark.parametrize("kill_at", ["p", "__global_"])
+    @pytest.mark.parametrize("kill_at", sorted(COMMITTED_AT_KILL))
     def test_sigkill_mid_job_then_resume(self, corpus, clean, tmp_path,
                                          kill_at):
-        """SIGKILL the job, and every Ray process it started, right after
-        its first partition manifest or its first global-step marker
-        commits. A resumed run keeps every commit, and its outputs equal
-        the uninterrupted job's."""
+        """SIGKILL the job, and every Ray process it started, at one of
+        the points of ``HALT_AT``: after its first partition manifest or
+        global-step marker commits, after a partition's verdict write,
+        or inside the drift fold. A resumed run keeps every commit, and
+        its outputs equal the uninterrupted job's."""
         _, corpus_dir = corpus
         job_out = str(tmp_path / "job")
+        flag = str(tmp_path / "halted")
         args = _validate(corpus_dir, job_out)
-        p = start_group([sys.executable, "-c", HALT_AFTER_COMMIT, kill_at,
+        p = start_group([sys.executable, "-c", HALT_AT, kill_at, flag,
                          *args], cwd=REPO, stdout=subprocess.DEVNULL,
                         stderr=subprocess.DEVNULL)
         manifests = os.path.join(job_out, "_manifest", "*.json")
         try:
-            deadline = time.time() + 120
-            while time.time() < deadline and p.poll() is None and not \
-                    glob.glob(os.path.join(job_out, "_manifest",
-                                           f"{kill_at}*.json")):
+            deadline = time.time() + 240
+            while time.time() < deadline and p.poll() is None and \
+                    not os.path.exists(flag):
                 time.sleep(0.2)
         finally:
             kill_group(p)
@@ -122,8 +145,8 @@ class TestKillResume:
                        os.path.getmtime(f) for f in glob.glob(manifests)}
         steps = [n for n in done_before if n.startswith("__global_")]
         parts = len(done_before) - len(steps)
-        assert parts == (1 if kill_at == "p" else 4) and \
-            len(steps) == (kill_at != "p"), sorted(done_before)
+        assert (parts, len(steps)) == COMMITTED_AT_KILL[kill_at], \
+            sorted(done_before)
 
         # resume to completion in a fresh process
         r = run_group([sys.executable, "-m", "engine.cli", *args],

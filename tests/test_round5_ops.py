@@ -450,15 +450,13 @@ class TestTfidfTopk:
             "doc_id": np.arange(1, 83, dtype=np.int64),
             "text": pd.array(texts, dtype="object")})
 
-    @pytest.mark.parametrize("limit", [5_000_000, 1])
-    def test_differential_both_routes(self, limit, ray_session):
-        """broadcast df (limit high) and the distributed token-join
-        fall-through (limit 1) must both match the SQL row set."""
+    def test_differential_both_routes(self, route, ray_session):
+        """broadcast df (small route) and the distributed token-join
+        fall-through (large route) must both match the SQL row set."""
         import ray.data
         from engine.textstats import tfidf_topk
         df = self._docs()
-        got = tfidf_topk(ray.data.from_pandas(df), k=3,
-                         broadcast_limit=limit).to_pandas() \
+        got = tfidf_topk(ray.data.from_pandas(df), k=3).to_pandas() \
             .sort_values(["doc_id", "token"]).reset_index(drop=True)
         con = duckdb.connect()
         con.register("documents", df)

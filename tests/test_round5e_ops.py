@@ -394,7 +394,7 @@ class TestQ10ReturnedItems:
         assert np.isclose(got["revenue"].to_numpy(),
                           exp["revenue"].to_numpy()).all()
 
-    def test_distributed_join_route_matches(self, ray_session):
+    def test_distributed_join_route_matches(self, ray_session, large_route):
         import ray.data
         from engine.relational import q10_returned_item_reporting
         rng = np.random.default_rng(13)
@@ -421,7 +421,8 @@ class TestQ10ReturnedItems:
         bc = q10_returned_item_reporting(*args)
         args = [ray.data.from_pandas(x)
                 for x in (lineitem, orders, customer, nation)]
-        dj = q10_returned_item_reporting(*args, broadcast_limit=0)
+        large_route()
+        dj = q10_returned_item_reporting(*args)
         assert bc["c_custkey"].tolist() == dj["c_custkey"].tolist()
         assert np.isclose(bc["revenue"].to_numpy(),
                           dj["revenue"].to_numpy()).all()

@@ -54,14 +54,12 @@ _IDF_SQL = r"""
 
 
 class TestDocMeanIdf:
-    @pytest.mark.parametrize("limit", [5_000_000, 0])  # both routes
-    def test_differential_both_routes(self, limit, ray_session):
+    def test_differential_both_routes(self, route, ray_session):
         import ray.data
         from engine.textstats import doc_mean_idf
         df = _docs(77)
         got = doc_mean_idf(
-            ray.data.from_pandas(df), vocab_broadcast_limit=limit,
-            batch_size=64).to_pandas() \
+            ray.data.from_pandas(df), batch_size=64).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
         con = duckdb.connect()
         con.register("documents", df)

@@ -11,8 +11,12 @@ sorts each key partition, and find key runs with
 :func:`engine.shuffle.key_starts`, the one NULL-key equality rule. Hash
 joins call :func:`engine.shuffle.join`, which owns the join sizing
 (``join_kwargs``) and the typed seed rows that keep every join partition
-schemaful, so no join output needs a zero-column guard. A hand-copied
-scaffold anywhere else in ``engine/`` fails these tests.
+schemaful, so no join output needs a zero-column guard. Whether an
+input is small enough to skip the shuffle is one decision,
+``engine.shuffle.SMALL_ROWS``: ``join`` broadcasts a right side up to
+that size and ``combine`` merges that many partial rows in one task. A
+hand-copied scaffold anywhere else in ``engine/`` fails these tests, and
+so does a per-operator size knob anywhere in ``engine/``.
 Exemptions are by function name, each with its reason.
 """
 
@@ -36,6 +40,12 @@ ORDERED = re.compile(r"sort_values\(\[\s*(?:key_col|group_col)\b"
 JOIN = re.compile(r"""(?<!["'])(?<!path)\.join\("""
                   r"|\bjoin_kwargs\b"
                   r"|\bnum_columns\s*==\s*0")
+# a reader of the small-side size outside engine/shuffle.py
+SMALL_SIDE = re.compile(r"\bSMALL_ROWS\b")
+# a per-operator size knob that picked a broadcast, a single task or a
+# driver merge on its own, anywhere in engine/ (shuffle.py included)
+KNOBS = re.compile(r"broadcast_limit\b|\bsingle_task_limit\b"
+                   r"|\b_DRIVER_MERGE_ROWS\b")
 GUARDS = {
     "co-partition": (CO_PARTITION, "engine.shuffle.by_key", {
         ("relational.py", "_distinct_keys"):
@@ -59,6 +69,21 @@ GUARDS = {
         ("textstats.py", "tfidf_topk"):
             "the same sort is the per-batch top-k combiner too, and it "
             "sorts score descending",
+    }),
+    "small-side": (SMALL_SIDE, "engine.shuffle.join or "
+                   "engine.shuffle.combine", {
+        ("textstats.py", "tfidf_topk"):
+            "its broadcast route fuses the per-doc top-k into the scoring "
+            "map; the join route needs a by_key shuffle after the join",
+        ("textstats.py", "doc_mean_idf"):
+            "its broadcast route fuses the per-doc mean into the scoring "
+            "map; the join route needs a by_key shuffle after the join",
+        ("cluster.py", "connected_components"):
+            "a small edge set runs one numpy union-find task instead of "
+            "log(diameter) rounds of label propagation, not a join",
+        ("checkpoint.py", "_duplicate_keys"):
+            "sums small committed keys files on the driver straight from "
+            "parquet, with no Ray dataset to combine",
     }),
 }
 
@@ -86,6 +111,16 @@ def test_no_scaffold_outside_shuffle(guard):
              if (f, fn) not in exempt]
     assert not found, (f"{guard} scaffold outside engine/shuffle.py; "
                        f"call {owner} instead:\n" + "\n".join(found))
+
+
+def test_no_size_knob_in_engine():
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(ENGINE.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if KNOBS.search(line)]
+    assert not found, ("a per-operator size knob in engine/; route by "
+                       "engine.shuffle.SMALL_ROWS instead:\n"
+                       + "\n".join(found))
 
 
 @pytest.mark.parametrize("guard", sorted(GUARDS))

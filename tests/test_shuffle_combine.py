@@ -124,11 +124,12 @@ def test_finish_keeps_an_empty_result_typed(ray_session):
     assert list(out.schema().types) == [pa.string(), pa.float64()]
 
 
-def test_tiny_combine_blocks_concatenate(ray_session):
-    """Five rows over three keys merged by at least 8 reduces: every
-    block of the result holds rows of one schema, so the block tables
-    concatenate (zero-row schemaless reduce blocks raised ArrowInvalid),
-    and ``finish`` over them does too."""
+def test_tiny_combine_blocks_concatenate(ray_session, route):
+    """Five rows over three keys, merged in one task (small route) or by
+    at least 8 reduces (large route): every block of the result holds
+    rows of one schema, so the block tables concatenate (zero-row
+    schemaless reduce blocks raised ArrowInvalid), and ``finish`` over
+    them does too."""
     import ray
     from engine.shuffle import combine, finish
     ds = _blocks(pa.table({"k": ["a", "b", "a", "c", "b"],

@@ -1,12 +1,15 @@
-"""``engine.shuffle.join``: the engine's one hash join.
+"""``engine.shuffle.join``: the engine's one join, on both routes (the
+``route`` fixture: a broadcast right side, and the hash join).
 
 Each kind of side (rows, rows behind a zero-row first block, a zero-row
 ``from_arrow``, a side lazily filtered to empty, all-NULL keys) joins a
 side with rows, both ways round, at 1, 2 and 4 partitions, inner and
-left-anti. The rows equal pyarrow's ``Table.join`` of the same sides, no
-seed row leaks, NULL-key left rows survive the anti join, and every
-block has the joined schema (an anti join's zero-row blocks may have
-none: see below).
+left-anti. The rows equal pyarrow's ``Table.join`` of the same sides
+(duplicate keys on both sides, int and string keys), no seed row leaks,
+NULL-key left rows survive the anti join, the result is typed, and
+every block with rows has the joined schema. On the hash route every
+inner-join block has it; an anti join's zero-row blocks, and the
+broadcast route's, may have none (see below).
 """
 
 import pyarrow as pa
@@ -51,10 +54,29 @@ def _sorted(rows):
     return sorted(rows, key=lambda r: [(v is None, v) for v in r.values()])
 
 
+def _check_join(out, expect, how, route, case):
+    """``out`` has ``expect``'s rows, and the blocks and schema above."""
+    import ray
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    for b in blocks:
+        # the anti join drops its seed in a map, the broadcast route joins
+        # in a map, and Ray skips a map on a zero-row block and emits it
+        # without a schema
+        if (how == "inner" and route == "large") or b.num_rows:
+            assert b.schema.remove_metadata() == expect.schema, case
+        else:
+            assert b.schema.names in ([], expect.schema.names), case
+    if any(b.num_rows for b in blocks) or how == "inner":
+        assert out.schema().base_schema.remove_metadata() \
+            == expect.schema, case
+    got = [r for b in blocks for r in b.to_pylist()]
+    assert _sorted(got) == _sorted(expect.to_pylist()), case
+
+
 @pytest.mark.parametrize("how", ["inner", "left_anti"])
 @pytest.mark.parametrize("parts", [1, 2, 4])
-def test_join_matches_arrow(ray_session, how, parts):
-    import ray
+def test_join_matches_arrow(ray_session, route, how, parts):
     from engine.shuffle import join
 
     for lk, rk in PAIRS:
@@ -64,21 +86,29 @@ def test_join_matches_arrow(ray_session, how, parts):
                          join_type=how.replace("_", " "))
         out = join(_side(lk, LEFT, LEFT_ROWS), _side(rk, RIGHT, RIGHT_ROWS),
                    "k", how, right_on="rk", num_partitions=parts)
-        blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
-                  for ref, _ in bundle.blocks]
-        case = (lk, rk)
-        for b in blocks:
-            # the anti join drops its seed in a map, and Ray skips a map
-            # on a zero-row block and emits it without a schema
-            if how == "inner" or b.num_rows:
-                assert b.schema.remove_metadata() == expect.schema, case
-            else:
-                assert b.schema.names in ([], expect.schema.names), case
-        got = [r for b in blocks for r in b.to_pylist()]
-        assert _sorted(got) == _sorted(expect.to_pylist()), case
+        _check_join(out, expect, how, route, (lk, rk))
 
 
-def test_anti_join_keeps_null_key_rows_and_drops_the_seed(ray_session):
+@pytest.mark.parametrize("how", ["inner", "left_anti"])
+def test_string_keys_with_duplicates_match_arrow(ray_session, route, how):
+    """String keys, a key repeated on both sides (rows multiply), a NULL
+    key on both sides and a key on one side only; the key columns share
+    one name, so the right key is dropped as with ``right_on``."""
+    import ray.data
+    from engine.shuffle import join
+
+    lt = pa.table({"k": ["b", "a", None, "b", "zz", "é"],
+                   "n": [1, 2, 3, 4, 5, 6]})
+    rt = pa.table({"k": ["b", "c", "b", None, "é", "a", "b"],
+                   "v": [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5]})
+    expect = lt.join(rt, "k", join_type=how.replace("_", " "))
+    out = join(ray.data.from_arrow([lt.slice(0, 3), lt.slice(3)]),
+               ray.data.from_arrow([rt.slice(0, 4), rt.slice(4)]), "k", how)
+    _check_join(out, expect, how, route, how)
+
+
+def test_anti_join_keeps_null_key_rows_and_drops_the_seed(ray_session,
+                                                          route):
     from engine.shuffle import join
     out = join(_side("rows", LEFT, LEFT_ROWS),
                _side("rows", RIGHT, RIGHT_ROWS), "k", "left_anti",
@@ -87,7 +117,7 @@ def test_anti_join_keeps_null_key_rows_and_drops_the_seed(ray_session):
         {"k": 2, "a": "y"}, {"k": 5, "a": "v"}, {"k": None, "a": "n"}])
 
 
-def test_a_side_without_a_schema_has_no_rows(ray_session):
+def test_a_side_without_a_schema_has_no_rows(ray_session, route):
     """A map over an empty input never runs, so Ray knows no schema of
     it: the inner join with it and its anti join are empty, and an anti
     join against it keeps every left row."""

@@ -75,23 +75,21 @@ def count_dangling_fk(fact_ds, dim_ds, *, fk: str, pk: str,
     """Generic FK check: count of fact rows whose ``fk`` is not a ``pk`` of
     the dimension table (a NULL ``fk`` is no reference).
 
-    One ``left_anti`` :func:`engine.shuffle.join` of the non-NULL fact
-    keys against the dimension, then ``count()``: a small dimension
-    broadcasts (each batch one searchsorted membership test, no
-    shuffle), a large one hash-joins. See :func:`dangling_fk_rows` for
-    the dangling keys themselves.
+    One :func:`engine.shuffle.combine` pre-aggregates the fact keys to
+    (key, row count), so only distinct keys reach the join; one
+    ``left_anti`` :func:`engine.shuffle.join` of them against the
+    dimension keys (a small dimension broadcasts, a large one
+    hash-joins) keeps the dangling ones, and their counts sum. See
+    :func:`dangling_fk_rows` for the dangling keys themselves.
     """
-    from engine.shuffle import join
+    from engine.shuffle import combine, join
 
-    def _keys(batch: pa.Table) -> pa.Table:
-        return batch.select([fk]).filter(pc.is_valid(batch.column(fk)))
-
-    facts = fact_ds.map_batches(_keys, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=batch_size,
-                                concurrency=concurrency)
-    n = join(facts, dim_ds.select_columns([pk]), fk, "left_anti",
-             right_on=pk).count()
-    return pa.table({"n_dangling": pa.array([n], pa.int64())})
+    counts = combine(fact_ds, fk, {"n": (fk, "count")},
+                     derive=lambda b: b.select([fk]), batch_size=batch_size,
+                     concurrency=concurrency)
+    n = join(counts, dim_ds.select_columns([pk]), fk, "left_anti",
+             right_on=pk).sum("n")
+    return pa.table({"n_dangling": pa.array([int(n or 0)], pa.int64())})
 
 
 def dangling_fk_rows(fact_ds, dim_ds, *, fk: str, pk: str,

@@ -69,6 +69,23 @@ class TestMinHash:
         assert v.loc[(1, 9002)] == 1.0
         assert 0.5 <= v.loc[(0, 9001)] <= 1.0
 
+    def test_duplicate_payload_key_multiplies_pairs(self, ray_session,
+                                                    route):
+        """A key with two payload rows (two documents under one id)
+        gives each of its pairs once per row, on both routes: the
+        payload attaches by join, as SQL joins the documents."""
+        import pyarrow as pa
+        import ray.data
+        from engine.dedup import _join_pair_payload
+        pairs = ray.data.from_arrow(pa.table({"key_a": [1, 2, 4],
+                                              "key_b": [2, 3, 5]}))
+        payload = ray.data.from_arrow(pa.table({
+            "key": [1, 2, 3, 2, 4], "text": ["a", "b", "c", "B", "d"]}))
+        out = _join_pair_payload(pairs, payload, "text", 3).take_all()
+        assert sorted(tuple(r.values()) for r in out) == [
+            (1, 2, "a", "B"), (1, 2, "a", "b"),
+            (2, 3, "B", "c"), (2, 3, "b", "c")], route
+
 
 class TestSimHash:
     def test_identical_and_near_docs(self, rds, ray_session):

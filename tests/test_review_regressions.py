@@ -137,6 +137,22 @@ def test_empty_fact_fk_count(ray_session):
     assert t.column("n_dangling").to_pylist() == [0]
 
 
+def test_fk_count_on_both_routes(ray_session, route):
+    """Repeated, NULL and dangling fact keys against a dimension with a
+    NULL key: each dangling fact ROW counts (key 9 twice), a NULL fk is
+    no reference, and the NULL pk matches nothing."""
+    import pyarrow as pa
+    import ray.data
+    from engine.referential import count_dangling_fk
+    facts = ray.data.from_arrow([
+        pa.table({"fk": pa.array([1, 9, None, 2], pa.int64())}),
+        pa.table({"fk": pa.array([9, 1, 7, None], pa.int64())})])
+    dim = ray.data.from_arrow(
+        pa.table({"pk": pa.array([1, 2, None, 3], pa.int64())}))
+    t = count_dangling_fk(facts, dim, fk="fk", pk="pk")
+    assert t.column("n_dangling").to_pylist() == [3]
+
+
 def test_lsh_pipelines_with_no_candidates(ray_session):
     """Empty candidate-pair sets must yield typed empty results, not a
     join crash on schemaless blocks (round-2 regression)."""

@@ -7,9 +7,8 @@ side with rows, both ways round, at 1, 2 and 4 partitions, inner and
 left-anti. The rows equal pyarrow's ``Table.join`` of the same sides
 (duplicate keys on both sides, int and string keys), no seed row leaks,
 NULL-key left rows survive the anti join, the result is typed, and
-every block with rows has the joined schema. On the hash route every
-inner-join block has it; an anti join's zero-row blocks, and the
-broadcast route's, may have none (see below).
+every block has the joined schema (an anti join's zero-row blocks may
+have none: see below).
 """
 
 import pyarrow as pa
@@ -54,16 +53,16 @@ def _sorted(rows):
     return sorted(rows, key=lambda r: [(v is None, v) for v in r.values()])
 
 
-def _check_join(out, expect, how, route, case):
+def _check_join(out, expect, how, case):
     """``out`` has ``expect``'s rows, and the blocks and schema above."""
     import ray
     blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
               for ref, _ in bundle.blocks]
     for b in blocks:
-        # the anti join drops its seed in a map, the broadcast route joins
-        # in a map, and Ray skips a map on a zero-row block and emits it
-        # without a schema
-        if (how == "inner" and route == "large") or b.num_rows:
+        # an anti join runs a map over the left side (the hash route's
+        # seed filter, the broadcast probe), and Ray skips a map on a
+        # zero-row block and emits it without a schema
+        if how == "inner" or b.num_rows:
             assert b.schema.remove_metadata() == expect.schema, case
         else:
             assert b.schema.names in ([], expect.schema.names), case
@@ -86,7 +85,7 @@ def test_join_matches_arrow(ray_session, route, how, parts):
                          join_type=how.replace("_", " "))
         out = join(_side(lk, LEFT, LEFT_ROWS), _side(rk, RIGHT, RIGHT_ROWS),
                    "k", how, right_on="rk", num_partitions=parts)
-        _check_join(out, expect, how, route, (lk, rk))
+        _check_join(out, expect, how, (lk, rk))
 
 
 @pytest.mark.parametrize("how", ["inner", "left_anti"])
@@ -104,7 +103,7 @@ def test_string_keys_with_duplicates_match_arrow(ray_session, route, how):
     expect = lt.join(rt, "k", join_type=how.replace("_", " "))
     out = join(ray.data.from_arrow([lt.slice(0, 3), lt.slice(3)]),
                ray.data.from_arrow([rt.slice(0, 4), rt.slice(4)]), "k", how)
-    _check_join(out, expect, how, route, how)
+    _check_join(out, expect, how, how)
 
 
 def test_anti_join_keeps_null_key_rows_and_drops_the_seed(ray_session,
@@ -136,3 +135,54 @@ def test_unknown_join_type_is_refused():
     from engine.shuffle import join
     with pytest.raises(ValueError, match="left_outer"):
         join(None, None, "k", "left_outer")
+
+
+@pytest.mark.parametrize("how", ["inner", "left_anti"])
+def test_broadcast_side_is_freed_with_the_join(ray_session, monkeypatch,
+                                               how):
+    """The broadcast right side lives as long as the join's dataset:
+    once the result is consumed and dropped, no process references the
+    shipped object (no worker keeps it, or an index of it, past a
+    batch)."""
+    import gc
+    import time
+
+    import ray
+    from engine.shuffle import join
+
+    shipped, put = [], ray.put
+
+    def _put(value, **kwargs):
+        ref = put(value, **kwargs)
+        if isinstance(value, tuple):
+            shipped.append(ref.hex().encode())
+        return ref
+
+    monkeypatch.setattr(ray, "put", _put)
+    out = join(_side("rows", LEFT, LEFT_ROWS),
+               _side("rows", RIGHT, RIGHT_ROWS), "k", how, right_on="rk")
+    assert len(out.take_all()) == (5 if how == "inner" else 3)
+    assert len(shipped) == 1
+    del out
+    gc.collect()
+    core = ray._private.worker.global_worker.core_worker
+    deadline = time.monotonic() + 30
+    while shipped[0] in core.get_all_reference_counts():
+        assert time.monotonic() < deadline, "the broadcast side is held"
+        time.sleep(0.2)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_anti"])
+def test_int32_key_meets_int64_key(ray_session, how):
+    """On the broadcast route, integer keys of different widths join on
+    their values, negative ones included (the hash route, like pyarrow's
+    ``Table.join``, refuses keys of different types)."""
+    import ray.data
+    from engine.shuffle import join
+    lt = pa.table({"k": pa.array([-3, 1, 7, None], pa.int32()),
+                   "a": ["p", "q", "r", "s"]})
+    rt = pa.table({"k": pa.array([-3, 7, 8], pa.int64()),
+                   "b": [0.5, 1.5, 2.5]})
+    out = join(ray.data.from_arrow(lt), ray.data.from_arrow(rt), "k", how)
+    got = sorted(r["a"] for r in out.take_all())
+    assert got == (["p", "r"] if how == "inner" else ["q", "s"])
